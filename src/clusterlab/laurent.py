@@ -1,20 +1,32 @@
 """Sparse multivariate Laurent polynomials over the integers.
 
-Terms are stored as a map from monomials to nonzero arbitrary-precision
-integer coefficients; a monomial is a sorted tuple of (variable, nonzero
-exponent) pairs. The zero polynomial is the empty map, the unit monomial is
-the empty tuple. Canonical text ordering follows a graded-lexicographic
-order over the plain string order on variable names.
+At the API, terms are stored as a map from monomials to nonzero
+arbitrary-precision integer coefficients; a monomial is a sorted tuple of
+(variable, nonzero exponent) pairs. The zero polynomial is the empty map, the
+unit monomial is the empty tuple.
+
+Terms are ordered graded-lexicographically: total degree first, then
+variable by variable in ascending plain-string name order, the larger
+exponent winning and an absent variable counting as exponent 0. Inside the
+term sort and the exact-division kernel a monomial is encoded once as a
+dense exponent tuple over the sorted names of the variables involved, so
+this order is the native tuple order of (degree, exponents). Exact division
+reduces the remainder in that order with a heap of its monomials (Johnson
+1974; Monagan and Pearce, "Sparse polynomial division using a heap",
+J. Symb. Comput. 46 (2011)).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from heapq import heapify, heappop, heappush
+from operator import add, gt, sub
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DivisionByZero, LaurentParseError, NotDivisible
 
 VarId = str
 Monomial = tuple[tuple[VarId, int], ...]
+Exponents = tuple[int, ...]
 
 UNIT_MONOMIAL: Monomial = ()
 
@@ -39,69 +51,28 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return monomial_mul(a, tuple((v, -e) for v, e in b))
+def _vectors(monomials: Iterable[Monomial], names: Sequence[VarId]) -> list[Exponents]:
+    """Dense exponent tuples over `names`, sorted and covering every variable."""
+    index = {v: i for i, v in enumerate(names)}
+    zeros = [0] * len(names)
+    out = []
+    for m in monomials:
+        exps = zeros.copy()
+        for v, e in m:
+            exps[index[v]] = e
+        out.append(tuple(exps))
+    return out
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _floor(vectors: Iterable[Exponents]) -> Exponents:
+    """Coordinatewise minimum of equal-length exponent tuples."""
+    return tuple(map(min, zip(*vectors)))
 
 
-def grlex_key(m: Monomial):
-    """Sort key for the graded-lexicographic order.
-
-    Degree first; ties broken variable-by-variable in ascending VarId order,
-    larger exponent on the earlier variable winning. Absent variables count
-    as exponent 0, encoded by comparing (var, -exp) pair streams: a smaller
-    VarId appearing at all dominates, which matches padding with zeros only
-    if exponents are positive -- so we compare explicitly instead.
-    """
-    # Encode as (degree, tuple of (var, -exp)): for two monomials compared
-    # entrywise, at the first differing variable v the one with the larger
-    # exponent of v is larger iff its (v, -e) pair is smaller. Missing
-    # entries (exponent 0) must sort correctly against negative exponents,
-    # so pad explicitly at comparison sites via padded_exponents().
-    return (monomial_degree(m), _lex_tail(m))
-
-
-class _LexTail:
-    """Comparison helper: lexicographic on exponents over ascending VarIds."""
-
-    __slots__ = ("mono",)
-
-    def __init__(self, mono: Monomial):
-        self.mono = mono
-
-    def _cmp(self, other: "_LexTail") -> int:
-        a = dict(self.mono)
-        b = dict(other.mono)
-        for v in sorted(set(a) | set(b)):
-            ea, eb = a.get(v, 0), b.get(v, 0)
-            if ea != eb:
-                return 1 if ea > eb else -1
-        return 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        return self.mono == other.mono
-
-    def __hash__(self):
-        return hash(self.mono)
-
-
-def _lex_tail(m: Monomial) -> _LexTail:
-    return _LexTail(m)
+def min_exponents(p: "LaurentPoly") -> Monomial:
+    """Per-variable minimum exponent over the terms of p (absent = 0)."""
+    names = sorted(p.variables())
+    return tuple((v, e) for v, e in zip(names, _floor(_vectors(p.terms, names))) if e)
 
 
 class LaurentPoly:
@@ -166,13 +137,9 @@ class LaurentPoly:
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in descending graded-lex order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-
-    def leading(self) -> tuple[Monomial, int]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=grlex_key)
-        return m, self.terms[m]
+        names = sorted(self.variables())
+        keys = ((sum(exps), exps) for exps in _vectors(self.terms, names))
+        return [t for _, t in sorted(zip(keys, self.terms.items()), reverse=True)]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -262,53 +229,71 @@ def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a * b
 
 
-def _extreme_monomial(p: LaurentPoly) -> Monomial:
-    """Per-variable minimum exponent over all terms (absent = 0)."""
-    mins: dict[VarId, int] = {}
-    seen: set[VarId] = set()
-    for m in p.terms:
-        seen.update(v for v, _ in m)
-    for v in seen:
-        mins[v] = min(dict(m).get(v, 0) for m in p.terms)
-    return monomial(mins)
-
-
 def lp_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division in the Laurent ring over the integers.
 
-    Factors the extreme monomial out of both operands so they become
-    ordinary polynomials, then divides by leading-term reduction under the
-    graded-lex order; any non-divisible step raises NotDivisible.
+    Both operands are encoded as dense exponent tuples over the sorted union
+    of their variables, and the per-variable minimum exponent is factored out
+    of each so they become ordinary polynomials. The numerator is then
+    reduced by leading terms of the remainder, taken in descending graded-lex
+    order from a heap; any non-divisible step raises NotDivisible.
     """
     if den.is_zero():
         raise DivisionByZero("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
 
-    g_num = _extreme_monomial(num)
-    g_den = _extreme_monomial(den)
-    num_p = num.shift(tuple((v, -e) for v, e in g_num))
-    den_p = den.shift(tuple((v, -e) for v, e in g_den))
+    names = sorted(num.variables() | den.variables())
+    num_v = _vectors(num.terms, names)
+    den_v = _vectors(den.terms, names)
+    g_num = _floor(num_v)
+    g_den = _floor(den_v)
 
-    lm_d, lc_d = den_p.leading()
-    lm_d_map = dict(lm_d)
-    quot: dict[Monomial, int] = {}
-    rem = num_p
-    while not rem.is_zero():
-        lm_r, lc_r = rem.leading()
-        lm_r_map = dict(lm_r)
-        if any(lm_r_map.get(v, 0) < e for v, e in lm_d_map.items()):
+    def key(exps: Exponents, low: Exponents) -> Exponents:
+        # Negated (degree, exponents) of the shifted monomial: the smallest
+        # key on the min-heap is the graded-lex leading monomial, and keys
+        # of a product add up.
+        neg = tuple(map(sub, low, exps))
+        return (sum(neg),) + neg
+
+    rem = {key(e, g_num): c for e, c in zip(num_v, num.terms.values())}
+    den_terms = sorted((key(e, g_den), c) for e, c in zip(den_v, den.terms.values()))
+    lead_d, lc_d = den_terms[0]
+    tail_d = den_terms[1:]
+    heap = list(rem)
+    heapify(heap)
+    quot: dict[Exponents, int] = {}
+    while heap:
+        lead_r = heappop(heap)
+        lc_r = rem.pop(lead_r, 0)
+        if not lc_r:
+            continue  # cancelled after it was pushed
+        if any(map(gt, lead_r, lead_d)):
             raise NotDivisible(f"{format_poly(num)} is not divisible by {format_poly(den)}")
         if lc_r % lc_d != 0:
             raise NotDivisible(
                 f"coefficient {lc_r} not divisible by {lc_d} over the integers"
             )
-        t_mono = monomial_div(lm_r, lm_d)
-        t_coef = lc_r // lc_d
-        quot[t_mono] = quot.get(t_mono, 0) + t_coef
-        rem = rem - den_p.shift(t_mono) * LaurentPoly.const(t_coef)
-    shift_back = monomial_div(g_num, g_den)
-    return LaurentPoly(quot).shift(shift_back)
+        t = tuple(map(sub, lead_r, lead_d))
+        q = lc_r // lc_d
+        quot[t] = q
+        for k_d, c_d in tail_d:
+            k = tuple(map(add, t, k_d))
+            c = rem.get(k)
+            if c is None:
+                rem[k] = -q * c_d
+                heappush(heap, k)
+            elif c == q * c_d:
+                del rem[k]
+            else:
+                rem[k] = c - q * c_d
+
+    shift = tuple(map(sub, g_num, g_den))
+    out: dict[Monomial, int] = {}
+    for t, q in quot.items():
+        exps = map(sub, shift, t[1:])
+        out[tuple((v, e) for v, e in zip(names, exps) if e)] = q
+    return LaurentPoly(out)
 
 
 def lp_has_nonnegative_coefficients(p: LaurentPoly) -> bool:

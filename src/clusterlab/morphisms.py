@@ -22,7 +22,7 @@ from .errors import (
     ResourceLimit,
     SeedMismatch,
 )
-from .laurent import LaurentPoly, Monomial, VarId, format_poly, lp_exact_div
+from .laurent import LaurentPoly, Monomial, VarId, format_poly, lp_exact_div, min_exponents
 from .seeds import (
     Seed,
     enumerate_cluster_variables,
@@ -89,11 +89,7 @@ class ClusterMap:
 
     def _split(self, p: LaurentPoly) -> tuple[LaurentPoly, Monomial]:
         """p = N * D^-1 with N a polynomial and D a nonnegative monomial."""
-        mins: dict[VarId, int] = {}
-        for m in p.terms:
-            for v, e in m:
-                mins[v] = min(mins.get(v, 0), e)
-        denom = tuple(sorted((v, -e) for v, e in mins.items() if e < 0))
+        denom = tuple((v, -e) for v, e in min_exponents(p) if e < 0)
         return p.shift(denom), denom
 
     def _subst_poly(self, p: LaurentPoly) -> LaurentPoly:

@@ -24,6 +24,7 @@ from .errors import (
     ResourceLimit,
     SearchBudgetExceeded,
 )
+from . import laurent
 from .laurent import LaurentPoly, VarId, format_poly, poly_product
 
 Matrix = dict[VarId, dict[VarId, int]]
@@ -257,12 +258,12 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     standard matrix mutation, fresh primed label for the mutated variable."""
     if x not in seed.exchangeable:
         raise NotExchangeable(x)
-    from .laurent import lp_exact_div
 
     row = seed.matrix.get(x, {})
     pos = poly_product(seed.values[v] ** e for v, e in row.items() if e > 0)
     neg = poly_product(seed.values[v] ** -e for v, e in row.items() if e < 0)
-    new_value = lp_exact_div(pos + neg, seed.values[x])
+    # Looked up on the module per call, so a rebinding there applies here too.
+    new_value = laurent.lp_exact_div(pos + neg, seed.values[x])
 
     new_label = fresh_label(x, seed.labels)
     nbrs = [v for v, e in row.items() if e]

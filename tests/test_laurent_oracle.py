@@ -1,0 +1,108 @@
+"""Differential oracle: Laurent multiplication and exact division against sympy.
+
+Random integer Laurent polynomials with negative exponents are multiplied and
+divided both here and in sympy. A quotient must exist exactly when sympy's
+reduced num/den is a Laurent polynomial with integer coefficients.
+"""
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from clusterlab.errors import NotDivisible  # noqa: E402
+from clusterlab.laurent import LaurentPoly, lp_exact_div, lp_mul, parse_poly  # noqa: E402
+
+NAMES = ("x1", "x2", "x10", "y")
+SYMBOLS = sympy.symbols(NAMES)
+TO_SYMBOL = dict(zip(NAMES, SYMBOLS))
+
+monomials = st.dictionaries(
+    st.sampled_from(NAMES), st.integers(-3, 3).filter(bool), max_size=3
+).map(lambda exps: tuple(sorted(exps.items())))
+polys = st.dictionaries(monomials, st.integers(-4, 4), max_size=4).map(LaurentPoly)
+nonzero_polys = polys.filter(bool)
+
+
+def to_sympy(p: LaurentPoly):
+    return sympy.Add(
+        *(c * sympy.Mul(*(TO_SYMBOL[v] ** e for v, e in m)) for m, c in p.terms.items())
+    )
+
+
+def same(p: LaurentPoly, expr) -> bool:
+    return sympy.expand(to_sympy(p) - expr) == 0
+
+
+def laurent_quotient(num: LaurentPoly, den: LaurentPoly):
+    """num/den as a sympy expression if it is a Laurent polynomial with
+    integer coefficients, else None."""
+    # Each operand is an integer polynomial over a monomial.
+    num_top, num_bottom = sympy.fraction(sympy.together(to_sympy(num)))
+    den_top, den_bottom = sympy.fraction(sympy.together(to_sympy(den)))
+    p = sympy.Poly(num_top * den_bottom, *SYMBOLS, domain="ZZ")
+    q = sympy.Poly(num_bottom * den_top, *SYMBOLS, domain="ZZ")
+    g = p.gcd(q)
+    p, q = p.exquo(g), q.exquo(g)
+    if len(q.terms()) != 1:
+        return None  # a non-monomial factor of den is left over
+    ((_, c),) = q.terms()
+    if any(coeff % c for coeff in p.coeffs()):
+        return None
+    return p.as_expr() / q.as_expr()
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys)
+def test_mul_matches_sympy(a, b):
+    assert same(lp_mul(a, b), sympy.expand(to_sympy(a) * to_sympy(b)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, nonzero_polys)
+def test_product_divides_back_to_cofactor(a, b):
+    q = lp_exact_div(lp_mul(a, b), b)
+    assert q == a
+    assert laurent_quotient(a * b, b) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, nonzero_polys)
+def test_division_defined_exactly_when_sympy_quotient_is_laurent(num, den):
+    expected = laurent_quotient(num, den)
+    if expected is None:
+        with pytest.raises(NotDivisible):
+            lp_exact_div(num, den)
+    else:
+        assert same(lp_exact_div(num, den), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_polys, nonzero_polys, st.integers(2, 5))
+def test_coefficient_obstruction(a, b, k):
+    # (a*b) / (k*b) = a/k is Laurent over the integers iff k divides a.
+    den = LaurentPoly.const(k) * b
+    if all(c % k == 0 for c in a.terms.values()):
+        assert same(lp_exact_div(a * b, den), to_sympy(a) / k)
+        assert laurent_quotient(a * b, den) is not None
+    else:
+        with pytest.raises(NotDivisible, match="^coefficient "):
+            lp_exact_div(a * b, den)
+        assert laurent_quotient(a * b, den) is None
+
+
+@pytest.mark.parametrize(
+    "num, den, message",
+    [
+        ("x1 + x2", "x1 + 1", "x1 + x2 is not divisible by x1 + 1"),
+        ("x10^-1*y + 1", "y^-1 + 1", "1 + x10^-1*y is not divisible by 1 + y^-1"),
+        ("x1 + 1", "2", "coefficient 1 not divisible by 2 over the integers"),
+        ("3*x2 + 6", "2*x2^-1", "coefficient 3 not divisible by 2 over the integers"),
+    ],
+)
+def test_obstruction_examples(num, den, message):
+    assert laurent_quotient(parse_poly(num), parse_poly(den)) is None
+    with pytest.raises(NotDivisible) as info:
+        lp_exact_div(parse_poly(num), parse_poly(den))
+    assert str(info.value) == message
