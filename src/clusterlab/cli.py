@@ -56,12 +56,14 @@ from .errors import (
 )
 from .laurent import LaurentPoly, format_poly, parse_poly
 from .morphisms import (
+    DEFAULT_CM3_DEPTH,
     ClusterMap,
     check_cm3,
     check_ideal_witness,
     image_seed,
 )
 from .seeds import (
+    DEFAULT_NODE_BUDGET,
     Seed,
     check_similar,
     check_skew_symmetrizable,
@@ -555,11 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, depth=True, nodes=True):
-        if depth:
-            p.add_argument("--depth", type=int, default=4)
-        if nodes:
-            p.add_argument("--nodes", type=int, default=100_000)
+    def common(p, depth=DEFAULT_CM3_DEPTH):
+        p.add_argument("--depth", type=int, default=depth)
+        p.add_argument("--nodes", type=int, default=DEFAULT_NODE_BUDGET)
 
     p = sub.add_parser("mutate", help="mutate a seed at a variable or along a sequence")
     p.add_argument("--seed", required=True)
@@ -570,8 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="depth-bounded cluster variable census")
     p.add_argument("--seed", required=True)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--nodes", type=int, default=100_000)
+    common(p, depth=6)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("components", help="connected components of a seed")
@@ -655,6 +654,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    for flag in ("depth", "nodes", "steps"):
+        if getattr(args, flag, 0) < 0:
+            parser.error(f"--{flag} must not be negative")
     if args.verb == "mutate" and not (args.at or args.sequence):
         parser.error("mutate needs --at or --sequence")
     try:

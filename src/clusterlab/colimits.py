@@ -48,7 +48,7 @@ from .seeds import (
     check_skew_symmetrizable,
     connected_components,
     coproduct,
-    mutate_seed,
+    mutate_at,
 )
 
 DEFAULT_MAX_STAGES = 64
@@ -371,10 +371,9 @@ def _mutate_tracking(seed: Seed, sequence: Sequence[VarId], target: VarId):
     for step in sequence:
         if step not in current.exchangeable:
             return None, False, step
-        new = mutate_seed(current, step)
+        current, label = mutate_at(current, step)
         if step == desc:
-            desc = next(l for l in new.labels if l not in current.labels)
-        current = new
+            desc = label
     return current.values[desc], True, None
 
 

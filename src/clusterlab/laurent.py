@@ -184,14 +184,14 @@ class LaurentPoly:
         if n < 0:
             raise ValueError("negative powers of polynomials are not defined; "
                              "invert monomials explicitly")
-        result = LaurentPoly.one()
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return LaurentPoly.one() if result is None else result
 
     def shift(self, m: Monomial) -> "LaurentPoly":
         """Multiply by the (unit) monomial m."""
@@ -444,7 +444,10 @@ def parse_poly(text: str) -> LaurentPoly:
 
 
 def poly_product(factors: Iterable[LaurentPoly]) -> LaurentPoly:
-    out = LaurentPoly.one()
+    factors = iter(factors)
+    out = next(factors, None)
+    if out is None:
+        return LaurentPoly.one()
     for f in factors:
         out = out * f
     return out

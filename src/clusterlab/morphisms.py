@@ -18,25 +18,26 @@ from .errors import (
     Inconclusive,
     InvalidSeed,
     NonLaurentImage,
+    NotDivisible,
     NotSimilar,
-    ResourceLimit,
     SeedMismatch,
 )
 from .laurent import LaurentPoly, Monomial, VarId, format_poly, lp_exact_div, min_exponents
 from .seeds import (
+    DEFAULT_NODE_BUDGET,
     Seed,
     enumerate_cluster_variables,
     exchangeably_connected_components,
+    explore,
     full_subseed,
+    mutate_at,
     mutate_seed,
     verify_similarity_bijection,
 )
-from .errors import NotDivisible
 
 Image = VarId | int
 
 DEFAULT_CM3_DEPTH = 4
-DEFAULT_NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -219,10 +220,8 @@ def _biadmissible_steps(state: _PairState) -> list[VarId]:
 
 def _advance(state: _PairState, x: VarId) -> _PairState:
     img = state.corr[x]
-    new_src = mutate_seed(state.src, x)
-    new_tgt = mutate_seed(state.tgt, img)
-    new_x = next(l for l in new_src.labels if l not in state.src.labels)
-    new_img = next(l for l in new_tgt.labels if l not in state.tgt.labels)
+    new_src, new_x = mutate_at(state.src, x)
+    new_tgt, new_img = mutate_at(state.tgt, img)
     # The mutation acts on the element `img`, so every tracked image equal
     # to it follows the mutation, not only the stepped label's.
     corr: dict[VarId, Image] = {}
@@ -244,26 +243,14 @@ def _walk_biadmissible(
 ) -> Iterable[_PairState]:
     """Breadth-first over biadmissible sequences, shortest first and
     lexicographic within a length; yields every visited state including
-    the root."""
-    state = _initial_state(m)
-    yield state
-    frontier = [state]
-    nodes = 1
-    for _ in range(depth):
-        nxt = []
-        for st in frontier:
-            for x in _biadmissible_steps(st):
-                nodes += 1
-                if nodes > max_nodes:
-                    raise ResourceLimit(
-                        f"biadmissible enumeration exceeded {max_nodes} nodes"
-                    )
-                child = _advance(st, x)
-                yield child
-                nxt.append(child)
-        frontier = nxt
-        if not frontier:
-            break
+    the root. Sequences are counted, not states."""
+    return explore(
+        _initial_state(m),
+        lambda st: (_advance(st, x) for x in _biadmissible_steps(st)),
+        depth,
+        max_nodes,
+        f"biadmissible enumeration exceeded {max_nodes} nodes",
+    )
 
 
 def enumerate_biadmissible(
@@ -462,24 +449,22 @@ def _condition2_search(
     """Look for an admissible sequence after which some exchangeable z
     neighbours both members of a colliding coefficient pair with opposite
     signs. Coefficients keep their labels under mutation."""
-    frontier = [((), seed)]
-    nodes = 1
-    for _ in range(depth + 1):
-        nxt = []
-        for seq, s in frontier:
-            for x, y in pairs:
-                for z in sorted(s.exchangeable):
-                    bx, by = s.b(z, x), s.b(z, y)
-                    if bx * by < 0:
-                        return (seq, z, x, bx, z, y, by)
-            for step in sorted(s.exchangeable):
-                nodes += 1
-                if nodes > max_nodes:
-                    raise ResourceLimit(
-                        f"condition-2 search exceeded {max_nodes} nodes"
-                    )
-                nxt.append((seq + (step,), mutate_seed(s, step)))
-        frontier = nxt
+    walk = explore(
+        ((), seed),
+        lambda node: (
+            (node[0] + (step,), mutate_seed(node[1], step))
+            for step in sorted(node[1].exchangeable)
+        ),
+        depth,
+        max_nodes,
+        f"condition-2 search exceeded {max_nodes} nodes",
+    )
+    for seq, s in walk:
+        for x, y in pairs:
+            for z in sorted(s.exchangeable):
+                bx, by = s.b(z, x), s.b(z, y)
+                if bx * by < 0:
+                    return (seq, z, x, bx, z, y, by)
     return None
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     InvalidSeed,
@@ -30,6 +30,8 @@ from .laurent import LaurentPoly, VarId, format_poly, poly_product
 Matrix = dict[VarId, dict[VarId, int]]
 
 DEFAULT_NODE_BUDGET = 100_000
+
+T = TypeVar("T")
 
 
 def _freeze_matrix(entries: Mapping[VarId, Mapping[VarId, int]]) -> Matrix:
@@ -312,45 +314,71 @@ def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:
     return current
 
 
+def mutate_at(seed: Seed, x: VarId) -> tuple[Seed, VarId]:
+    """Mutation at x together with the fresh label that replaced x."""
+    new = mutate_seed(seed, x)
+    return new, new.labels[seed.labels.index(x)]
+
+
+def explore(
+    root: T,
+    children: Callable[[T], Iterable[T]],
+    depth: int,
+    max_nodes: int,
+    exceeded: str,
+    key: Callable[[T], Hashable] | None = None,
+) -> Iterator[T]:
+    """Breadth-first walk to the given depth: the root, then each level in
+    the order `children` produces it. With `key`, a node whose key was
+    already seen is skipped. Every yielded node, the root included, counts
+    against `max_nodes`; a child that takes the count over it raises
+    ResourceLimit(exceeded)."""
+    seen = {key(root)} if key is not None else None
+    yield root
+    frontier = [root]
+    nodes = 1
+    for _ in range(depth):
+        nxt = []
+        for node in frontier:
+            for child in children(node):
+                if seen is not None:
+                    k = key(child)
+                    if k in seen:
+                        continue
+                    seen.add(k)
+                nodes += 1
+                if nodes > max_nodes:
+                    raise ResourceLimit(exceeded)
+                yield child
+                nxt.append(child)
+        frontier = nxt
+        if not frontier:
+            break
+
+
+def _seed_class(seed: Seed, depth: int, max_nodes: int) -> Iterator[Seed]:
+    # mutate_seed and canonical_key are looked up per call, so a rebinding
+    # on the module or the class applies here too.
+    return explore(
+        seed,
+        lambda s: (mutate_seed(s, x) for x in sorted(s.exchangeable)),
+        depth,
+        max_nodes,
+        f"seed frontier exceeded the node budget of {max_nodes}",
+        key=lambda s: s.canonical_key(),
+    )
+
+
 def enumerate_cluster_variables(
     seed: Seed, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> list[LaurentPoly]:
     """All values occurring in seeds reachable by admissible sequences of
     length <= depth; deduplicated by value, in deterministic BFS order."""
-    out: list[LaurentPoly] = []
-    seen_values: set[LaurentPoly] = set()
-
-    def collect(s: Seed):
+    values: dict[LaurentPoly, None] = {}
+    for s in _seed_class(seed, depth, max_nodes):
         for v in s.labels:
-            val = s.values[v]
-            if val not in seen_values:
-                seen_values.add(val)
-                out.append(val)
-
-    seen_seeds = {seed.canonical_key()}
-    collect(seed)
-    frontier = [seed]
-    nodes = 1
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            for x in sorted(s.exchangeable):
-                child = mutate_seed(s, x)
-                key = child.canonical_key()
-                if key in seen_seeds:
-                    continue
-                nodes += 1
-                if nodes > max_nodes:
-                    raise ResourceLimit(
-                        f"seed frontier exceeded the node budget of {max_nodes}"
-                    )
-                seen_seeds.add(key)
-                collect(child)
-                nxt.append(child)
-        frontier = nxt
-        if not frontier:
-            break
-    return out
+            values.setdefault(s.values[v])
+    return list(values)
 
 
 def enumerate_seeds(
@@ -358,28 +386,7 @@ def enumerate_seeds(
 ) -> list[Seed]:
     """Distinct seeds reachable within depth, BFS order (the mutation class,
     truncated)."""
-    seen = {seed.canonical_key()}
-    out = [seed]
-    frontier = [seed]
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            for x in sorted(s.exchangeable):
-                child = mutate_seed(s, x)
-                key = child.canonical_key()
-                if key in seen:
-                    continue
-                if len(out) + 1 > max_nodes:
-                    raise ResourceLimit(
-                        f"seed frontier exceeded the node budget of {max_nodes}"
-                    )
-                seen.add(key)
-                out.append(child)
-                nxt.append(child)
-        frontier = nxt
-        if not frontier:
-            break
-    return out
+    return list(_seed_class(seed, depth, max_nodes))
 
 
 # -- components ---------------------------------------------------------------
@@ -405,26 +412,31 @@ def full_subseed(seed: Seed, labels: Iterable[VarId]) -> Seed:
     )
 
 
+def _classes(seed: Seed, members: Iterable[VarId]) -> list[set[VarId]]:
+    """Classes of members connected through members under the neighbour
+    relation, ordered by their least member."""
+    members = set(members)
+    classes: list[set[VarId]] = []
+    placed: set[VarId] = set()
+    for v in sorted(members):
+        if v in placed:
+            continue
+        cls = {v}
+        queue = [v]
+        while queue:
+            for w in seed.neighbours(queue.pop()):
+                if w in members and w not in cls:
+                    cls.add(w)
+                    queue.append(w)
+        placed |= cls
+        classes.append(cls)
+    return classes
+
+
 def connected_components(seed: Seed) -> list[Seed]:
     """Partition under the neighbour relation, each part a full subseed.
     Parts are ordered by their least label."""
-    remaining = set(seed.labels)
-    parts = []
-    for v in seed.labels:
-        if v not in remaining:
-            continue
-        comp = {v}
-        queue = [v]
-        while queue:
-            u = queue.pop(0)
-            for w in seed.neighbours(u):
-                if w in remaining and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        remaining -= comp
-        parts.append(comp)
-    parts.sort(key=lambda c: min(c))
-    return [full_subseed(seed, c) for c in parts]
+    return [full_subseed(seed, c) for c in _classes(seed, seed.labels)]
 
 
 def exchangeably_connected_components(seed: Seed) -> list[Seed]:
@@ -434,24 +446,8 @@ def exchangeably_connected_components(seed: Seed) -> list[Seed]:
     from one of its exchangeable members. Coefficients may belong to
     several components; coefficients adjacent to no exchangeable variable
     belong to none."""
-    ex = seed.exchangeable
-    classes: list[set[VarId]] = []
-    remaining = set(ex)
-    for x in sorted(ex):
-        if x not in remaining:
-            continue
-        cls = {x}
-        queue = [x]
-        while queue:
-            u = queue.pop(0)
-            for w in seed.neighbours(u):
-                if w in ex and w not in cls:
-                    cls.add(w)
-                    queue.append(w)
-        remaining -= cls
-        classes.append(cls)
     components = []
-    for cls in sorted(classes, key=min):
+    for cls in _classes(seed, seed.exchangeable):
         labels = set(cls)
         for x in cls:
             labels |= seed.neighbours(x)

@@ -439,6 +439,46 @@ class TestMoreCli:
         assert code == 0
         assert "count: 6" in out
 
+    def test_enumerate_node_budget_text(self, files, capsys):
+        code, out = run_cli(
+            ["enumerate", "--seed", files["a2.seed"], "--nodes", "3"], capsys
+        )
+        assert code == 2
+        assert "seed frontier exceeded the node budget of 3" in out
+
+    def test_check_morphism_node_budget_text(self, files, capsys):
+        path = files["dir"] / "id.map"
+        path.write_text(json.dumps({"assignment": [["y1", "y1"], ["y2", "y2"]]}))
+        code, out = run_cli(
+            [
+                "check-morphism",
+                "--src", files["a2.seed"],
+                "--dst", files["a2.seed"],
+                "--map", str(path),
+                "--nodes", "4",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "biadmissible enumeration exceeded 4 nodes" in out
+
+    @pytest.mark.parametrize(
+        "verb, flag, value",
+        [
+            ("enumerate", "--depth", "-1"),
+            ("enumerate", "--nodes", "-5"),
+            ("filtration", "--steps", "-2"),
+        ],
+    )
+    def test_negative_budget_flag_exits_three(self, files, capsys, verb, flag, value):
+        argv = [verb, flag, value]
+        if verb == "enumerate":
+            argv += ["--seed", files["a2.seed"]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert f"{flag} must not be negative" in capsys.readouterr().err
+
 
 class TestMutatedSeedFiles:
     def test_mutated_seed_roundtrip(self, files, tmp_path):

@@ -8,6 +8,7 @@ reduced num/den is a Laurent polynomial with integer coefficients.
 import pytest
 
 sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 

@@ -68,6 +68,17 @@ def ideal_counterexample_map():
     )
 
 
+def sign_stable_collision_map():
+    # rows of the colliding coefficients differ in magnitude but never in sign
+    src = Seed.initial(
+        ["c1", "c2", "e"],
+        ["e"],
+        [("c1", "e", 1), ("e", "c1", -1), ("c2", "e", 2), ("e", "c2", -2)],
+    )
+    dst = Seed.initial(["c", "w"], ["w"], [("c", "w", 3), ("w", "c", -1)])
+    return ClusterMap(src, dst, {"c1": "c", "c2": "c", "e": "w"})
+
+
 def composition_counterexample():
     s1 = Seed.initial(
         ["x1", "x2", "x3"],
@@ -221,16 +232,16 @@ class TestNoSpecializationConditions:
         assert any("condition2" in w for w in report.witnesses)
 
     def test_inconclusive_condition2(self):
-        # rows differ in magnitude but never in sign
-        src = Seed.initial(
-            ["c1", "c2", "e"],
-            ["e"],
-            [("c1", "e", 1), ("e", "c1", -1), ("c2", "e", 2), ("e", "c2", -2)],
-        )
-        dst = Seed.initial(["c", "w"], ["w"], [("c", "w", 3), ("w", "c", -1)])
-        m = ClusterMap(src, dst, {"c1": "c", "c2": "c", "e": "w"})
         with pytest.raises(Inconclusive):
-            check_no_specialization_conditions(m, depth=3)
+            check_no_specialization_conditions(sign_stable_collision_map(), depth=3)
+
+    def test_condition2_search_stops_at_depth(self):
+        # one exchangeable: the root and one sequence per length 1..3 are
+        # four nodes; no budget is spent on sequences of length 4
+        with pytest.raises(Inconclusive):
+            check_no_specialization_conditions(
+                sign_stable_collision_map(), depth=3, max_nodes=4
+            )
 
     def test_soundness_on_verified_maps(self):
         # every map passing the characterization passes CM3 to depth
@@ -436,6 +447,15 @@ class TestBudgets:
         m = identity_map(example_seed())
         with pytest.raises(ResourceLimit):
             enumerate_biadmissible(m, 6, max_nodes=4)
+
+    def test_cm3_counts_sequences_not_states(self):
+        a3 = Seed.initial(
+            ["y1", "y2", "y3"],
+            ["y1", "y2", "y3"],
+            [("y1", "y2", 1), ("y2", "y1", -1), ("y2", "y3", 1), ("y3", "y2", -1)],
+        )
+        m = identity_map(a3)
+        assert check_cm3(m, 3).nodes == len(enumerate_biadmissible(m, 3)) == 1 + 3 + 9 + 27
 
 
 class TestRandomizedSoundness:
