@@ -53,6 +53,7 @@ from .errors import (
     ParseError,
     ResourceLimit,
     SearchBudgetExceeded,
+    UnknownVertex,
 )
 from .laurent import LaurentPoly, format_poly, parse_poly
 from .morphisms import (
@@ -97,15 +98,32 @@ def _expect(cond: bool, message: str, expected: str | None = None):
         raise ParseError(message, expected=expected)
 
 
+def _list_field(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    _expect(isinstance(value, list), f"'{key}' must be a list")
+    return value
+
+
+def _fraction(value: Any, what: str, angle: bool = True) -> Fraction:
+    """The one coercion of a fraction field: a string "p/q", reduced to
+    [0, 1) when it is an angle."""
+    _expect(isinstance(value, str), f"{what} must be a fraction string", expected="p/q")
+    if angle:
+        return parse_frac(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad fraction {value!r}", expected="p/q") from exc
+
+
 def load_seed_file(path: str) -> Seed:
     """Parse, validate, and skew-symmetrizability-check a seed file."""
     data = _load_json(path)
     _expect(isinstance(data, dict), "seed file must be an object")
     _expect("variables" in data, "seed file needs a 'variables' key")
-    _expect(isinstance(data["variables"], list), "'variables' must be a list")
     labels: list[str] = []
     exchangeable: set[str] = set()
-    for entry in data["variables"]:
+    for entry in _list_field(data, "variables"):
         _expect(
             isinstance(entry, dict) and "id" in entry,
             "each variable needs an 'id'",
@@ -113,13 +131,18 @@ def load_seed_file(path: str) -> Seed:
         )
         _expect(isinstance(entry["id"], str), "variable ids must be strings")
         labels.append(entry["id"])
-        if entry.get("exchangeable", False):
+        flag = entry.get("exchangeable", False)
+        _expect(isinstance(flag, bool), "'exchangeable' must be true or false")
+        if flag:
             exchangeable.add(entry["id"])
     label_set = set(labels)
     entries: list[tuple[str, str, int]] = []
-    for triple in data.get("matrix", []):
+    given: set[tuple[str, str]] = set()
+    for triple in _list_field(data, "matrix"):
         _expect(
-            isinstance(triple, list) and len(triple) == 3,
+            isinstance(triple, list)
+            and len(triple) == 3
+            and all(isinstance(x, str) for x in triple[:2]),
             "matrix entries are [row, col, value] triples",
         )
         row, col, value = triple
@@ -131,14 +154,18 @@ def load_seed_file(path: str) -> Seed:
             raise ParseError(
                 f"matrix entry references undeclared variable {row!r} or {col!r}"
             )
+        _expect((row, col) not in given, f"matrix entry ({row!r}, {col!r}) is given twice")
+        given.add((row, col))
         entries.append((row, col, value))
     try:
         seed = Seed.initial(labels, exchangeable, entries)
         if "values" in data:
             values = {}
-            for pair in data["values"]:
+            for pair in _list_field(data, "values"):
                 _expect(
-                    isinstance(pair, list) and len(pair) == 2,
+                    isinstance(pair, list)
+                    and len(pair) == 2
+                    and all(isinstance(x, str) for x in pair),
                     "'values' entries are [id, laurent-text] pairs",
                 )
                 vid, text = pair
@@ -179,35 +206,41 @@ def save_seed_file(seed: Seed, path: str) -> None:
 def load_triangulation_file(path: str) -> FiniteTriangulation | InfiniteTriangulation:
     data = _load_json(path)
     _expect(isinstance(data, dict), "triangulation file must be an object")
-    points = []
-    for p in data.get("points", []):
-        _expect(isinstance(p, str), "points are fraction strings")
-        points.append(parse_frac(p))
+    points = [_fraction(p, "a point") for p in _list_field(data, "points")]
     arcs = set()
-    for pair in data.get("arcs", []):
+    for pair in _list_field(data, "arcs"):
         _expect(
             isinstance(pair, list) and len(pair) == 2,
             "arcs are [point, point] pairs",
         )
-        arcs.add(Arc.of(parse_frac(pair[0]), parse_frac(pair[1])))
-    families = []
-    for fam in data.get("families", []):
+        p, q = (_fraction(x, "an arc endpoint") for x in pair)
+        _expect(p != q, f"arc {pair} joins a point to itself")
+        arcs.add(Arc.of(p, q))
+    specs = []
+    for fam in _list_field(data, "families"):
         _expect(isinstance(fam, dict) and "kind" in fam, "families need a 'kind'")
         kwargs: dict[str, Any] = {"kind": fam["kind"]}
         for key in ("limit", "scale", "base", "limit2", "scale2"):
             if key in fam:
-                kwargs[key] = Fraction(fam[key]) if key.startswith("scale") else parse_frac(fam[key])
+                kwargs[key] = _fraction(fam[key], f"'{key}'", angle=not key.startswith("scale"))
         if "start" in fam:
-            _expect(isinstance(fam["start"], int), "'start' must be an integer")
-            kwargs["start"] = fam["start"]
-        families.append(ArcFamily(**kwargs))
-    if families:
-        return InfiniteTriangulation(
-            families=tuple(families),
-            extra_arcs=frozenset(arcs),
-            finite_points=tuple(points),
-        )
-    return validate_triangulation(points, arcs)
+            start = fam["start"]
+            _expect(
+                isinstance(start, int) and not isinstance(start, bool),
+                "'start' must be an integer",
+            )
+            kwargs["start"] = start
+        specs.append(kwargs)
+    try:
+        if specs:
+            return InfiniteTriangulation(
+                families=tuple(ArcFamily(**kwargs) for kwargs in specs),
+                extra_arcs=frozenset(arcs),
+                finite_points=tuple(points),
+            )
+        return validate_triangulation(points, arcs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def triangulation_to_data(t: FiniteTriangulation) -> dict:
@@ -548,13 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="plain",
         help="report format (structured = JSON with the same content)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="cap on internal parallelism; execution is deterministic and "
-        "currently sequential regardless",
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, depth=DEFAULT_CM3_DEPTH):
@@ -652,8 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     for flag in ("depth", "nodes", "steps"):
         if getattr(args, flag, 0) < 0:
             parser.error(f"--{flag} must not be negative")
@@ -664,7 +688,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, InvalidSeed, LaurentParseError) as exc:
         emit({"error": str(exc)}, args.format)
         return EXIT_INPUT
-    except (NotExchangeable, NotAdmissible, NotFlippable, NotAdmissibleAtStage) as exc:
+    except (
+        NotExchangeable,
+        NotAdmissible,
+        NotFlippable,
+        NotAdmissibleAtStage,
+        UnknownVertex,
+    ) as exc:
         emit({"error": str(exc)}, args.format)
         return EXIT_INPUT
     except (CrossingPair, NotMaximal) as exc:

@@ -21,7 +21,7 @@ from .disc import (
     InfiniteTriangulation,
     parse_arc_label,
     seed_from_triangulation,
-    triangles,
+    triangle_sides,
     triangulation_components,
     validate_triangulation,
 )
@@ -32,8 +32,10 @@ from .errors import (
     NotFullSubseed,
     NotOnlyCoefficients,
     OracleInconsistent,
+    ParseError,
     ResourceLimit,
     SeedMismatch,
+    UnknownVertex,
 )
 from .laurent import LaurentPoly, VarId
 from .morphisms import (
@@ -64,6 +66,10 @@ class SeedOracle(Protocol):
     def is_exchangeable(self, v: VarId) -> bool:
         ...
 
+    def is_vertex(self, v: VarId) -> bool:
+        """Whether v labels a vertex of the seed."""
+        ...
+
     def representatives(self) -> list[VarId]:
         """One base vertex per connected component, in stage entry order."""
         ...
@@ -83,6 +89,9 @@ class FiniteSeedOracle:
 
     def is_exchangeable(self, v: VarId) -> bool:
         return v in self.seed.exchangeable
+
+    def is_vertex(self, v: VarId) -> bool:
+        return v in self.seed.labels
 
     def representatives(self) -> list[VarId]:
         return [min(c.labels) for c in connected_components(self.seed)]
@@ -114,6 +123,12 @@ class PathQuiverOracle:
     def is_exchangeable(self, v: VarId) -> bool:
         self._index(v)
         return True
+
+    def is_vertex(self, v: VarId) -> bool:
+        try:
+            return self.label(self._index(v)) == v
+        except OracleInconsistent:
+            return False
 
     def representatives(self) -> list[VarId]:
         return ["x0"]
@@ -149,6 +164,13 @@ class TriangulationOracle:
         if v not in self._ex:
             self._ex[v] = self.tri.arc_exchangeable(parse_arc_label(v))
         return self._ex[v]
+
+    def is_vertex(self, v: VarId) -> bool:
+        try:
+            arc = parse_arc_label(v)
+        except ParseError:
+            return False
+        return arc.label == v and self.tri.arc_in(arc)
 
     def representatives(self) -> list[VarId]:
         return list(self._reps)
@@ -385,7 +407,11 @@ def stable_mutation(
 ) -> tuple[LaurentPoly, int]:
     """Value of the mutated target in the least stage where the sequence is
     admissible and the target is present, certified by exact agreement with
-    the value computed one stage higher. Returns (value, stage index)."""
+    the value computed one stage higher. Returns (value, stage index).
+    A target that is no vertex of the oracle's seed raises UnknownVertex
+    before any stage is built."""
+    if not oracle.is_vertex(target):
+        raise UnknownVertex(target)
     reps = oracle.representatives()
     for i in range(max_stages):
         stage = _stage_seed(oracle, reps, i)
@@ -444,17 +470,6 @@ def mediating_morphism(
 # -- triangulation filtrations -----------------------------------------------------------
 
 
-def _arc_adjacency_finite(tri: FiniteTriangulation) -> dict[Arc, set[Arc]]:
-    adj: dict[Arc, set[Arc]] = {a: set() for a in tri.arcs}
-    for p, q, r in triangles(tri):
-        sides = [Arc.of(p, q), Arc.of(q, r), Arc.of(r, p)]
-        for a in sides:
-            for b in sides:
-                if a != b:
-                    adj[a].add(b)
-    return adj
-
-
 def triangulation_filtration(
     tri: InfiniteTriangulation | FiniteTriangulation,
     steps: int,
@@ -466,27 +481,16 @@ def triangulation_filtration(
     component; each component stage is validated as a finite triangulation
     and converted to its seed, components interleaved as in the ball
     construction."""
-    finite = isinstance(tri, FiniteTriangulation)
-    if finite:
-        adjacency = _arc_adjacency_finite(tri)
 
-        def neighbours(a: Arc) -> set[Arc]:
-            return adjacency[a]
+    def neighbours(a: Arc) -> set[Arc]:
+        out: set[Arc] = set()
+        for corners in tri.triangles_of(a):
+            out.update(triangle_sides(corners))
+        out.discard(a)
+        return out
 
-        parts = [sorted(tri.arcs)]
-    else:
-
-        def neighbours(a: Arc) -> set[Arc]:
-            out: set[Arc] = set()
-            for corners in tri.triangles_of(a):
-                p, q, r = corners
-                out |= {Arc.of(p, q), Arc.of(q, r), Arc.of(r, p)}
-            out.discard(a)
-            return out
-
-        parts = triangulation_components(tri, window=window)
     if base_arcs is None:
-        base_arcs = [part[0] for part in parts]
+        base_arcs = [part[0] for part in triangulation_components(tri, window=window)]
 
     grown: list[list[set[Arc]]] = []
     for base in base_arcs:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .errors import (
     CrossingPair,
@@ -22,7 +23,7 @@ from .errors import (
     ParseError,
 )
 from .laurent import VarId
-from .seeds import Seed
+from .seeds import DEFAULT_NODE_BUDGET, Seed, explore
 
 
 def norm_angle(x: Fraction) -> Fraction:
@@ -79,16 +80,12 @@ class Arc:
         return "{" + f"{frac_str(self.p)}, {frac_str(self.q)}" + "}"
 
 
-def arc_label(a: Arc) -> VarId:
-    return a.label
-
-
 def parse_arc_label(label: VarId) -> Arc:
     try:
         left, right = label.split("~")
+        return Arc.of(parse_frac(left), parse_frac(right))
     except ValueError as exc:
         raise ParseError(f"bad arc label {label!r}", expected="p/q~r/s") from exc
-    return Arc.of(parse_frac(left), parse_frac(right))
 
 
 def arcs_cross(a: Arc, b: Arc) -> bool:
@@ -100,6 +97,25 @@ def arcs_cross(a: Arc, b: Arc) -> bool:
     return b0_in != b1_in
 
 
+Corners = tuple[Fraction, Fraction, Fraction]
+
+
+def first_crossing(arcs: Sequence[Arc]) -> tuple[Arc, Arc] | None:
+    """The first crossing pair (a, b) with a before b in the given order:
+    a in order, then b in order after it."""
+    for i, a in enumerate(arcs):
+        for b in arcs[i + 1 :]:
+            if arcs_cross(a, b):
+                return a, b
+    return None
+
+
+def triangle_sides(corners: Corners) -> tuple[Arc, Arc, Arc]:
+    """The sides {p,q}, {q,r}, {r,p} of a triangle with corners (p, q, r)."""
+    p, q, r = corners
+    return Arc.of(p, q), Arc.of(q, r), Arc.of(r, p)
+
+
 @dataclass(frozen=True)
 class FiniteTriangulation:
     """A maximal set of pairwise non-crossing arcs on a finite point set.
@@ -108,15 +124,34 @@ class FiniteTriangulation:
     points: tuple[Fraction, ...]
     arcs: frozenset[Arc]
 
-    def internal_arcs(self) -> list[Arc]:
-        return sorted(a for a in self.arcs if classify_arc(self, a) == "internal")
+    # memos in the instance __dict__, beside the frozen fields
+    @cached_property
+    def _triangles(self) -> list[Corners]:
+        adj: dict[Fraction, set[Fraction]] = {p: set() for p in self.points}
+        for a in self.arcs:
+            adj[a.p].add(a.q)
+            adj[a.q].add(a.p)
+        return [
+            (a.p, a.q, r)
+            for a in sorted(self.arcs)
+            for r in sorted(adj[a.p] & adj[a.q])
+            if r > a.q
+        ]
 
-    def _triangle_cache(self):
-        cached = self.__dict__.get("_triangles")
-        if cached is None:
-            cached = _compute_triangles(self)
-            object.__setattr__(self, "_triangles", cached)
-        return cached
+    @cached_property
+    def _faces(self) -> dict[Arc, list[Corners]]:
+        faces: dict[Arc, list[Corners]] = {a: [] for a in self.arcs}
+        for tri in self._triangles:
+            for side in triangle_sides(tri):
+                faces[side].append(tri)
+        return faces
+
+    def triangles_of(self, arc: Arc) -> list[Corners]:
+        """The at most two triangles having this arc as a side, each as an
+        increasing-angle corner triple."""
+        if arc not in self._faces:
+            raise ValueError(f"{arc} is not an arc of the triangulation")
+        return list(self._faces[arc])
 
 
 def classify_arc(t: FiniteTriangulation, a: Arc) -> str:
@@ -141,71 +176,48 @@ def validate_triangulation(
     for a in arc_set:
         if a.p not in pt_set or a.q not in pt_set:
             raise ValueError(f"arc {a} uses a point outside the marked set")
-    ordered = sorted(arc_set)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if arcs_cross(a, b):
-                raise CrossingPair(a, b)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            cand = Arc.of(p, q)
-            if cand in arc_set:
-                continue
-            if not any(arcs_cross(cand, a) for a in arc_set):
-                raise NotMaximal(cand)
+    pair = first_crossing(sorted(arc_set))
+    if pair is not None:
+        raise CrossingPair(*pair)
+    # points on a circle are in convex position, so a non-crossing set on
+    # n of them is maximal iff it has 2n - 3 arcs; search for a witness
+    # only when it has fewer
+    n = len(pts)
+    if len(arc_set) < 2 * n - 3:
+        for i, p in enumerate(pts):
+            for q in pts[i + 1 :]:
+                cand = Arc.of(p, q)
+                if cand in arc_set:
+                    continue
+                if not any(arcs_cross(cand, a) for a in arc_set):
+                    raise NotMaximal(cand)
     t = FiniteTriangulation(pts, arc_set)
     # consequence of maximality: all edges of the point set are present
-    n = len(pts)
     for i in range(n):
         assert Arc.of(pts[i], pts[(i + 1) % n]) in arc_set or n == 2
     return t
 
 
-def triangles(t: FiniteTriangulation) -> list[tuple[Fraction, Fraction, Fraction]]:
+def triangles(t: FiniteTriangulation) -> list[Corners]:
     """Triples of points pairwise joined by arcs, in increasing angle order.
     In a triangulation every such triple bounds a face."""
-    return t._triangle_cache()
+    return t._triangles
 
 
-def _compute_triangles(t: FiniteTriangulation) -> list[tuple[Fraction, Fraction, Fraction]]:
-    adj: dict[Fraction, set[Fraction]] = {p: set() for p in t.points}
-    for a in t.arcs:
-        adj[a.p].add(a.q)
-        adj[a.q].add(a.p)
-    out = []
-    pts = t.points
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            if q not in adj[p]:
-                continue
-            for r in pts:
-                if r > q and r in adj[p] and r in adj[q]:
-                    out.append((p, q, r))
-    return out
-
-
-def _triangle_arrows(
-    corners: tuple[Fraction, Fraction, Fraction]
-) -> list[tuple[Arc, Arc]]:
+def _triangle_arrows(corners: Corners) -> list[tuple[Arc, Arc]]:
     """Arrow pairs contributed by one triangle, corners in increasing angle.
 
     Orientation convention, fixed once and validated by the flip/mutation
     compatibility property: {p,q} -> {q,r} -> {r,p} -> {p,q}.
     """
-    p, q, r = corners
-    s1, s2, s3 = Arc.of(p, q), Arc.of(q, r), Arc.of(r, p)
+    s1, s2, s3 = triangle_sides(corners)
     return [(s1, s2), (s2, s3), (s3, s1)]
 
 
 def exchangeable_arcs(t: FiniteTriangulation) -> set[Arc]:
     """Arcs that are the diagonal of a quadrilateral in t, i.e. flanked by
     triangles on both sides."""
-    sides: dict[Arc, int] = {a: 0 for a in t.arcs}
-    for tri in triangles(t):
-        p, q, r = tri
-        for a in (Arc.of(p, q), Arc.of(q, r), Arc.of(r, p)):
-            sides[a] += 1
-    return {a for a, n in sides.items() if n == 2}
+    return {a for a in t.arcs if len(t.triangles_of(a)) == 2}
 
 
 def seed_from_triangulation(t: FiniteTriangulation) -> Seed:
@@ -234,16 +246,10 @@ def seed_from_triangulation(t: FiniteTriangulation) -> Seed:
 def flip_arc(t: FiniteTriangulation, a: Arc) -> FiniteTriangulation:
     """Replace an exchangeable arc by the opposite diagonal of its
     quadrilateral; the result is re-validated."""
-    if a not in exchangeable_arcs(t):
+    faces = t.triangles_of(a) if a in t.arcs else []
+    if len(faces) != 2:
         raise NotFlippable(a)
-    apexes = []
-    for tri in triangles(t):
-        p, q, r = tri
-        tri_arcs = {Arc.of(p, q), Arc.of(q, r), Arc.of(r, p)}
-        if a in tri_arcs:
-            apexes.extend(c for c in tri if c not in (a.p, a.q))
-    assert len(apexes) == 2
-    new_arc = Arc.of(apexes[0], apexes[1])
+    new_arc = Arc.of(*(c for tri in faces for c in tri if c not in (a.p, a.q)))
     return validate_triangulation(t.points, (t.arcs - {a}) | {new_arc})
 
 
@@ -256,21 +262,18 @@ def fan_triangulation(n: int) -> FiniteTriangulation:
 
 
 def all_triangulations(n: int) -> list[FiniteTriangulation]:
-    """Flip-closure of the fan of the n-gon: all triangulations of the
-    convex n-gon."""
-    start = fan_triangulation(n)
-    seen = {start.arcs: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for a in sorted(exchangeable_arcs(t)):
-                u = flip_arc(t, a)
-                if u.arcs not in seen:
-                    seen[u.arcs] = u
-                    nxt.append(u)
-        frontier = nxt
-    return [seen[k] for k in sorted(seen, key=lambda s: sorted(s))]
+    """All triangulations of the convex n-gon, sorted by arcs: the flip
+    closure of the fan at 0. Each is within n - 3 flips of the fan, since
+    a flip can raise the degree of 0 by one."""
+    found = explore(
+        fan_triangulation(n),
+        lambda t: (flip_arc(t, a) for a in sorted(exchangeable_arcs(t))),
+        n - 3,
+        DEFAULT_NODE_BUDGET,
+        f"flip closure exceeded the node budget of {DEFAULT_NODE_BUDGET}",
+        key=lambda t: t.arcs,
+    )
+    return sorted(found, key=lambda t: sorted(t.arcs))
 
 
 # -- infinite triangulations ---------------------------------------------------
@@ -315,12 +318,9 @@ class _TipSequence:
         if lo == hi:
             return False
         # unwrap: tips live at limit + step/k; test the three integer shifts
-        spans = [(lo, hi)] if lo < hi else [(lo, hi + 1)]
-        out = []
-        for a, b in spans:
-            for shift in (-1, 0, 1):
-                out.append((a + shift, b + shift))
-        return any(self._has_tip_linear(a, b) for a, b in out)
+        if hi < lo:
+            hi += 1
+        return any(self._has_tip_linear(lo + s, hi + s) for s in (-1, 0, 1))
 
     def _has_tip_linear(self, a: Fraction, b: Fraction) -> bool:
         """Any k >= start with a < limit + step/k < b (no wrapping)?"""
@@ -373,13 +373,10 @@ class _TipSequence:
 
     def nearest_cw(self, p: Fraction):
         reflected = _TipSequence(norm_angle(-self.limit), -self.step, self.start)
-        res = reflected.nearest_ccw(norm_angle(-p))
-        if res is None:
-            return None
-        kind, val = res
+        kind, val = reflected.nearest_ccw(norm_angle(-p))
         if kind == "point":
             return ("point", norm_angle(-val))
-        return res
+        return (kind, val)
 
 
 def _floor(q: Fraction) -> int:
@@ -426,15 +423,16 @@ class ArcFamily:
         if self.kind == "half-nest":
             if self.limit2 is None:
                 raise InvalidFamily("half-nest needs a second limit")
-        for seq in self.sequences():
-            pass  # sequence construction validates ranges
-        window = self.arcs(12)
-        for i, a in enumerate(window):
-            for b in window[i + 1 :]:
-                if arcs_cross(a, b):
-                    raise InvalidFamily(
-                        f"family generates crossing arcs {a} and {b}"
-                    )
+        try:
+            self.limit_arc()
+        except ValueError:
+            raise InvalidFamily("the family's limit arc joins a point to itself") from None
+        self.sequences()  # sequence construction validates ranges
+        pair = first_crossing(self.arcs(12))
+        if pair is not None:
+            raise InvalidFamily(
+                f"family generates crossing arcs {pair[0]} and {pair[1]}"
+            )
 
     def sequences(self) -> list[_TipSequence]:
         s2 = self.scale2 if self.scale2 is not None else self.scale
@@ -557,11 +555,9 @@ class InfiniteTriangulation:
         for a in self.extra_arcs:
             pts.update(a.endpoints())
         object.__setattr__(self, "finite_points", tuple(sorted(pts)))
-        mat = self.window_arcs(10)
-        for i, a in enumerate(mat):
-            for b in mat[i + 1 :]:
-                if arcs_cross(a, b):
-                    raise CrossingPair(a, b)
+        pair = first_crossing(self.window_arcs(10))
+        if pair is not None:
+            raise CrossingPair(*pair)
         tip_pools = [f.points(32) - {f.base} for f in self.families]
         for i in range(len(tip_pools)):
             for j in range(i + 1, len(tip_pools)):
@@ -613,14 +609,9 @@ class InfiniteTriangulation:
                     attained.append(dist(val))
                 else:
                     accums.append(val)
-        if not attained and not accums:
+        if not attained or (accums and min(accums) < min(attained)):
             return None
-        best = min(attained) if attained else None
-        worst_accum = min(accums) if accums else None
-        if best is None:
-            return None
-        if worst_accum is not None and worst_accum < best:
-            return None
+        best = min(attained)
         return norm_angle(p + best) if ccw else norm_angle(p - best)
 
     # -- arc membership ----------------------------------------------------
@@ -667,7 +658,7 @@ class InfiniteTriangulation:
         out -= {x0, x1}
         return out
 
-    def triangles_of(self, arc: Arc) -> list[tuple[Fraction, Fraction, Fraction]]:
+    def triangles_of(self, arc: Arc) -> list[Corners]:
         """The at most two triangles of the triangulation having this arc
         as a side, each as an increasing-angle corner triple."""
         if not self.arc_in(arc):

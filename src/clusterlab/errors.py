@@ -159,6 +159,12 @@ class NotAdmissibleAtStage(ClusterLabError):
         self.step = step
 
 
+class UnknownVertex(ClusterLabError):
+    def __init__(self, label):
+        super().__init__(f"{label!r} is not a vertex of the oracle's seed")
+        self.label = label
+
+
 # --- CLI / files ------------------------------------------------------------
 
 

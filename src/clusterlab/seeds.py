@@ -331,8 +331,10 @@ def explore(
     """Breadth-first walk to the given depth: the root, then each level in
     the order `children` produces it. With `key`, a node whose key was
     already seen is skipped. Every yielded node, the root included, counts
-    against `max_nodes`; a child that takes the count over it raises
-    ResourceLimit(exceeded)."""
+    against `max_nodes`; a node that takes the count over it raises
+    ResourceLimit(exceeded), so a budget below 1 admits not even the root."""
+    if max_nodes < 1:
+        raise ResourceLimit(exceeded)
     seen = {key(root)} if key is not None else None
     yield root
     frontier = [root]

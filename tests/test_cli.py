@@ -480,6 +480,127 @@ class TestMoreCli:
         assert f"{flag} must not be negative" in capsys.readouterr().err
 
 
+class TestHardenedInput:
+    """Every malformed file, unknown target and removed flag is an input
+    error (exit 3) with a message, never a traceback or a guess."""
+
+    def test_enumerate_budget_of_zero(self, files, capsys):
+        code, out = run_cli(
+            ["enumerate", "--seed", files["a2.seed"], "--nodes", "0", "--depth", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert "seed frontier exceeded the node budget of 0" in out
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                {"variables": [{"id": "y1", "exchangeable": "no"}]},
+                "'exchangeable' must be true or false",
+            ),
+            (
+                {**A2, "matrix": A2["matrix"] + [["y1", "y2", 2]]},
+                "matrix entry ('y1', 'y2') is given twice",
+            ),
+            (
+                {**A2, "matrix": A2["matrix"] + [["y1", "y2", 1]]},
+                "matrix entry ('y1', 'y2') is given twice",
+            ),
+            ({**A2, "matrix": [[["y1"], "y2", 1]]}, "matrix entries are"),
+            ({**A2, "matrix": 5}, "'matrix' must be a list"),
+            ({**A2, "values": [["y1", 5], ["y2", "y2"]]}, "'values' entries are"),
+        ],
+    )
+    def test_bad_seed_file_exits_three(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.seed"
+        path.write_text(json.dumps(data))
+        code, out = run_cli(["components", "--seed", str(path)], capsys)
+        assert code == 3
+        assert message in out
+
+    FOUNTAIN = {"kind": "right-fountain", "base": "0/1", "limit": "1/2",
+                "scale": "1/2", "start": 2}
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"families": [{**FOUNTAIN, "scale": [1]}]},
+             "'scale' must be a fraction string"),
+            ({"families": [{**FOUNTAIN, "scale": "1/0"}]}, "bad fraction '1/0'"),
+            ({"families": [{**FOUNTAIN, "limit": 5}]},
+             "'limit' must be a fraction string"),
+            ({"families": [{**FOUNTAIN, "start": True}]}, "'start' must be an integer"),
+            ({"families": 5}, "'families' must be a list"),
+            ({"points": ["0/1", "1/2"], "arcs": [[[1], "1/2"]]},
+             "an arc endpoint must be a fraction string"),
+            ({"points": ["0/1", "1/2"], "arcs": [[0, "1/2"]]},
+             "an arc endpoint must be a fraction string"),
+            ({"points": [0, "1/2"], "arcs": [["0/1", "1/2"]]},
+             "a point must be a fraction string"),
+            ({"points": ["0/1", "1/2"], "arcs": [["0/1", "1/1"]]},
+             "joins a point to itself"),
+            ({"points": ["0/1", "1/2"], "arcs": [["0/1", "1/3"]]},
+             "uses a point outside the marked set"),
+        ],
+    )
+    def test_bad_triangulation_file_exits_three(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.tri"
+        path.write_text(json.dumps(data))
+        code, out = run_cli(["validate-tri", "--tri", str(path)], capsys)
+        assert code == 3
+        assert message in out
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {**FOUNTAIN, "base": "1/2"},
+            {"kind": "half-nest", "limit": "1/4", "limit2": "1/4", "scale": "1/8"},
+        ],
+    )
+    def test_family_without_limit_arc_exits_one(self, tmp_path, capsys, family):
+        # validate-tri used to accept these, and limit-arcs then failed
+        # with a traceback building the limit arc from two equal points
+        path = tmp_path / "bad.tri"
+        path.write_text(json.dumps({"families": [family]}))
+        for verb in ("validate-tri", "limit-arcs"):
+            code, out = run_cli([verb, "--tri", str(path)], capsys)
+            assert code == 1
+            assert "limit arc joins a point to itself" in out
+
+    def test_flip_at_a_point_exits_three(self, files, capsys):
+        code, out = run_cli(["flip", "--tri", files["pent.tri"], "--arc", "0/1~0/1"], capsys)
+        assert code == 3
+        assert "bad arc label '0/1~0/1'" in out
+
+    @pytest.mark.parametrize("verb", ["stable-mutate", "positivity"])
+    @pytest.mark.parametrize(
+        "oracle, target",
+        [
+            ("path-quiver", "y"),
+            ("path-quiver", "x01"),
+            ("fan", "0/1~1/5"),
+            ("fan", "1/4~0/1"),
+            ("nest", "not-an-arc"),
+            ("wrap:a2", "y3"),
+        ],
+    )
+    def test_unknown_target_exits_three(self, files, capsys, verb, oracle, target):
+        if oracle == "wrap:a2":
+            oracle = "wrap:" + files["a2.seed"]
+        code, out = run_cli(
+            [verb, "--oracle", oracle, "--sequence", "", "--target", target], capsys
+        )
+        assert code == 3
+        assert f"{target!r} is not a vertex of the oracle's seed" in out
+
+    def test_jobs_flag_is_gone(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "2", "enumerate", "--seed", files["a2.seed"]])
+        assert exc.value.code == 3
+        assert "clusterlab: error:" in capsys.readouterr().err
+
+
 class TestMutatedSeedFiles:
     def test_mutated_seed_roundtrip(self, files, tmp_path):
         from clusterlab.seeds import mutate_seed

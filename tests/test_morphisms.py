@@ -457,6 +457,13 @@ class TestBudgets:
         m = identity_map(a3)
         assert check_cm3(m, 3).nodes == len(enumerate_biadmissible(m, 3)) == 1 + 3 + 9 + 27
 
+    def test_cm3_budget_of_zero_visits_nothing(self):
+        from clusterlab.errors import ResourceLimit
+
+        # the root is a node too, so a budget of 0 admits not even depth 0
+        with pytest.raises(ResourceLimit, match="exceeded 0 nodes"):
+            check_cm3(identity_map(example_seed()), 0, max_nodes=0)
+
 
 class TestRandomizedSoundness:
     def test_random_condition1_violators_fail_cm3(self):
