@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Any
 
 from .disc import (
+    FAMILY_KINDS,
     Arc,
     ArcFamily,
     FiniteTriangulation,
@@ -219,6 +220,11 @@ def load_triangulation_file(path: str) -> FiniteTriangulation | InfiniteTriangul
     specs = []
     for fam in _list_field(data, "families"):
         _expect(isinstance(fam, dict) and "kind" in fam, "families need a 'kind'")
+        _expect(
+            isinstance(fam["kind"], str) and fam["kind"] in FAMILY_KINDS,
+            f"unknown family kind {fam['kind']!r}",
+            expected=" | ".join(FAMILY_KINDS),
+        )
         kwargs: dict[str, Any] = {"kind": fam["kind"]}
         for key in ("limit", "scale", "base", "limit2", "scale2"):
             if key in fam:

@@ -28,9 +28,11 @@ from .disc import (
 from .errors import (
     IncompatibleCone,
     LabelCollision,
+    NotAdmissible,
     NotAdmissibleAtStage,
     NotFullSubseed,
     NotOnlyCoefficients,
+    NotSkewSymmetrizable,
     OracleInconsistent,
     ParseError,
     ResourceLimit,
@@ -50,7 +52,7 @@ from .seeds import (
     check_skew_symmetrizable,
     connected_components,
     coproduct,
-    mutate_at,
+    mutate_sequence,
 )
 
 DEFAULT_MAX_STAGES = 64
@@ -292,16 +294,10 @@ def materialize_ball(oracle: SeedOracle, center: VarId, radius: int) -> Seed:
         for v, row in rows.items()
     }
     matrix = {v: r for v, r in matrix.items() if r}
-    for v in cluster:
-        for w in cluster:
-            if (matrix.get(v, {}).get(w, 0) != 0) != (matrix.get(w, {}).get(v, 0) != 0):
-                raise OracleInconsistent(
-                    f"asymmetric neighbour reports between {v!r} and {w!r}"
-                )
     seed = Seed.initial(sorted(cluster), exchangeable, matrix)
     try:
         check_skew_symmetrizable(seed.matrix, seed.labels)
-    except Exception as exc:
+    except NotSkewSymmetrizable as exc:
         raise OracleInconsistent(f"ball at {center!r} is not skew-symmetrizable: {exc}")
     return seed
 
@@ -386,17 +382,13 @@ def build_filtration(oracle: SeedOracle, steps: int) -> Filtration:
 
 
 def _mutate_tracking(seed: Seed, sequence: Sequence[VarId], target: VarId):
-    """Mutate along the sequence tracking the target's descendant; returns
-    (value, ok, blocking_step)."""
-    desc = target
-    current = seed
-    for step in sequence:
-        if step not in current.exchangeable:
-            return None, False, step
-        current, label = mutate_at(current, step)
-        if step == desc:
-            desc = label
-    return current.values[desc], True, None
+    """Mutate along the sequence; returns (value, ok, blocking_step). The
+    target's descendant sits at the target's position (see mutate_seed)."""
+    try:
+        mutated = mutate_sequence(seed, sequence)
+    except NotAdmissible as exc:
+        return None, False, sequence[exc.index]
+    return mutated.values[mutated.labels[seed.labels.index(target)]], True, None
 
 
 def stable_mutation(

@@ -427,7 +427,13 @@ class ArcFamily:
             self.limit_arc()
         except ValueError:
             raise InvalidFamily("the family's limit arc joins a point to itself") from None
-        self.sequences()  # sequence construction validates ranges
+        sequences = self.sequences()  # sequence construction validates ranges
+        if self.kind in ("fountain", "left-fountain", "right-fountain") and any(
+            seq.index_of(norm_angle(self.base)) is not None for seq in sequences
+        ):
+            raise InvalidFamily(
+                f"{self.kind} base {frac_str(norm_angle(self.base))} is one of its own tips"
+            )
         pair = first_crossing(self.arcs(12))
         if pair is not None:
             raise InvalidFamily(

@@ -30,7 +30,6 @@ from .seeds import (
     exchangeably_connected_components,
     explore,
     full_subseed,
-    mutate_at,
     mutate_seed,
     verify_similarity_bijection,
 )
@@ -140,9 +139,6 @@ class ClusterMap:
                 f"image of {format_poly(p)} leaves the integer Laurent ring"
             ) from exc
 
-    def label_image(self, x: VarId) -> Image:
-        return self.assignment[x]
-
     def is_without_specializations(self) -> bool:
         return all(isinstance(i, str) for i in self.assignment.values())
 
@@ -192,61 +188,47 @@ def check_cm1_cm2(m: ClusterMap) -> tuple[bool, bool, tuple[VarId, ...]]:
 class _PairState:
     src: Seed
     tgt: Seed
-    corr: dict[VarId, Image]  # current source label -> current target label | int
-    desc: dict[VarId, VarId]  # initial source label -> current source label
     sequence: tuple[VarId, ...]
-    last: VarId | None  # initial ancestor of the label mutated last
+    last: int | None  # source position mutated last
 
 
-def _initial_state(m: ClusterMap) -> _PairState:
-    return _PairState(
-        m.source,
-        m.target,
-        dict(m.assignment),
-        {y: y for y in m.source.labels},
-        (),
-        None,
-    )
+def _image_slots(m: ClusterMap) -> tuple[int | None, ...]:
+    """For each source position, the target position of its label image
+    (None for an integer image). Mutation keeps positions, so the table
+    holds in every pair of seeds along a biadmissible sequence."""
+    where = {l: j for j, l in enumerate(m.target.labels)}
+    images = (m.assignment[x] for x in m.source.labels)
+    return tuple(where[img] if isinstance(img, str) else None for img in images)
 
 
-def _biadmissible_steps(state: _PairState) -> list[VarId]:
-    out = []
-    for x in sorted(state.src.exchangeable):
-        img = state.corr[x]
-        if isinstance(img, str) and img in state.tgt.exchangeable:
-            out.append(x)
-    return out
+def _biadmissible_steps(state: _PairState, slots: Sequence[int | None]) -> list[VarId]:
+    src, tgt = state.src, state.tgt
+    return [
+        x
+        for x in sorted(src.exchangeable)
+        if (j := slots[src.labels.index(x)]) is not None
+        and tgt.labels[j] in tgt.exchangeable
+    ]
 
 
-def _advance(state: _PairState, x: VarId) -> _PairState:
-    img = state.corr[x]
-    new_src, new_x = mutate_at(state.src, x)
-    new_tgt, new_img = mutate_at(state.tgt, img)
-    # The mutation acts on the element `img`, so every tracked image equal
-    # to it follows the mutation, not only the stepped label's.
-    corr: dict[VarId, Image] = {}
-    for lbl, tgt_img in state.corr.items():
-        corr[new_x if lbl == x else lbl] = (
-            new_img if tgt_img == img else tgt_img
-        )
-    desc = dict(state.desc)
-    last = None
-    for y, cur in desc.items():
-        if cur == x:
-            desc[y] = new_x
-            last = y
-    return _PairState(new_src, new_tgt, corr, desc, state.sequence + (x,), last)
+def _advance(state: _PairState, x: VarId, slots: Sequence[int | None]) -> _PairState:
+    # The target mutates at the image's position, so every source variable
+    # whose image is that element follows the mutation, not only x.
+    i = state.src.labels.index(x)
+    src = mutate_seed(state.src, x)
+    tgt = mutate_seed(state.tgt, state.tgt.labels[slots[i]])
+    return _PairState(src, tgt, state.sequence + (x,), i)
 
 
 def _walk_biadmissible(
-    m: ClusterMap, depth: int, max_nodes: int
+    m: ClusterMap, slots: Sequence[int | None], depth: int, max_nodes: int
 ) -> Iterable[_PairState]:
     """Breadth-first over biadmissible sequences, shortest first and
     lexicographic within a length; yields every visited state including
     the root. Sequences are counted, not states."""
     return explore(
-        _initial_state(m),
-        lambda st: (_advance(st, x) for x in _biadmissible_steps(st)),
+        _PairState(m.source, m.target, (), None),
+        lambda st: (_advance(st, x, slots) for x in _biadmissible_steps(st, slots)),
         depth,
         max_nodes,
         f"biadmissible enumeration exceeded {max_nodes} nodes",
@@ -258,7 +240,7 @@ def enumerate_biadmissible(
 ) -> list[tuple[VarId, ...]]:
     """All biadmissible sequences of length <= depth (the empty sequence
     included), shortest first."""
-    return [st.sequence for st in _walk_biadmissible(m, depth, max_nodes)]
+    return [st.sequence for st in _walk_biadmissible(m, _image_slots(m), depth, max_nodes)]
 
 
 # -- CM3 -----------------------------------------------------------------------
@@ -277,21 +259,20 @@ def check_cm3(
     relation itself), then the remaining initial labels in label order.
     """
     cm1, cm2, cm2_wit = check_cm1_cm2(m)
-    tracked = [x for x in m.source.labels if isinstance(m.assignment[x], str)]
+    slots = _image_slots(m)
+    tracked = [i for i, j in enumerate(slots) if j is not None]
     nodes = 0
     counterexample = None
-    for st in _walk_biadmissible(m, depth, max_nodes):
+    for st in _walk_biadmissible(m, slots, depth, max_nodes):
         nodes += 1
         order = tracked
-        if st.last is not None and st.last in tracked:
-            order = [st.last] + [y for y in tracked if y != st.last]
-        for y in order:
-            cur = st.desc[y]
-            img = st.corr[cur]
-            lhs = m.apply(st.src.values[cur])
-            rhs = st.tgt.values[img]
+        if st.last is not None:
+            order = [st.last] + [i for i in tracked if i != st.last]
+        for i in order:
+            lhs = m.apply(st.src.values[st.src.labels[i]])
+            rhs = st.tgt.values[st.tgt.labels[slots[i]]]
             if lhs != rhs:
-                counterexample = Cm3Counterexample(st.sequence, y, lhs, rhs)
+                counterexample = Cm3Counterexample(st.sequence, m.source.labels[i], lhs, rhs)
                 break
         if counterexample:
             break
@@ -309,12 +290,18 @@ def check_cm3(
 def biadmissible_descendant(m: ClusterMap, sequence: Sequence[VarId]) -> ClusterMap:
     """The induced map between the seeds mutated along a biadmissible
     sequence and its image sequence."""
-    st = _initial_state(m)
+    slots = _image_slots(m)
+    st = _PairState(m.source, m.target, (), None)
     for x in sequence:
-        if x not in _biadmissible_steps(st):
+        if x not in _biadmissible_steps(st, slots):
             raise SeedMismatch(f"sequence {sequence!r} is not biadmissible at {x!r}")
-        st = _advance(st, x)
-    return ClusterMap(st.src, st.tgt, dict(st.corr))
+        st = _advance(st, x, slots)
+    position = {y: i for i, y in enumerate(m.source.labels)}
+    assignment: dict[VarId, Image] = {}
+    for y, img in m.assignment.items():
+        i = position[y]
+        assignment[st.src.labels[i]] = img if slots[i] is None else st.tgt.labels[slots[i]]
+    return ClusterMap(st.src, st.tgt, assignment)
 
 
 # -- Theorem classification for maps without specializations --------------------

@@ -116,32 +116,21 @@ class Seed:
     def coefficients(self) -> tuple[VarId, ...]:
         return tuple(v for v in self.labels if v not in self.exchangeable)
 
-    def value(self, v: VarId) -> LaurentPoly:
-        return self.values[v]
-
-    def is_initial(self) -> bool:
-        return all(self.values[v] == LaurentPoly.var(v) for v in self.labels)
-
     def reroot(self) -> "Seed":
         """Forget values: each label becomes its own initial variable."""
         return Seed.initial(self.labels, self.exchangeable, self.matrix)
 
     def canonical_key(self):
-        """Equality key under the value-preserving label correspondence."""
-        texts = {v: format_poly(self.values[v]) for v in self.labels}
-        order = sorted(self.labels, key=lambda v: texts[v])
-        index = {v: i for i, v in enumerate(order)}
-        entries = tuple(
-            sorted(
-                (index[v], index[w], b)
-                for v, row in self.matrix.items()
-                for w, b in row.items()
-            )
-        )
+        """Equality key under the value-preserving label correspondence: the
+        values, the exchangeable values and the matrix entries between
+        values. Values in a seed are distinct, so labels play no part."""
+        val = self.values
         return (
-            tuple(texts[v] for v in order),
-            tuple(v in self.exchangeable for v in order),
-            entries,
+            frozenset(val.values()),
+            frozenset(val[v] for v in self.exchangeable),
+            frozenset(
+                (val[v], val[w], b) for v, row in self.matrix.items() for w, b in row.items()
+            ),
         )
 
     def same_seed(self, other: "Seed") -> bool:
@@ -257,7 +246,11 @@ def fresh_label(old: VarId, taken: Iterable[VarId]) -> VarId:
 
 def mutate_seed(seed: Seed, x: VarId) -> Seed:
     """Mutation at an exchangeable variable: exchange relation for the value,
-    standard matrix mutation, fresh primed label for the mutated variable."""
+    standard matrix mutation, fresh primed label for the mutated variable.
+
+    Every label keeps its position in `labels`, and the fresh label takes
+    the position of x; so a variable's descendant along any sequence sits
+    at the variable's position, and callers track variables by position."""
     if x not in seed.exchangeable:
         raise NotExchangeable(x)
 
@@ -296,15 +289,6 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     return Seed(labels, frozenset(exchangeable), matrix, values)
 
 
-def is_admissible(seed: Seed, sequence: Sequence[VarId]) -> bool:
-    current = seed
-    for step in sequence:
-        if step not in current.exchangeable:
-            return False
-        current = mutate_seed(current, step)
-    return True
-
-
 def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:
     current = seed
     for i, step in enumerate(sequence):
@@ -314,10 +298,12 @@ def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:
     return current
 
 
-def mutate_at(seed: Seed, x: VarId) -> tuple[Seed, VarId]:
-    """Mutation at x together with the fresh label that replaced x."""
-    new = mutate_seed(seed, x)
-    return new, new.labels[seed.labels.index(x)]
+def is_admissible(seed: Seed, sequence: Sequence[VarId]) -> bool:
+    try:
+        mutate_sequence(seed, sequence)
+    except NotAdmissible:
+        return False
+    return True
 
 
 def explore(

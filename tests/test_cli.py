@@ -542,6 +542,10 @@ class TestHardenedInput:
              "joins a point to itself"),
             ({"points": ["0/1", "1/2"], "arcs": [["0/1", "1/3"]]},
              "uses a point outside the marked set"),
+            ({"families": [{**FOUNTAIN, "kind": ["x"]}]},
+             "unknown family kind ['x'] (expected fountain | left-fountain"),
+            ({"families": [{**FOUNTAIN, "kind": "spiral"}]},
+             "unknown family kind 'spiral' (expected fountain | left-fountain"),
         ],
     )
     def test_bad_triangulation_file_exits_three(self, tmp_path, capsys, data, message):
@@ -567,6 +571,15 @@ class TestHardenedInput:
             code, out = run_cli([verb, "--tri", str(path)], capsys)
             assert code == 1
             assert "limit arc joins a point to itself" in out
+
+    def test_fountain_base_on_a_tip_exits_one(self, tmp_path, capsys):
+        # tip 2 of this fan is 1/4, so base 1/4 would make a loop arc
+        path = tmp_path / "bad.tri"
+        path.write_text(json.dumps({"families": [{**self.FOUNTAIN, "base": "1/4"}]}))
+        for verb in ("validate-tri", "limit-arcs"):
+            code, out = run_cli([verb, "--tri", str(path)], capsys)
+            assert code == 1
+            assert "right-fountain base 1/4 is one of its own tips" in out
 
     def test_flip_at_a_point_exits_three(self, files, capsys):
         code, out = run_cli(["flip", "--tri", files["pent.tri"], "--arc", "0/1~0/1"], capsys)

@@ -88,8 +88,10 @@ class TestBalls:
             def representatives(self):
                 return ["a"]
 
-        with pytest.raises(OracleInconsistent):
+        with pytest.raises(OracleInconsistent) as err:
             materialize_ball(Broken(), "a", 1)
+        assert "ball at 'a' is not skew-symmetrizable: " in str(err.value)
+        assert "sign violation at ('a', 'b')" in str(err.value)
 
 
 class TestFiltration:

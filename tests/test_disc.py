@@ -307,6 +307,14 @@ class TestArcFamilies:
         with pytest.raises(InvalidFamily):
             ArcFamily("fountain", limit=F(0), scale=F(1, 4))
 
+    @pytest.mark.parametrize("k", [2, 100])
+    def test_fountain_base_on_its_own_tips(self, k):
+        # tip k of the fan at limit 1/2 is 1/2 - 1/(2k); tip 100 lies
+        # beyond any window the constructor materializes
+        base = F(1, 2) - F(1, 2 * k)
+        with pytest.raises(InvalidFamily, match=f"base {base.numerator}/{base.denominator} is one"):
+            ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=base)
+
 
 class TestLimitArcs:
     def test_right_fountain(self):

@@ -440,6 +440,16 @@ class TestMorphismProperties:
                         assert abs(m.target.b(fx, fy)) == abs(m.source.b(x, y))
 
 
+    def test_descendant_follows_a_shared_image(self):
+        # exchangeable x and coefficient a share the image y, so the step
+        # at x moves both images to y's descendant
+        src = Seed.initial(["a", "x"], ["x"], [("a", "x", 1), ("x", "a", -1)])
+        m = ClusterMap(src, Seed.initial(["y"], ["y"], []), {"a": "y", "x": "y"})
+        d = biadmissible_descendant(m, ["x"])
+        assert d.assignment == {"a": "y'1", "x'1": "y'1"}
+        assert d.target.labels == ("y'1",)
+
+
 class TestBudgets:
     def test_biadmissible_resource_limit(self):
         from clusterlab.errors import ResourceLimit

@@ -315,6 +315,32 @@ class TestSimilarity:
             assert (check_similar(s, t) is None) == (check_similar(t, s) is None)
 
 
+class TestSeedIdentity:
+    def test_same_seed_is_blind_to_labels(self):
+        s = mutate_seed(example_seed(), "x2")
+        # same values, flags and matrix under new labels in reversed order
+        names = {v: f"z{i}" for i, v in enumerate(s.labels)}
+        t = Seed(
+            tuple(names[v] for v in reversed(s.labels)),
+            frozenset(names[v] for v in s.exchangeable),
+            {names[v]: {names[w]: b for w, b in row.items()} for v, row in s.matrix.items()},
+            {names[v]: s.values[v] for v in s.labels},
+        )
+        assert t.canonical_key() == s.canonical_key()
+        assert t.same_seed(s)
+
+    def test_flag_or_sign_changes_the_key(self):
+        s = mutate_seed(example_seed(), "x2")
+        flipped = Seed(s.labels, s.exchangeable - {"x3"}, s.matrix, s.values)
+        assert not flipped.same_seed(s)
+        v, row = next(iter(s.matrix.items()))
+        w = next(iter(row))
+        matrix = {a: dict(r) for a, r in s.matrix.items()}
+        matrix[v][w], matrix[w][v] = -matrix[v][w], -matrix[w][v]
+        reversed_arrow = Seed(s.labels, s.exchangeable, matrix, s.values)
+        assert not reversed_arrow.same_seed(s)
+
+
 class TestSeedInvariants:
     def test_value_distinctness_enforced(self):
         with pytest.raises(InvalidSeed):
