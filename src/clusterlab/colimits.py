@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol, Sequence
+from itertools import count, islice
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .disc import (
     Arc,
@@ -52,10 +53,13 @@ from .seeds import (
     check_skew_symmetrizable,
     connected_components,
     coproduct,
+    fresh_label,
     mutate_sequence,
 )
 
 DEFAULT_MAX_STAGES = 64
+# Arcs per family materialized to find one base arc per connected component.
+COMPONENT_WINDOW = 8
 
 
 class SeedOracle(Protocol):
@@ -144,28 +148,18 @@ class TriangulationOracle:
         self,
         tri: InfiniteTriangulation,
         representatives: Sequence[VarId] | None = None,
-        window: int = 8,
     ):
         self.tri = tri
         if representatives is None:
-            parts = triangulation_components(tri, window=window)
-            representatives = [part[0].label for part in parts]
+            representatives = [p[0].label for p in triangulation_components(tri, COMPONENT_WINDOW)]
         self._reps = list(representatives)
-        self._rows: dict[VarId, dict[VarId, int]] = {}
-        self._ex: dict[VarId, bool] = {}
 
     def neighbor_row(self, v: VarId) -> dict[VarId, int]:
-        if v not in self._rows:
-            arc = parse_arc_label(v)
-            self._rows[v] = {
-                a.label: s for a, s in self.tri.arc_neighbour_row(arc).items()
-            }
-        return dict(self._rows[v])
+        row = self.tri.arc_neighbour_row(parse_arc_label(v))
+        return {a.label: s for a, s in row.items()}
 
     def is_exchangeable(self, v: VarId) -> bool:
-        if v not in self._ex:
-            self._ex[v] = self.tri.arc_exchangeable(parse_arc_label(v))
-        return self._ex[v]
+        return self.tri.arc_exchangeable(parse_arc_label(v))
 
     def is_vertex(self, v: VarId) -> bool:
         try:
@@ -201,19 +195,7 @@ def split_fountain_oracle() -> TriangulationOracle:
     """The split fountain: fans at 1/4 and 3/4 converging to the limit
     point 0 from either side, with the non-exchangeable internal arc
     {1/4, 3/4} in the middle."""
-    tri = split_fountain_triangulation()
-    return TriangulationOracle(
-        tri,
-        representatives=[
-            Arc.of(Fraction(1, 4), Fraction(1, 8)).label,
-            Arc.of(Fraction(1, 4), Fraction(1, 2)).label,
-            Arc.of(Fraction(3, 4), Fraction(7, 8)).label,
-        ],
-    )
-
-
-def split_fountain_triangulation() -> InfiniteTriangulation:
-    return InfiniteTriangulation(
+    tri = InfiniteTriangulation(
         families=(
             ArcFamily(
                 "left-fountain",
@@ -233,19 +215,20 @@ def split_fountain_triangulation() -> InfiniteTriangulation:
         extra_arcs=frozenset({Arc.of(Fraction(1, 4), Fraction(3, 4))}),
         finite_points=(Fraction(1, 2), Fraction(1, 6), Fraction(5, 6)),
     )
+    return TriangulationOracle(
+        tri,
+        representatives=[
+            Arc.of(Fraction(1, 4), Fraction(1, 8)).label,
+            Arc.of(Fraction(1, 4), Fraction(1, 2)).label,
+            Arc.of(Fraction(3, 4), Fraction(7, 8)).label,
+        ],
+    )
 
 
 def nest_oracle() -> TriangulationOracle:
     """A nest around 1/2: zigzag arcs between a_k = 1/2 - 1/(4k) and
     b_k = 1/2 + 1/(4k); connected (a nest has no limit arc)."""
-    tri = nest_triangulation()
-    return TriangulationOracle(
-        tri, representatives=[Arc.of(Fraction(1, 4), Fraction(3, 4)).label]
-    )
-
-
-def nest_triangulation() -> InfiniteTriangulation:
-    return InfiniteTriangulation(
+    tri = InfiniteTriangulation(
         families=(
             ArcFamily(
                 "nest",
@@ -254,6 +237,9 @@ def nest_triangulation() -> InfiniteTriangulation:
                 start=1,
             ),
         )
+    )
+    return TriangulationOracle(
+        tri, representatives=[Arc.of(Fraction(1, 4), Fraction(3, 4)).label]
     )
 
 
@@ -265,7 +251,39 @@ ORACLES = {
 }
 
 
-# -- balls and filtrations --------------------------------------------------------
+# -- the colimit tower: balls, stages, filtrations -----------------------------------
+
+
+def _grow(center, neighbours: Callable[..., Iterable]) -> Iterator[tuple[set, set]]:
+    """Balls around center, radius by radius, each with its outer shell:
+    the radius-(r+1) ball is the radius-r ball plus the neighbours of its
+    outer shell, so each vertex's neighbours are asked for once, when the
+    vertex leaves the outer shell."""
+    ball, shell = {center}, {center}
+    while True:
+        yield ball, shell
+        shell = {w for v in sorted(shell) for w in neighbours(v)} - ball
+        ball = ball | shell
+
+
+def _oracle_balls(oracle: SeedOracle, center: VarId) -> Iterator[Seed]:
+    """materialize_ball(oracle, center, r) for r = 0, 1, 2, ...: a row is
+    fetched when its vertex enters the ball, exchangeability is asked when
+    the vertex leaves the outer shell."""
+    rows: dict[VarId, dict[VarId, int]] = {}
+    exchangeable: set[VarId] = set()
+    for ball, shell in _grow(center, rows.__getitem__):
+        for v in sorted(shell):
+            rows[v] = oracle.neighbor_row(v)
+        labels = sorted(ball)
+        matrix = {v: {w: b for w, b in rows[v].items() if w in ball} for v in labels}
+        seed = Seed.initial(labels, exchangeable, matrix)
+        try:
+            check_skew_symmetrizable(seed.matrix, seed.labels)
+        except NotSkewSymmetrizable as exc:
+            raise OracleInconsistent(f"ball at {center!r} is not skew-symmetrizable: {exc}")
+        yield seed
+        exchangeable |= {v for v in sorted(shell) if oracle.is_exchangeable(v)}
 
 
 def materialize_ball(oracle: SeedOracle, center: VarId, radius: int) -> Seed:
@@ -273,33 +291,26 @@ def materialize_ball(oracle: SeedOracle, center: VarId, radius: int) -> Seed:
     ball is ({center}, {}, [0]); each step adds all neighbours, and the
     exchangeables of the radius-(i+1) ball are the radius-i cluster
     intersected with the oracle's exchangeables."""
-    shells = [{center}]
-    cluster = {center}
-    for _ in range(radius):
-        new = set()
-        for v in sorted(shells[-1]):
-            for w in oracle.neighbor_row(v):
-                if w not in cluster:
-                    new.add(w)
-        cluster |= new
-        shells.append(new)
-    if radius == 0:
-        exchangeable: set[VarId] = set()
-    else:
-        inner = set().union(*shells[:-1])
-        exchangeable = {v for v in inner if oracle.is_exchangeable(v)}
-    rows = {v: oracle.neighbor_row(v) for v in cluster}
-    matrix = {
-        v: {w: b for w, b in row.items() if w in cluster and b}
-        for v, row in rows.items()
-    }
-    matrix = {v: r for v, r in matrix.items() if r}
-    seed = Seed.initial(sorted(cluster), exchangeable, matrix)
-    try:
-        check_skew_symmetrizable(seed.matrix, seed.labels)
-    except NotSkewSymmetrizable as exc:
-        raise OracleInconsistent(f"ball at {center!r} is not skew-symmetrizable: {exc}")
-    return seed
+    return next(islice(_oracle_balls(oracle, center), radius, None))
+
+
+def _interleave(components: Sequence[Iterator[Seed]]) -> Iterator[Seed]:
+    """The colimit tower: stage i is the coproduct of component j's
+    (i-j)-th seed, so component j enters at stage j and every component
+    grows by one radius per stage."""
+    for i in count():
+        try:
+            stage = coproduct([next(c) for c in components[: i + 1]])
+        except LabelCollision as exc:
+            raise OracleInconsistent(
+                f"component representatives are not disconnected: {exc}"
+            ) from exc
+        yield stage
+
+
+def oracle_tower(oracle: SeedOracle) -> Iterator[Seed]:
+    """Stage i holds the radius-(i-j) ball of each component j <= i."""
+    return _interleave([_oracle_balls(oracle, r) for r in oracle.representatives()])
 
 
 @dataclass(frozen=True)
@@ -354,28 +365,18 @@ def inclusion_morphism(inner: Seed, outer: Seed) -> ClusterMap:
     return m
 
 
-def _stage_seed(oracle: SeedOracle, reps: Sequence[VarId], i: int) -> Seed:
-    balls = [
-        materialize_ball(oracle, reps[j], i - j)
-        for j in range(min(i + 1, len(reps)))
-    ]
-    try:
-        return coproduct(balls)
-    except LabelCollision as exc:
-        raise OracleInconsistent(
-            f"component representatives are not disconnected: {exc}"
-        ) from exc
+def _filtration(tower: Iterator[Seed], steps: int, provenance: str) -> Filtration:
+    """The first `steps` stages of a tower; every consecutive inclusion is
+    verified."""
+    stages = tuple(islice(tower, steps))
+    inclusions = tuple(inclusion_morphism(a, b) for a, b in zip(stages, stages[1:]))
+    return Filtration(stages, inclusions, provenance)
 
 
 def build_filtration(oracle: SeedOracle, steps: int) -> Filtration:
-    """Interleave component balls (component j enters at stage j, radius
-    growing by one per stage); every consecutive inclusion is verified."""
-    reps = oracle.representatives()
-    stages = [_stage_seed(oracle, reps, i) for i in range(steps)]
-    inclusions = []
-    for inner, outer in zip(stages, stages[1:]):
-        inclusions.append(inclusion_morphism(inner, outer))
-    return Filtration(tuple(stages), tuple(inclusions), "oracle-balls")
+    """The first `steps` stages of the oracle's tower (component j enters
+    at stage j, radius growing by one per stage), inclusions verified."""
+    return _filtration(oracle_tower(oracle), steps, "oracle-balls")
 
 
 # -- stable mutation ---------------------------------------------------------------
@@ -391,6 +392,28 @@ def _mutate_tracking(seed: Seed, sequence: Sequence[VarId], target: VarId):
     return mutated.values[mutated.labels[seed.labels.index(target)]], True, None
 
 
+def _check_steps(oracle: SeedOracle, sequence: Sequence[VarId]) -> None:
+    """Each step names a vertex no earlier step mutated away, or a live label
+    an earlier step made: fresh_label over the live made labels, as in every
+    stage, unless that is a vertex still present, which makes it ambiguous."""
+    gone, made = set(), set()
+    for step in sequence:
+        if step in made:
+            made.remove(step)
+        elif step in gone:
+            raise NotAdmissibleAtStage(step)
+        elif oracle.is_vertex(step):
+            gone.add(step)
+        else:
+            raise UnknownVertex(step)
+        fresh = fresh_label(step, made)
+        if fresh not in gone and oracle.is_vertex(fresh):
+            raise ParseError(
+                f"mutating {step!r} makes {fresh!r}, also a vertex of the oracle's seed"
+            )
+        made.add(fresh)
+
+
 def stable_mutation(
     oracle: SeedOracle,
     sequence: Sequence[VarId],
@@ -399,29 +422,29 @@ def stable_mutation(
 ) -> tuple[LaurentPoly, int]:
     """Value of the mutated target in the least stage where the sequence is
     admissible and the target is present, certified by exact agreement with
-    the value computed one stage higher. Returns (value, stage index).
-    A target that is no vertex of the oracle's seed raises UnknownVertex
+    the value in the next stage of the same tower. Returns (value, stage
+    index). The target and the step names are checked against the oracle
     before any stage is built."""
     if not oracle.is_vertex(target):
         raise UnknownVertex(target)
-    reps = oracle.representatives()
-    for i in range(max_stages):
-        stage = _stage_seed(oracle, reps, i)
-        if target not in stage.labels:
-            continue
-        value, ok, blocker = _mutate_tracking(stage, sequence, target)
-        if not ok:
-            if blocker in stage.labels and not oracle.is_exchangeable(blocker):
+    _check_steps(oracle, sequence)
+    tower = oracle_tower(oracle)
+    stage = next(tower)
+    for i, following in zip(range(max_stages), tower):
+        if target in stage.labels:
+            value, ok, blocker = _mutate_tracking(stage, sequence, target)
+            if ok:
+                value2, ok2, _ = _mutate_tracking(following, sequence, target)
+                if not ok2 or value2 != value:
+                    raise OracleInconsistent(
+                        f"mutation of {target!r} along {tuple(sequence)!r} is not "
+                        f"stable between stages {i} and {i + 1}"
+                    )
+                return value, i
+            # a vertex of stage i is inner in stage i + 1: there its flag is the oracle's
+            if blocker in stage.labels and blocker not in following.exchangeable:
                 raise NotAdmissibleAtStage(blocker)
-            continue
-        next_stage = _stage_seed(oracle, reps, i + 1)
-        value2, ok2, _ = _mutate_tracking(next_stage, sequence, target)
-        if not ok2 or value2 != value:
-            raise OracleInconsistent(
-                f"mutation of {target!r} along {tuple(sequence)!r} is not "
-                f"stable between stages {i} and {i + 1}"
-            )
-        return value, i
+        stage = following
     raise ResourceLimit(
         f"no stage up to {max_stages} admits the sequence {tuple(sequence)!r} "
         f"with target {target!r}"
@@ -466,7 +489,6 @@ def triangulation_filtration(
     tri: InfiniteTriangulation | FiniteTriangulation,
     steps: int,
     base_arcs: Sequence[Arc] | None = None,
-    window: int = 8,
 ) -> Filtration:
     """Stages grow per connected component by glueing the triangles
     adjacent to the previous stage, starting from one designated arc per
@@ -475,37 +497,14 @@ def triangulation_filtration(
     construction."""
 
     def neighbours(a: Arc) -> set[Arc]:
-        out: set[Arc] = set()
-        for corners in tri.triangles_of(a):
-            out.update(triangle_sides(corners))
-        out.discard(a)
-        return out
+        return {side for corners in tri.triangles_of(a) for side in triangle_sides(corners)} - {a}
+
+    def component(base: Arc) -> Iterator[Seed]:
+        for arcs, _ in _grow(base, neighbours):
+            points = {p for a in arcs for p in a.endpoints()}
+            yield seed_from_triangulation(validate_triangulation(points, arcs))
 
     if base_arcs is None:
-        base_arcs = [part[0] for part in triangulation_components(tri, window=window)]
-
-    grown: list[list[set[Arc]]] = []
-    for base in base_arcs:
-        levels = [{base}]
-        for _ in range(steps):
-            current = levels[-1]
-            new = set(current)
-            for a in sorted(current):
-                new |= neighbours(a)
-            levels.append(new)
-        grown.append(levels)
-
-    def component_stage(j: int, r: int) -> Seed:
-        arcs = grown[j][r]
-        points = {p for a in arcs for p in a.endpoints()}
-        t = validate_triangulation(points, arcs)
-        return seed_from_triangulation(t)
-
-    stages = []
-    for i in range(steps):
-        seeds = [component_stage(j, i - j) for j in range(min(i + 1, len(base_arcs)))]
-        stages.append(coproduct(seeds))
-    inclusions = []
-    for inner, outer in zip(stages, stages[1:]):
-        inclusions.append(inclusion_morphism(inner, outer))
-    return Filtration(tuple(stages), tuple(inclusions), "triangulation-glueing")
+        base_arcs = [p[0] for p in triangulation_components(tri, COMPONENT_WINDOW)]
+    tower = _interleave([component(base) for base in base_arcs])
+    return _filtration(tower, steps, "triangulation-glueing")

@@ -66,7 +66,7 @@ class Arc:
             raise ValueError("arc endpoints must be distinct")
         return Arc(min(a, b), max(a, b))
 
-    @property
+    @cached_property
     def label(self) -> VarId:
         return f"{frac_str(self.p)}~{frac_str(self.q)}"
 

@@ -607,6 +607,39 @@ class TestHardenedInput:
         assert code == 3
         assert f"{target!r} is not a vertex of the oracle's seed" in out
 
+    @pytest.mark.parametrize("verb", ["stable-mutate", "positivity"])
+    @pytest.mark.parametrize(
+        "sequence, message",
+        [
+            ("y", "'y' is not a vertex of the oracle's seed"),
+            ("x0,x0", "step 'x0' can never become admissible in any stage"),
+        ],
+    )
+    def test_step_naming_no_live_label_exits_three(self, capsys, verb, sequence, message):
+        code, out = run_cli(
+            [verb, "--oracle", "path-quiver", "--sequence", sequence, "--target", "x0"], capsys
+        )
+        assert code == 3
+        assert message in out
+
+    XYX = {
+        "variables": [{"id": v, "exchangeable": True} for v in ("x", "y", "x'1")],
+        "matrix": [["x", "y", 1], ["y", "x", -1], ["y", "x'1", 1], ["x'1", "y", -1]],
+    }
+
+    @pytest.mark.parametrize("verb", ["stable-mutate", "positivity"])
+    def test_fresh_label_on_a_vertex_exits_three(self, tmp_path, capsys, verb):
+        path = tmp_path / "xyx.seed"
+        path.write_text(json.dumps(self.XYX))
+        oracle = "wrap:" + str(path)
+        code, out = run_cli([verb, "--oracle", oracle, "--sequence", "x,x'1", "--target", "y"], capsys)
+        assert code == 3
+        assert """mutating 'x' makes "x'1", also a vertex of the oracle's seed""" in out
+        # once x'1 is mutated away, every stage gives its name to the new label
+        code, out = run_cli([verb, "--oracle", oracle, "--sequence", "x'1,x,x'1", "--target", "x"], capsys)
+        assert code == 0
+        assert "stage: 3" in out
+
     def test_jobs_flag_is_gone(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--jobs", "2", "enumerate", "--seed", files["a2.seed"]])

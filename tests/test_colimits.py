@@ -1,6 +1,7 @@
 """Oracles, neighbourhood balls, filtrations, stable mutation, colimits."""
 
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -8,6 +9,7 @@ from clusterlab.colimits import (
     Filtration,
     FiniteSeedOracle,
     PathQuiverOracle,
+    TriangulationOracle,
     build_filtration,
     check_only_coefficients,
     fan_oracle,
@@ -15,6 +17,7 @@ from clusterlab.colimits import (
     materialize_ball,
     mediating_morphism,
     nest_oracle,
+    oracle_tower,
     split_fountain_oracle,
     stable_mutation,
     triangulation_filtration,
@@ -26,6 +29,8 @@ from clusterlab.errors import (
     NotFullSubseed,
     NotOnlyCoefficients,
     OracleInconsistent,
+    ParseError,
+    UnknownVertex,
 )
 from clusterlab.laurent import format_poly, parse_poly
 from clusterlab.morphisms import ClusterMap, check_cm3, check_no_specialization_conditions
@@ -53,6 +58,23 @@ def wrapper_seed():
             ("d", "c", -1),
         ],
     )
+
+
+def two_component_seed():
+    return Seed.initial(
+        ["a", "b", "c", "p", "q", "r"],
+        ["a", "b", "c", "p", "q", "r"],
+        [
+            ("a", "b", 1), ("b", "a", -1), ("b", "c", 1), ("c", "b", -1),
+            ("p", "q", 1), ("q", "p", -1), ("q", "r", 1), ("r", "q", -1),
+        ],
+    )
+
+
+def seed_parts(seed):
+    """Labels in order, exchangeables and matrix entries of a seed."""
+    entries = {(v, w): b for v, row in seed.matrix.items() for w, b in row.items()}
+    return seed.labels, seed.exchangeable, entries
 
 
 class TestBalls:
@@ -100,15 +122,7 @@ class TestFiltration:
         assert [len(s.labels) for s in fil.stages] == [1, 3, 5]
 
     def test_two_component_interleaving(self):
-        two = Seed.initial(
-            ["a", "b", "c", "p", "q", "r"],
-            ["a", "b", "c", "p", "q", "r"],
-            [
-                ("a", "b", 1), ("b", "a", -1), ("b", "c", 1), ("c", "b", -1),
-                ("p", "q", 1), ("q", "p", -1), ("q", "r", 1), ("r", "q", -1),
-            ],
-        )
-        fil = build_filtration(FiniteSeedOracle(two), 3)
+        fil = build_filtration(FiniteSeedOracle(two_component_seed()), 3)
         # stage 2 holds the radius-2 ball of component 0 and radius-1 of 1
         assert set(fil.stages[2].labels) == {"a", "b", "c", "p", "q"}
 
@@ -122,6 +136,100 @@ class TestFiltration:
         fil = build_filtration(PathQuiverOracle(), 4)
         for inc in fil.inclusions:
             assert check_no_specialization_conditions(inc).passed
+
+
+class TestTower:
+    """Stages of the tower against balls grown here, radius by radius from
+    scratch, without the library's generator."""
+
+    @staticmethod
+    def reference_stage(oracle, i, rows):
+        labels, exchangeable, entries = [], set(), {}
+        reps = oracle.representatives()
+        for j in range(min(i + 1, len(reps))):
+            ball, inner, frontier = {reps[j]}, set(), [reps[j]]
+            for _ in range(i - j):
+                inner |= set(frontier)
+                nxt = []
+                for v in frontier:
+                    for w in rows(v):
+                        if w not in ball:
+                            ball.add(w)
+                            nxt.append(w)
+                frontier = nxt
+            labels += sorted(ball)
+            exchangeable |= {v for v in inner if oracle.is_exchangeable(v)}
+            for v in ball:
+                entries.update({(v, w): b for w, b in rows(v).items() if w in ball and b})
+        return tuple(labels), frozenset(exchangeable), entries
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            PathQuiverOracle,
+            fan_oracle,
+            split_fountain_oracle,
+            nest_oracle,
+            lambda: FiniteSeedOracle(two_component_seed()),
+        ],
+        ids=["path-quiver", "fan", "split-fountain", "nest", "two-components"],
+    )
+    def test_stages_match_reference_balls(self, make):
+        oracle = make()
+        cache = {}
+
+        def rows(v):
+            if v not in cache:
+                cache[v] = oracle.neighbor_row(v)
+            return cache[v]
+
+        for i, stage in enumerate(islice(oracle_tower(oracle), 13)):
+            assert seed_parts(stage) == self.reference_stage(oracle, i, rows), i
+
+    class Counting:
+        """Forwards to an oracle and records every row and flag asked for."""
+
+        def __init__(self, oracle):
+            self.oracle, self.rows, self.flags = oracle, [], []
+
+        def neighbor_row(self, v):
+            self.rows.append(v)
+            return self.oracle.neighbor_row(v)
+
+        def is_exchangeable(self, v):
+            self.flags.append(v)
+            return self.oracle.is_exchangeable(v)
+
+        def is_vertex(self, v):
+            return self.oracle.is_vertex(v)
+
+        def representatives(self):
+            return self.oracle.representatives()
+
+    def test_each_row_and_flag_asked_once(self):
+        oracle = self.Counting(split_fountain_oracle())
+        fil = build_filtration(oracle, 6)
+        assert sorted(oracle.rows) == sorted(fil.stages[-1].labels)
+        assert len(set(oracle.flags)) == len(oracle.flags)
+        mid = Arc.of(F(1, 4), F(3, 4)).label
+        oracle = self.Counting(split_fountain_oracle())
+        with pytest.raises(NotAdmissibleAtStage):
+            stable_mutation(oracle, [mid], mid)
+        assert len(set(oracle.rows)) == len(oracle.rows)
+        assert len(set(oracle.flags)) == len(oracle.flags)
+
+    @pytest.mark.parametrize(
+        "make", [fan_oracle, split_fountain_oracle, nest_oracle], ids=["fan", "split-fountain", "nest"]
+    )
+    def test_triangulation_route_agrees(self, make):
+        tri = make().tri
+        glued = triangulation_filtration(tri, 6)
+        balls = build_filtration(TriangulationOracle(tri), 6)
+        for a, b in zip(glued.stages, balls.stages, strict=True):
+            labels_a, ex_a, entries_a = seed_parts(a)
+            labels_b, ex_b, entries_b = seed_parts(b)
+            assert set(labels_a) == set(labels_b)
+            assert (ex_a, entries_a) == (ex_b, entries_b)
 
 
 class TestOnlyCoefficients:
@@ -220,6 +328,40 @@ class TestStableMutation:
         for oracle, seq, target in probes:
             value, _ = stable_mutation(oracle, seq, target)
             assert value.has_nonnegative_coefficients()
+
+
+class TestSequenceNames:
+    """Steps are named once against the oracle, before any stage is built."""
+
+    class Silent(PathQuiverOracle):
+        def neighbor_row(self, v):
+            raise AssertionError("a stage was built")
+
+    def test_unknown_step(self):
+        with pytest.raises(UnknownVertex):
+            stable_mutation(self.Silent(), ["y"], "x0")
+
+    def test_step_mutated_away(self):
+        with pytest.raises(NotAdmissibleAtStage) as err:
+            stable_mutation(self.Silent(), ["x0", "x1", "x0"], "x0")
+        assert err.value.step == "x0"
+
+    def test_made_labels_are_named_as_in_every_stage(self):
+        seq = ["x0", "x1", "x0'1"]
+        value, _ = stable_mutation(PathQuiverOracle(), seq, "x0")
+        ball = materialize_ball(PathQuiverOracle(), "x0", 4)
+        mutated = mutate_sequence(ball, seq)
+        assert value == mutated.values[mutated.labels[ball.labels.index("x0")]]
+
+    def test_fresh_label_on_a_vertex(self):
+        seed = Seed.initial(
+            ["x", "y", "x'1"],
+            ["x", "y", "x'1"],
+            [("x", "y", 1), ("y", "x", -1), ("y", "x'1", 1), ("x'1", "y", -1)],
+        )
+        with pytest.raises(ParseError) as err:
+            stable_mutation(FiniteSeedOracle(seed), ["x", "x'1"], "y")
+        assert str(err.value) == """mutating 'x' makes "x'1", also a vertex of the oracle's seed"""
 
 
 class TestMediating:
