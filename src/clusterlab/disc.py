@@ -100,9 +100,34 @@ def arcs_cross(a: Arc, b: Arc) -> bool:
 Corners = tuple[Fraction, Fraction, Fraction]
 
 
+def _non_crossing(arcs: Iterable[Arc]) -> bool:
+    """True when no two arcs cross, decided in one pass over the sorted
+    endpoints. Arcs stored with p < q cross exactly when their intervals
+    interleave, so they are non-crossing iff their endpoints nest like
+    balanced parentheses. At one angle, closings come before openings
+    (arcs meeting end to start do not cross), inner closings first
+    (descending p) and outer openings first (descending q). An arc with
+    p >= q closes before it opens, so the pass answers False and leaves
+    the decision to the pairwise scan."""
+    events = []
+    for a in arcs:
+        events.append((a.q, 0, -a.p, a))
+        events.append((a.p, 1, -a.q, a))
+    events.sort()
+    stack: list[Arc] = []
+    for _, opening, _, a in events:
+        if opening:
+            stack.append(a)
+        elif not stack or stack.pop() != a:
+            return False
+    return True
+
+
 def first_crossing(arcs: Sequence[Arc]) -> tuple[Arc, Arc] | None:
     """The first crossing pair (a, b) with a before b in the given order:
     a in order, then b in order after it."""
+    if _non_crossing(arcs):
+        return None
     for i, a in enumerate(arcs):
         for b in arcs[i + 1 :]:
             if arcs_cross(a, b):
@@ -440,27 +465,28 @@ class ArcFamily:
                 f"family generates crossing arcs {pair[0]} and {pair[1]}"
             )
 
-    def sequences(self) -> list[_TipSequence]:
+    def sequences(self) -> tuple[_TipSequence, ...]:
+        return self._sequences
+
+    # built once, in the instance __dict__ beside the frozen fields
+    @cached_property
+    def _sequences(self) -> tuple[_TipSequence, ...]:
         s2 = self.scale2 if self.scale2 is not None else self.scale
         if self.kind == "right-fountain":
-            return [_TipSequence(self.limit, -self.scale, self.start)]
+            return (_TipSequence(self.limit, -self.scale, self.start),)
         if self.kind == "left-fountain":
-            return [_TipSequence(self.limit, self.scale, self.start)]
-        if self.kind == "fountain":
-            return [
-                _TipSequence(self.limit, -self.scale, self.start),
-                _TipSequence(self.limit, s2, self.start),
-            ]
+            return (_TipSequence(self.limit, self.scale, self.start),)
         if self.kind == "half-nest":
-            return [
+            return (
                 _TipSequence(self.limit, self.scale, self.start),
                 _TipSequence(self.limit2, -s2, self.start),
-            ]
-        # nest: both endpoint sequences converge to the same point
-        return [
+            )
+        # fountain, and nest: both endpoint sequences converge to the
+        # same point, from below and from above
+        return (
             _TipSequence(self.limit, -self.scale, self.start),
             _TipSequence(self.limit, s2, self.start),
-        ]
+        )
 
     def arcs(self, window: int) -> list[Arc]:
         """The first `window` arcs of the family, deterministically."""
@@ -625,7 +651,23 @@ class InfiniteTriangulation:
     def is_edge(self, a: Arc) -> bool:
         return not self.has_point_in(a.p, a.q) or not self.has_point_in(a.q, a.p)
 
+    # memos in the instance __dict__, beside the frozen fields; each
+    # answer is computed once per instance, and errors are never stored
+    @cached_property
+    def _arc_in(self) -> dict[Arc, bool]:
+        return {}
+
+    @cached_property
+    def _faces(self) -> dict[Arc, list[Corners]]:
+        return {}
+
     def arc_in(self, a: Arc) -> bool:
+        known = self._arc_in.get(a)
+        if known is None:
+            known = self._arc_in[a] = self._member(a)
+        return known
+
+    def _member(self, a: Arc) -> bool:
         if not (self.in_point_set(a.p) and self.in_point_set(a.q)):
             return False
         if a in self.extra_arcs:
@@ -637,6 +679,8 @@ class InfiniteTriangulation:
     # -- triangles -----------------------------------------------------------
 
     def _candidates(self, x0: Fraction, x1: Fraction) -> set[Fraction]:
+        """Possible apexes over the arc {x0, x1}, on either side; the set
+        is symmetric in x0 and x1."""
         out: set[Fraction] = set()
         for x in (x0, x1):
             for ccw in (True, False):
@@ -667,12 +711,19 @@ class InfiniteTriangulation:
     def triangles_of(self, arc: Arc) -> list[Corners]:
         """The at most two triangles of the triangulation having this arc
         as a side, each as an increasing-angle corner triple."""
+        faces = self._faces.get(arc)
+        if faces is None:
+            faces = self._faces[arc] = self._search_faces(arc)
+        return list(faces)
+
+    def _search_faces(self, arc: Arc) -> list[Corners]:
         if not self.arc_in(arc):
             raise ValueError(f"{arc} is not an arc of the triangulation")
         out = []
+        candidates = sorted(self._candidates(arc.p, arc.q))
         for lo, hi in (arc.endpoints(), (arc.q, arc.p)):
             found = []
-            for z in sorted(self._candidates(lo, hi)):
+            for z in candidates:
                 if not in_open(lo, hi, z):
                     continue
                 if self.arc_in(Arc.of(lo, z)) and self.arc_in(Arc.of(z, hi)):

@@ -4,12 +4,16 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clusterlab.colimits import fan_oracle, nest_oracle
 from clusterlab.disc import (
     Arc,
     ArcFamily,
     FiniteTriangulation,
     InfiniteTriangulation,
+    _non_crossing,
     all_triangulations,
     arcs_cross,
     classify_arc,
@@ -53,6 +57,21 @@ def split_fountain():
         ),
         extra_arcs=frozenset({Arc.of(F(1, 4), F(3, 4))}),
         finite_points=(F(1, 2), F(1, 6), F(5, 6)),
+    )
+
+
+def half_nest():
+    return InfiniteTriangulation(
+        families=(
+            ArcFamily(
+                "half-nest",
+                limit=F(1, 8),
+                scale=F(1, 8),
+                start=1,
+                limit2=F(5, 8),
+                scale2=F(1, 8),
+            ),
+        ),
     )
 
 
@@ -508,35 +527,21 @@ class TestTipSequenceBruteForce:
 
 
 class TestHalfNest:
-    def half_nest(self):
-        return InfiniteTriangulation(
-            families=(
-                ArcFamily(
-                    "half-nest",
-                    limit=F(1, 8),
-                    scale=F(1, 8),
-                    start=1,
-                    limit2=F(5, 8),
-                    scale2=F(1, 8),
-                ),
-            ),
-        )
-
     def test_limit_arc(self):
-        assert limit_arcs(self.half_nest()) == {Arc.of(F(1, 8), F(5, 8))}
+        assert limit_arcs(half_nest()) == {Arc.of(F(1, 8), F(5, 8))}
 
     def test_one_sided_single_part(self):
         # all arcs lie on one side of the limit arc
-        assert len(triangulation_components(self.half_nest(), window=6)) == 1
+        assert len(triangulation_components(half_nest(), window=6)) == 1
 
     def test_innermost_arc_is_an_edge(self):
-        hn = self.half_nest()
+        hn = half_nest()
         inner = Arc.of(F(1, 4), F(1, 2))
         assert hn.is_edge(inner)
         assert len(hn.triangles_of(inner)) == 1
 
     def test_zigzag_arcs_exchangeable(self):
-        hn = self.half_nest()
+        hn = half_nest()
         zig = Arc.of(F(1, 8) + F(1, 16), F(1, 2))
         assert hn.arc_in(zig)
         assert hn.arc_exchangeable(zig)
@@ -625,3 +630,170 @@ class TestMarkedLimitFountain:
         parts = triangulation_components(tri, window=8)
         assert [Arc.of(F(0), F(1, 2))] in parts
         assert len(parts) == 3
+
+
+# -- the crossing pass --------------------------------------------------------------
+
+
+def reference_first_crossing(arcs):
+    """Nested loops over the list, with crossing written out as interval
+    interleaving of p < q endpoints."""
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            a, b = arcs[i], arcs[j]
+            if {a.p, a.q} & {b.p, b.q}:
+                continue
+            if (a.p < b.p < a.q) != (a.p < b.q < a.q):
+                return a, b
+    return None
+
+
+# few points, 0 among them, so that shared endpoints, duplicate arcs and
+# arcs through angle 0 are common
+ANGLES = sorted({F(k, d) for d in (6, 8) for k in range(d)})
+random_arcs = st.tuples(st.sampled_from(ANGLES), st.sampled_from(ANGLES)).filter(
+    lambda pq: pq[0] != pq[1]
+).map(lambda pq: Arc.of(*pq))
+HEPTAGON_TRIANGULATIONS = all_triangulations(7)
+
+
+@st.composite
+def arc_lists(draw):
+    """0-12 arcs: drawn freely, or drawn from one triangulation (so that
+    non-crossing lists are common) with at most one free arc added."""
+    if draw(st.booleans()):
+        return draw(st.lists(random_arcs, max_size=12))
+    t = draw(st.sampled_from(HEPTAGON_TRIANGULATIONS))
+    arcs = draw(st.lists(st.sampled_from(sorted(t.arcs)), max_size=11))
+    extra = draw(st.lists(random_arcs, max_size=1))
+    at = draw(st.integers(0, len(arcs)))
+    return arcs[:at] + extra + arcs[at:]
+
+
+class TestCrossingPass:
+    @settings(max_examples=300, deadline=None)
+    @given(arc_lists())
+    def test_first_crossing_matches_nested_loops(self, arcs):
+        expected = reference_first_crossing(arcs)
+        assert first_crossing(arcs) == expected
+        # the sorted pass alone decides that nothing crosses
+        assert _non_crossing(arcs) == (expected is None)
+
+    def test_crossing_pair_text(self):
+        err = CrossingPair(Arc.of(F(0), F(1, 2)), Arc.of(F(1, 4), F(3, 4)))
+        assert str(err) == "arcs {0/1, 1/2} and {1/4, 3/4} cross"
+
+    def test_validate_names_the_first_pair_in_arc_order(self):
+        pts = [F(k, 5) for k in range(5)]
+        arcs = {Arc.of(pts[i], pts[(i + 1) % 5]) for i in range(5)}
+        arcs |= {Arc.of(F(3, 5), F(0)), Arc.of(F(1, 5), F(3, 5)), Arc.of(F(0), F(2, 5))}
+        with pytest.raises(CrossingPair) as exc:
+            validate_triangulation(pts, arcs)
+        assert str(exc.value) == "arcs {0/1, 2/5} and {1/5, 3/5} cross"
+
+    def test_family_crossing_text(self):
+        with pytest.raises(InvalidFamily) as exc:
+            ArcFamily(
+                "half-nest", limit=F(1, 4), scale=F(1, 8), start=1,
+                limit2=F(1, 2), scale2=F(1, 4),
+            )
+        assert str(exc.value) == (
+            "family generates crossing arcs {1/4, 3/8} and {7/24, 5/12}"
+        )
+
+    def test_infinite_window_crossing_text(self):
+        fan = ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=F(0))
+        with pytest.raises(CrossingPair) as exc:
+            InfiniteTriangulation(
+                families=(fan,), extra_arcs=frozenset({Arc.of(F(1, 8), F(3, 4))})
+            )
+        assert str(exc.value) == "arcs {0/1, 1/4} and {1/8, 3/4} cross"
+
+
+# -- answers memoized per infinite triangulation ---------------------------------------
+
+
+LONG_LIVED = {
+    "fan": lambda: fan_oracle().tri,
+    "split-fountain": split_fountain,
+    "nest": lambda: nest_oracle().tri,
+    "half-nest": half_nest,
+}
+
+# arcs with an endpoint off every marked point set below
+OFF_POINTS = [
+    Arc.of(F(1, 97), F(2, 97)),
+    Arc.of(F(1, 4), F(3, 4) + F(1, 97)),
+]
+
+
+def answer(tri, method, arc):
+    """One query's answer, or the type and text of the error it raises."""
+    try:
+        return getattr(tri, method)(arc)
+    except (ValueError, InvalidFamily) as exc:
+        return type(exc), str(exc)
+
+
+class TestInfiniteMemos:
+    METHODS = ("triangles_of", "arc_in", "arc_neighbour_row", "arc_exchangeable")
+
+    @pytest.mark.parametrize("name", sorted(LONG_LIVED))
+    def test_long_lived_answers_match_fresh_instances(self, name):
+        make = LONG_LIVED[name]
+        tri = make()
+        # the chords between four marked points: arcs, and non-arcs that
+        # cross some arc
+        points = tri.window_points(3)[:4]
+        chords = [Arc.of(p, q) for i, p in enumerate(points) for q in points[i + 1 :]]
+        assert not all(make().arc_in(c) for c in chords)
+        arcs = tri.window_arcs(12) + chords + OFF_POINTS
+        queries = [(m, a) for m in self.METHODS for a in arcs]
+        expected = {(m, a): answer(make(), m, a) for m, a in queries}
+        # asked twice, so the second round reads what the first stored
+        for _ in range(2):
+            for m, a in queries:
+                assert answer(tri, m, a) == expected[m, a], (m, a)
+
+    def test_mutating_a_face_list_does_not_reach_the_memo(self):
+        tri = fan_oracle().tri
+        arc = Arc.of(F(0), F(1, 3))
+        faces = tri.triangles_of(arc)
+        assert len(faces) == 2
+        faces.clear()
+        faces.append((F(0), F(1, 8), F(1, 4)))
+        assert tri.triangles_of(arc) == fan_oracle().tri.triangles_of(arc)
+
+    def test_non_arc_raises_on_every_call(self):
+        tri = nest_oracle().tri
+        for _ in range(3):
+            for arc in OFF_POINTS + [Arc.of(F(1, 4), F(5, 8))]:
+                with pytest.raises(ValueError, match="is not an arc of the triangulation"):
+                    tri.triangles_of(arc)
+                assert not tri.arc_in(arc)
+
+    def test_two_apexes_raise_on_every_call(self):
+        # the exceptional arc crosses fountain arcs beyond every window the
+        # constructor checks, so {0, tip(30)} has two apexes on one side
+        fan = ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=F(0))
+        tip30 = F(1, 2) - F(1, 60)
+        tri = InfiniteTriangulation(
+            families=(fan,), extra_arcs=frozenset({Arc.of(tip30, F(3, 4))})
+        )
+        for _ in range(3):
+            with pytest.raises(InvalidFamily, match="has two apexes"):
+                tri.triangles_of(Arc.of(F(0), tip30))
+
+    def test_sequences_built_once(self):
+        for make in LONG_LIVED.values():
+            for fam in make().families:
+                assert fam.sequences() is fam.sequences()
+
+    def test_equality_ignores_filled_memos(self):
+        for make in LONG_LIVED.values():
+            used, unused = make(), make()
+            for arc in used.window_arcs(6):
+                used.arc_neighbour_row(arc)
+            assert used == unused and hash(used) == hash(unused)
+            assert used.families == unused.families
+            assert [hash(f) for f in used.families] == [hash(f) for f in unused.families]

@@ -1,0 +1,94 @@
+"""Fuzzed `.tri` files through the CLI: every file gets an exit code in
+{0, 1, 2, 3}, never a traceback, and the same bytes when run again in the
+same process (so nothing one run computes leaks into the next)."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from clusterlab.cli import main  # noqa: E402
+from clusterlab.disc import FAMILY_KINDS  # noqa: E402
+
+VERBS = (
+    ["validate-tri"],
+    ["limit-arcs"],
+    ["filtration", "--steps", "3"],
+)
+
+ANGLES = sorted({str(Fraction(k, d)) for d in (2, 3, 4, 6, 8, 12) for k in range(d)})
+SCALES = ["1/2", "1/3", "1/4", "1/5", "1/6", "1/8", "1/12", "1/24", "0", "-1/4"]
+# values of the wrong type or form, which must exit 3
+JUNK = ["1/0", "half", 0.5, 1, None, [1, 2], True]
+FOUNTAINS = ("fountain", "left-fountain", "right-fountain")
+
+
+def rarely(draw) -> bool:
+    """True one draw in twenty."""
+    return draw(st.integers(0, 19)) == 0
+
+
+@st.composite
+def angles(draw):
+    return draw(st.sampled_from(JUNK if rarely(draw) else ANGLES))
+
+
+@st.composite
+def scales(draw):
+    return draw(st.sampled_from(JUNK if rarely(draw) else SCALES))
+
+
+@st.composite
+def family_records(draw):
+    kind = "spiral" if rarely(draw) else draw(st.sampled_from(FAMILY_KINDS))
+    record = {"kind": kind, "limit": draw(angles()), "scale": draw(scales())}
+    if draw(st.booleans()):
+        record["start"] = "2" if rarely(draw) else draw(st.integers(0, 4))
+    # the fields a kind needs are left out, and others put in, now and then
+    if rarely(draw) != (kind in FOUNTAINS):
+        record["base"] = draw(angles())
+    if rarely(draw) != (kind == "half-nest"):
+        record["limit2"] = draw(angles())
+        if draw(st.booleans()):
+            record["scale2"] = draw(scales())
+    return record
+
+
+@st.composite
+def tri_files(draw):
+    data = {"families": draw(st.lists(family_records(), min_size=1, max_size=2))}
+    if draw(st.booleans()):
+        data["points"] = draw(st.lists(angles(), max_size=3))
+    if draw(st.booleans()):
+        data["arcs"] = draw(st.lists(st.lists(angles(), min_size=2, max_size=2), max_size=2))
+    return data
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(tri_files())
+def test_tri_files_exit_cleanly_and_repeat_exactly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.tri")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for verb in VERBS:
+            argv = [verb[0], "--tri", path, *verb[1:]]
+            first = run(argv)
+            assert first[0] in (0, 1, 2, 3), (argv, first)
+            assert "Traceback" not in first[1] + first[2]
+            assert run(argv) == first
