@@ -14,6 +14,7 @@ errors. Unknown flags are rejected with exit 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -598,91 +599,82 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at")
     p.add_argument("--sequence")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_mutate)
 
     p = sub.add_parser("enumerate", help="depth-bounded cluster variable census")
     p.add_argument("--seed", required=True)
     common(p, depth=6)
-    p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("components", help="connected components of a seed")
     p.add_argument("--seed", required=True)
-    p.set_defaults(func=_cmd_components)
 
     p = sub.add_parser("coproduct", help="disjoint union of seeds")
     p.add_argument("--seeds", nargs="+", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_coproduct)
 
     p = sub.add_parser("similar", help="similarity of two seeds")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
-    p.set_defaults(func=_cmd_similar)
 
     p = sub.add_parser("check-morphism", help="CM1/CM2/CM3 verification")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     p.add_argument("--map", required=True)
     common(p)
-    p.set_defaults(func=_cmd_check_morphism)
 
     p = sub.add_parser("image-seed", help="image seed of a candidate morphism")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_image_seed)
 
     p = sub.add_parser("check-ideal", help="search for a non-ideal witness")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     p.add_argument("--map", required=True)
     common(p)
-    p.set_defaults(func=_cmd_check_ideal)
 
     p = sub.add_parser("validate-tri", help="validate a triangulation file")
     p.add_argument("--tri", required=True)
-    p.set_defaults(func=_cmd_validate_tri)
 
     p = sub.add_parser("flip", help="diagonal flip of an exchangeable arc")
     p.add_argument("--tri", required=True)
     p.add_argument("--arc", required=True, help="arc label like 0/1~1/2")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_flip)
 
     p = sub.add_parser("tri-seed", help="seed of a finite triangulation")
     p.add_argument("--tri", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_tri_seed)
 
     p = sub.add_parser("limit-arcs", help="limit arcs of an infinite triangulation")
     p.add_argument("--tri", required=True)
-    p.set_defaults(func=_cmd_limit_arcs)
 
     p = sub.add_parser("filtration", help="finite full-subseed filtration")
     p.add_argument("--oracle", default="path-quiver")
     p.add_argument("--tri", help="build from a triangulation file instead")
     p.add_argument("--steps", type=int, default=6)
     p.add_argument("--out-dir")
-    p.set_defaults(func=_cmd_filtration)
 
     p = sub.add_parser("stable-mutate", help="mutation in an infinite seed")
     p.add_argument("--oracle", required=True)
     p.add_argument("--sequence", default="")
     p.add_argument("--target", required=True)
-    p.set_defaults(func=_cmd_stable_mutate)
 
     p = sub.add_parser("positivity", help="positivity of a stable mutation value")
     p.add_argument("--oracle", required=True)
     p.add_argument("--sequence", default="")
     p.add_argument("--target", required=True)
-    p.set_defaults(func=_cmd_positivity)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     for flag in ("depth", "nodes", "steps"):
         if getattr(args, flag, 0) < 0:
@@ -690,7 +682,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.verb == "mutate" and not (args.at or args.sequence):
         parser.error("mutate needs --at or --sequence")
     try:
-        code, report = args.func(args)
+        # the handler is looked up at each call, so a rebinding applies
+        code, report = globals()["_cmd_" + args.verb.replace("-", "_")](args)
     except (ParseError, InvalidSeed, LaurentParseError) as exc:
         emit({"error": str(exc)}, args.format)
         return EXIT_INPUT

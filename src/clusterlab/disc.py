@@ -1,11 +1,12 @@
 """Triangulations of the closed disc with marked points on the circle.
 
 All geometry is exact: a marked point is a rational fraction of a full
-turn in [0, 1). Finite triangulations are validated exhaustively; infinite
-triangulations are described by finitely many arc families (fountains,
-nests, half-nests) with tip sequences of the form limit +/- scale/k, plus
-finitely many exceptional arcs, with all edges of the marked point set
-implied.
+turn in [0, 1). Finite triangulations are validated and flipped on the
+ranks of their sorted points, with Fractions read only at input and when
+arcs are named. Infinite triangulations are described by finitely many
+arc families (fountains, nests, half-nests) with tip sequences of the form
+limit +/- scale/k, plus finitely many exceptional arcs, with all edges of
+the marked point set implied.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
     CrossingPair,
@@ -24,6 +26,8 @@ from .errors import (
 )
 from .laurent import VarId
 from .seeds import DEFAULT_NODE_BUDGET, Seed, explore
+
+T = TypeVar("T")
 
 
 def norm_angle(x: Fraction) -> Fraction:
@@ -98,27 +102,30 @@ def arcs_cross(a: Arc, b: Arc) -> bool:
 
 
 Corners = tuple[Fraction, Fraction, Fraction]
+Pair = tuple[int, int]  # ranks (i, j), i < j, of an arc's endpoints among sorted points
+Ranks = tuple[int, int, int]  # a triangle's corners as increasing ranks
 
 
-def _non_crossing(arcs: Iterable[Arc]) -> bool:
-    """True when no two arcs cross, decided in one pass over the sorted
-    endpoints. Arcs stored with p < q cross exactly when their intervals
-    interleave, so they are non-crossing iff their endpoints nest like
-    balanced parentheses. At one angle, closings come before openings
-    (arcs meeting end to start do not cross), inner closings first
-    (descending p) and outer openings first (descending q). An arc with
-    p >= q closes before it opens, so the pass answers False and leaves
-    the decision to the pairwise scan."""
+def _non_crossing(pairs: Iterable[tuple]) -> bool:
+    """True when no two of the chords (p, q), p < q, cross, decided in one
+    pass over the sorted endpoints; endpoints may be angles or ranks.
+    Chords cross exactly when their intervals interleave, so they are
+    non-crossing iff their endpoints nest like balanced parentheses. At one
+    endpoint, closings come before openings (chords meeting end to start do
+    not cross), inner closings first (descending p) and outer openings
+    first (descending q). A pair with p >= q closes before it opens, so the
+    pass answers False."""
     events = []
-    for a in arcs:
-        events.append((a.q, 0, -a.p, a))
-        events.append((a.p, 1, -a.q, a))
+    for pq in pairs:
+        p, q = pq
+        events.append((q, 0, -p, pq))
+        events.append((p, 1, -q, pq))
     events.sort()
-    stack: list[Arc] = []
-    for _, opening, _, a in events:
+    stack: list[tuple] = []
+    for _, opening, _, pq in events:
         if opening:
-            stack.append(a)
-        elif not stack or stack.pop() != a:
+            stack.append(pq)
+        elif not stack or stack.pop() != pq:
             return False
     return True
 
@@ -126,7 +133,7 @@ def _non_crossing(arcs: Iterable[Arc]) -> bool:
 def first_crossing(arcs: Sequence[Arc]) -> tuple[Arc, Arc] | None:
     """The first crossing pair (a, b) with a before b in the given order:
     a in order, then b in order after it."""
-    if _non_crossing(arcs):
+    if _non_crossing([a.endpoints() for a in arcs]):
         return None
     for i, a in enumerate(arcs):
         for b in arcs[i + 1 :]:
@@ -144,138 +151,180 @@ def triangle_sides(corners: Corners) -> tuple[Arc, Arc, Arc]:
 @dataclass(frozen=True)
 class FiniteTriangulation:
     """A maximal set of pairwise non-crossing arcs on a finite point set.
-    Construct through validate_triangulation."""
+    Construct through validate_triangulation or flip_arc.
+
+    The geometry runs on ranks: the arc {points[i], points[j]} is the rank
+    pair (i, j) with i < j, and a triangle is its increasing rank triple.
+    The Fractions are read only to name arcs and corners to the caller."""
 
     points: tuple[Fraction, ...]
     arcs: frozenset[Arc]
 
-    # memos in the instance __dict__, beside the frozen fields
+    # rank data and memos in the instance __dict__, beside the frozen
+    # fields; flip_arc fills a child's from its parent's
     @cached_property
-    def _triangles(self) -> list[Corners]:
-        adj: dict[Fraction, set[Fraction]] = {p: set() for p in self.points}
-        for a in self.arcs:
-            adj[a.p].add(a.q)
-            adj[a.q].add(a.p)
-        return [
-            (a.p, a.q, r)
-            for a in sorted(self.arcs)
-            for r in sorted(adj[a.p] & adj[a.q])
-            if r > a.q
-        ]
+    def _rank(self) -> dict[Fraction, int]:
+        return {p: k for k, p in enumerate(self.points)}
 
     @cached_property
-    def _faces(self) -> dict[Arc, list[Corners]]:
-        faces: dict[Arc, list[Corners]] = {a: [] for a in self.arcs}
-        for tri in self._triangles:
-            for side in triangle_sides(tri):
+    def _pairs(self) -> dict[Pair, Arc]:
+        """Each arc under its rank pair."""
+        rank = self._rank
+        return {(rank[a.p], rank[a.q]): a for a in self.arcs}
+
+    @cached_property
+    def _rank_triangles(self) -> list[Ranks]:
+        """Sorted triples of points pairwise joined by arcs; in a
+        triangulation every such triple bounds a face."""
+        adj: list[set[int]] = [set() for _ in self.points]
+        for i, j in self._pairs:
+            adj[i].add(j)
+            adj[j].add(i)
+        return sorted((i, j, k) for i, j in self._pairs for k in adj[i] & adj[j] if k > j)
+
+    @cached_property
+    def _faces(self) -> dict[Pair, list[Ranks]]:
+        faces: dict[Pair, list[Ranks]] = {pair: [] for pair in self._pairs}
+        for tri in self._rank_triangles:
+            i, j, k = tri
+            for side in ((i, j), (j, k), (i, k)):
                 faces[side].append(tri)
         return faces
+
+    def _pair_of(self, arc: Arc) -> tuple[int | None, int | None]:
+        return self._rank.get(arc.p), self._rank.get(arc.q)
+
+    def _corners(self, tri: Ranks) -> Corners:
+        pts = self.points
+        return pts[tri[0]], pts[tri[1]], pts[tri[2]]
 
     def triangles_of(self, arc: Arc) -> list[Corners]:
         """The at most two triangles having this arc as a side, each as an
         increasing-angle corner triple."""
-        if arc not in self._faces:
+        faces = self._faces.get(self._pair_of(arc))
+        if faces is None:
             raise ValueError(f"{arc} is not an arc of the triangulation")
-        return list(self._faces[arc])
+        return [self._corners(tri) for tri in faces]
 
 
 def classify_arc(t: FiniteTriangulation, a: Arc) -> str:
     """'edge' iff one open side contains no marked point, else 'internal'."""
-    pts = set(t.points)
-    if a.p not in pts or a.q not in pts:
+    i, j = t._pair_of(a)
+    if i is None or j is None:
         raise ValueError("arc endpoints must be marked points")
-    side1 = any(in_open(a.p, a.q, z) for z in pts)
-    side2 = any(in_open(a.q, a.p, z) for z in pts)
-    return "internal" if (side1 and side2) else "edge"
+    # j - i - 1 marked points lie on one side, n - (j - i) - 1 on the other
+    return "edge" if j - i in (1, len(t.points) - 1) else "internal"
+
+
+def _checked(t: FiniteTriangulation) -> FiniteTriangulation:
+    """The checks every finite triangulation passes, on ranks: each arc
+    joins two of the n points, no two arcs cross (one pass), and, as points
+    on a circle are in convex position, the non-crossing set is maximal iff
+    it has 2n - 3 arcs. Errors name arcs: the first crossing pair in (p, q)
+    order, or the first free arc that crosses nothing."""
+    n = len(t.points)
+    pairs = t._pairs
+    for (i, j), a in pairs.items():
+        if not 0 <= i < j < n:
+            raise ValueError(f"arc {a} uses a point outside the marked set")
+    if not _non_crossing(pairs):
+        raise CrossingPair(*first_crossing(sorted(t.arcs)))
+    if len(pairs) < 2 * n - 3:
+        for i, j in combinations(range(n), 2):
+            if (i, j) in pairs:
+                continue
+            cand = Arc(t.points[i], t.points[j])
+            if not any(arcs_cross(cand, a) for a in t.arcs):
+                raise NotMaximal(cand)
+    # consequence of maximality: all edges of the point set are present
+    assert all((k, k + 1) in pairs for k in range(n - 1)) and (0, n - 1) in pairs
+    return t
 
 
 def validate_triangulation(
     points: Iterable[Fraction], arcs: Iterable[Arc]
 ) -> FiniteTriangulation:
-    """Checks pairwise non-crossing and maximality exhaustively."""
+    """Reads the points and arcs, then checks non-crossing and maximality
+    on ranks."""
     pts = tuple(sorted({norm_angle(p) for p in points}))
     if len(pts) < 2:
         raise ValueError("a triangulation needs at least two marked points")
-    arc_set = frozenset(arcs)
-    pt_set = set(pts)
-    for a in arc_set:
-        if a.p not in pt_set or a.q not in pt_set:
+    t = FiniteTriangulation(pts, frozenset(arcs))
+    for a in t.arcs:
+        if None in t._pair_of(a):
             raise ValueError(f"arc {a} uses a point outside the marked set")
-    pair = first_crossing(sorted(arc_set))
-    if pair is not None:
-        raise CrossingPair(*pair)
-    # points on a circle are in convex position, so a non-crossing set on
-    # n of them is maximal iff it has 2n - 3 arcs; search for a witness
-    # only when it has fewer
-    n = len(pts)
-    if len(arc_set) < 2 * n - 3:
-        for i, p in enumerate(pts):
-            for q in pts[i + 1 :]:
-                cand = Arc.of(p, q)
-                if cand in arc_set:
-                    continue
-                if not any(arcs_cross(cand, a) for a in arc_set):
-                    raise NotMaximal(cand)
-    t = FiniteTriangulation(pts, arc_set)
-    # consequence of maximality: all edges of the point set are present
-    for i in range(n):
-        assert Arc.of(pts[i], pts[(i + 1) % n]) in arc_set or n == 2
-    return t
+    return _checked(t)
 
 
 def triangles(t: FiniteTriangulation) -> list[Corners]:
     """Triples of points pairwise joined by arcs, in increasing angle order.
     In a triangulation every such triple bounds a face."""
-    return t._triangles
+    return [t._corners(tri) for tri in t._rank_triangles]
 
 
-def _triangle_arrows(corners: Corners) -> list[tuple[Arc, Arc]]:
-    """Arrow pairs contributed by one triangle, corners in increasing angle.
+def _triangle_arrows(sides: tuple[T, T, T]) -> list[tuple[T, T]]:
+    """Arrow pairs contributed by one triangle, given its sides {p,q},
+    {q,r}, {r,p} for corners p < q < r.
 
     Orientation convention, fixed once and validated by the flip/mutation
     compatibility property: {p,q} -> {q,r} -> {r,p} -> {p,q}.
     """
-    s1, s2, s3 = triangle_sides(corners)
+    s1, s2, s3 = sides
     return [(s1, s2), (s2, s3), (s3, s1)]
+
+
+def _exchangeable_pairs(t: FiniteTriangulation) -> list[Pair]:
+    """Rank pairs flanked by triangles on both sides, sorted."""
+    return sorted(pair for pair, faces in t._faces.items() if len(faces) == 2)
 
 
 def exchangeable_arcs(t: FiniteTriangulation) -> set[Arc]:
     """Arcs that are the diagonal of a quadrilateral in t, i.e. flanked by
     triangles on both sides."""
-    return {a for a in t.arcs if len(t.triangles_of(a)) == 2}
+    return {t._pairs[pair] for pair in _exchangeable_pairs(t)}
 
 
 def seed_from_triangulation(t: FiniteTriangulation) -> Seed:
     """One cluster variable per arc; exchangeables are the quadrilateral
     diagonals; skew-symmetric matrix from the triangle orientation rule."""
-    labels = [a.label for a in sorted(t.arcs)]
+    label = {pair: t._pairs[pair].label for pair in sorted(t._pairs)}
     entries: dict[VarId, dict[VarId, int]] = {}
-
-    def bump(x: Arc, y: Arc, v: int):
-        row = entries.setdefault(x.label, {})
-        n = row.get(y.label, 0) + v
-        if n:
-            row[y.label] = n
-        elif y.label in row:
-            del row[y.label]
-
-    for tri in triangles(t):
-        for src, dst in _triangle_arrows(tri):
-            bump(src, dst, 1)
-            bump(dst, src, -1)
-    entries = {v: r for v, r in entries.items() if r}
-    ex = {a.label for a in exchangeable_arcs(t)}
-    return Seed.initial(labels, ex, entries)
+    # two arcs share at most one triangle, so each entry is set once
+    for i, j, k in t._rank_triangles:
+        for src, dst in _triangle_arrows((label[i, j], label[j, k], label[i, k])):
+            entries.setdefault(src, {})[dst] = 1
+            entries.setdefault(dst, {})[src] = -1
+    ex = [label[pair] for pair in _exchangeable_pairs(t)]
+    return Seed.initial(list(label.values()), ex, entries)
 
 
 def flip_arc(t: FiniteTriangulation, a: Arc) -> FiniteTriangulation:
     """Replace an exchangeable arc by the opposite diagonal of its
-    quadrilateral; the result is re-validated."""
-    faces = t.triangles_of(a) if a in t.arcs else []
-    if len(faces) != 2:
+    quadrilateral. The result is derived from the parent, checked on
+    ranks: the new diagonal joins the apexes of the two flanking
+    triangles, those two triangles give way to the two on the new
+    diagonal, and the child passes the checks validate_triangulation
+    makes."""
+    pair = t._pair_of(a)
+    if len(t._faces.get(pair, ())) != 2:
         raise NotFlippable(a)
-    new_arc = Arc.of(*(c for tri in faces for c in tri if c not in (a.p, a.q)))
-    return validate_triangulation(t.points, (t.arcs - {a}) | {new_arc})
+    return _flip(t, pair)
+
+
+def _flip(t: FiniteTriangulation, pair: Pair) -> FiniteTriangulation:
+    i, j = pair
+    faces = t._faces[pair]
+    # the apex of a flanking triangle is its corner off the diagonal
+    k1, k2 = sorted(sum(tri) - i - j for tri in faces)
+    new_arc = Arc(t.points[k1], t.points[k2])
+    pairs = dict(t._pairs)
+    del pairs[pair]
+    pairs[k1, k2] = new_arc
+    tris = [tri for tri in t._rank_triangles if tri not in faces]
+    tris += (tuple(sorted((i, k1, k2))), tuple(sorted((j, k1, k2))))
+    u = FiniteTriangulation(t.points, t.arcs - {t._pairs[pair]} | {new_arc})
+    u.__dict__.update(_rank=t._rank, _pairs=pairs, _rank_triangles=sorted(tris))
+    return _checked(u)
 
 
 def fan_triangulation(n: int) -> FiniteTriangulation:
@@ -292,13 +341,14 @@ def all_triangulations(n: int) -> list[FiniteTriangulation]:
     a flip can raise the degree of 0 by one."""
     found = explore(
         fan_triangulation(n),
-        lambda t: (flip_arc(t, a) for a in sorted(exchangeable_arcs(t))),
+        lambda t: (_flip(t, pair) for pair in _exchangeable_pairs(t)),
         n - 3,
         DEFAULT_NODE_BUDGET,
         f"flip closure exceeded the node budget of {DEFAULT_NODE_BUDGET}",
         key=lambda t: t.arcs,
     )
-    return sorted(found, key=lambda t: sorted(t.arcs))
+    # one point set, so rank pairs sort as the arcs do
+    return sorted(found, key=lambda t: sorted(t._pairs))
 
 
 # -- infinite triangulations ---------------------------------------------------
@@ -587,10 +637,14 @@ class InfiniteTriangulation:
         for a in self.extra_arcs:
             pts.update(a.endpoints())
         object.__setattr__(self, "finite_points", tuple(sorted(pts)))
-        pair = first_crossing(self.window_arcs(10))
-        if pair is not None:
-            raise CrossingPair(*pair)
-        tip_pools = [f.points(32) - {f.base} for f in self.families]
+        try:
+            pair = first_crossing(self.window_arcs(10))
+            if pair is not None:
+                raise CrossingPair(*pair)
+            tip_pools = [f.points(32) - {f.base} for f in self.families]
+        except ValueError:
+            # Arc.of met two equal endpoints: a family's tip sequences meet
+            raise InvalidFamily("a family's tip sequences meet, joining a point to itself") from None
         for i in range(len(tip_pools)):
             for j in range(i + 1, len(tip_pools)):
                 if tip_pools[i] & tip_pools[j]:
@@ -742,7 +796,7 @@ class InfiniteTriangulation:
         flanking triangles under the fixed orientation convention."""
         row: dict[Arc, int] = {}
         for tri in self.triangles_of(arc):
-            for src, dst in _triangle_arrows(tri):
+            for src, dst in _triangle_arrows(triangle_sides(tri)):
                 if src == arc:
                     row[dst] = row.get(dst, 0) + 1
                 elif dst == arc:
@@ -794,7 +848,7 @@ def triangulation_components(
     share a part iff no limit arc has them on opposite closed sides; a
     limit arc that is itself an arc of the point set is its own part."""
     if isinstance(it, FiniteTriangulation):
-        return [sorted(it.arcs)]
+        return [[it._pairs[pair] for pair in sorted(it._pairs)]]
     arcs = it.window_arcs(window)
     limits = sorted(it.limit_arcs())
 

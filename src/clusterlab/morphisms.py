@@ -257,19 +257,28 @@ def check_cm3(
     (shortest, then lexicographically least); within a sequence, the
     variable mutated by its last step is checked first (the exchange
     relation itself), then the remaining initial labels in label order.
+    A pair that the last step left unchanged passed at the parent, so it
+    is not checked again; the map is applied once per distinct value.
     """
     cm1, cm2, cm2_wit = check_cm1_cm2(m)
     slots = _image_slots(m)
     tracked = [i for i, j in enumerate(slots) if j is not None]
+    images: dict[LaurentPoly, LaurentPoly] = {}  # m.apply by value; errors propagate
     nodes = 0
     counterexample = None
     for st in _walk_biadmissible(m, slots, depth, max_nodes):
         nodes += 1
         order = tracked
         if st.last is not None:
-            order = [st.last] + [i for i in tracked if i != st.last]
+            # the step changed the source value at `last` and the target
+            # value at its slot; every other pair passed at the parent
+            last = st.last
+            order = [last] + [i for i in tracked if i != last and slots[i] == slots[last]]
         for i in order:
-            lhs = m.apply(st.src.values[st.src.labels[i]])
+            value = st.src.values[st.src.labels[i]]
+            lhs = images.get(value)
+            if lhs is None:
+                lhs = images[value] = m.apply(value)
             rhs = st.tgt.values[st.tgt.labels[slots[i]]]
             if lhs != rhs:
                 counterexample = Cm3Counterexample(st.sequence, m.source.labels[i], lhs, rhs)

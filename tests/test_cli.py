@@ -1,18 +1,23 @@
 """CLI: file formats, exit codes, determinism, structured output."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+import clusterlab.cli
 from clusterlab.cli import (
     load_map_file,
     load_seed_file,
     main,
     save_seed_file,
 )
-from clusterlab.errors import InvalidSeed, ParseError
+from clusterlab.disc import ArcFamily, InfiniteTriangulation
+from clusterlab.errors import InvalidFamily, InvalidSeed, ParseError
 from clusterlab.seeds import Seed
 
 
@@ -195,6 +200,31 @@ class TestExitCodes:
         assert code == 1
         assert "not maximal" in out
 
+    @pytest.mark.parametrize(
+        "arcs, code, text",
+        [
+            (
+                PENTAGON["arcs"][:5] + [["3/5", "0/1"], ["1/5", "3/5"], ["0/1", "2/5"]],
+                1,
+                "error: arcs {0/1, 2/5} and {1/5, 3/5} cross\nvalid: False\n",
+            ),
+            (
+                PENTAGON["arcs"][:5] + [["1/5", "4/5"]],
+                1,
+                "error: not maximal: arc {1/5, 3/5} crosses nothing in the set\nvalid: False\n",
+            ),
+            (
+                PENTAGON["arcs"] + [["0/1", "1/3"]],
+                3,
+                "error: arc {0/1, 1/3} uses a point outside the marked set\n",
+            ),
+        ],
+    )
+    def test_invalid_finite_tri_texts(self, files, capsys, arcs, code, text):
+        path = files["dir"] / "bad.tri"
+        path.write_text(json.dumps({**PENTAGON, "arcs": arcs}))
+        assert run_cli(["validate-tri", "--tri", str(path)], capsys) == (code, text)
+
     def test_missing_file_exits_three(self, files, capsys):
         code, _ = run_cli(["enumerate", "--seed", "/nonexistent.seed"], capsys)
         assert code == 3
@@ -286,6 +316,49 @@ class TestDeterminism:
         data = json.loads(structured)
         assert data["count"] == 5
         assert all(v in plain for v in data["values"])
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of one in-process `main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it."""
+
+    def test_consecutive_calls_match_fresh_processes(self, files):
+        calls = [
+            ["validate-tri", "--tri", files["pent.tri"]],
+            ["enumerate", "--seed", files["a2.seed"], "--frobnicate"],
+            ["--format", "structured", "components", "--seed", files["sig.seed"]],
+        ]
+        reused = [run_captured(argv) for argv in calls]
+        assert clusterlab.cli._parser() is clusterlab.cli._parser()
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "clusterlab.cli", *argv], capture_output=True, text=True
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 3, 0]
+        assert "clusterlab: error: unrecognized arguments: --frobnicate" in reused[1][2]
+
+    def test_dispatch_reads_the_current_handler(self, files, monkeypatch, capsys):
+        argv = ["--format", "structured", "components", "--seed", files["a2.seed"]]
+        assert run_cli(argv, capsys)[0] == 0
+        monkeypatch.setattr(
+            clusterlab.cli, "_cmd_components", lambda args: (1, {"replaced": args.seed})
+        )
+        code, out = run_cli(argv, capsys)
+        assert code == 1
+        assert json.loads(out) == {"replaced": files["a2.seed"]}
 
 
 class TestCommands:
@@ -580,6 +653,23 @@ class TestHardenedInput:
             code, out = run_cli([verb, "--tri", str(path)], capsys)
             assert code == 1
             assert "right-fountain base 1/4 is one of its own tips" in out
+
+    HALF_NEST_MEETING = {"kind": "half-nest", "limit": "0", "limit2": "1/12", "scale": "1/3"}
+
+    def test_half_nest_tips_that_meet_exit_one(self, tmp_path, capsys):
+        # a_8 = b_8 = 1/24: the tip sequences meet beyond the 12 arcs the
+        # family checks itself, so the triangulation's wider window finds it
+        path = tmp_path / "bad.tri"
+        path.write_text(json.dumps({"families": [self.HALF_NEST_MEETING]}))
+        for verb in ("validate-tri", "limit-arcs"):
+            code, out = run_cli([verb, "--tri", str(path)], capsys)
+            assert code == 1
+            assert "a family's tip sequences meet, joining a point to itself" in out
+        family = ArcFamily(
+            "half-nest", limit=Fraction(0), limit2=Fraction(1, 12), scale=Fraction(1, 3)
+        )
+        with pytest.raises(InvalidFamily, match="tip sequences meet"):
+            InfiniteTriangulation(families=(family,))
 
     def test_flip_at_a_point_exits_three(self, files, capsys):
         code, out = run_cli(["flip", "--tri", files["pent.tri"], "--arc", "0/1~0/1"], capsys)

@@ -676,8 +676,8 @@ class TestCrossingPass:
     def test_first_crossing_matches_nested_loops(self, arcs):
         expected = reference_first_crossing(arcs)
         assert first_crossing(arcs) == expected
-        # the sorted pass alone decides that nothing crosses
-        assert _non_crossing(arcs) == (expected is None)
+        # the sorted pass alone, over endpoint pairs, decides that nothing crosses
+        assert _non_crossing([a.endpoints() for a in arcs]) == (expected is None)
 
     def test_crossing_pair_text(self):
         err = CrossingPair(Arc.of(F(0), F(1, 2)), Arc.of(F(1, 4), F(3, 4)))
@@ -797,3 +797,85 @@ class TestInfiniteMemos:
             assert used == unused and hash(used) == hash(unused)
             assert used.families == unused.families
             assert [hash(f) for f in used.families] == [hash(f) for f in unused.families]
+
+
+# -- flips derived on ranks ---------------------------------------------------------
+
+
+def opposite_diagonal(t, a):
+    """The other diagonal of the quadrilateral around a, read from the arc
+    set: the two points joined to both endpoints of a."""
+    apexes = [
+        c
+        for c in t.points
+        if c not in a.endpoints() and Arc.of(a.p, c) in t.arcs and Arc.of(a.q, c) in t.arcs
+    ]
+    assert len(apexes) == 2
+    return Arc.of(*apexes)
+
+
+class TestFlipEquivalence:
+    """A flip derived from its parent equals the triangulation validated
+    from scratch on the same arcs, in every answer it gives."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_flip_equals_validation_from_scratch(self, n):
+        for t in all_triangulations(n):
+            for a in sorted(exchangeable_arcs(t)):
+                u = flip_arc(t, a)
+                v = validate_triangulation(t.points, (t.arcs - {a}) | {opposite_diagonal(t, a)})
+                assert (u.points, u.arcs) == (v.points, v.arcs)
+                assert u == v and hash(u) == hash(v)
+                assert triangles(u) == triangles(v)
+                for b in sorted(v.arcs):
+                    assert u.triangles_of(b) == v.triangles_of(b)
+                assert exchangeable_arcs(u) == exchangeable_arcs(v)
+                su, sv = seed_from_triangulation(u), seed_from_triangulation(v)
+                assert (su.labels, su.exchangeable, su.matrix, su.values) == (
+                    sv.labels, sv.exchangeable, sv.matrix, sv.values,
+                )
+
+
+# -- flips against the Plücker relations --------------------------------------------
+
+
+def delta(label):
+    """Delta of the arc {p, q}, p < q, read from its label: q - p, the
+    Plücker coordinate of two points on a line."""
+    p, q = (F(x) for x in label.split("~"))
+    return q - p
+
+
+def at_deltas(value):
+    """The Laurent polynomial evaluated with every variable x_tau = Delta(tau)."""
+    total = F(0)
+    for monomial, coeff in value.terms.items():
+        term = F(coeff)
+        for v, e in monomial:
+            term *= delta(v) ** e
+        total += term
+    return total
+
+
+class TestPluckerOracle:
+    """Polygon flips against the Plücker relations of Gr(2, n) (Fomin and
+    Zelevinsky, Cluster algebras II, 12): with x_tau = Delta(tau) for every
+    arc, the value that mutation gives at the flipped position is Delta of
+    the new diagonal, by the Ptolemy relation. Endpoints are read from the
+    labels alone."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_mutated_value_is_delta_of_the_new_diagonal(self, n):
+        import random
+
+        rng = random.Random(1000 + n)
+        t = fan_triangulation(n)  # then a seeded random walk of flips
+        for _ in range(30):
+            s = seed_from_triangulation(t)
+            arcs = sorted(exchangeable_arcs(t))
+            for a in arcs:
+                k = s.labels.index(a.label)
+                mutated = mutate_seed(s, a.label)
+                (new,) = flip_arc(t, a).arcs - t.arcs
+                assert at_deltas(mutated.values[mutated.labels[k]]) == delta(new.label)
+            t = flip_arc(t, rng.choice(arcs))

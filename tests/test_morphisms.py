@@ -180,6 +180,46 @@ class TestCm3:
         assert tgt.values[tnew] == ce.rhs
 
 
+def a5_seed():
+    labels = ["x1", "x2", "x3", "x4", "x5"]
+    entries = [(labels[k], labels[k + 1], 1) for k in range(4)]
+    entries += [(w, v, -b) for v, w, b in entries]
+    return Seed.initial(labels, labels, entries)
+
+
+class TestCm3Work:
+    """CM3 applies the map once per distinct value and checks only the
+    pairs that the last step changed."""
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        calls = []
+        apply = ClusterMap.apply
+
+        def counted(self, p):
+            calls.append(p)
+            return apply(self, p)
+
+        monkeypatch.setattr(ClusterMap, "apply", counted)
+        return calls
+
+    def test_identity_a5_applies_each_value_once(self, applied):
+        report = check_cm3(identity_map(a5_seed()), 3)
+        assert report.passed and report.nodes == 1 + 5 + 25 + 125
+        # 17 distinct values are reached; checking every tracked pair at
+        # every node made 780 calls
+        assert len(applied) == len(set(applied)) <= 17
+
+    def test_composite_counterexample_unchanged(self, applied):
+        f, g = composition_counterexample()
+        report = check_cm3(compose(g, f), 1)
+        ce = report.counterexample
+        assert (ce.sequence, ce.variable) == (("x2",), "x2")
+        assert format_poly(ce.lhs) == "2"
+        assert format_poly(ce.rhs) == "y1^-1*y2 + y1^-1"
+        assert report.nodes == 2
+
+
 class TestNoSpecializationConditions:
     def test_full_subseed_inclusion_passes(self):
         outer = example_seed()
