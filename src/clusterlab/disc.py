@@ -6,11 +6,16 @@ ranks of their sorted points, with Fractions read only at input and when
 arcs are named. Infinite triangulations are described by finitely many
 arc families (fountains, nests, half-nests) with tip sequences of the form
 limit +/- scale/k, plus finitely many exceptional arcs, with all edges of
-the marked point set implied.
+the marked point set implied. An infinite triangulation locates each point
+once (whether it is a finite point, and its tip index k in each sequence)
+and finds each point's neighbour once per direction; arc membership, apex
+candidates and edges are read from those, an edge being an arc with no
+marked point strictly between its endpoints on one side.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,6 +36,9 @@ T = TypeVar("T")
 
 
 def norm_angle(x: Fraction) -> Fraction:
+    # most angles are already in [0, 1): return those as they are
+    if 0 <= x.numerator < x.denominator:
+        return x
     return x % 1
 
 
@@ -130,10 +138,17 @@ def _non_crossing(pairs: Iterable[tuple]) -> bool:
     return True
 
 
+def _arcs_non_crossing(arcs: Iterable[Arc]) -> bool:
+    """_non_crossing over the ranks of the arcs' endpoints among them."""
+    arcs = list(arcs)
+    rank = {x: i for i, x in enumerate(sorted({x for a in arcs for x in (a.p, a.q)}))}
+    return _non_crossing((rank[a.p], rank[a.q]) for a in arcs)
+
+
 def first_crossing(arcs: Sequence[Arc]) -> tuple[Arc, Arc] | None:
     """The first crossing pair (a, b) with a before b in the given order:
     a in order, then b in order after it."""
-    if _non_crossing([a.endpoints() for a in arcs]):
+    if _arcs_non_crossing(arcs):
         return None
     for i, a in enumerate(arcs):
         for b in arcs[i + 1 :]:
@@ -373,54 +388,30 @@ class _TipSequence:
             )
 
     def tip(self, k: int) -> Fraction:
-        return norm_angle(self.limit + Fraction(self.step, k))
+        # (limit + step/k) mod 1 on integers: a/b + c/(dk) = (adk + bc)/(bdk)
+        a, b = self.limit.numerator, self.limit.denominator
+        c, d = self.step.numerator, self.step.denominator
+        den = b * d * k
+        return Fraction((a * d * k + b * c) % den, den)
 
     def index_of(self, p: Fraction) -> int | None:
-        """The k with tip(k) == p, if any."""
-        for shift in (0, -1, 1):
-            delta = p + shift - self.limit
-            if delta == 0:
-                continue
-            ratio = self.step / delta
-            if ratio.denominator == 1 and ratio >= self.start:
-                k = int(ratio)
-                if self.tip(k) == p:
-                    return k
-        return None
-
-    def has_tip_in(self, lo: Fraction, hi: Fraction) -> bool:
-        """Any tip in the open cyclic interval (lo, hi)?"""
-        if lo == hi:
-            return False
-        # unwrap: tips live at limit + step/k; test the three integer shifts
-        if hi < lo:
-            hi += 1
-        return any(self._has_tip_linear(lo + s, hi + s) for s in (-1, 0, 1))
-
-    def _has_tip_linear(self, a: Fraction, b: Fraction) -> bool:
-        """Any k >= start with a < limit + step/k < b (no wrapping)?"""
-        lo = a - self.limit
-        hi = b - self.limit
-        s = self.step
-        if s > 0:
-            # need lo < s/k < hi
-            if hi <= 0:
-                return False
-            kmin = max(self.start, _floor_div(s, hi) + 1)
-            if lo <= 0:
-                return True  # any k >= kmin works; k unbounded above
-            kmax = _ceil_div(s, lo) - 1
-            return kmin <= kmax
-        u = -s
-        # need lo < -u/k < hi  <=>  -hi < u/k < -lo
-        lo2, hi2 = -hi, -lo
-        if hi2 <= 0:
-            return False
-        kmin = max(self.start, _floor_div(u, hi2) + 1)
-        if lo2 <= 0:
-            return True
-        kmax = _ceil_div(u, lo2) - 1
-        return kmin <= kmax
+        """The k with tip(k) == p, if any. A tip lies within half a turn of
+        the limit on the side of the step, so p - limit taken on that side
+        is step/k itself; all on integers."""
+        pn, pd = p.numerator, p.denominator
+        if not 0 <= pn < pd:
+            return None
+        a, b = self.limit.numerator, self.limit.denominator
+        c, d = self.step.numerator, self.step.denominator
+        # p - limit = dn/dd, in [0, 1), then in [-1, 0) for a negative step
+        dd = pd * b
+        dn = (pn * b - a * pd) % dd
+        if c < 0:
+            dn -= dd
+        if dn == 0:
+            return None
+        k, rem = divmod(c * dd, d * dn)
+        return k if rem == 0 and k >= self.start else None
 
     def nearest_ccw(self, p: Fraction):
         """Closest tip strictly after p going counterclockwise.
@@ -428,45 +419,35 @@ class _TipSequence:
         Returns ("point", tip) when attained, ("accum", distance) when the
         infimum is an accumulation value that no tip attains.
         """
-        D = norm_angle(self.limit - p)
-        if self.step > 0:
-            s = self.step
-            if D == 0:
-                return ("accum", Fraction(0))
-            kw = _floor_div(s, 1 - D)
-            if kw >= self.start:
-                if s == (1 - D) * kw:  # tip(kw) == p exactly
-                    kw -= 1
-                if kw >= self.start:
-                    return ("point", self.tip(kw))
-            return ("accum", D)
-        u = -self.step
-        if D == 0:
-            return ("point", self.tip(self.start))
-        k = max(self.start, _floor_div(u, D) + 1)
-        return ("point", self.tip(k))
+        return self._nearest(norm_angle(self.limit - p), self.step)
 
     def nearest_cw(self, p: Fraction):
-        reflected = _TipSequence(norm_angle(-self.limit), -self.step, self.start)
-        kind, val = reflected.nearest_ccw(norm_angle(-p))
-        if kind == "point":
-            return ("point", norm_angle(-val))
-        return (kind, val)
+        """nearest_ccw in the mirror image: angles and the step negated,
+        with the tip(k) it finds mirrored back."""
+        return self._nearest(norm_angle(p - self.limit), -self.step)
+
+    def _nearest(self, D: Fraction, s: Fraction):
+        """The closest tip going one way from a point at distance D before
+        the limit, for tips at offset s/k beyond the limit that way."""
+        Dn, Dd = D.numerator, D.denominator
+        sn, sd = s.numerator, s.denominator
+        if sn > 0:
+            # tips beyond the point, D + s/k >= 1, wrap round to just after
+            # it; the nearest is the largest such k, unless it is the point
+            kw, rem = divmod(sn * Dd, sd * (Dd - Dn))
+            if rem == 0:
+                kw -= 1
+            if kw >= self.start:
+                return ("point", self.tip(kw))
+            return ("accum", D)
+        if Dn == 0:
+            return ("point", self.tip(self.start))
+        # the first tip short of the limit and past the point: s/k < D
+        return ("point", self.tip(max(self.start, -sn * Dd // (sd * Dn) + 1)))
 
 
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
-
-
-def _floor_div(a: Fraction, b: Fraction) -> int:
-    return _floor(a / b)
-
-
-def _ceil_div(a: Fraction, b: Fraction) -> int:
-    return -_floor(-(a / b))
-
-
-FAMILY_KINDS = ("fountain", "left-fountain", "right-fountain", "nest", "half-nest")
+_FOUNTAINS = ("fountain", "left-fountain", "right-fountain")
+FAMILY_KINDS = _FOUNTAINS + ("nest", "half-nest")
 
 
 @dataclass(frozen=True)
@@ -492,7 +473,7 @@ class ArcFamily:
             raise InvalidFamily(f"unknown family kind {self.kind!r}")
         if self.scale <= 0:
             raise InvalidFamily("scale must be positive")
-        if self.kind in ("fountain", "left-fountain", "right-fountain"):
+        if self.kind in _FOUNTAINS:
             if self.base is None:
                 raise InvalidFamily(f"{self.kind} needs a base point")
         if self.kind == "half-nest":
@@ -503,7 +484,7 @@ class ArcFamily:
         except ValueError:
             raise InvalidFamily("the family's limit arc joins a point to itself") from None
         sequences = self.sequences()  # sequence construction validates ranges
-        if self.kind in ("fountain", "left-fountain", "right-fountain") and any(
+        if self.kind in _FOUNTAINS and any(
             seq.index_of(norm_angle(self.base)) is not None for seq in sequences
         ):
             raise InvalidFamily(
@@ -538,72 +519,64 @@ class ArcFamily:
             _TipSequence(self.limit, s2, self.start),
         )
 
+    def _ends(self, window: int) -> list[tuple[Fraction, Fraction]]:
+        """The endpoints of the first `window` arcs, deterministically, read
+        from tip(k): a fountain joins its base to each tip, a zigzag joins
+        a_k to b_k and a_{k+1} to b_k."""
+        if self.kind in ("left-fountain", "right-fountain"):
+            base, (seq,) = norm_angle(self.base), self.sequences()
+            return [(base, seq.tip(k)) for k in range(self.start, self.start + window)]
+        s0, s1 = self.sequences()
+        if self.kind == "fountain":
+            base = norm_angle(self.base)
+            two = lambda k: ((base, s0.tip(k)), (base, s1.tip(k)))
+        else:  # nest / half-nest zigzag
+            two = lambda k: ((s0.tip(k), s1.tip(k)), (s0.tip(k + 1), s1.tip(k)))
+        out: list[tuple[Fraction, Fraction]] = []
+        for k in range(self.start, self.start + (window + 1) // 2):
+            out.extend(two(k))
+        return out[:window]
+
     def arcs(self, window: int) -> list[Arc]:
         """The first `window` arcs of the family, deterministically."""
-        out: list[Arc] = []
-        if self.kind in ("left-fountain", "right-fountain"):
-            seq = self.sequences()[0]
-            for k in range(self.start, self.start + window):
-                out.append(Arc.of(self.base, seq.tip(k)))
-        elif self.kind == "fountain":
-            below, above = self.sequences()
-            for k in range(self.start, self.start + (window + 1) // 2):
-                out.append(Arc.of(self.base, below.tip(k)))
-                if len(out) < window:
-                    out.append(Arc.of(self.base, above.tip(k)))
-            out = out[:window]
-        else:  # nest / half-nest zigzag
-            sa, sb = self.sequences()
-            k = self.start
-            while len(out) < window:
-                out.append(Arc.of(sa.tip(k), sb.tip(k)))
-                if len(out) < window:
-                    out.append(Arc.of(sa.tip(k + 1), sb.tip(k)))
-                k += 1
-        return out
+        return [Arc.of(p, q) for p, q in self._ends(window)]
 
-    def points(self, window: int) -> set[Fraction]:
-        out: set[Fraction] = set()
+    def tips(self, window: int) -> set[Fraction]:
+        """The moving endpoints of the first `window` arcs."""
+        out = {x for ends in self._ends(window) for x in ends}
         if self.base is not None:
-            out.add(norm_angle(self.base))
-        for a in self.arcs(window):
-            out.update(a.endpoints())
+            out.discard(norm_angle(self.base))
         return out
 
     def is_member(self, arc: Arc) -> bool:
         """Exact membership test for a candidate arc."""
-        if self.kind in ("fountain", "left-fountain", "right-fountain"):
+        return self._joins(arc, self._tips_at(arc.p), self._tips_at(arc.q))
+
+    def _tips_at(self, p: Fraction) -> dict[int, int]:
+        """Sequence index -> k, for each of the family's sequences with
+        tip(k) == p."""
+        found = ((i, seq.index_of(p)) for i, seq in enumerate(self.sequences()))
+        return {i: k for i, k in found if k is not None}
+
+    def _joins(self, arc: Arc, at_p: dict[int, int], at_q: dict[int, int]) -> bool:
+        """Whether the arc is the family's, given where its endpoints are
+        tips (as _tips_at gives them)."""
+        if self.kind in _FOUNTAINS:
             base = norm_angle(self.base)
-            if base not in arc.endpoints():
-                return False
-            tip = arc.other(base)
-            return any(seq.index_of(tip) is not None for seq in self.sequences())
-        sa, sb = self.sequences()
-        ka = sa.index_of(arc.p), sa.index_of(arc.q)
-        kb = sb.index_of(arc.p), sb.index_of(arc.q)
-        for a_idx, b_idx in ((ka[0], kb[1]), (ka[1], kb[0])):
-            if a_idx is None or b_idx is None:
-                continue
-            if a_idx == b_idx or a_idx == b_idx + 1:
+            return bool(at_q) if arc.p == base else arc.q == base and bool(at_p)
+        # zigzag arcs {a_k, b_k} and {a_{k+1}, b_k}
+        for at_a, at_b in ((at_p, at_q), (at_q, at_p)):
+            if 0 in at_a and 1 in at_b and at_a[0] - at_b[1] in (0, 1):
                 return True
         return False
 
-    def zigzag_partners(self, p: Fraction) -> set[Fraction]:
-        """Endpoints paired with p by a zigzag arc of this family."""
-        if self.kind in ("fountain", "left-fountain", "right-fountain"):
-            return set()
+    def _partners(self, i: int, k: int) -> list[Fraction]:
+        """The other endpoints of the zigzag arcs at tip(k) of sequence i:
+        a_k meets b_k and b_{k-1}, b_k meets a_k and a_{k+1}."""
         sa, sb = self.sequences()
-        out: set[Fraction] = set()
-        k = sa.index_of(p)
-        if k is not None:
-            out.add(sb.tip(k))
-            if k > self.start:
-                out.add(sb.tip(k - 1))
-        k = sb.index_of(p)
-        if k is not None:
-            out.add(sa.tip(k))
-            out.add(sa.tip(k + 1))
-        return out
+        if i == 1:
+            return [sa.tip(k), sa.tip(k + 1)]
+        return [sb.tip(k)] + ([sb.tip(k - 1)] if k > self.start else [])
 
     def limit_arc(self) -> Arc | None:
         """Half-nests and fountains converge to an arc of the closure; a
@@ -615,6 +588,13 @@ class ArcFamily:
         return Arc.of(self.base, self.limit)
 
 
+_MEET = "a family's tip sequences meet, joining a point to itself"
+
+# Where a point lies: whether it is one of the finite points, and for each
+# family, sequence index -> k for the sequences with tip(k) at the point.
+Place = tuple[bool, tuple[dict[int, int], ...]]
+
+
 @dataclass(frozen=True)
 class InfiniteTriangulation:
     """Finitely described countable triangulation: declared arc families,
@@ -623,6 +603,10 @@ class InfiniteTriangulation:
 
     Maximality of the described set is the modeler's responsibility; every
     finite window materialization is validated pairwise non-crossing.
+
+    Each point is located once per instance (the finite points and the
+    tip indices it has), and each point's neighbours once per direction;
+    membership, edges and apex candidates are read from those.
     """
 
     families: tuple[ArcFamily, ...]
@@ -638,75 +622,36 @@ class InfiniteTriangulation:
             pts.update(a.endpoints())
         object.__setattr__(self, "finite_points", tuple(sorted(pts)))
         try:
-            pair = first_crossing(self.window_arcs(10))
-            if pair is not None:
-                raise CrossingPair(*pair)
-            tip_pools = [f.points(32) - {f.base} for f in self.families]
+            arcs = self._window_arcs(10)
         except ValueError:
             # Arc.of met two equal endpoints: a family's tip sequences meet
-            raise InvalidFamily("a family's tip sequences meet, joining a point to itself") from None
-        for i in range(len(tip_pools)):
-            for j in range(i + 1, len(tip_pools)):
-                if tip_pools[i] & tip_pools[j]:
-                    raise InvalidFamily(
-                        "families must not share moving endpoints"
-                    )
-
-    # -- point set ------------------------------------------------------
-
-    def in_point_set(self, p: Fraction) -> bool:
-        p = norm_angle(p)
-        if p in self.finite_points:
-            return True
-        return any(
-            seq.index_of(p) is not None
-            for f in self.families
-            for seq in f.sequences()
-        )
-
-    def has_point_in(self, lo: Fraction, hi: Fraction) -> bool:
-        """Any marked point in the open cyclic interval (lo, hi)?"""
-        if any(in_open(lo, hi, p) for p in self.finite_points):
-            return True
-        return any(
-            seq.has_tip_in(lo, hi)
-            for f in self.families
-            for seq in f.sequences()
-        )
-
-    def nearest(self, p: Fraction, ccw: bool) -> Fraction | None:
-        """The neighbouring marked point of p in the given direction, or
-        None when marked points accumulate there without a closest one."""
-        p = norm_angle(p)
-        attained: list[Fraction] = []
-        accums: list[Fraction] = []
-
-        def dist(x: Fraction) -> Fraction:
-            return norm_angle(x - p) if ccw else norm_angle(p - x)
-
-        for q in self.finite_points:
-            if q != p:
-                attained.append(dist(q))
+            raise InvalidFamily(_MEET) from None
+        if not _arcs_non_crossing(arcs):
+            raise CrossingPair(*first_crossing(sorted(arcs)))
+        # the first 32 arcs of each family: only a half-nest's two tip
+        # sequences can meet, and no two families may share a tip
         for f in self.families:
-            for seq in f.sequences():
-                res = seq.nearest_ccw(p) if ccw else seq.nearest_cw(p)
-                kind, val = res
-                if kind == "point":
-                    attained.append(dist(val))
-                else:
-                    accums.append(val)
-        if not attained or (accums and min(accums) < min(attained)):
-            return None
-        best = min(attained)
-        return norm_angle(p + best) if ccw else norm_angle(p - best)
-
-    # -- arc membership ----------------------------------------------------
-
-    def is_edge(self, a: Arc) -> bool:
-        return not self.has_point_in(a.p, a.q) or not self.has_point_in(a.q, a.p)
+            if f.kind == "half-nest" and any(p == q for p, q in f._ends(32)):
+                raise InvalidFamily(_MEET)
+        if len(self.families) > 1:
+            tip_pools = [f.tips(32) for f in self.families]
+            for i in range(len(tip_pools)):
+                for j in range(i + 1, len(tip_pools)):
+                    if tip_pools[i] & tip_pools[j]:
+                        raise InvalidFamily(
+                            "families must not share moving endpoints"
+                        )
 
     # memos in the instance __dict__, beside the frozen fields; each
     # answer is computed once per instance, and errors are never stored
+    @cached_property
+    def _where(self) -> dict[Fraction, Place]:
+        return {}
+
+    @cached_property
+    def _near(self) -> dict[tuple[Fraction, bool], tuple[Fraction | None, Fraction | None]]:
+        return {}
+
     @cached_property
     def _arc_in(self) -> dict[Arc, bool]:
         return {}
@@ -715,6 +660,75 @@ class InfiniteTriangulation:
     def _faces(self) -> dict[Arc, list[Corners]]:
         return {}
 
+    # -- point set ------------------------------------------------------
+
+    def _locate(self, p: Fraction) -> Place:
+        """Where the angle p (in [0, 1)) lies, found once by index_of."""
+        place = self._where.get(p)
+        if place is None:
+            place = self._where[p] = (
+                p in self.finite_points,
+                tuple(f._tips_at(p) for f in self.families),
+            )
+        return place
+
+    def in_point_set(self, p: Fraction) -> bool:
+        finite, tips = self._locate(norm_angle(p))
+        return finite or any(tips)
+
+    def nearest(self, p: Fraction, ccw: bool) -> Fraction | None:
+        """The neighbouring marked point of p in the given direction, or
+        None when marked points accumulate there without a closest one."""
+        return self._neighbour(norm_angle(p), ccw)[0]
+
+    def _neighbour(self, p: Fraction, ccw: bool) -> tuple[Fraction | None, Fraction | None]:
+        """nearest(p, ccw), and the infimum of the distances from p in that
+        direction of the marked points other than p (None if there are
+        none); for the angle p in [0, 1), found once."""
+        known = self._near.get((p, ccw))
+        if known is None:
+            known = self._near[p, ccw] = self._find_neighbour(p, ccw)
+        return known
+
+    def _find_neighbour(self, p: Fraction, ccw: bool) -> tuple[Fraction | None, Fraction | None]:
+        def dist(x: Fraction) -> Fraction:
+            return norm_angle(x - p) if ccw else norm_angle(p - x)
+
+        near: tuple[Fraction, Fraction] | None = None  # (distance, point)
+        pts = self.finite_points
+        if pts:
+            # the next finite point that way, cyclically
+            q = pts[(bisect_right(pts, p) if ccw else bisect_left(pts, p) - 1) % len(pts)]
+            if q != p:
+                near = (dist(q), q)
+        accum: Fraction | None = None
+        for f in self.families:
+            for seq in f.sequences():
+                kind, val = seq.nearest_ccw(p) if ccw else seq.nearest_cw(p)
+                if kind == "point":
+                    d = dist(val)
+                    if near is None or d < near[0]:
+                        near = (d, val)
+                elif accum is None or val < accum:
+                    accum = val
+        if near is None or (accum is not None and accum < near[0]):
+            return None, accum
+        return near[1], near[0]
+
+    # -- arc membership ----------------------------------------------------
+
+    def is_edge(self, a: Arc) -> bool:
+        """No marked point lies strictly between the endpoints on one side:
+        going counterclockwise from p (or from q), the marked points come
+        no nearer than the other endpoint. For marked endpoints, q is p's
+        counterclockwise neighbour or p is q's."""
+        return self._clear(a.p, a.q) or self._clear(a.q, a.p)
+
+    def _clear(self, lo: Fraction, hi: Fraction) -> bool:
+        """No marked point in the open counterclockwise interval (lo, hi)."""
+        gap = self._neighbour(lo, True)[1]
+        return gap is None or gap >= norm_angle(hi - lo)
+
     def arc_in(self, a: Arc) -> bool:
         known = self._arc_in.get(a)
         if known is None:
@@ -722,40 +736,45 @@ class InfiniteTriangulation:
         return known
 
     def _member(self, a: Arc) -> bool:
-        if not (self.in_point_set(a.p) and self.in_point_set(a.q)):
+        finite_p, tips_p = self._locate(a.p)
+        finite_q, tips_q = self._locate(a.q)
+        if not ((finite_p or any(tips_p)) and (finite_q or any(tips_q))):
             return False
         if a in self.extra_arcs:
             return True
-        if any(f.is_member(a) for f in self.families):
+        if any(f._joins(a, *at) for f, *at in zip(self.families, tips_p, tips_q)):
             return True
         return self.is_edge(a)
 
     # -- triangles -----------------------------------------------------------
 
     def _candidates(self, x0: Fraction, x1: Fraction) -> set[Fraction]:
-        """Possible apexes over the arc {x0, x1}, on either side; the set
-        is symmetric in x0 and x1."""
+        """Possible apexes over the arc {x0, x1}, on either side, read from
+        the endpoints' neighbours and tip indices; the set is symmetric in
+        x0 and x1."""
         out: set[Fraction] = set()
-        for x in (x0, x1):
+        for x, other in ((x0, x1), (x1, x0)):
             for ccw in (True, False):
-                q = self.nearest(x, ccw)
+                q = self._neighbour(x, ccw)[0]
                 if q is not None:
                     out.add(q)
-            for f in self.families:
-                out |= f.zigzag_partners(x)
-                if f.base is not None and any(
-                    seq.index_of(x) is not None for seq in f.sequences()
-                ):
-                    out.add(norm_angle(f.base))
-                if f.base == x:
+            places = zip(self.families, self._locate(x)[1], self._locate(other)[1])
+            for f, at, at_other in places:
+                if f.kind not in _FOUNTAINS:
+                    for i, k in at.items():
+                        out.update(f._partners(i, k))
+                if f.base is None:
+                    continue
+                base = norm_angle(f.base)
+                if at:
+                    out.add(base)
+                if base == x:
                     # flanking tips when the arc itself is a fountain arc
-                    for seq in f.sequences():
-                        other = x1 if x == x0 else x0
-                        k = seq.index_of(other)
-                        if k is not None:
-                            if k > f.start:
-                                out.add(seq.tip(k - 1))
-                            out.add(seq.tip(k + 1))
+                    seqs = f.sequences()
+                    for i, k in at_other.items():
+                        if k > f.start:
+                            out.add(seqs[i].tip(k - 1))
+                        out.add(seqs[i].tip(k + 1))
             for a in self.extra_arcs:
                 if x in a.endpoints():
                     out.add(a.other(x))
@@ -809,14 +828,17 @@ class InfiniteTriangulation:
     # -- materialization -----------------------------------------------------
 
     def window_points(self, window: int) -> list[Fraction]:
-        pts: set[Fraction] = set(self.finite_points)
+        pts: set[Fraction] = set(self.finite_points)  # the bases among them
         for f in self.families:
-            pts |= f.points(window)
+            pts |= f.tips(window)
         return sorted(pts)
 
     def window_arcs(self, window: int) -> list[Arc]:
         """Family arcs of the window, exceptional arcs, and those edges of
         the FULL point set whose endpoints are materialized."""
+        return sorted(self._window_arcs(window))
+
+    def _window_arcs(self, window: int) -> set[Arc]:
         arcs: set[Arc] = set(self.extra_arcs)
         for f in self.families:
             arcs.update(f.arcs(window))
@@ -826,7 +848,7 @@ class InfiniteTriangulation:
             a = Arc.of(pts[i], pts[(i + 1) % n])
             if self.is_edge(a):
                 arcs.add(a)
-        return sorted(arcs)
+        return arcs
 
     def limit_arcs(self) -> set[Arc]:
         out = set()

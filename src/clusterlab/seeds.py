@@ -64,16 +64,27 @@ class Seed:
                     raise InvalidSeed("zero entries must not be stored")
         if set(self.values) != labels:
             raise InvalidSeed("values must be given for exactly the cluster labels")
+        self._check_values_distinct()
+
+    def _check_values_distinct(self):
         seen: dict[LaurentPoly, VarId] = {}
         for v in self.labels:
-            val = self.values[v]
-            if val in seen:
+            first = seen.setdefault(self.values[v], v)
+            if first != v:
                 raise InvalidSeed(
-                    f"labels {seen[val]!r} and {v!r} share the value {format_poly(val)}"
+                    f"labels {first!r} and {v!r} share the value {format_poly(self.values[v])}"
                 )
-            seen[val] = v
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def _mutated(cls, labels, exchangeable, matrix, values) -> "Seed":
+        """A seed made by mutation, which keeps every structural check of
+        __post_init__ by construction; only distinct values can fail."""
+        seed = object.__new__(cls)
+        seed.__dict__.update(labels=labels, exchangeable=exchangeable, matrix=matrix, values=values)
+        seed._check_values_distinct()
+        return seed
 
     @classmethod
     def initial(
@@ -286,7 +297,9 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     values = {v: seed.values[v] for v in seed.labels if v != x}
     values[new_label] = new_value
     exchangeable = (seed.exchangeable - {x}) | {new_label}
-    return Seed(labels, frozenset(exchangeable), matrix, values)
+    # labels stay distinct (the fresh label is new), exchangeables and matrix
+    # keys stay in the cluster and no zero entry is stored
+    return Seed._mutated(labels, frozenset(exchangeable), matrix, values)
 
 
 def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:

@@ -446,6 +446,65 @@ class TestInfiniteMachinery:
                     assert not arcs_cross(a, b)
 
 
+# -- the interval search, kept as a reference for the neighbour rule ---------------
+
+
+def _floor(q):
+    return q.numerator // q.denominator
+
+
+def has_tip_in(seq, lo, hi):
+    """Any tip of the sequence in the open cyclic interval (lo, hi)? Tips
+    live at limit + step/k; unwrap the interval and test three shifts of
+    one turn, each by solving lo < limit + step/k < hi for k >= start."""
+    if lo == hi:
+        return False
+    if hi < lo:
+        hi += 1
+    return any(_has_tip_linear(seq, lo + s, hi + s) for s in (-1, 0, 1))
+
+
+def _has_tip_linear(seq, a, b):
+    """Any k >= start with a < limit + step/k < b (no wrapping)?"""
+    lo, hi = a - seq.limit, b - seq.limit
+    if seq.step < 0:  # -u/k in (lo, hi) iff u/k in (-hi, -lo)
+        lo, hi = -hi, -lo
+    u = abs(seq.step)
+    if hi <= 0:
+        return False
+    kmin = max(seq.start, _floor(u / hi) + 1)
+    if lo <= 0:
+        return True  # any k >= kmin works; k unbounded above
+    kmax = -_floor(-(u / lo)) - 1
+    return kmin <= kmax
+
+
+def index_of_shifts(seq, p):
+    """The k with tip(k) == p, if any, tried at three shifts of one turn."""
+    for shift in (0, -1, 1):
+        delta = p + shift - seq.limit
+        if delta == 0:
+            continue
+        ratio = seq.step / delta
+        if ratio.denominator == 1 and ratio >= seq.start and seq.tip(int(ratio)) == p:
+            return int(ratio)
+    return None
+
+
+def has_point_in(tri, lo, hi):
+    """Any marked point of the infinite triangulation in the open cyclic
+    interval (lo, hi)?"""
+    return any(in_open(lo, hi, p) for p in tri.finite_points) or any(
+        has_tip_in(seq, lo, hi) for f in tri.families for seq in f.sequences()
+    )
+
+
+def marked(tri, p):
+    return p in tri.finite_points or any(
+        index_of_shifts(seq, p) is not None for f in tri.families for seq in f.sequences()
+    )
+
+
 class TestTipSequenceBruteForce:
     """Cross-check the exact interval and nearest-point solvers against
     direct enumeration over a large index range."""
@@ -474,7 +533,7 @@ class TestTipSequenceBruteForce:
                     continue
                 lo, hi = lo % 1, hi % 1
                 expected = any(in_open(lo, hi, t) for t in tips)
-                got = seq.has_tip_in(lo, hi)
+                got = has_tip_in(seq, lo, hi)
                 # enumeration is truncated: a positive answer beyond the
                 # brute window can only happen very close to the limit
                 if got != expected:
@@ -879,3 +938,150 @@ class TestPluckerOracle:
                 (new,) = flip_arc(t, a).arcs - t.arcs
                 assert at_deltas(mutated.values[mutated.labels[k]]) == delta(new.label)
             t = flip_arc(t, rng.choice(arcs))
+
+
+# -- points located once, edges read from neighbours --------------------------------
+
+
+def marked_limit_fountain():
+    return InfiniteTriangulation(
+        families=(ArcFamily("fountain", limit=F(1, 2), scale=F(1, 8), start=2, base=F(0)),),
+        finite_points=(F(1, 2),),
+        extra_arcs=frozenset({Arc.of(F(0), F(1, 2))}),
+    )
+
+
+def marked_limit_left_fountain():
+    # going counterclockwise from 0, the marked limit 1/2 comes first, as
+    # near as the tips accumulating beyond it
+    return InfiniteTriangulation(
+        families=(ArcFamily("left-fountain", limit=F(1, 2), scale=F(1, 8), start=2, base=F(0)),),
+        finite_points=(F(1, 2),),
+    )
+
+
+# long-lived, so later examples read what earlier ones stored
+PROBED = {
+    name: make()
+    for name, make in {
+        **LONG_LIVED,
+        "fountain": marked_limit_fountain,
+        "left-fountain": marked_limit_left_fountain,
+    }.items()
+}
+
+
+@st.composite
+def probe_points(draw, tri):
+    """A window point, a sequence limit, or any angle of a few
+    denominators: marked points, unmarked points, and limits."""
+    limits = sorted({seq.limit for f in tri.families for seq in f.sequences()})
+    k = draw(st.integers(0, 200))
+    d = draw(st.sampled_from([7, 12, 16, 48, 97]))
+    return draw(st.sampled_from([*tri.window_points(12), *limits, F(k % d, d)]))
+
+
+def accumulates_before_any_point(tri, p, ccw):
+    """Marked points accumulate going one way from p, with none closest:
+    some sequence's tips approach its limit from beyond, and the limit is
+    p itself, or unmarked with no marked point before it."""
+    for f in tri.families:
+        for seq in f.sequences():
+            if (seq.step > 0) != ccw:
+                continue
+            lim = seq.limit
+            between = (p, lim) if ccw else (lim, p)
+            if lim == p or (not marked(tri, lim) and not has_point_in(tri, *between)):
+                return True
+    return False
+
+
+class TestNeighbourRule:
+    """Locations, neighbours and the edge rule against the interval search
+    and the three-shift index search."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_matches_the_interval_search(self, data):
+        tri = PROBED[data.draw(st.sampled_from(sorted(PROBED)))]
+        p = data.draw(probe_points(tri))
+        q = data.draw(probe_points(tri))
+        for f in tri.families:
+            for seq in f.sequences():
+                assert seq.index_of(p) == index_of_shifts(seq, p)
+        assert tri.in_point_set(p) == marked(tri, p)
+        for ccw in (True, False):
+            n = tri.nearest(p, ccw)
+            assert (n is None) == accumulates_before_any_point(tri, p, ccw)
+            if n is not None:
+                assert n != p and marked(tri, n)
+                assert not has_point_in(tri, *((p, n) if ccw else (n, p)))
+        if p != q:
+            a = Arc.of(p, q)
+            expected = not has_point_in(tri, a.p, a.q) or not has_point_in(tri, a.q, a.p)
+            assert tri.is_edge(a) == expected
+
+    def test_unmarked_endpoint_beside_an_accumulation(self):
+        # no marked point lies in (3/4, 1/8) going round through 0, but the
+        # half-nest's tips accumulate just past 1/8: there is no nearest
+        # point, and the arc is an edge
+        hn = half_nest()
+        assert hn.nearest(F(3, 4), ccw=True) is None
+        assert hn.is_edge(Arc.of(F(1, 8), F(3, 4)))
+        assert not has_point_in(hn, F(3, 4), F(1, 8))
+
+    def test_a_marked_limit_is_nearer_than_the_tips_beyond_it(self):
+        tri = marked_limit_left_fountain()
+        assert tri.nearest(F(0), ccw=True) == F(1, 2)
+        assert tri.is_edge(Arc.of(F(0), F(1, 2)))
+
+
+# -- flanking triangles in closed form, from tip indices ---------------------------
+
+
+def closed_form_faces(fam):
+    """(endpoints, apexes) of the family's arcs away from the first index:
+    a fountain arc {base, tip(k)} is flanked by tip(k - 1) and tip(k + 1);
+    a zigzag arc {a_k, b_k} by a_{k+1} and b_{k-1}, and {a_{k+1}, b_k} by
+    a_k and b_{k+1}."""
+    ks = range(fam.start + 1, fam.start + 12)
+    if fam.base is not None:
+        for seq in fam.sequences():
+            for k in ks:
+                yield (fam.base, seq.tip(k)), (seq.tip(k - 1), seq.tip(k + 1))
+        return
+    sa, sb = fam.sequences()
+    for k in ks:
+        yield (sa.tip(k), sb.tip(k)), (sa.tip(k + 1), sb.tip(k - 1))
+        yield (sa.tip(k + 1), sb.tip(k)), (sa.tip(k), sb.tip(k + 1))
+
+
+class TestClosedFormFaces:
+    def test_each_form_on_one_case(self):
+        fan = fan_oracle().tri  # tips 1/2 - 1/(2k): 1/4, 1/3, 3/8 at k = 2, 3, 4
+        assert fan.triangles_of(Arc.of(F(0), F(1, 3))) == [
+            (F(0), F(1, 4), F(1, 3)), (F(0), F(1, 3), F(3, 8))
+        ]
+        nest = nest_oracle().tri  # a_k = 1/2 - 1/(4k), b_k = 1/2 + 1/(4k)
+        assert nest.triangles_of(Arc.of(F(3, 8), F(5, 8))) == [  # {a_2, b_2}
+            (F(3, 8), F(5, 12), F(5, 8)), (F(3, 8), F(5, 8), F(3, 4))
+        ]
+        assert nest.triangles_of(Arc.of(F(5, 12), F(5, 8))) == [  # {a_3, b_2}
+            (F(5, 12), F(7, 12), F(5, 8)), (F(3, 8), F(5, 12), F(5, 8))
+        ]
+
+    @pytest.mark.parametrize("name", sorted(LONG_LIVED))
+    def test_window_family_arcs_match_the_closed_form(self, name):
+        tri = LONG_LIVED[name]()
+        window = set(tri.window_arcs(12))
+        checked = 0
+        for fam in tri.families:
+            for (p, q), apexes in closed_form_faces(fam):
+                arc = Arc.of(p, q)
+                if arc not in window:
+                    continue
+                expected = {tuple(sorted((arc.p, arc.q, z))) for z in apexes}
+                faces = tri.triangles_of(arc)
+                assert len(faces) == 2 and set(faces) == expected, arc
+                checked += 1
+        assert checked >= 10

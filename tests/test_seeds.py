@@ -351,6 +351,31 @@ class TestSeedInvariants:
                 {"a": LaurentPoly.var("a"), "b": LaurentPoly.var("a")},
             )
 
+    def test_mutation_keeps_the_distinct_values_check(self):
+        # mutation skips the structural checks it preserves, not this one:
+        # x'1 = (1 + 1) / x takes the value y already has
+        s = Seed(
+            ("x", "y"),
+            frozenset({"x"}),
+            {},
+            {"x": LaurentPoly.var("x"), "y": parse_poly("2*x^-1")},
+        )
+        with pytest.raises(InvalidSeed) as exc:
+            mutate_seed(s, "x")
+        assert str(exc.value) == """labels "x'1" and 'y' share the value 2*x^-1"""
+
+    def test_mutated_seed_equals_a_checked_construction(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            s = random_seed(rng)
+            for x in sorted(s.exchangeable):
+                t = mutate_seed(s, x)
+                checked = Seed(t.labels, t.exchangeable, t.matrix, t.values)
+                assert (t.labels, t.exchangeable, t.matrix, t.values) == (
+                    checked.labels, checked.exchangeable, checked.matrix, checked.values
+                )
+                assert t.same_seed(checked)
+
     def test_involution_randomized(self):
         rng = random.Random(17)
         done = 0
