@@ -78,11 +78,15 @@ class Seed:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _mutated(cls, labels, exchangeable, matrix, values) -> "Seed":
+    def _mutated(cls, labels, exchangeable, matrix, values, exchanges) -> "Seed":
         """A seed made by mutation, which keeps every structural check of
-        __post_init__ by construction; only distinct values can fail."""
+        __post_init__ by construction; only distinct values can fail. It
+        shares the exchange table of the seed it was mutated from."""
         seed = object.__new__(cls)
-        seed.__dict__.update(labels=labels, exchangeable=exchangeable, matrix=matrix, values=values)
+        seed.__dict__.update(
+            labels=labels, exchangeable=exchangeable, matrix=matrix, values=values,
+            _exchanges=exchanges,
+        )
         seed._check_values_distinct()
         return seed
 
@@ -261,32 +265,61 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
 
     Every label keeps its position in `labels`, and the fresh label takes
     the position of x; so a variable's descendant along any sequence sits
-    at the variable's position, and callers track variables by position."""
+    at the variable's position, and callers track variables by position.
+
+    The new value comes from an exchange table before any division. Its
+    key is the value of x with the frozenset of (neighbour value, b_xv)
+    over x's row: that fixes the numerator N = P + Q, so it fixes the
+    quotient x' = N / x. A division stores that entry and the reverse one,
+    (x', {(v, -b_xv)}) -> x, which is exact because N = x * x'; a failed
+    division stores nothing. The table is created in the `__dict__` of the
+    seed a walk starts from, on its first mutation, and is shared by every
+    seed mutated from it; a seed built any other way starts without one."""
     if x not in seed.exchangeable:
         raise NotExchangeable(x)
 
     row = seed.matrix.get(x, {})
-    pos = poly_product(seed.values[v] ** e for v, e in row.items() if e > 0)
-    neg = poly_product(seed.values[v] ** -e for v, e in row.items() if e < 0)
-    # Looked up on the module per call, so a rebinding there applies here too.
-    new_value = laurent.lp_exact_div(pos + neg, seed.values[x])
+    val = seed.values
+    exchanges = seed.__dict__.get("_exchanges")
+    if exchanges is None:
+        exchanges = seed.__dict__["_exchanges"] = {}
+    old_value = val[x]
+    around = frozenset((val[v], e) for v, e in row.items())
+    new_value = exchanges.get((old_value, around))
+    if new_value is None:
+        pos = poly_product(val[v] ** e for v, e in row.items() if e > 0)
+        neg = poly_product(val[v] ** -e for v, e in row.items() if e < 0)
+        # Looked up on the module per call, so a rebinding there applies here too.
+        new_value = laurent.lp_exact_div(pos + neg, old_value)
+        exchanges[old_value, around] = new_value
+        exchanges[new_value, frozenset((p, -e) for p, e in around)] = old_value
 
     new_label = fresh_label(x, seed.labels)
-    nbrs = [v for v, e in row.items() if e]
 
+    # x's row and its column {v: b_vx} are read once; x's row and column
+    # change sign, and b_vw gains |b_vx| b_xw where b_vx and b_xw agree in sign
+    col: dict[VarId, int] = {}
     matrix: Matrix = {}
     for v, r in seed.matrix.items():
-        for w, entry in r.items():
-            nv = new_label if v == x else v
-            nw = new_label if w == x else w
-            val = -entry if (v == x or w == x) else entry
-            matrix.setdefault(nv, {})[nw] = val
-    for v in nbrs:
-        for w in nbrs:
-            bump = abs(seed.b(v, x)) * seed.b(x, w) + seed.b(v, x) * abs(seed.b(x, w))
-            if bump:
+        if not r:
+            continue
+        if x in r:
+            col[v] = r[x]
+            matrix[new_label if v == x else v] = {
+                (new_label if w == x else w): -e if (v == x or w == x) else e for w, e in r.items()
+            }
+        elif v == x:
+            matrix[new_label] = {w: -e for w, e in r.items()}
+        else:
+            matrix[v] = r  # unchanged, so shared: no code edits a seed's row in place
+    for v in row:
+        c = col.get(v)
+        if not c:
+            continue
+        for w, e in row.items():
+            if (c > 0) == (e > 0):
                 r = matrix.setdefault(v, {})
-                n = r.get(w, 0) + bump // 2
+                n = r.get(w, 0) + abs(c) * e
                 if n:
                     r[w] = n
                 else:
@@ -294,12 +327,12 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     matrix = {v: r for v, r in matrix.items() if r}
 
     labels = tuple(new_label if v == x else v for v in seed.labels)
-    values = {v: seed.values[v] for v in seed.labels if v != x}
+    values = {v: val[v] for v in seed.labels if v != x}
     values[new_label] = new_value
     exchangeable = (seed.exchangeable - {x}) | {new_label}
     # labels stay distinct (the fresh label is new), exchangeables and matrix
     # keys stay in the cluster and no zero entry is stored
-    return Seed._mutated(labels, frozenset(exchangeable), matrix, values)
+    return Seed._mutated(labels, frozenset(exchangeable), matrix, values, exchanges)
 
 
 def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:

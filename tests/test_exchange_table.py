@@ -1,0 +1,145 @@
+"""The exchange table of `mutate_seed`: each exchange relation is divided
+once per seed lineage, and a value read from the table equals the value a
+fresh division gives."""
+
+from math import comb
+
+import pytest
+
+import clusterlab.laurent
+from clusterlab.errors import NotDivisible
+from clusterlab.laurent import format_poly
+from clusterlab.seeds import Seed, enumerate_seeds, mutate_seed
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def linear_a(n):
+    labels = [f"x{i}" for i in range(1, n + 1)]
+    entries = []
+    for v, w in zip(labels, labels[1:]):
+        entries += [(v, w, 1), (w, v, -1)]
+    return Seed.initial(labels, labels, entries)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_linear_a_divides_once_per_quadrilateral(n, monkeypatch):
+    # The n(n+3)/2 cluster variables of A_n are the diagonals of an
+    # (n+3)-gon and each exchange is a Ptolemy relation of one
+    # quadrilateral, so the class needs C(n+3, 4) divisions, not one per
+    # mutation (n * Catalan(n+1)). The wrapper also pins that mutation
+    # reaches the division through the module.
+    calls = []
+    exact_div = clusterlab.laurent.lp_exact_div
+
+    def counting(num, den):
+        calls.append(1)
+        return exact_div(num, den)
+
+    monkeypatch.setattr(clusterlab.laurent, "lp_exact_div", counting)
+    enumerate_seeds(linear_a(n), 40)
+    assert len(calls) == comb(n + 3, 4) == [5, 15, 35, 70, 126][n - 2]
+
+
+def test_a_failed_division_stores_nothing():
+    # b_xy = b_yx = 1 breaks sign-skew-symmetry, so the walk reaches an
+    # exchange that does not divide; a second walk from the same root,
+    # which now carries the table, fails at the same step with the same text
+    root = Seed.initial(["x", "y"], ["x", "y"], [("x", "y", 1), ("y", "x", 1)])
+    for _ in range(2):
+        cur = root
+        with pytest.raises(NotDivisible) as exc:
+            for position in (0, 0, 0, 1, 0):
+                cur = mutate_seed(cur, cur.labels[position])
+        assert str(exc.value) == (
+            "1 + x^-1*y + 2*x^-1 + x^-1*y^-1 is not divisible by x^-1*y + x^-1"
+        )
+        assert cur.labels == ("x'3", "y'1")
+
+
+def test_a_seed_built_by_hand_starts_without_a_table():
+    seed = linear_a(3)
+    assert "_exchanges" not in seed.__dict__
+    child = mutate_seed(seed, "x1")
+    assert child.__dict__["_exchanges"] is seed.__dict__["_exchanges"]
+    copy = Seed(child.labels, child.exchangeable, child.matrix, dict(child.values))
+    assert "_exchanges" not in copy.__dict__
+
+
+# (p, q) bonds b_ij = p, b_ji = -q along a path of the given rank
+DYNKIN = {
+    "A1": [],
+    "A2": [(1, 1)],
+    "A3": [(1, 1)] * 2,
+    "A4": [(1, 1)] * 3,
+    "B2": [(2, 1)],
+    "B3": [(1, 1), (2, 1)],
+    "B4": [(1, 1), (1, 1), (2, 1)],
+    "C2": [(1, 2)],
+    "C3": [(1, 1), (1, 2)],
+    "C4": [(1, 1), (1, 1), (1, 2)],
+    "G2": [(3, 1)],
+}
+
+
+@st.composite
+def dynkin_seeds(draw):
+    kind = draw(st.sampled_from(sorted(DYNKIN) + ["D4"]))
+    if kind == "D4":
+        edges = [(0, 1, 1, 1), (1, 2, 1, 1), (1, 3, 1, 1)]
+    else:
+        edges = [(i, i + 1, p, q) for i, (p, q) in enumerate(DYNKIN[kind])]
+    rank = int(kind[1])
+    labels = [f"v{i}" for i in range(rank)]
+    entries = []
+    for i, j, p, q in edges:
+        sign = draw(st.sampled_from((1, -1)))
+        entries += [(labels[i], labels[j], sign * p), (labels[j], labels[i], -sign * q)]
+    return Seed.initial(labels, labels, entries)
+
+
+@st.composite
+def skew_symmetric_seeds(draw):
+    rank = draw(st.integers(1, 4))
+    labels = [f"v{i}" for i in range(rank)]
+    entries = []
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            b = draw(st.integers(-1, 1))
+            if b:
+                entries += [(labels[i], labels[j], b), (labels[j], labels[i], -b)]
+    return Seed.initial(labels, draw(st.sets(st.sampled_from(labels), min_size=1)), entries)
+
+
+BACK = -1  # mutate again where the last step mutated
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(dynkin_seeds(), skew_symmetric_seeds()),
+    st.lists(st.one_of(st.just(BACK), st.integers(0, 3)), max_size=8),
+)
+def test_table_values_equal_a_fresh_division(root, steps):
+    cur, last = root, None
+    exchangeable = [i for i, v in enumerate(root.labels) if v in root.exchangeable]
+    for step in steps:
+        if step == BACK:
+            if last is None:
+                continue
+            position = last
+        else:
+            position = exchangeable[step % len(exchangeable)]
+        x = cur.labels[position]
+        fresh = mutate_seed(Seed(cur.labels, cur.exchangeable, cur.matrix, dict(cur.values)), x)
+        cur = mutate_seed(cur, x)
+        assert cur.labels == fresh.labels
+        # the same entries in the same order
+        assert [(v, list(r.items())) for v, r in cur.matrix.items()] == [
+            (v, list(r.items())) for v, r in fresh.matrix.items()
+        ]
+        assert [format_poly(cur.values[v]) for v in cur.labels] == [
+            format_poly(fresh.values[v]) for v in fresh.labels
+        ]
+        last = position

@@ -1,0 +1,195 @@
+"""Fuzzed `.seed` and `.map` files through the CLI verbs `enumerate`,
+`mutate` and `check-morphism`: every call exits 0, 1, 2 or 3, never with a
+traceback, and a rerun in the same process prints the same bytes (so
+nothing one run leaves on its seeds, such as the exchange table, leaks into
+the next)."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from clusterlab.cli import main  # noqa: E402
+from clusterlab.seeds import fresh_label  # noqa: E402
+
+LABELS = ["x", "y", "z", "w"]
+MADE = ["x'1", "y'1", "x'2", "x'1'1"]
+# values of the wrong type or form, which must exit 3
+JUNK = [None, 0.5, 1, True, [], ["x"], {"id": "x"}, "", "x,y"]
+TEXTS = ["x", "y", "z^-1", "2", "1", "x*y", "x + y", "x^-1*y + x^-1", "-x", "0", "3*w^2 + 1"]
+BAD_TEXTS = ["x^", "1/0", "x**2", "(x)", "x +", "x^-", "*y"]
+
+
+def declared(data) -> list:
+    """The string ids a seed file declares, however malformed it is."""
+    variables = data.get("variables") if isinstance(data, dict) else None
+    if not isinstance(variables, list):
+        return []
+    return [r["id"] for r in variables if isinstance(r, dict) and isinstance(r.get("id"), str)]
+
+
+SEED_FLAWS = [
+    "junk file", "junk variables", "junk id", "duplicate id", "junk flag", "missing key",
+    "one-sided entry", "sign violation", "repeated entry", "undeclared entry", "junk entry",
+    "diagonal entry", "bad text", "partial values", "shared value",
+]
+
+
+@st.composite
+def seed_files(draw):
+    """A seed file of rank 0-4 with a skew-symmetrizable matrix of small
+    bonds, mostly exchangeable variables, Laurent values now and then, and
+    in a third of the files one flaw from SEED_FLAWS."""
+    labels = draw(st.lists(st.sampled_from(LABELS), max_size=4, unique=True))
+    variables = []
+    for label in labels:
+        record = {"id": label}
+        if draw(st.integers(0, 4)):
+            record["exchangeable"] = draw(st.integers(0, 3)) > 0
+        variables.append(record)
+    # b_vw = s d_w and b_wv = -s d_v, so d symmetrizes the matrix
+    d = {label: draw(st.sampled_from([1, 1, 1, 2])) for label in labels}
+    matrix = []
+    for i, v in enumerate(labels):
+        for w in labels[i + 1:]:
+            sign = draw(st.sampled_from((1, -1, 0)))
+            if sign:
+                matrix += [[v, w, sign * d[w]], [w, v, -sign * d[v]]]
+    data = {"variables": variables, "matrix": matrix}
+    if draw(st.integers(0, 3)) == 0:
+        data["values"] = [[l, t] for l, t in zip(labels, draw(st.permutations(TEXTS)))]
+    flaw = draw(st.sampled_from(SEED_FLAWS + [None] * 2 * len(SEED_FLAWS)))
+    name = draw(st.sampled_from(LABELS + MADE))
+    if flaw == "junk file":
+        return draw(st.sampled_from(JUNK))
+    if flaw == "junk variables":
+        data["variables"] = draw(st.sampled_from(JUNK))
+    elif flaw == "missing key":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif flaw == "undeclared entry":
+        matrix.append([name, draw(st.sampled_from(labels or LABELS)), 1])
+    elif flaw == "bad text":
+        data["values"] = [[l, draw(st.sampled_from(BAD_TEXTS))] for l in labels]
+    elif flaw == "shared value":
+        data["values"] = [[l, "x"] for l in labels]
+    elif variables and flaw in ("junk id", "duplicate id", "junk flag", "partial values"):
+        k = draw(st.integers(0, len(variables) - 1))
+        if flaw == "junk id":
+            variables[k]["id"] = draw(st.sampled_from(JUNK))
+        elif flaw == "duplicate id":
+            variables.append(dict(variables[k]))
+        elif flaw == "junk flag":
+            variables[k]["exchangeable"] = draw(st.sampled_from(JUNK))
+        else:
+            data["values"] = [[l, t] for l, t in zip(labels, TEXTS) if l != labels[k]]
+    elif variables and flaw == "diagonal entry":
+        matrix.append([labels[0], labels[0], 1])
+    elif matrix:
+        k = draw(st.integers(0, len(matrix) - 1))
+        if flaw == "one-sided entry":
+            del matrix[k]
+        elif flaw == "sign violation":
+            matrix[k][2] = -matrix[k][2]
+        elif flaw == "repeated entry":
+            matrix.append(list(matrix[k]))
+        elif flaw == "junk entry":
+            matrix[k] = draw(st.sampled_from([matrix[k][:2] + [draw(st.sampled_from(JUNK))], matrix[k][:2]]))
+    return data
+
+
+@st.composite
+def map_files(draw, source, target):
+    """A map from the labels of one seed file to those of the other, or to
+    integers; with an `extra` entry now and then, and in a third of the
+    files a missing, undeclared or junk entry or a junk file."""
+    src, dst = declared(source), declared(target)
+    assignment = [
+        [label, draw(st.sampled_from([-1, 0, 1, 2] + 3 * dst if dst else [0, 1]))] for label in src
+    ]
+    data = {"assignment": assignment}
+    if draw(st.integers(0, 4)) == 0:
+        data["extra"] = [[draw(st.sampled_from(TEXTS + BAD_TEXTS)), draw(st.sampled_from(dst or LABELS))]]
+    flaw = draw(st.sampled_from(["junk file", "missing", "undeclared", "junk image"] + [None] * 8))
+    if flaw == "junk file":
+        return draw(st.sampled_from(JUNK))
+    if assignment and flaw == "missing":
+        del assignment[draw(st.integers(0, len(assignment) - 1))]
+    elif flaw == "undeclared":
+        assignment.append([draw(st.sampled_from(MADE)), draw(st.sampled_from(LABELS + MADE))])
+    elif assignment and flaw == "junk image":
+        assignment[draw(st.integers(0, len(assignment) - 1))][1] = draw(st.sampled_from(JUNK))
+    return data
+
+
+@st.composite
+def walks(draw, source):
+    """Mostly current labels: after x the walk may go on with x'1. Now and
+    then a stale, unknown or empty name or a coefficient."""
+    labels = declared(source)
+    records = source["variables"] if labels else []
+    exchangeable = [
+        r["id"] for r in records
+        if isinstance(r, dict) and isinstance(r.get("id"), str) and r.get("exchangeable") is True
+    ]
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        if not exchangeable or draw(st.integers(0, 5)) == 0:
+            steps.append(draw(st.sampled_from(["", "q", "x'2"] + labels + steps)))
+            continue
+        x = draw(st.sampled_from(exchangeable))
+        new = fresh_label(x, labels)
+        labels[labels.index(x)] = exchangeable[exchangeable.index(x)] = new
+        steps.append(x)
+    return steps
+
+
+@st.composite
+def calls(draw):
+    """A CLI call and the files it reads."""
+    verb = draw(st.sampled_from(["enumerate", "mutate", "check-morphism"]))
+    source = draw(seed_files())
+    budget = ["--nodes", str(draw(st.sampled_from([0, 1, 5, 300])))]
+    if verb == "enumerate":
+        return ["enumerate", "--seed", "{src}", "--depth", str(draw(st.integers(0, 3))), *budget], {
+            "src": source
+        }
+    if verb == "mutate":
+        return ["mutate", "--seed", "{src}", "--sequence", ",".join(draw(walks(source)))], {"src": source}
+    target = source if draw(st.booleans()) else draw(seed_files())
+    files = {"src": source, "dst": target, "map": draw(map_files(source, target))}
+    depth = ["--depth", str(draw(st.integers(0, 2)))]
+    return ["check-morphism", "--src", "{src}", "--dst", "{dst}", "--map", "{map}", *depth, *budget], files
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls())
+def test_seed_and_map_files_exit_cleanly_and_repeat_exactly(call):
+    template, files = call
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in files.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+        argv = [arg.format(**paths) for arg in template]
+        first = run(argv)
+        assert first[0] in (0, 1, 2, 3), (argv, files, first)
+        assert "Traceback" not in first[1] + first[2]
+        assert run(argv) == first
