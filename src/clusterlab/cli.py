@@ -199,10 +199,21 @@ def seed_to_data(seed: Seed) -> dict:
     }
 
 
-def save_seed_file(seed: Seed, path: str) -> None:
+def _write_json(data: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(seed_to_data(seed), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
+
+
+def save_seed_file(seed: Seed, path: str) -> None:
+    _write_json(seed_to_data(seed), path)
+
+
+def _reported(data: dict, out: str | None) -> dict:
+    """The data of a report, also written to --out when it names a file."""
+    if out:
+        _write_json(data, out)
+    return data
 
 
 def load_triangulation_file(path: str) -> FiniteTriangulation | InfiniteTriangulation:
@@ -334,12 +345,10 @@ def _cmd_mutate(args) -> tuple[int, dict]:
     seed = load_seed_file(args.seed)
     steps = args.sequence.split(",") if args.sequence else [args.at]
     result = mutate_sequence(seed, steps)
-    if args.out:
-        save_seed_file(result, args.out)
     return EXIT_OK, {
         "command": "mutate",
         "sequence": steps,
-        "seed": seed_to_data(result),
+        "seed": _reported(seed_to_data(result), args.out),
     }
 
 
@@ -367,9 +376,7 @@ def _cmd_components(args) -> tuple[int, dict]:
 def _cmd_coproduct(args) -> tuple[int, dict]:
     seeds = [load_seed_file(p) for p in args.seeds]
     result = coproduct(seeds)
-    if args.out:
-        save_seed_file(result, args.out)
-    return EXIT_OK, {"command": "coproduct", "seed": seed_to_data(result)}
+    return EXIT_OK, {"command": "coproduct", "seed": _reported(seed_to_data(result), args.out)}
 
 
 def _cmd_similar(args) -> tuple[int, dict]:
@@ -406,29 +413,25 @@ def _report_cm(report) -> dict:
     return out
 
 
-def _cmd_check_morphism(args) -> tuple[int, dict]:
+def _load_map(args) -> ClusterMap:
+    """The map of --map between the seeds of --src and --dst, read in that order."""
     src = load_seed_file(args.src)
-    dst = load_seed_file(args.dst)
-    m = load_map_file(args.map, src, dst)
-    report = check_cm3(m, args.depth, args.nodes)
+    return load_map_file(args.map, src, load_seed_file(args.dst))
+
+
+def _cmd_check_morphism(args) -> tuple[int, dict]:
+    report = check_cm3(_load_map(args), args.depth, args.nodes)
     code = EXIT_OK if report.passed else EXIT_FAIL
     return code, {"command": "check-morphism", **_report_cm(report)}
 
 
 def _cmd_image_seed(args) -> tuple[int, dict]:
-    src = load_seed_file(args.src)
-    dst = load_seed_file(args.dst)
-    m = load_map_file(args.map, src, dst)
-    img = image_seed(m)
-    if args.out:
-        save_seed_file(img, args.out)
-    return EXIT_OK, {"command": "image-seed", "seed": seed_to_data(img)}
+    img = image_seed(_load_map(args))
+    return EXIT_OK, {"command": "image-seed", "seed": _reported(seed_to_data(img), args.out)}
 
 
 def _cmd_check_ideal(args) -> tuple[int, dict]:
-    src = load_seed_file(args.src)
-    dst = load_seed_file(args.dst)
-    m = load_map_file(args.map, src, dst)
+    m = _load_map(args)
     morphism_report = check_cm3(m, args.depth, args.nodes)
     if not morphism_report.passed:
         return EXIT_FAIL, {
@@ -461,33 +464,29 @@ def _cmd_validate_tri(args) -> tuple[int, dict]:
     return EXIT_OK, out
 
 
-def _cmd_flip(args) -> tuple[int, dict]:
+def _load_finite_tri(args) -> FiniteTriangulation:
     tri = load_triangulation_file(args.tri)
     if not isinstance(tri, FiniteTriangulation):
-        raise ParseError("flip applies to finite triangulations")
+        raise ParseError(f"{args.verb} applies to finite triangulations")
+    return tri
+
+
+def _cmd_flip(args) -> tuple[int, dict]:
+    tri = _load_finite_tri(args)
     arc = parse_arc_label(args.arc)
     result = flip_arc(tri, arc)
     new_arc = next(iter(result.arcs - tri.arcs))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(triangulation_to_data(result), fh, indent=2)
-            fh.write("\n")
     return EXIT_OK, {
         "command": "flip",
         "removed": arc.label,
         "added": new_arc.label,
-        "triangulation": triangulation_to_data(result),
+        "triangulation": _reported(triangulation_to_data(result), args.out),
     }
 
 
 def _cmd_tri_seed(args) -> tuple[int, dict]:
-    tri = load_triangulation_file(args.tri)
-    if not isinstance(tri, FiniteTriangulation):
-        raise ParseError("tri-seed applies to finite triangulations")
-    seed = seed_from_triangulation(tri)
-    if args.out:
-        save_seed_file(seed, args.out)
-    return EXIT_OK, {"command": "tri-seed", "seed": seed_to_data(seed)}
+    seed = seed_from_triangulation(_load_finite_tri(args))
+    return EXIT_OK, {"command": "tri-seed", "seed": _reported(seed_to_data(seed), args.out)}
 
 
 def _cmd_limit_arcs(args) -> tuple[int, dict]:
@@ -533,40 +532,35 @@ def _cmd_filtration(args) -> tuple[int, dict]:
     }
 
 
-def _cmd_stable_mutate(args) -> tuple[int, dict]:
-    oracle = _oracle_from_args(args)
+def _stable_report(args) -> tuple[LaurentPoly, dict]:
+    """The stable mutation value of --target along --sequence in --oracle,
+    and the report prefix the oracle verbs share."""
     seq = args.sequence.split(",") if args.sequence else []
-    value, stage = stable_mutation(oracle, seq, args.target)
-    return EXIT_OK, {
-        "command": "stable-mutate",
+    value, stage = stable_mutation(_oracle_from_args(args), seq, args.target)
+    return value, {
+        "command": args.verb,
         "sequence": seq,
         "target": args.target,
         "value": format_poly(value),
         "stage": stage,
-        "certified_against": stage + 1,
     }
+
+
+def _cmd_stable_mutate(args) -> tuple[int, dict]:
+    _, report = _stable_report(args)
+    report["certified_against"] = report["stage"] + 1
+    return EXIT_OK, report
 
 
 def _cmd_positivity(args) -> tuple[int, dict]:
-    oracle = _oracle_from_args(args)
-    seq = args.sequence.split(",") if args.sequence else []
-    value, stage = stable_mutation(oracle, seq, args.target)
-    positive = value.has_nonnegative_coefficients()
-    report = {
-        "command": "positivity",
-        "sequence": seq,
-        "target": args.target,
-        "value": format_poly(value),
-        "stage": stage,
-        "positive": positive,
-    }
-    if not positive:
-        bad = sorted(
-            (format_poly(LaurentPoly({m: c})) for m, c in value.terms.items() if c < 0)
-        )
-        report["negative_terms"] = bad
-        return EXIT_FAIL, report
-    return EXIT_OK, report
+    value, report = _stable_report(args)
+    positive = report["positive"] = value.has_nonnegative_coefficients()
+    if positive:
+        return EXIT_OK, report
+    report["negative_terms"] = sorted(
+        format_poly(LaurentPoly({m: c})) for m, c in value.terms.items() if c < 0
+    )
+    return EXIT_FAIL, report
 
 
 # -- parser ------------------------------------------------------------------------
@@ -615,23 +609,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
 
-    p = sub.add_parser("check-morphism", help="CM1/CM2/CM3 verification")
-    p.add_argument("--src", required=True)
-    p.add_argument("--dst", required=True)
-    p.add_argument("--map", required=True)
-    common(p)
-
-    p = sub.add_parser("image-seed", help="image seed of a candidate morphism")
-    p.add_argument("--src", required=True)
-    p.add_argument("--dst", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("check-ideal", help="search for a non-ideal witness")
-    p.add_argument("--src", required=True)
-    p.add_argument("--dst", required=True)
-    p.add_argument("--map", required=True)
-    common(p)
+    for verb, text in (
+        ("check-morphism", "CM1/CM2/CM3 verification"),
+        ("image-seed", "image seed of a candidate morphism"),
+        ("check-ideal", "search for a non-ideal witness"),
+    ):
+        p = sub.add_parser(verb, help=text)
+        for flag in ("--src", "--dst", "--map"):
+            p.add_argument(flag, required=True)
+        if verb == "image-seed":
+            p.add_argument("--out")
+        else:
+            common(p)
 
     p = sub.add_parser("validate-tri", help="validate a triangulation file")
     p.add_argument("--tri", required=True)
@@ -654,15 +643,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=6)
     p.add_argument("--out-dir")
 
-    p = sub.add_parser("stable-mutate", help="mutation in an infinite seed")
-    p.add_argument("--oracle", required=True)
-    p.add_argument("--sequence", default="")
-    p.add_argument("--target", required=True)
-
-    p = sub.add_parser("positivity", help="positivity of a stable mutation value")
-    p.add_argument("--oracle", required=True)
-    p.add_argument("--sequence", default="")
-    p.add_argument("--target", required=True)
+    for verb, text in (
+        ("stable-mutate", "mutation in an infinite seed"),
+        ("positivity", "positivity of a stable mutation value"),
+    ):
+        p = sub.add_parser(verb, help=text)
+        p.add_argument("--oracle", required=True)
+        p.add_argument("--sequence", default="")
+        p.add_argument("--target", required=True)
 
     return parser
 
@@ -684,15 +672,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # the handler is looked up at each call, so a rebinding applies
         code, report = globals()["_cmd_" + args.verb.replace("-", "_")](args)
-    except (ParseError, InvalidSeed, LaurentParseError) as exc:
-        emit({"error": str(exc)}, args.format)
-        return EXIT_INPUT
     except (
-        NotExchangeable,
-        NotAdmissible,
-        NotFlippable,
-        NotAdmissibleAtStage,
-        UnknownVertex,
+        ParseError, InvalidSeed, LaurentParseError, NotExchangeable,
+        NotAdmissible, NotFlippable, NotAdmissibleAtStage, UnknownVertex,
     ) as exc:
         emit({"error": str(exc)}, args.format)
         return EXIT_INPUT

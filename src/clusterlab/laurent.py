@@ -117,9 +117,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {UNIT_MONOMIAL: 1}
-
     def as_int(self) -> int | None:
         """The constant value if this is a constant, else None."""
         if not self.terms:

@@ -22,7 +22,7 @@ from .errors import (
     NotSimilar,
     SeedMismatch,
 )
-from .laurent import LaurentPoly, Monomial, VarId, format_poly, lp_exact_div, min_exponents
+from .laurent import LaurentPoly, VarId, format_poly, lp_exact_div, min_exponents
 from .seeds import (
     DEFAULT_NODE_BUDGET,
     Seed,
@@ -73,8 +73,8 @@ class ClusterMap:
                     "extra generators must be Laurent polynomials in the "
                     "source cluster"
                 )
-            lhs, rhs = self._extra_consistency(gen, img)
-            if lhs != rhs:
+            f_num, f_den = self._substitute(gen)
+            if f_num != self._resolve(img) * f_den:
                 raise InvalidSeed(
                     f"extra generator image is inconsistent: f({format_poly(gen)}) "
                     f"cannot be {img!r}"
@@ -87,11 +87,6 @@ class ClusterMap:
             return LaurentPoly.var(img)
         return LaurentPoly.const(img)
 
-    def _split(self, p: LaurentPoly) -> tuple[LaurentPoly, Monomial]:
-        """p = N * D^-1 with N a polynomial and D a nonnegative monomial."""
-        denom = tuple((v, -e) for v, e in min_exponents(p) if e < 0)
-        return p.shift(denom), denom
-
     def _subst_poly(self, p: LaurentPoly) -> LaurentPoly:
         out = LaurentPoly.zero()
         for mono, coeff in p.terms.items():
@@ -103,11 +98,11 @@ class ClusterMap:
             out = out + term
         return out
 
-    def _extra_consistency(self, gen: LaurentPoly, img: Image):
-        num, denom = self._split(gen)
-        f_num = self._subst_poly(num)
-        f_den = self._subst_poly(LaurentPoly({denom: 1}))
-        return f_num, self._resolve(img) * f_den
+    def _substitute(self, p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+        """(f(N), f(D)) for p = N * D^-1, with N a polynomial and D a
+        nonnegative monomial."""
+        denom = tuple((v, -e) for v, e in min_exponents(p) if e < 0)
+        return self._subst_poly(p.shift(denom)), self._subst_poly(LaurentPoly({denom: 1}))
 
     def apply(self, p: LaurentPoly) -> LaurentPoly:
         """Image of a Laurent polynomial over the source initial cluster.
@@ -117,9 +112,7 @@ class ClusterMap:
         the image leaves the target Laurent ring (inverted zero, or an
         inexact integer division).
         """
-        num, denom = self._split(p)
-        f_num = self._subst_poly(num)
-        f_den = self._subst_poly(LaurentPoly({denom: 1}))
+        f_num, f_den = self._substitute(p)
         if f_den.is_zero():
             if f_num.is_zero():
                 hit = self.extra.get(p)
@@ -471,19 +464,9 @@ def image_seed(m: ClusterMap) -> Seed:
     """(f(X) n X', f(ex) n ex', restricted matrix): the full subseed of the
     target on the image labels, whose exchangeables are images of source
     exchangeables that land in target exchangeables."""
-    labels = [
-        l
-        for l in m.target.labels
-        if any(m.assignment[x] == l for x in m.source.labels)
-    ]
-    ex = {
-        m.assignment[x]
-        for x in m.source.exchangeable
-        if isinstance(m.assignment[x], str)
-        and m.assignment[x] in m.target.exchangeable
-    }
-    sub = full_subseed(m.target, labels)
-    return Seed(sub.labels, frozenset(ex), sub.matrix, dict(sub.values))
+    sub = full_subseed(m.target, (img for img in m.assignment.values() if isinstance(img, str)))
+    ex = sub.exchangeable & {m.assignment[x] for x in m.source.exchangeable}
+    return Seed(sub.labels, ex, sub.matrix, dict(sub.values))
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,10 @@ def check_skew_symmetrizable(
             if entry:
                 adjacency[v].add(w)
                 adjacency[w].add(v)
+    # sorted once: the witness and the walk follow label order, not string hashes
+    neighbours = {v: sorted(adjacency[v]) for v in labels}
     for v in labels:
-        for w in adjacency[v]:
+        for w in neighbours[v]:
             bvw, bwv = b(v, w), b(w, v)
             if bvw * bwv > 0 or (bvw == 0) != (bwv == 0):
                 raise NotSkewSymmetrizable(
@@ -197,7 +199,7 @@ def check_skew_symmetrizable(
         queue = [root]
         while queue:
             v = queue.pop(0)
-            for w in sorted(adjacency[v]):
+            for w in neighbours[v]:
                 ratio = Fraction(-b(v, w), b(w, v))
                 if w in d:
                     if d[w] != d[v] * ratio:

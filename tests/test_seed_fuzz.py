@@ -1,5 +1,5 @@
 """Fuzzed `.seed` and `.map` files through the CLI verbs `enumerate`,
-`mutate` and `check-morphism`: every call exits 0, 1, 2 or 3, never with a
+`mutate`, `check-morphism`, `image-seed` and `check-ideal`: every call exits 0, 1, 2 or 3, never with a
 traceback, and a rerun in the same process prints the same bytes (so
 nothing one run leaves on its seeds, such as the exchange table, leaks into
 the next)."""
@@ -153,7 +153,7 @@ def walks(draw, source):
 @st.composite
 def calls(draw):
     """A CLI call and the files it reads."""
-    verb = draw(st.sampled_from(["enumerate", "mutate", "check-morphism"]))
+    verb = draw(st.sampled_from(["enumerate", "mutate", "check-morphism", "image-seed", "check-ideal"]))
     source = draw(seed_files())
     budget = ["--nodes", str(draw(st.sampled_from([0, 1, 5, 300])))]
     if verb == "enumerate":
@@ -164,8 +164,10 @@ def calls(draw):
         return ["mutate", "--seed", "{src}", "--sequence", ",".join(draw(walks(source)))], {"src": source}
     target = source if draw(st.booleans()) else draw(seed_files())
     files = {"src": source, "dst": target, "map": draw(map_files(source, target))}
-    depth = ["--depth", str(draw(st.integers(0, 2)))]
-    return ["check-morphism", "--src", "{src}", "--dst", "{dst}", "--map", "{map}", *depth, *budget], files
+    argv = [verb, "--src", "{src}", "--dst", "{dst}", "--map", "{map}"]
+    if verb == "image-seed":
+        return argv, files
+    return [*argv, "--depth", str(draw(st.integers(0, 2))), *budget], files
 
 
 def run(argv):

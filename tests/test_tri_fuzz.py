@@ -22,6 +22,8 @@ VERBS = (
     ["validate-tri"],
     ["limit-arcs"],
     ["filtration", "--steps", "3"],
+    ["tri-seed"],
+    ["flip", "--arc", "0/1~1/2"],
 )
 
 ANGLES = sorted({str(Fraction(k, d)) for d in (2, 3, 4, 6, 8, 12) for k in range(d)})
