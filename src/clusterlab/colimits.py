@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from .disc import (
     Arc,
@@ -49,11 +49,13 @@ from .morphisms import (
     check_no_specialization_conditions,
 )
 from .seeds import (
+    Memo,
     Seed,
     check_skew_symmetrizable,
     connected_components,
     coproduct,
     fresh_label,
+    grow,
     mutate_sequence,
 )
 
@@ -254,28 +256,14 @@ ORACLES = {
 # -- the colimit tower: balls, stages, filtrations -----------------------------------
 
 
-def _grow(center, neighbours: Callable[..., Iterable]) -> Iterator[tuple[set, set]]:
-    """Balls around center, radius by radius, each with its outer shell:
-    the radius-(r+1) ball is the radius-r ball plus the neighbours of its
-    outer shell, so each vertex's neighbours are asked for once, when the
-    vertex leaves the outer shell."""
-    ball, shell = {center}, {center}
-    while True:
-        yield ball, shell
-        shell = {w for v in sorted(shell) for w in neighbours(v)} - ball
-        ball = ball | shell
-
-
 def _oracle_balls(oracle: SeedOracle, center: VarId) -> Iterator[Seed]:
     """materialize_ball(oracle, center, r) for r = 0, 1, 2, ...: a row is
     fetched when its vertex enters the ball, exchangeability is asked when
     the vertex leaves the outer shell."""
-    rows: dict[VarId, dict[VarId, int]] = {}
+    rows = Memo(oracle.neighbor_row)
     exchangeable: set[VarId] = set()
-    for ball, shell in _grow(center, rows.__getitem__):
-        for v in sorted(shell):
-            rows[v] = oracle.neighbor_row(v)
-        labels = sorted(ball)
+    for ball, shell in grow(center, rows.__getitem__):
+        labels = sorted(ball)  # so the rows of the shell are fetched in sorted order
         matrix = {v: {w: b for w, b in rows[v].items() if w in ball} for v in labels}
         seed = Seed.initial(labels, exchangeable, matrix)
         try:
@@ -500,7 +488,7 @@ def triangulation_filtration(
         return {side for corners in tri.triangles_of(a) for side in triangle_sides(corners)} - {a}
 
     def component(base: Arc) -> Iterator[Seed]:
-        for arcs, _ in _grow(base, neighbours):
+        for arcs, _ in grow(base, neighbours):
             points = {p for a in arcs for p in a.endpoints()}
             yield seed_from_triangulation(validate_triangulation(points, arcs))
 

@@ -25,12 +25,15 @@ from typing import Iterable, Sequence, TypeVar
 from .errors import (
     CrossingPair,
     InvalidFamily,
+    NotAnArc,
     NotFlippable,
     NotMaximal,
     ParseError,
+    TooFewPoints,
+    UnmarkedPoint,
 )
 from .laurent import VarId
-from .seeds import DEFAULT_NODE_BUDGET, Seed, explore
+from .seeds import DEFAULT_NODE_BUDGET, Memo, Seed, explore
 
 T = TypeVar("T")
 
@@ -218,7 +221,7 @@ class FiniteTriangulation:
         increasing-angle corner triple."""
         faces = self._faces.get(self._pair_of(arc))
         if faces is None:
-            raise ValueError(f"{arc} is not an arc of the triangulation")
+            raise NotAnArc(f"{arc} is not an arc of the triangulation")
         return [self._corners(tri) for tri in faces]
 
 
@@ -226,7 +229,7 @@ def classify_arc(t: FiniteTriangulation, a: Arc) -> str:
     """'edge' iff one open side contains no marked point, else 'internal'."""
     i, j = t._pair_of(a)
     if i is None or j is None:
-        raise ValueError("arc endpoints must be marked points")
+        raise UnmarkedPoint("arc endpoints must be marked points")
     # j - i - 1 marked points lie on one side, n - (j - i) - 1 on the other
     return "edge" if j - i in (1, len(t.points) - 1) else "internal"
 
@@ -241,7 +244,7 @@ def _checked(t: FiniteTriangulation) -> FiniteTriangulation:
     pairs = t._pairs
     for (i, j), a in pairs.items():
         if not 0 <= i < j < n:
-            raise ValueError(f"arc {a} uses a point outside the marked set")
+            raise UnmarkedPoint(f"arc {a} uses a point outside the marked set")
     if not _non_crossing(pairs):
         raise CrossingPair(*first_crossing(sorted(t.arcs)))
     if len(pairs) < 2 * n - 3:
@@ -263,11 +266,11 @@ def validate_triangulation(
     on ranks."""
     pts = tuple(sorted({norm_angle(p) for p in points}))
     if len(pts) < 2:
-        raise ValueError("a triangulation needs at least two marked points")
+        raise TooFewPoints("a triangulation needs at least two marked points")
     t = FiniteTriangulation(pts, frozenset(arcs))
     for a in t.arcs:
         if None in t._pair_of(a):
-            raise ValueError(f"arc {a} uses a point outside the marked set")
+            raise UnmarkedPoint(f"arc {a} uses a point outside the marked set")
     return _checked(t)
 
 
@@ -413,22 +416,16 @@ class _TipSequence:
         k, rem = divmod(c * dd, d * dn)
         return k if rem == 0 and k >= self.start else None
 
-    def nearest_ccw(self, p: Fraction):
-        """Closest tip strictly after p going counterclockwise.
+    def nearest(self, p: Fraction, ccw: bool):
+        """Closest tip strictly after p going counterclockwise (ccw) or
+        clockwise; clockwise is the mirror image, with angles and the step
+        negated and the tip(k) found mirrored back.
 
         Returns ("point", tip) when attained, ("accum", distance) when the
         infimum is an accumulation value that no tip attains.
         """
-        return self._nearest(norm_angle(self.limit - p), self.step)
-
-    def nearest_cw(self, p: Fraction):
-        """nearest_ccw in the mirror image: angles and the step negated,
-        with the tip(k) it finds mirrored back."""
-        return self._nearest(norm_angle(p - self.limit), -self.step)
-
-    def _nearest(self, D: Fraction, s: Fraction):
-        """The closest tip going one way from a point at distance D before
-        the limit, for tips at offset s/k beyond the limit that way."""
+        # p is at distance D before the limit, the tips at offset s/k beyond it
+        D, s = (norm_angle(self.limit - p), self.step) if ccw else (norm_angle(p - self.limit), -self.step)
         Dn, Dd = D.numerator, D.denominator
         sn, sd = s.numerator, s.denominator
         if sn > 0:
@@ -590,10 +587,6 @@ class ArcFamily:
 
 _MEET = "a family's tip sequences meet, joining a point to itself"
 
-# Where a point lies: whether it is one of the finite points, and for each
-# family, sequence index -> k for the sequences with tip(k) at the point.
-Place = tuple[bool, tuple[dict[int, int], ...]]
-
 
 @dataclass(frozen=True)
 class InfiniteTriangulation:
@@ -621,6 +614,14 @@ class InfiniteTriangulation:
         for a in self.extra_arcs:
             pts.update(a.endpoints())
         object.__setattr__(self, "finite_points", tuple(sorted(pts)))
+        # memos in the instance __dict__, beside the frozen fields: each
+        # answer is computed once per instance, and errors are never stored
+        self.__dict__.update(
+            _where=Memo(self._place),
+            _near=Memo(self._find_neighbour),
+            _arc_in=Memo(self._member),
+            _faces=Memo(self._search_faces),
+        )
         try:
             arcs = self._window_arcs(10)
         except ValueError:
@@ -634,63 +635,33 @@ class InfiniteTriangulation:
             if f.kind == "half-nest" and any(p == q for p, q in f._ends(32)):
                 raise InvalidFamily(_MEET)
         if len(self.families) > 1:
-            tip_pools = [f.tips(32) for f in self.families]
-            for i in range(len(tip_pools)):
-                for j in range(i + 1, len(tip_pools)):
-                    if tip_pools[i] & tip_pools[j]:
-                        raise InvalidFamily(
-                            "families must not share moving endpoints"
-                        )
-
-    # memos in the instance __dict__, beside the frozen fields; each
-    # answer is computed once per instance, and errors are never stored
-    @cached_property
-    def _where(self) -> dict[Fraction, Place]:
-        return {}
-
-    @cached_property
-    def _near(self) -> dict[tuple[Fraction, bool], tuple[Fraction | None, Fraction | None]]:
-        return {}
-
-    @cached_property
-    def _arc_in(self) -> dict[Arc, bool]:
-        return {}
-
-    @cached_property
-    def _faces(self) -> dict[Arc, list[Corners]]:
-        return {}
+            pools = [f.tips(32) for f in self.families]
+            if any(a & b for a, b in combinations(pools, 2)):
+                raise InvalidFamily("families must not share moving endpoints")
 
     # -- point set ------------------------------------------------------
 
-    def _locate(self, p: Fraction) -> Place:
-        """Where the angle p (in [0, 1)) lies, found once by index_of."""
-        place = self._where.get(p)
-        if place is None:
-            place = self._where[p] = (
-                p in self.finite_points,
-                tuple(f._tips_at(p) for f in self.families),
-            )
-        return place
+    def _place(self, p: Fraction) -> tuple[bool, tuple[dict[int, int], ...]]:
+        """Where the angle p (in [0, 1)) lies: whether it is a finite point,
+        and for each family, sequence index -> k for its sequences with
+        tip(k) == p."""
+        return p in self.finite_points, tuple(f._tips_at(p) for f in self.families)
 
     def in_point_set(self, p: Fraction) -> bool:
-        finite, tips = self._locate(norm_angle(p))
+        finite, tips = self._where[norm_angle(p)]
         return finite or any(tips)
 
     def nearest(self, p: Fraction, ccw: bool) -> Fraction | None:
         """The neighbouring marked point of p in the given direction, or
         None when marked points accumulate there without a closest one."""
-        return self._neighbour(norm_angle(p), ccw)[0]
+        return self._near[norm_angle(p), ccw][0]
 
-    def _neighbour(self, p: Fraction, ccw: bool) -> tuple[Fraction | None, Fraction | None]:
-        """nearest(p, ccw), and the infimum of the distances from p in that
-        direction of the marked points other than p (None if there are
-        none); for the angle p in [0, 1), found once."""
-        known = self._near.get((p, ccw))
-        if known is None:
-            known = self._near[p, ccw] = self._find_neighbour(p, ccw)
-        return known
+    def _find_neighbour(self, key: tuple[Fraction, bool]) -> tuple[Fraction | None, Fraction | None]:
+        """For key (p, ccw), with the angle p in [0, 1): nearest(p, ccw),
+        and the infimum of the distances from p in that direction of the
+        marked points other than p (None if there are none)."""
+        p, ccw = key
 
-    def _find_neighbour(self, p: Fraction, ccw: bool) -> tuple[Fraction | None, Fraction | None]:
         def dist(x: Fraction) -> Fraction:
             return norm_angle(x - p) if ccw else norm_angle(p - x)
 
@@ -704,7 +675,7 @@ class InfiniteTriangulation:
         accum: Fraction | None = None
         for f in self.families:
             for seq in f.sequences():
-                kind, val = seq.nearest_ccw(p) if ccw else seq.nearest_cw(p)
+                kind, val = seq.nearest(p, ccw)
                 if kind == "point":
                     d = dist(val)
                     if near is None or d < near[0]:
@@ -726,18 +697,15 @@ class InfiniteTriangulation:
 
     def _clear(self, lo: Fraction, hi: Fraction) -> bool:
         """No marked point in the open counterclockwise interval (lo, hi)."""
-        gap = self._neighbour(lo, True)[1]
+        gap = self._near[lo, True][1]
         return gap is None or gap >= norm_angle(hi - lo)
 
     def arc_in(self, a: Arc) -> bool:
-        known = self._arc_in.get(a)
-        if known is None:
-            known = self._arc_in[a] = self._member(a)
-        return known
+        return self._arc_in[a]
 
     def _member(self, a: Arc) -> bool:
-        finite_p, tips_p = self._locate(a.p)
-        finite_q, tips_q = self._locate(a.q)
+        finite_p, tips_p = self._where[a.p]
+        finite_q, tips_q = self._where[a.q]
         if not ((finite_p or any(tips_p)) and (finite_q or any(tips_q))):
             return False
         if a in self.extra_arcs:
@@ -755,10 +723,10 @@ class InfiniteTriangulation:
         out: set[Fraction] = set()
         for x, other in ((x0, x1), (x1, x0)):
             for ccw in (True, False):
-                q = self._neighbour(x, ccw)[0]
+                q = self._near[x, ccw][0]
                 if q is not None:
                     out.add(q)
-            places = zip(self.families, self._locate(x)[1], self._locate(other)[1])
+            places = zip(self.families, self._where[x][1], self._where[other][1])
             for f, at, at_other in places:
                 if f.kind not in _FOUNTAINS:
                     for i, k in at.items():
@@ -784,14 +752,11 @@ class InfiniteTriangulation:
     def triangles_of(self, arc: Arc) -> list[Corners]:
         """The at most two triangles of the triangulation having this arc
         as a side, each as an increasing-angle corner triple."""
-        faces = self._faces.get(arc)
-        if faces is None:
-            faces = self._faces[arc] = self._search_faces(arc)
-        return list(faces)
+        return list(self._faces[arc])
 
     def _search_faces(self, arc: Arc) -> list[Corners]:
-        if not self.arc_in(arc):
-            raise ValueError(f"{arc} is not an arc of the triangulation")
+        if not self._arc_in[arc]:
+            raise NotAnArc(f"{arc} is not an arc of the triangulation")
         out = []
         candidates = sorted(self._candidates(arc.p, arc.q))
         for lo, hi in (arc.endpoints(), (arc.q, arc.p)):
@@ -799,7 +764,7 @@ class InfiniteTriangulation:
             for z in candidates:
                 if not in_open(lo, hi, z):
                     continue
-                if self.arc_in(Arc.of(lo, z)) and self.arc_in(Arc.of(z, hi)):
+                if self._arc_in[Arc.of(lo, z)] and self._arc_in[Arc.of(z, hi)]:
                     found.append(z)
             if len(found) > 1:
                 raise InvalidFamily(
@@ -850,17 +815,10 @@ class InfiniteTriangulation:
                 arcs.add(a)
         return arcs
 
-    def limit_arcs(self) -> set[Arc]:
-        out = set()
-        for f in self.families:
-            la = f.limit_arc()
-            if la is not None:
-                out.add(la)
-        return out
-
 
 def limit_arcs(it: InfiniteTriangulation) -> set[Arc]:
-    return it.limit_arcs()
+    """The limit arcs of the families: half-nests and fountains have one."""
+    return {la for f in it.families if (la := f.limit_arc()) is not None}
 
 
 def triangulation_components(
@@ -872,7 +830,7 @@ def triangulation_components(
     if isinstance(it, FiniteTriangulation):
         return [[it._pairs[pair] for pair in sorted(it._pairs)]]
     arcs = it.window_arcs(window)
-    limits = sorted(it.limit_arcs())
+    limits = sorted(limit_arcs(it))
 
     def side(a: Arc, ell: Arc) -> str:
         if a == ell:

@@ -99,6 +99,21 @@ class InvalidFamily(ClusterLabError):
     pass
 
 
+# These three also subclass ValueError, so callers that catch ValueError still do.
+
+
+class UnmarkedPoint(ClusterLabError, ValueError):
+    """An arc endpoint that is not one of the marked points."""
+
+
+class TooFewPoints(ClusterLabError, ValueError):
+    """A finite triangulation needs at least two marked points."""
+
+
+class NotAnArc(ClusterLabError, ValueError):
+    """A face query named an arc that is not in the triangulation."""
+
+
 # --- Morphisms --------------------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from .errors import (
 from .laurent import LaurentPoly, VarId, format_poly, lp_exact_div, min_exponents
 from .seeds import (
     DEFAULT_NODE_BUDGET,
+    Memo,
     Seed,
     enumerate_cluster_variables,
     exchangeably_connected_components,
@@ -218,9 +219,13 @@ def _walk_biadmissible(
 ) -> Iterable[_PairState]:
     """Breadth-first over biadmissible sequences, shortest first and
     lexicographic within a length; yields every visited state including
-    the root. Sequences are counted, not states."""
+    the root. Sequences are counted, not states. Both walks use the
+    source's exchange table: it is keyed on values, so any two seeds can
+    share it."""
+    t = m.target
+    tgt = Seed._mutated(t.labels, t.exchangeable, t.matrix, t.values, m.source._exchanges)
     return explore(
-        _PairState(m.source, m.target, (), None),
+        _PairState(m.source, tgt, (), None),
         lambda st: (_advance(st, x, slots) for x in _biadmissible_steps(st, slots)),
         depth,
         max_nodes,
@@ -256,7 +261,7 @@ def check_cm3(
     cm1, cm2, cm2_wit = check_cm1_cm2(m)
     slots = _image_slots(m)
     tracked = [i for i, j in enumerate(slots) if j is not None]
-    images: dict[LaurentPoly, LaurentPoly] = {}  # m.apply by value; errors propagate
+    images = Memo(m.apply)  # by value; errors propagate
     nodes = 0
     counterexample = None
     for st in _walk_biadmissible(m, slots, depth, max_nodes):
@@ -269,9 +274,7 @@ def check_cm3(
             order = [last] + [i for i in tracked if i != last and slots[i] == slots[last]]
         for i in order:
             value = st.src.values[st.src.labels[i]]
-            lhs = images.get(value)
-            if lhs is None:
-                lhs = images[value] = m.apply(value)
+            lhs = images[value]
             rhs = st.tgt.values[st.tgt.labels[slots[i]]]
             if lhs != rhs:
                 counterexample = Cm3Counterexample(st.sequence, m.source.labels[i], lhs, rhs)

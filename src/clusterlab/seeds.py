@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -75,13 +76,17 @@ class Seed:
                     f"labels {first!r} and {v!r} share the value {format_poly(self.values[v])}"
                 )
 
+    @cached_property
+    def _exchanges(self) -> dict:  # mutate_seed's table, beside the frozen fields
+        return {}
+
     # -- construction -----------------------------------------------------
 
     @classmethod
     def _mutated(cls, labels, exchangeable, matrix, values, exchanges) -> "Seed":
-        """A seed made by mutation, which keeps every structural check of
-        __post_init__ by construction; only distinct values can fail. It
-        shares the exchange table of the seed it was mutated from."""
+        """A seed from fields that pass every structural check of
+        __post_init__ by construction, as mutation's do; only distinct
+        values are checked. It uses the given exchange table."""
         seed = object.__new__(cls)
         seed.__dict__.update(
             labels=labels, exchangeable=exchangeable, matrix=matrix, values=values,
@@ -195,10 +200,8 @@ def check_skew_symmetrizable(
             continue
         d[root] = Fraction(1)
         parent[root] = root
-        component = [root]
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
+        component = [root]  # first in, first out: read while it grows
+        for v in component:
             for w in neighbours[v]:
                 ratio = Fraction(-b(v, w), b(w, v))
                 if w in d:
@@ -212,14 +215,9 @@ def check_skew_symmetrizable(
                     d[w] = d[v] * ratio
                     parent[w] = v
                     component.append(w)
-                    queue.append(w)
-        denom_lcm = 1
-        for v in component:
-            denom_lcm = denom_lcm * d[v].denominator // gcd(denom_lcm, d[v].denominator)
+        denom_lcm = lcm(*(d[v].denominator for v in component))
         scaled = {v: int(d[v] * denom_lcm) for v in component}
-        shrink = 0
-        for n in scaled.values():
-            shrink = gcd(shrink, n)
+        shrink = gcd(*scaled.values())
         for v in component:
             result[v] = scaled[v] // shrink
     return result
@@ -276,15 +274,14 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     (x', {(v, -b_xv)}) -> x, which is exact because N = x * x'; a failed
     division stores nothing. The table is created in the `__dict__` of the
     seed a walk starts from, on its first mutation, and is shared by every
-    seed mutated from it; a seed built any other way starts without one."""
+    seed mutated from it; a seed built any other way starts without one,
+    except the target root of a CM3 walk, which shares the source's."""
     if x not in seed.exchangeable:
         raise NotExchangeable(x)
 
     row = seed.matrix.get(x, {})
     val = seed.values
-    exchanges = seed.__dict__.get("_exchanges")
-    if exchanges is None:
-        exchanges = seed.__dict__["_exchanges"] = {}
+    exchanges = seed._exchanges
     old_value = val[x]
     around = frozenset((val[v], e) for v, e in row.items())
     new_value = exchanges.get((old_value, around))
@@ -392,6 +389,32 @@ def explore(
             break
 
 
+class Memo(dict):
+    """A table that computes each absent key once: a miss stores and returns
+    compute(key), and a computation that raises stores nothing. A hit is a
+    plain dict lookup."""
+
+    def __init__(self, compute: Callable[[Hashable], object]):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def grow(center: T, neighbours: Callable[[T], Iterable[T]]) -> Iterator[tuple[set, set]]:
+    """Balls around center, radius by radius, each with its outer shell:
+    the radius-(r+1) ball is the radius-r ball plus the neighbours of its
+    outer shell, so each vertex's neighbours are asked for once, when the
+    vertex leaves the outer shell. The shell is empty once the ball is the
+    center's whole class."""
+    ball, shell = {center}, {center}
+    while True:
+        yield ball, shell
+        shell = {w for v in sorted(shell) for w in neighbours(v)} - ball
+        ball = ball | shell
+
+
 def _seed_class(seed: Seed, depth: int, max_nodes: int) -> Iterator[Seed]:
     # mutate_seed and canonical_key are looked up per call, so a rebinding
     # on the module or the class applies here too.
@@ -452,20 +475,15 @@ def _classes(seed: Seed, members: Iterable[VarId]) -> list[set[VarId]]:
     """Classes of members connected through members under the neighbour
     relation, ordered by their least member."""
     members = set(members)
+    near = lambda v: seed.neighbours(v) & members
     classes: list[set[VarId]] = []
     placed: set[VarId] = set()
     for v in sorted(members):
-        if v in placed:
-            continue
-        cls = {v}
-        queue = [v]
-        while queue:
-            for w in seed.neighbours(queue.pop()):
-                if w in members and w not in cls:
-                    cls.add(w)
-                    queue.append(w)
-        placed |= cls
-        classes.append(cls)
+        if v not in placed:
+            # the class is the last ball grown from its least member
+            cls = next(ball for ball, shell in grow(v, near) if not shell)
+            placed |= cls
+            classes.append(cls)
     return classes
 
 

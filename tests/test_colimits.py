@@ -7,6 +7,7 @@ import pytest
 
 from clusterlab.colimits import (
     Filtration,
+    _oracle_balls,
     FiniteSeedOracle,
     PathQuiverOracle,
     TriangulationOracle,
@@ -114,6 +115,41 @@ class TestBalls:
             materialize_ball(Broken(), "a", 1)
         assert "ball at 'a' is not skew-symmetrizable: " in str(err.value)
         assert "sign violation at ('a', 'b')" in str(err.value)
+
+
+    @pytest.mark.parametrize(
+        "make, rows",
+        [
+            (PathQuiverOracle, ["x0", "x1", "xm1", "x2", "xm2", "x3", "xm3"]),
+            (
+                split_fountain_oracle,
+                [
+                    "1/8~1/4", "1/10~1/4", "1/10~1/8", "1/6~1/4", "1/8~1/6",
+                    "1/12~1/10", "1/12~1/4", "1/14~1/12", "1/14~1/4",
+                ],
+            ),
+        ],
+    )
+    def test_each_row_is_fetched_once_in_sorted_shell_order(self, make, rows):
+        class Counting:
+            def __init__(self):
+                self.inner, self.rows, self.flags = make(), [], []
+
+            def neighbor_row(self, v):
+                self.rows.append(v)
+                return self.inner.neighbor_row(v)
+
+            def is_exchangeable(self, v):
+                self.flags.append(v)
+                return self.inner.is_exchangeable(v)
+
+        oracle = Counting()
+        center = oracle.inner.representatives()[0]
+        balls = list(islice(_oracle_balls(oracle, center), 4))
+        assert oracle.rows == rows
+        # the flags of the first three shells, asked as each is left
+        assert oracle.flags == rows[: len(balls[2].labels)]
+        assert balls[3].labels == tuple(sorted(rows))
 
 
 class TestFiltration:

@@ -30,10 +30,14 @@ from clusterlab.disc import (
     validate_triangulation,
 )
 from clusterlab.errors import (
+    ClusterLabError,
     CrossingPair,
     InvalidFamily,
+    NotAnArc,
     NotFlippable,
     NotMaximal,
+    TooFewPoints,
+    UnmarkedPoint,
 )
 from clusterlab.seeds import (
     connected_components,
@@ -557,7 +561,7 @@ class TestTipSequenceBruteForce:
             brute: dict = {}
             for _ in range(200):
                 p = F(rng.randint(0, 60), 60) % 1
-                kind, val = seq.nearest_ccw(p)
+                kind, val = seq.nearest(p, True)
                 if p not in brute:
                     brute[p] = min(pair for pair in (((t - p) % 1, t) for t in tips) if pair[0])
                 dist, tip = brute[p]
@@ -823,6 +827,17 @@ class TestInfiniteMemos:
         faces.append((F(0), F(1, 8), F(1, 4)))
         assert tri.triangles_of(arc) == fan_oracle().tri.triangles_of(arc)
 
+    def test_a_non_arc_leaves_no_face_entry(self):
+        tri = nest_oracle().tri
+        arc = Arc.of(F(1, 4), F(5, 8))
+        texts = []
+        for _ in range(2):
+            with pytest.raises(NotAnArc) as exc:
+                tri.triangles_of(arc)
+            texts.append(str(exc.value))
+        assert texts == ["{1/4, 5/8} is not an arc of the triangulation"] * 2
+        assert arc not in tri._faces
+
     def test_non_arc_raises_on_every_call(self):
         tri = nest_oracle().tri
         for _ in range(3):
@@ -1085,3 +1100,42 @@ class TestClosedFormFaces:
                 assert len(faces) == 2 and set(faces) == expected, arc
                 checked += 1
         assert checked >= 10
+
+
+# -- typed errors -------------------------------------------------------------------
+
+
+def test_typed_errors_keep_their_texts_and_stay_value_errors():
+    pentagon = fan_triangulation(5)
+    cases = [
+        (
+            lambda: validate_triangulation([F(0), F(1, 4), F(1, 2)], [Arc.of(F(0), F(1, 3))]),
+            UnmarkedPoint,
+            "arc {0/1, 1/3} uses a point outside the marked set",
+        ),
+        (
+            lambda: validate_triangulation([F(0)], []),
+            TooFewPoints,
+            "a triangulation needs at least two marked points",
+        ),
+        (
+            lambda: classify_arc(pentagon, Arc.of(F(0), F(1, 3))),
+            UnmarkedPoint,
+            "arc endpoints must be marked points",
+        ),
+        (
+            lambda: pentagon.triangles_of(Arc.of(F(1, 5), F(3, 5))),
+            NotAnArc,
+            "{1/5, 3/5} is not an arc of the triangulation",
+        ),
+        (
+            lambda: split_fountain().triangles_of(Arc.of(F(1, 6), F(1, 2))),
+            NotAnArc,
+            "{1/6, 1/2} is not an arc of the triangulation",
+        ),
+    ]
+    for call, cls, text in cases:
+        with pytest.raises(cls) as exc:
+            call()
+        assert type(exc.value) is cls and str(exc.value) == text
+        assert isinstance(exc.value, ClusterLabError) and isinstance(exc.value, ValueError)

@@ -9,6 +9,7 @@ import pytest
 import clusterlab.laurent
 from clusterlab.errors import NotDivisible
 from clusterlab.laurent import format_poly
+from clusterlab.morphisms import ClusterMap, check_cm3
 from clusterlab.seeds import Seed, enumerate_seeds, mutate_seed
 
 pytest.importorskip("hypothesis")
@@ -24,13 +25,10 @@ def linear_a(n):
     return Seed.initial(labels, labels, entries)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_linear_a_divides_once_per_quadrilateral(n, monkeypatch):
-    # The n(n+3)/2 cluster variables of A_n are the diagonals of an
-    # (n+3)-gon and each exchange is a Ptolemy relation of one
-    # quadrilateral, so the class needs C(n+3, 4) divisions, not one per
-    # mutation (n * Catalan(n+1)). The wrapper also pins that mutation
-    # reaches the division through the module.
+@pytest.fixture
+def divisions(monkeypatch):
+    """The divisions made while the test runs, one entry each. The wrapper
+    also pins that mutation reaches the division through the module."""
     calls = []
     exact_div = clusterlab.laurent.lp_exact_div
 
@@ -39,8 +37,28 @@ def test_linear_a_divides_once_per_quadrilateral(n, monkeypatch):
         return exact_div(num, den)
 
     monkeypatch.setattr(clusterlab.laurent, "lp_exact_div", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_linear_a_divides_once_per_quadrilateral(n, divisions):
+    # The n(n+3)/2 cluster variables of A_n are the diagonals of an
+    # (n+3)-gon and each exchange is a Ptolemy relation of one
+    # quadrilateral, so the class needs C(n+3, 4) divisions, not one per
+    # mutation (n * Catalan(n+1)).
     enumerate_seeds(linear_a(n), 40)
-    assert len(calls) == comb(n + 3, 4) == [5, 15, 35, 70, 126][n - 2]
+    assert len(divisions) == comb(n + 3, 4) == [5, 15, 35, 70, 126][n - 2]
+
+
+def test_cm3_source_and_target_walks_share_one_table(divisions):
+    # The source and the target are built apart, as check-morphism loads
+    # them; with a table each, identity CM3 on A5 at depth 4 divides 86
+    # times, with the source's table shared by both walks 43.
+    source, target = linear_a(5), linear_a(5)
+    report = check_cm3(ClusterMap(source, target, {v: v for v in source.labels}), 4)
+    assert (len(divisions), report.nodes, report.cm3_verified_to) == (43, 781, 4)
+    assert report.counterexample is None and report.cm1 and report.cm2
+    assert "_exchanges" not in target.__dict__
 
 
 def test_a_failed_division_stores_nothing():

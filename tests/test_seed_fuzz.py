@@ -1,5 +1,6 @@
 """Fuzzed `.seed` and `.map` files through the CLI verbs `enumerate`,
-`mutate`, `check-morphism`, `image-seed` and `check-ideal`: every call exits 0, 1, 2 or 3, never with a
+`mutate`, `components`, `coproduct`, `similar`, `check-morphism`,
+`image-seed` and `check-ideal`: every call exits 0, 1, 2 or 3, never with a
 traceback, and a rerun in the same process prints the same bytes (so
 nothing one run leaves on its seeds, such as the exchange table, leaks into
 the next)."""
@@ -43,11 +44,11 @@ SEED_FLAWS = [
 
 
 @st.composite
-def seed_files(draw):
-    """A seed file of rank 0-4 with a skew-symmetrizable matrix of small
-    bonds, mostly exchangeable variables, Laurent values now and then, and
-    in a third of the files one flaw from SEED_FLAWS."""
-    labels = draw(st.lists(st.sampled_from(LABELS), max_size=4, unique=True))
+def seed_files(draw, names=LABELS):
+    """A seed file of rank 0-4 on the given names with a skew-symmetrizable
+    matrix of small bonds, mostly exchangeable variables, Laurent values now
+    and then, and in a third of the files one flaw from SEED_FLAWS."""
+    labels = draw(st.lists(st.sampled_from(names), max_size=4, unique=True))
     variables = []
     for label in labels:
         record = {"id": label}
@@ -66,7 +67,7 @@ def seed_files(draw):
     if draw(st.integers(0, 3)) == 0:
         data["values"] = [[l, t] for l, t in zip(labels, draw(st.permutations(TEXTS)))]
     flaw = draw(st.sampled_from(SEED_FLAWS + [None] * 2 * len(SEED_FLAWS)))
-    name = draw(st.sampled_from(LABELS + MADE))
+    name = draw(st.sampled_from(names + MADE))
     if flaw == "junk file":
         return draw(st.sampled_from(JUNK))
     if flaw == "junk variables":
@@ -74,7 +75,7 @@ def seed_files(draw):
     elif flaw == "missing key":
         del data[draw(st.sampled_from(sorted(data)))]
     elif flaw == "undeclared entry":
-        matrix.append([name, draw(st.sampled_from(labels or LABELS)), 1])
+        matrix.append([name, draw(st.sampled_from(labels or names)), 1])
     elif flaw == "bad text":
         data["values"] = [[l, draw(st.sampled_from(BAD_TEXTS))] for l in labels]
     elif flaw == "shared value":
@@ -153,7 +154,10 @@ def walks(draw, source):
 @st.composite
 def calls(draw):
     """A CLI call and the files it reads."""
-    verb = draw(st.sampled_from(["enumerate", "mutate", "check-morphism", "image-seed", "check-ideal"]))
+    verb = draw(st.sampled_from([
+        "enumerate", "mutate", "components", "coproduct", "similar",
+        "check-morphism", "image-seed", "check-ideal",
+    ]))
     source = draw(seed_files())
     budget = ["--nodes", str(draw(st.sampled_from([0, 1, 5, 300])))]
     if verb == "enumerate":
@@ -162,7 +166,16 @@ def calls(draw):
         }
     if verb == "mutate":
         return ["mutate", "--seed", "{src}", "--sequence", ",".join(draw(walks(source)))], {"src": source}
+    if verb == "components":
+        return ["components", "--seed", "{src}"], {"src": source}
     target = source if draw(st.booleans()) else draw(seed_files())
+    if verb == "coproduct":
+        # summands on other names now and then, so that they can be disjoint
+        if draw(st.booleans()):
+            target = draw(seed_files(["p", "q", "r", "s"]))
+        return ["coproduct", "--seeds", "{src}", "{dst}"], {"src": source, "dst": target}
+    if verb == "similar":
+        return ["similar", "--src", "{src}", "--dst", "{dst}"], {"src": source, "dst": target}
     files = {"src": source, "dst": target, "map": draw(map_files(source, target))}
     argv = [verb, "--src", "{src}", "--dst", "{dst}", "--map", "{map}"]
     if verb == "image-seed":

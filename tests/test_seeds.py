@@ -1,6 +1,8 @@
 """Seed mutation, enumeration, components, coproducts, similarity."""
 
+import hashlib
 import random
+from itertools import islice
 
 import pytest
 
@@ -14,6 +16,7 @@ from clusterlab.errors import (
 )
 from clusterlab.laurent import LaurentPoly, format_poly, parse_poly
 from clusterlab.seeds import (
+    Memo,
     Seed,
     check_similar,
     check_skew_symmetrizable,
@@ -23,6 +26,7 @@ from clusterlab.seeds import (
     enumerate_seeds,
     exchangeably_connected_components,
     full_subseed,
+    grow,
     is_admissible,
     mutate_seed,
     mutate_sequence,
@@ -88,7 +92,59 @@ class TestSkewSymmetrizable:
         }
         with pytest.raises(NotSkewSymmetrizable) as err:
             check_skew_symmetrizable(matrix, ["a", "b", "c"])
-        assert len(err.value.witness) >= 3
+        assert err.value.witness == ("b", "a", "c")
+        assert str(err.value) == "inconsistent symmetrizer ratios on cycle ('b', 'a', 'c')"
+
+    def test_witnesses_follow_the_breadth_first_walk(self):
+        # The cycle witness depends on the order in which the walk finds
+        # vertices. The digest pins the outcomes of 300 seeded matrices
+        # under the first-in, first-out walk; a depth-first walk changes it.
+        rng = random.Random(12)
+        outcomes = []
+        for _ in range(300):
+            n = rng.randint(3, 7)
+            labels = [f"v{i}" for i in range(n)]
+            rng.shuffle(labels)
+            matrix = {}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.5:
+                        s = rng.choice((1, -1))
+                        matrix.setdefault(labels[i], {})[labels[j]] = s * rng.randint(1, 3)
+                        matrix.setdefault(labels[j], {})[labels[i]] = -s * rng.randint(1, 3)
+            try:
+                outcomes.append(sorted(check_skew_symmetrizable(matrix, labels).items()))
+            except NotSkewSymmetrizable as exc:
+                outcomes.append(exc.witness)
+        assert sum(isinstance(x, tuple) for x in outcomes) == 184
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == "8e48e24cdf7093a1371719a0d38a69aaf374b2742b4f733e0b4e12ad4f2efdb3"
+
+
+class TestMemoAndGrow:
+    def test_a_memo_computes_each_key_once(self):
+        calls = []
+        memo = Memo(lambda k: calls.append(k) or 2 * k)
+        assert [memo[3], memo[3], memo[4], memo[3]] == [6, 6, 8, 6]
+        assert calls == [3, 4] and memo == {3: 6, 4: 8}
+
+    def test_a_computation_that_raises_stores_nothing(self):
+        calls = []
+        memo = Memo(lambda k: calls.append(k) or 1 // k)
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                memo[0]
+        assert calls == [0, 0] and memo == {}
+
+    def test_grow_asks_each_vertex_once_and_ends_with_an_empty_shell(self):
+        # the path 0 - 1 - 2 - 3
+        asked = []
+        near = lambda v: asked.append(v) or {w for w in (v - 1, v + 1) if 0 <= w <= 3}
+        balls = [(set(b), set(s)) for b, s in islice(grow(1, near), 4)]
+        assert balls == [
+            ({1}, {1}), ({0, 1, 2}, {0, 2}), ({0, 1, 2, 3}, {3}), ({0, 1, 2, 3}, set())
+        ]
+        assert asked == [1, 0, 2, 3]
 
 
 class TestMutation:

@@ -65,8 +65,40 @@ def family_records(draw):
 
 
 @st.composite
+def polygon_files(draw):
+    """A triangulated convex n-gon on the points k/n, n in {4, 6, 8}, with
+    the diagonal {0, 1/2}, so `flip --arc 0/1~1/2` applies; now and then
+    an arc is dropped or another one added."""
+    n = draw(st.sampled_from([4, 6, 8]))
+    pairs = set()
+
+    def triangulate(poly):
+        # a triangle on the side poly[0] - poly[-1], then the polygons beside it
+        if len(poly) > 2:
+            k = draw(st.integers(1, len(poly) - 2))
+            for i, j in ((poly[0], poly[k]), (poly[k], poly[-1]), (poly[0], poly[-1])):
+                pairs.add((min(i, j), max(i, j)))
+            triangulate(poly[: k + 1])
+            triangulate(poly[k:])
+
+    triangulate(list(range(n // 2 + 1)))
+    triangulate(list(range(n // 2, n)) + [0])
+    arcs = [[str(Fraction(i, n)), str(Fraction(j, n))] for i, j in sorted(pairs)]
+    if rarely(draw):
+        del arcs[draw(st.integers(0, len(arcs) - 1))]
+    if rarely(draw):
+        arcs.append([draw(angles()), draw(angles())])
+    return {"points": [str(Fraction(k, n)) for k in range(n)], "arcs": arcs}
+
+
+@st.composite
 def tri_files(draw):
-    data = {"families": draw(st.lists(family_records(), min_size=1, max_size=2))}
+    """Infinite triangulations, and finite ones: polygon_files now and
+    then, and random points and arcs (mostly invalid) when no family is
+    drawn."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(polygon_files())
+    data = {"families": draw(st.lists(family_records(), min_size=0, max_size=2))}
     if draw(st.booleans()):
         data["points"] = draw(st.lists(angles(), max_size=3))
     if draw(st.booleans()):
