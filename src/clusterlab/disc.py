@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count, islice
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -443,8 +443,17 @@ class _TipSequence:
         return ("point", self.tip(max(self.start, -sn * Dd // (sd * Dn) + 1)))
 
 
-_FOUNTAINS = ("fountain", "left-fountain", "right-fountain")
-FAMILY_KINDS = _FOUNTAINS + ("nest", "half-nest")
+# kind -> (whether its arcs join a base to each tip, its tip sequences as
+# (limit field, sign of the step)): the first steps by `scale`, a second by
+# `scale2` (default `scale`); kinds without a base zigzag between the two.
+_KINDS = {
+    "fountain": (True, (("limit", -1), ("limit", 1))),
+    "left-fountain": (True, (("limit", 1),)),
+    "right-fountain": (True, (("limit", -1),)),
+    "nest": (False, (("limit", -1), ("limit", 1))),
+    "half-nest": (False, (("limit", 1), ("limit2", -1))),
+}
+FAMILY_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -455,6 +464,10 @@ class ArcFamily:
     (right-fountain: from below/the right, step < 0 in the tip sequence;
     left-fountain: from above/the left). Nest and half-nest kinds zigzag:
     arcs {a_k, b_k} and {a_{k+1}, b_k} with both endpoint sequences moving.
+
+    The constructor normalizes `limit`, `base` and `limit2` to [0, 1),
+    builds the tip sequences once and makes every check about the family
+    alone; below it, `base is None` means the family zigzags.
     """
 
     kind: str
@@ -466,27 +479,38 @@ class ArcFamily:
     scale2: Fraction | None = None
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in _KINDS:
             raise InvalidFamily(f"unknown family kind {self.kind!r}")
         if self.scale <= 0:
             raise InvalidFamily("scale must be positive")
-        if self.kind in _FOUNTAINS:
-            if self.base is None:
-                raise InvalidFamily(f"{self.kind} needs a base point")
-        if self.kind == "half-nest":
-            if self.limit2 is None:
-                raise InvalidFamily("half-nest needs a second limit")
+        fountain, specs = _KINDS[self.kind]
+        if fountain and self.base is None:
+            raise InvalidFamily(f"{self.kind} needs a base point")
+        if not fountain and self.base is not None:
+            raise InvalidFamily(f"{self.kind} takes no base point")
+        if self.kind == "half-nest" and self.limit2 is None:
+            raise InvalidFamily("half-nest needs a second limit")
+        for name in ("limit", "base", "limit2"):
+            if (x := getattr(self, name)) is not None:
+                object.__setattr__(self, name, norm_angle(x))
         try:
             self.limit_arc()
         except ValueError:
             raise InvalidFamily("the family's limit arc joins a point to itself") from None
-        sequences = self.sequences()  # sequence construction validates ranges
-        if self.kind in _FOUNTAINS and any(
-            seq.index_of(norm_angle(self.base)) is not None for seq in sequences
-        ):
+        # in the instance __dict__ beside the frozen fields; built once
+        steps = (self.scale, self.scale if self.scale2 is None else self.scale2)
+        self.__dict__["_sequences"] = tuple(
+            _TipSequence(getattr(self, limit), sign * step, self.start)
+            for (limit, sign), step in zip(specs, steps)
+        )
+        if fountain and any(seq.index_of(self.base) is not None for seq in self._sequences):
             raise InvalidFamily(
-                f"{self.kind} base {frac_str(norm_angle(self.base))} is one of its own tips"
+                f"{self.kind} base {frac_str(self.base)} is one of its own tips"
             )
+        # a zigzag's sequences may meet: a half-nest's limits differ, and a
+        # negative scale2 puts a nest's two on one side of its limit
+        if not fountain and any(p == q for p, q in self._ends(32)):
+            raise InvalidFamily("a family's tip sequences meet, joining a point to itself")
         pair = first_crossing(self.arcs(12))
         if pair is not None:
             raise InvalidFamily(
@@ -496,43 +520,19 @@ class ArcFamily:
     def sequences(self) -> tuple[_TipSequence, ...]:
         return self._sequences
 
-    # built once, in the instance __dict__ beside the frozen fields
-    @cached_property
-    def _sequences(self) -> tuple[_TipSequence, ...]:
-        s2 = self.scale2 if self.scale2 is not None else self.scale
-        if self.kind == "right-fountain":
-            return (_TipSequence(self.limit, -self.scale, self.start),)
-        if self.kind == "left-fountain":
-            return (_TipSequence(self.limit, self.scale, self.start),)
-        if self.kind == "half-nest":
-            return (
-                _TipSequence(self.limit, self.scale, self.start),
-                _TipSequence(self.limit2, -s2, self.start),
-            )
-        # fountain, and nest: both endpoint sequences converge to the
-        # same point, from below and from above
-        return (
-            _TipSequence(self.limit, -self.scale, self.start),
-            _TipSequence(self.limit, s2, self.start),
-        )
-
     def _ends(self, window: int) -> list[tuple[Fraction, Fraction]]:
         """The endpoints of the first `window` arcs, deterministically, read
-        from tip(k): a fountain joins its base to each tip, a zigzag joins
-        a_k to b_k and a_{k+1} to b_k."""
-        if self.kind in ("left-fountain", "right-fountain"):
-            base, (seq,) = norm_angle(self.base), self.sequences()
-            return [(base, seq.tip(k)) for k in range(self.start, self.start + window)]
-        s0, s1 = self.sequences()
-        if self.kind == "fountain":
-            base = norm_angle(self.base)
-            two = lambda k: ((base, s0.tip(k)), (base, s1.tip(k)))
-        else:  # nest / half-nest zigzag
-            two = lambda k: ((s0.tip(k), s1.tip(k)), (s0.tip(k + 1), s1.tip(k)))
-        out: list[tuple[Fraction, Fraction]] = []
-        for k in range(self.start, self.start + (window + 1) // 2):
-            out.extend(two(k))
-        return out[:window]
+        from tip(k) of each sequence in turn: a fountain joins its base to
+        each tip, a zigzag joins a_k to b_k and a_{k+1} to b_k."""
+        base, seqs = self.base, self._sequences
+        ends = (
+            (base, seq.tip(k)) if base is not None
+            else (seq.tip(k), seqs[1].tip(k)) if i == 0
+            else (seqs[0].tip(k + 1), seq.tip(k))
+            for k in count(self.start)
+            for i, seq in enumerate(seqs)
+        )
+        return list(islice(ends, window))
 
     def arcs(self, window: int) -> list[Arc]:
         """The first `window` arcs of the family, deterministically."""
@@ -540,10 +540,7 @@ class ArcFamily:
 
     def tips(self, window: int) -> set[Fraction]:
         """The moving endpoints of the first `window` arcs."""
-        out = {x for ends in self._ends(window) for x in ends}
-        if self.base is not None:
-            out.discard(norm_angle(self.base))
-        return out
+        return {x for ends in self._ends(window) for x in ends} - {self.base}
 
     def is_member(self, arc: Arc) -> bool:
         """Exact membership test for a candidate arc."""
@@ -552,14 +549,14 @@ class ArcFamily:
     def _tips_at(self, p: Fraction) -> dict[int, int]:
         """Sequence index -> k, for each of the family's sequences with
         tip(k) == p."""
-        found = ((i, seq.index_of(p)) for i, seq in enumerate(self.sequences()))
+        found = ((i, seq.index_of(p)) for i, seq in enumerate(self._sequences))
         return {i: k for i, k in found if k is not None}
 
     def _joins(self, arc: Arc, at_p: dict[int, int], at_q: dict[int, int]) -> bool:
         """Whether the arc is the family's, given where its endpoints are
         tips (as _tips_at gives them)."""
-        if self.kind in _FOUNTAINS:
-            base = norm_angle(self.base)
+        base = self.base
+        if base is not None:
             return bool(at_q) if arc.p == base else arc.q == base and bool(at_p)
         # zigzag arcs {a_k, b_k} and {a_{k+1}, b_k}
         for at_a, at_b in ((at_p, at_q), (at_q, at_p)):
@@ -568,9 +565,14 @@ class ArcFamily:
         return False
 
     def _partners(self, i: int, k: int) -> list[Fraction]:
-        """The other endpoints of the zigzag arcs at tip(k) of sequence i:
-        a_k meets b_k and b_{k-1}, b_k meets a_k and a_{k+1}."""
-        sa, sb = self.sequences()
+        """Apex candidates at tip(k) of sequence i. A fountain's are its
+        base and tips k - 1 and k + 1, the apexes over the arc to the base.
+        A zigzag's are the other endpoints of its arcs at the tip: a_k meets
+        b_k and b_{k-1}, b_k meets a_k and a_{k+1}."""
+        if self.base is not None:
+            seq = self._sequences[i]
+            return [self.base, seq.tip(k + 1)] + ([seq.tip(k - 1)] if k > self.start else [])
+        sa, sb = self._sequences
         if i == 1:
             return [sa.tip(k), sa.tip(k + 1)]
         return [sb.tip(k)] + ([sb.tip(k - 1)] if k > self.start else [])
@@ -578,14 +580,9 @@ class ArcFamily:
     def limit_arc(self) -> Arc | None:
         """Half-nests and fountains converge to an arc of the closure; a
         nest's endpoint limits coincide, so it contributes none."""
-        if self.kind == "nest":
-            return None
-        if self.kind == "half-nest":
-            return Arc.of(self.limit, self.limit2)
-        return Arc.of(self.base, self.limit)
-
-
-_MEET = "a family's tip sequences meet, joining a point to itself"
+        if self.base is not None:
+            return Arc.of(self.base, self.limit)
+        return Arc.of(self.limit, self.limit2) if self.kind == "half-nest" else None
 
 
 @dataclass(frozen=True)
@@ -608,9 +605,7 @@ class InfiniteTriangulation:
 
     def __post_init__(self):
         pts = {norm_angle(p) for p in self.finite_points}
-        for f in self.families:
-            if f.base is not None:
-                pts.add(norm_angle(f.base))
+        pts.update(f.base for f in self.families if f.base is not None)
         for a in self.extra_arcs:
             pts.update(a.endpoints())
         object.__setattr__(self, "finite_points", tuple(sorted(pts)))
@@ -622,18 +617,11 @@ class InfiniteTriangulation:
             _arc_in=Memo(self._member),
             _faces=Memo(self._search_faces),
         )
-        try:
-            arcs = self._window_arcs(10)
-        except ValueError:
-            # Arc.of met two equal endpoints: a family's tip sequences meet
-            raise InvalidFamily(_MEET) from None
+        # each family has checked itself; what is left spans families
+        arcs = self._window_arcs(10)
         if not _arcs_non_crossing(arcs):
             raise CrossingPair(*first_crossing(sorted(arcs)))
-        # the first 32 arcs of each family: only a half-nest's two tip
-        # sequences can meet, and no two families may share a tip
-        for f in self.families:
-            if f.kind == "half-nest" and any(p == q for p, q in f._ends(32)):
-                raise InvalidFamily(_MEET)
+        # no two families may share a tip among their first 32 arcs
         if len(self.families) > 1:
             pools = [f.tips(32) for f in self.families]
             if any(a & b for a, b in combinations(pools, 2)):
@@ -661,10 +649,7 @@ class InfiniteTriangulation:
         and the infimum of the distances from p in that direction of the
         marked points other than p (None if there are none)."""
         p, ccw = key
-
-        def dist(x: Fraction) -> Fraction:
-            return norm_angle(x - p) if ccw else norm_angle(p - x)
-
+        dist = (lambda x: norm_angle(x - p)) if ccw else (lambda x: norm_angle(p - x))
         near: tuple[Fraction, Fraction] | None = None  # (distance, point)
         pts = self.finite_points
         if pts:
@@ -721,28 +706,14 @@ class InfiniteTriangulation:
         the endpoints' neighbours and tip indices; the set is symmetric in
         x0 and x1."""
         out: set[Fraction] = set()
-        for x, other in ((x0, x1), (x1, x0)):
+        for x in (x0, x1):
             for ccw in (True, False):
                 q = self._near[x, ccw][0]
                 if q is not None:
                     out.add(q)
-            places = zip(self.families, self._where[x][1], self._where[other][1])
-            for f, at, at_other in places:
-                if f.kind not in _FOUNTAINS:
-                    for i, k in at.items():
-                        out.update(f._partners(i, k))
-                if f.base is None:
-                    continue
-                base = norm_angle(f.base)
-                if at:
-                    out.add(base)
-                if base == x:
-                    # flanking tips when the arc itself is a fountain arc
-                    seqs = f.sequences()
-                    for i, k in at_other.items():
-                        if k > f.start:
-                            out.add(seqs[i].tip(k - 1))
-                        out.add(seqs[i].tip(k + 1))
+            for f, at in zip(self.families, self._where[x][1]):
+                for i, k in at.items():
+                    out.update(f._partners(i, k))
             for a in self.extra_arcs:
                 if x in a.endpoints():
                     out.add(a.other(x))
@@ -760,12 +731,10 @@ class InfiniteTriangulation:
         out = []
         candidates = sorted(self._candidates(arc.p, arc.q))
         for lo, hi in (arc.endpoints(), (arc.q, arc.p)):
-            found = []
-            for z in candidates:
-                if not in_open(lo, hi, z):
-                    continue
-                if self._arc_in[Arc.of(lo, z)] and self._arc_in[Arc.of(z, hi)]:
-                    found.append(z)
+            found = [
+                z for z in candidates
+                if in_open(lo, hi, z) and self._arc_in[Arc.of(lo, z)] and self._arc_in[Arc.of(z, hi)]
+            ]
             if len(found) > 1:
                 raise InvalidFamily(
                     f"arc {arc} has two apexes {found} on one side; "
@@ -793,10 +762,8 @@ class InfiniteTriangulation:
     # -- materialization -----------------------------------------------------
 
     def window_points(self, window: int) -> list[Fraction]:
-        pts: set[Fraction] = set(self.finite_points)  # the bases among them
-        for f in self.families:
-            pts |= f.tips(window)
-        return sorted(pts)
+        # the finite points, the bases among them, and the window's tips
+        return sorted(set(self.finite_points).union(*(f.tips(window) for f in self.families)))
 
     def window_arcs(self, window: int) -> list[Arc]:
         """Family arcs of the window, exceptional arcs, and those edges of
@@ -804,14 +771,11 @@ class InfiniteTriangulation:
         return sorted(self._window_arcs(window))
 
     def _window_arcs(self, window: int) -> set[Arc]:
-        arcs: set[Arc] = set(self.extra_arcs)
-        for f in self.families:
-            arcs.update(f.arcs(window))
+        arcs = set(self.extra_arcs).union(*(f.arcs(window) for f in self.families))
+        # each point and the next, cyclically; a lone point has no edge
         pts = self.window_points(window)
-        n = len(pts)
-        for i in range(n):
-            a = Arc.of(pts[i], pts[(i + 1) % n])
-            if self.is_edge(a):
+        for p, q in zip(pts, pts[1:] + pts[:1]):
+            if p != q and self.is_edge(a := Arc.of(p, q)):
                 arcs.add(a)
         return arcs
 
@@ -838,8 +802,6 @@ def triangulation_components(
         within = lambda lo, hi, x: x == lo or x == hi or in_open(lo, hi, x)
         p_in_01 = within(ell.p, ell.q, a.p) and within(ell.p, ell.q, a.q)
         p_in_10 = within(ell.q, ell.p, a.p) and within(ell.q, ell.p, a.q)
-        if p_in_01 and p_in_10:
-            return "self"
         if p_in_01:
             return "a"
         if p_in_10:

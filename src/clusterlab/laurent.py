@@ -304,10 +304,6 @@ _IDENT_CHARS = set(
 )
 
 
-def _is_ident(tok: str) -> bool:
-    return bool(tok) and all(ch in _IDENT_CHARS for ch in tok) and not _is_int(tok)
-
-
 def _is_int(tok: str) -> bool:
     t = tok[1:] if tok[:1] == "-" else tok
     return t.isdigit()
@@ -394,10 +390,7 @@ def parse_poly(text: str) -> LaurentPoly:
                     )
                 coef *= int(name)
             else:
-                if not _is_ident(name):
-                    raise LaurentParseError(
-                        f"bad identifier {name!r}", position=tok[2]
-                    )
+                # an atom is made of _IDENT_CHARS: if not an integer, a name
                 exp = 1
                 nxt = peek()
                 if nxt is not None and nxt[0] == "^":

@@ -16,7 +16,7 @@ from clusterlab.cli import (
     main,
     save_seed_file,
 )
-from clusterlab.disc import ArcFamily, InfiniteTriangulation
+from clusterlab.disc import ArcFamily
 from clusterlab.errors import InvalidFamily, InvalidSeed, ParseError
 from clusterlab.seeds import Seed
 
@@ -658,18 +658,32 @@ class TestHardenedInput:
 
     def test_half_nest_tips_that_meet_exit_one(self, tmp_path, capsys):
         # a_8 = b_8 = 1/24: the tip sequences meet beyond the 12 arcs the
-        # family checks itself, so the triangulation's wider window finds it
+        # family checks for crossings, within the 32 it checks for meeting
         path = tmp_path / "bad.tri"
         path.write_text(json.dumps({"families": [self.HALF_NEST_MEETING]}))
         for verb in ("validate-tri", "limit-arcs"):
             code, out = run_cli([verb, "--tri", str(path)], capsys)
             assert code == 1
             assert "a family's tip sequences meet, joining a point to itself" in out
-        family = ArcFamily(
-            "half-nest", limit=Fraction(0), limit2=Fraction(1, 12), scale=Fraction(1, 3)
-        )
         with pytest.raises(InvalidFamily, match="tip sequences meet"):
-            InfiniteTriangulation(families=(family,))
+            ArcFamily(
+                "half-nest", limit=Fraction(0), limit2=Fraction(1, 12), scale=Fraction(1, 3)
+            )
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_half_nest_meeting_at_its_first_tips_exits_one(self, tmp_path, capsys, fmt):
+        # a_1 = b_1 = 1/4: the first arc would join a point to itself, which
+        # used to escape the family's crossing check as a bare ValueError
+        family = {"kind": "half-nest", "limit": "0/1", "limit2": "1/2", "scale": "1/4"}
+        path = tmp_path / "bad.tri"
+        path.write_text(json.dumps({"families": [family]}))
+        message = "a family's tip sequences meet, joining a point to itself"
+        for verb in (["validate-tri"], ["limit-arcs"], ["filtration", "--steps", "3"]):
+            code, out = run_cli(["--format", fmt, verb[0], "--tri", str(path), *verb[1:]], capsys)
+            assert code == 1
+            assert message in out
+        with pytest.raises(InvalidFamily, match=message):
+            ArcFamily("half-nest", limit=Fraction(0), limit2=Fraction(1, 2), scale=Fraction(1, 4))
 
     def test_flip_at_a_point_exits_three(self, files, capsys):
         code, out = run_cli(["flip", "--tri", files["pent.tri"], "--arc", "0/1~0/1"], capsys)

@@ -339,6 +339,51 @@ class TestArcFamilies:
             ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=base)
 
 
+    @pytest.mark.parametrize(
+        "raw, twin",
+        [
+            (
+                dict(kind="right-fountain", limit=F(3, 2), scale=F(1, 2), start=2, base=F(-1)),
+                dict(kind="right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=F(0)),
+            ),
+            (
+                dict(kind="half-nest", limit=F(3, 2), limit2=F(5, 4), scale=F(1, 8)),
+                dict(kind="half-nest", limit=F(1, 2), limit2=F(1, 4), scale=F(1, 8)),
+            ),
+            (
+                dict(kind="nest", limit=F(-3, 2), scale=F(1, 4)),
+                dict(kind="nest", limit=F(1, 2), scale=F(1, 4)),
+            ),
+        ],
+    )
+    def test_angles_are_normalized_once(self, raw, twin):
+        fam, fam_twin = ArcFamily(**raw), ArcFamily(**twin)
+        assert fam == fam_twin
+        tri = InfiniteTriangulation(families=(fam,))
+        tri_twin = InfiniteTriangulation(families=(fam_twin,))
+        arcs = tri.window_arcs(12)
+        assert arcs == tri_twin.window_arcs(12)
+        assert limit_arcs(tri) == limit_arcs(tri_twin)
+        for a in arcs:
+            assert tri.triangles_of(a) == tri_twin.triangles_of(a)
+        pts = tri.window_points(12)
+        for i, p in enumerate(pts):
+            for q in pts[i + 1 :]:
+                a = Arc.of(p, q)
+                assert fam.is_member(a) == fam_twin.is_member(a)
+
+    @pytest.mark.parametrize("kind", ["nest", "half-nest"])
+    def test_zigzag_takes_no_base(self, kind):
+        # a base would be a marked point that none of the family's arcs reach
+        with pytest.raises(InvalidFamily, match=f"^{kind} takes no base point$"):
+            ArcFamily(kind, limit=F(1, 4), limit2=F(3, 4), scale=F(1, 8), base=F(0))
+
+    def test_nest_sequences_on_one_side_meet(self):
+        # a negative scale2 puts b_k = a_k on the same side of the limit
+        with pytest.raises(InvalidFamily, match="tip sequences meet"):
+            ArcFamily("nest", limit=F(1, 2), scale=F(1, 4), scale2=F(-1, 4))
+
+
 class TestLimitArcs:
     def test_right_fountain(self):
         tri = InfiniteTriangulation(
@@ -363,6 +408,12 @@ class TestLimitArcs:
             finite_points=(F(0), F(1, 2)),
         )
         assert limit_arcs(tri) == set()
+
+    def test_one_point_is_like_none(self):
+        for pts in ((), (F(0),)):
+            tri = InfiniteTriangulation(families=(), finite_points=pts)
+            assert tri.window_arcs(3) == []
+            assert limit_arcs(tri) == set()
 
     def test_nest_contributes_none(self):
         tri = InfiniteTriangulation(

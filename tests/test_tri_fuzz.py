@@ -1,6 +1,7 @@
 """Fuzzed `.tri` files through the CLI: every file gets an exit code in
 {0, 1, 2, 3}, never a traceback, and the same bytes when run again in the
-same process (so nothing one run computes leaks into the next)."""
+same process (so nothing one run computes leaks into the next). Rotated
+copies of valid family files exit 0 from every verb that reads them."""
 
 import contextlib
 import io
@@ -106,6 +107,42 @@ def tri_files(draw):
     return data
 
 
+# valid infinite triangulations: the fan, split-fountain and nest oracles,
+# a two-sided fountain, a half-nest and a left-fountain
+TEMPLATES = [
+    {"families": [{"kind": "right-fountain", "base": "0", "limit": "1/2", "scale": "1/2", "start": 2}]},
+    {
+        "points": ["1/2", "1/6", "5/6"],
+        "arcs": [["1/4", "3/4"]],
+        "families": [
+            {"kind": "left-fountain", "base": "1/4", "limit": "0", "scale": "1/2", "start": 4},
+            {"kind": "right-fountain", "base": "3/4", "limit": "0", "scale": "1/2", "start": 4},
+        ],
+    },
+    {"families": [{"kind": "nest", "limit": "1/2", "scale": "1/4"}]},
+    {"families": [{"kind": "fountain", "base": "0", "limit": "1/2", "scale": "1/4", "start": 2}]},
+    {"families": [{"kind": "half-nest", "limit": "1/4", "limit2": "3/4", "scale": "1/8"}]},
+    {"families": [{"kind": "left-fountain", "base": "0", "limit": "1/2", "scale": "1/8", "start": 2}]},
+]
+
+
+@st.composite
+def rotated_templates(draw):
+    """One of TEMPLATES turned by k/d of a turn, d in {5, 7, 12}."""
+    data = draw(st.sampled_from(TEMPLATES))
+    d = draw(st.sampled_from([5, 7, 12]))
+    turn = Fraction(draw(st.integers(0, d - 1)), d)
+    rot = lambda x: str((Fraction(x) + turn) % 1)
+    out = {"families": [
+        {key: rot(v) if key in ("base", "limit", "limit2") else v for key, v in fam.items()}
+        for fam in data["families"]
+    ]}
+    if "points" in data:
+        out["points"] = [rot(x) for x in data["points"]]
+        out["arcs"] = [[rot(x) for x in pair] for pair in data["arcs"]]
+    return out
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -125,4 +162,18 @@ def test_tri_files_exit_cleanly_and_repeat_exactly(data):
             first = run(argv)
             assert first[0] in (0, 1, 2, 3), (argv, first)
             assert "Traceback" not in first[1] + first[2]
+            assert run(argv) == first
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotated_templates())
+def test_rotated_valid_files_exit_zero_and_repeat_exactly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "valid.tri")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for verb in (["validate-tri"], ["limit-arcs"], ["filtration", "--steps", "3"]):
+            argv = [verb[0], "--tri", path, *verb[1:]]
+            first = run(argv)
+            assert first[0] == 0, (argv, first)
             assert run(argv) == first
