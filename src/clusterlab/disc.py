@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count, islice
+from math import isqrt
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -443,6 +444,32 @@ class _TipSequence:
         return ("point", self.tip(max(self.start, -sn * Dd // (sd * Dn) + 1)))
 
 
+def _zigzag_meets(a: _TipSequence, b: _TipSequence) -> bool:
+    """Whether a_k = b_k or a_(k+1) = b_k for some k >= start, for every k
+    at once: with e = a.limit - b.limit - m, the first is e*k + a.step -
+    b.step = 0 and the second e*k^2 + (e + a.step - b.step)*k - b.step = 0,
+    for an integer m with |m| <= 1, as each step/k is within half a turn."""
+    for m in (-1, 0, 1):
+        e, ds = a.limit - b.limit - m, a.step - b.step
+        ks = _rational_roots(Fraction(0), e, ds) + _rational_roots(e, e + ds, -b.step)
+        if (e == 0 and ds == 0) or any(k.denominator == 1 and k >= a.start for k in ks):
+            return True
+    return False
+
+
+def _rational_roots(a: Fraction, b: Fraction, c: Fraction) -> list[Fraction]:
+    """The rational roots of a*k^2 + b*k + c, which is not identically 0."""
+    if a == 0:
+        return [-c / b] if b else []
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    rn, rd = isqrt(disc.numerator), isqrt(disc.denominator)
+    if rn * rn != disc.numerator or rd * rd != disc.denominator:
+        return []
+    return [(-b + s * Fraction(rn, rd)) / (2 * a) for s in (1, -1)]
+
+
 # kind -> (whether its arcs join a base to each tip, its tip sequences as
 # (limit field, sign of the step)): the first steps by `scale`, a second by
 # `scale2` (default `scale`); kinds without a base zigzag between the two.
@@ -488,8 +515,15 @@ class ArcFamily:
             raise InvalidFamily(f"{self.kind} needs a base point")
         if not fountain and self.base is not None:
             raise InvalidFamily(f"{self.kind} takes no base point")
-        if self.kind == "half-nest" and self.limit2 is None:
-            raise InvalidFamily("half-nest needs a second limit")
+        takes_limit2 = any(limit == "limit2" for limit, _ in specs)
+        if takes_limit2 and self.limit2 is None:
+            raise InvalidFamily(f"{self.kind} needs a second limit")
+        if not takes_limit2 and self.limit2 is not None:
+            raise InvalidFamily(f"{self.kind} takes no second limit")
+        if len(specs) == 1 and self.scale2 is not None:
+            raise InvalidFamily(f"{self.kind} takes no scale2")
+        if fountain and self.scale2 is not None and self.scale2 <= 0:
+            raise InvalidFamily("scale2 must be positive")
         for name in ("limit", "base", "limit2"):
             if (x := getattr(self, name)) is not None:
                 object.__setattr__(self, name, norm_angle(x))
@@ -509,7 +543,7 @@ class ArcFamily:
             )
         # a zigzag's sequences may meet: a half-nest's limits differ, and a
         # negative scale2 puts a nest's two on one side of its limit
-        if not fountain and any(p == q for p, q in self._ends(32)):
+        if not fountain and _zigzag_meets(*self._sequences):
             raise InvalidFamily("a family's tip sequences meet, joining a point to itself")
         pair = first_crossing(self.arcs(12))
         if pair is not None:

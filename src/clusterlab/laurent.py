@@ -1,34 +1,35 @@
 """Sparse multivariate Laurent polynomials over the integers.
 
-At the API, terms are stored as a map from monomials to nonzero
-arbitrary-precision integer coefficients; a monomial is a sorted tuple of
-(variable, nonzero exponent) pairs. The zero polynomial is the empty map, the
-unit monomial is the empty tuple.
-
-Terms are ordered graded-lexicographically: total degree first, then
+A polynomial maps monomials to nonzero integer coefficients over an
+ambient, the sorted names of the variables it may use, shared by all the
+values of a seed. A monomial is one integer of biased fixed-width fields
+(degree, e_1, ..., e_n), the degree highest, each field's top bit a guard.
+So integer order is the graded-lex term order (total degree first, then
 variable by variable in ascending plain-string name order, the larger
-exponent winning and an absent variable counting as exponent 0. Inside the
-term sort and the exact-division kernel a monomial is encoded once as a
-dense exponent tuple over the sorted names of the variables involved, so
-this order is the native tuple order of (degree, exponents). Exact division
-reduces the remainder in that order with a heap of its monomials (Johnson
-1974; Monagan and Pearce, "Sparse polynomial division using a heap",
-J. Symb. Comput. 46 (2011)).
+exponent winning, an absent variable counting as 0), a product of monomials
+is `a + b - unit`, and exact division reduces the remainder in that order
+with a heap of integers (Johnson 1974; Monagan and Pearce, J. Symb. Comput.
+46 (2011)). At the API, `terms` maps monomials, sorted tuples of (variable,
+nonzero exponent) pairs, to coefficients. Equality and hash do not depend on
+the ambient: one ambient compares packed maps, two compare terms, and the
+hash is that of frozenset(terms.items()). Operands on two ambients meet on
+the union of their names. Each value bounds its fields, a product or
+quotient by the sum of its operands' bounds; an operation that might not fit
+takes exact bounds and, if still too large, moves to wider fields: no field
+wraps.
 """
 
 from __future__ import annotations
 
+import re
 from heapq import heapify, heappop, heappush
-from operator import add, gt, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DivisionByZero, LaurentParseError, NotDivisible
 
 VarId = str
 Monomial = tuple[tuple[VarId, int], ...]
-Exponents = tuple[int, ...]
-
-UNIT_MONOMIAL: Monomial = ()
+WIDTH = 20  # bits per packed field, the top one a guard
 
 
 def monomial(exponents: Mapping[VarId, int]) -> Monomial:
@@ -36,153 +37,220 @@ def monomial(exponents: Mapping[VarId, int]) -> Monomial:
     return tuple(sorted((v, e) for v, e in exponents.items() if e != 0))
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for v, e in b:
-        n = exps.get(v, 0) + e
-        if n:
-            exps[v] = n
-        else:
-            del exps[v]
-    return tuple(sorted(exps.items()))
+def _bound(monomials: Iterable[Monomial]) -> int:
+    """The largest absolute exponent or total degree of the monomials."""
+    return max((abs(x) for m in monomials for x in (sum(e for _, e in m), *(e for _, e in m))),
+               default=0)
 
 
-def _vectors(monomials: Iterable[Monomial], names: Sequence[VarId]) -> list[Exponents]:
-    """Dense exponent tuples over `names`, sorted and covering every variable."""
-    index = {v: i for i, v in enumerate(names)}
-    zeros = [0] * len(names)
-    out = []
-    for m in monomials:
-        exps = zeros.copy()
-        for v, e in m:
-            exps[index[v]] = e
-        out.append(tuple(exps))
-    return out
+class Ambient:
+    """Sorted variable names and the packing of monomials over them: the
+    field of name v starts at bit place[v], the degree's at bit `top`. A
+    floor (the per-variable minimum exponents) is packed with degree 0."""
+
+    __slots__ = ("names", "ident", "width", "place", "top", "mask", "bias", "unit", "guard", "cap")
+
+    def __init__(self, names: Iterable[VarId], width: int = WIDTH):
+        self.names = names = tuple(sorted(set(names)))
+        self.ident, self.width, n = (names, width), width, len(names)
+        self.place = {v: width * (n - 1 - i) for i, v in enumerate(names)}
+        self.top, self.mask, self.bias = width * n, (1 << width) - 1, 1 << (width - 2)
+        self.unit = self.bias * (((1 << (width * (n + 1))) - 1) // self.mask)
+        # every field's top bit, and the largest absolute value a field holds
+        self.guard, self.cap = self.unit << 1, self.bias - 1
+
+    def key(self, m: Monomial) -> int:
+        place = self.place
+        return self.unit + sum(e << place[v] for v, e in m) + (sum(e for _, e in m) << self.top)
+
+    def monomials(self, keys: Iterable[int]) -> list[Monomial]:
+        fields, mask, bias = self.place.items(), self.mask, self.bias
+        return [tuple([(v, e) for v, s in fields if (e := (k >> s & mask) - bias)]) for k in keys]
+
+    def floor(self, keys: Iterable[int]) -> int:
+        """The floor of the (nonempty) keys."""
+        mask, places = self.mask, self.place.values()
+        lows = [mask] * len(places)
+        for k in keys:
+            for i, s in enumerate(places):
+                if k >> s & mask < lows[i]:
+                    lows[i] = k >> s & mask
+        return sum(low << s for low, s in zip(lows, places)) + (self.bias << self.top)
+
+    def meet(self, x: int, y: int) -> int:
+        """The fieldwise minimum of two floors, read from the guard bits."""
+        less = self.guard & ~((x | self.guard) - y)  # the fields where x < y
+        pick = (less >> (self.width - 1)) * self.mask
+        return x & pick | y & ~pick
+
+    def const(self, n: int) -> "LaurentPoly":
+        return _poly(self, {self.unit: n}, 0, self.unit) if n else _poly(self, {}, 0, None)
+
+    def var(self, v: VarId) -> "LaurentPoly":
+        """The variable v; its hash comes from (v, 1), without decoding."""
+        low = self.unit + (1 << self.place[v])
+        return _poly(self, {low + (1 << self.top): 1}, 1, low, hash(frozenset({(((v, 1),), 1)})))
+
+    def encode(self, p: "LaurentPoly") -> "LaurentPoly":
+        """p on this ambient, whose names must cover p's variables."""
+        if p._amb is self:
+            return p
+        if p._bound > self.cap and _bound(p.terms) > self.cap:
+            raise OverflowError(f"{format_poly(p)} does not fit fields of width {self.width}")
+        return _poly(self, p._on(self), p._bound, None, p._hash)
 
 
-def _floor(vectors: Iterable[Exponents]) -> Exponents:
-    """Coordinatewise minimum of equal-length exponent tuples."""
-    return tuple(map(min, zip(*vectors)))
+def on_one_ambient(values: dict) -> dict:
+    """The values as given if they share an ambient, else each re-encoded on
+    the union of their names, in fields wide enough for all of them."""
+    ambients = {p._amb for p in values.values()}
+    if len({a.ident for a in ambients}) <= 1:
+        return values
+    amb = Ambient({v for a in ambients for v in a.names}, max(a.width for a in ambients))
+    return {k: amb.encode(p) for k, p in values.items()}
 
 
-def min_exponents(p: "LaurentPoly") -> Monomial:
-    """Per-variable minimum exponent over the terms of p (absent = 0)."""
-    names = sorted(p.variables())
-    return tuple((v, e) for v, e in zip(names, _floor(_vectors(p.terms, names))) if e)
+def _poly(amb: Ambient, keys: dict[int, int], bound: int, low: int | None, h=None) -> "LaurentPoly":
+    p = object.__new__(LaurentPoly)
+    p._amb, p._keys, p._bound, p._low, p._hash = amb, keys, bound, low, h
+    return p
+
+
+def _align(a: "LaurentPoly", b: "LaurentPoly", division: bool = False):
+    """(ambient, a's keys, b's keys) on one ambient whose fields hold a + b
+    and a * b, or (n + 1) times the bounds' sum, which holds each step of a / b."""
+    amb, grow = a._amb, len(a._amb.names) + 1 if division else 1
+    if (amb is b._amb or amb.ident == b._amb.ident) and (a._bound + b._bound) * grow <= amb.cap:
+        return amb, a._keys, b._keys
+    if not (amb.names and b._amb.names):  # a constant takes the other's ambient
+        host = amb if amb.names else b._amb
+        if (a._bound + b._bound) * (len(host.names) + 1 if division else 1) <= host.cap:
+            return host, a._on(host), b._on(host)
+    names = set(amb.names).union(b._amb.names)
+    grow = len(names) + 1 if division else 1
+    if (a._bound + b._bound) * grow >= 1 << (WIDTH - 2):  # wider fields, unless exact bounds fit
+        a._bound, b._bound = _bound(a.terms), _bound(b.terms)
+    need = (a._bound + b._bound) * grow
+    fits = [x for x in (amb, b._amb) if len(x.names) == len(names) and need <= x.cap]
+    amb = fits[0] if fits else Ambient(names, max(WIDTH, need.bit_length() + 2))
+    return amb, a._on(amb), b._on(amb)
+
+
+def _floor_on(p: "LaurentPoly", amb: Ambient, keys: dict[int, int] | None = None) -> int | None:
+    """p's floor on amb if known; else, given p's keys there, found once."""
+    low = p._low if p._amb is amb else amb.unit if p._keys and not p._amb.names else None
+    if low is None and keys is not None:
+        low = amb.floor(keys)
+        if p._amb is amb:
+            p._low = low
+    return low
 
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_amb", "_keys", "_bound", "_low", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    clean[m] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        terms = {m: c for m, c in terms.items() if c} if terms else {}
+        self._bound = bound = _bound(terms)
+        self._amb = amb = Ambient({v for m in terms for v, _ in m}, max(WIDTH, bound.bit_length() + 2))
+        self._keys, self._low, self._hash = {amb.key(m): c for m, c in terms.items()}, None, None
 
-    def __setattr__(self, *_):
-        raise AttributeError("LaurentPoly is immutable")
+    @property
+    def terms(self) -> dict[Monomial, int]:
+        return dict(zip(self._amb.monomials(self._keys), self._keys.values()))
 
-    # -- constructors --------------------------------------------------
+    def _on(self, amb: Ambient) -> dict[int, int]:
+        if self._amb.ident == amb.ident:
+            return self._keys
+        if not self._amb.names:
+            return {amb.unit: c for c in self._keys.values()}
+        return {amb.key(m): c for m, c in self.terms.items()}
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _NO_NAMES.const(0)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({UNIT_MONOMIAL: 1})
+        return _NO_NAMES.const(1)
 
     @classmethod
     def const(cls, n: int) -> "LaurentPoly":
-        return cls({UNIT_MONOMIAL: n}) if n else cls()
+        return _NO_NAMES.const(n)
 
     @classmethod
     def var(cls, v: VarId, exp: int = 1) -> "LaurentPoly":
-        if exp == 0:
-            return cls.one()
-        return cls({((v, exp),): 1})
-
-    # -- basic queries --------------------------------------------------
+        return cls({((v, exp),): 1}) if exp else cls.one()
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def as_int(self) -> int | None:
         """The constant value if this is a constant, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and UNIT_MONOMIAL in self.terms:
-            return self.terms[UNIT_MONOMIAL]
-        return None
+        keys = self._keys
+        return keys.get(self._amb.unit) if len(keys) == 1 else None if keys else 0
 
     def variables(self) -> set[VarId]:
         return {v for m in self.terms for v, _ in m}
 
     def has_nonnegative_coefficients(self) -> bool:
         """True iff every stored coefficient is positive (none are zero)."""
-        return all(c > 0 for c in self.terms.values())
+        return all(c > 0 for c in self._keys.values())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in descending graded-lex order (leading term first)."""
-        names = sorted(self.variables())
-        keys = ((sum(exps), exps) for exps in _vectors(self.terms, names))
-        return [t for _, t in sorted(zip(keys, self.terms.items()), reverse=True)]
-
-    # -- arithmetic -------------------------------------------------------
+        keys = sorted(self._keys, reverse=True)
+        return list(zip(self._amb.monomials(keys), map(self._keys.get, keys)))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        big, small = (self.terms, other.terms)
+        amb, big, small = _align(self, other)
+        low, other_low = _floor_on(self, amb), _floor_on(other, amb)
         if len(big) < len(small):
             big, small = small, big
         out = dict(big)
-        for m, c in small.items():
-            n = out.get(m, 0) + c
+        for k, c in small.items():
+            n = out.get(k, 0) + c
             if n:
-                out[m] = n
+                out[k] = n
             else:
-                del out[m]
-        return LaurentPoly(out)
+                del out[k]
+                low = None  # a term cancelled: the floor may have risen
+        low = None if low is None or other_low is None else amb.meet(low, other_low)
+        return _poly(amb, out, max(self._bound, other._bound), low)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return _poly(self._amb, {k: -c for k, c in self._keys.items()}, self._bound, self._low)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, LaurentPoly) else NotImplemented
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = monomial_mul(ma, mb)
-                n = out.get(m, 0) + ca * cb
+        amb, a, b = _align(self, other)
+        unit, out = amb.unit, {}
+        for ka, ca in a.items():
+            ka -= unit
+            for kb, cb in b.items():
+                k = ka + kb
+                n = out.get(k, 0) + ca * cb
                 if n:
-                    out[m] = n
+                    out[k] = n
                 else:
-                    del out[m]
-        return LaurentPoly(out)
+                    del out[k]
+        low, other_low = _floor_on(self, amb), _floor_on(other, amb)
+        low = None if low is None or other_low is None else low + other_low - unit
+        return _poly(amb, out, self._bound + other._bound, low)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers of polynomials are not defined; "
                              "invert monomials explicitly")
-        result = None
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
                 result = base if result is None else result * base
@@ -192,30 +260,37 @@ class LaurentPoly:
 
     def shift(self, m: Monomial) -> "LaurentPoly":
         """Multiply by the (unit) monomial m."""
-        if not m:
-            return self
-        return LaurentPoly({monomial_mul(t, m): c for t, c in self.terms.items()})
-
-    # -- equality ---------------------------------------------------------
+        return self * LaurentPoly({m: 1}) if m else self
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        if not isinstance(other, LaurentPoly):
+            return False
+        if self._amb is other._amb or self._amb.ident == other._amb.ident:
+            return self._keys == other._keys
+        return self.terms == other.terms
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
+        h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash(frozenset(zip(self._amb.monomials(self._keys), self._keys.values())))
         return h
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._keys)
 
     def __repr__(self):
         return f"LaurentPoly({format_poly(self)!r})"
 
     def __str__(self):
         return format_poly(self)
+
+
+_NO_NAMES = Ambient(())
+
+
+def min_exponents(p: LaurentPoly) -> Monomial:
+    """Per-variable minimum exponent over the terms of p (absent = 0)."""
+    return p._amb.monomials([_floor_on(p, p._amb, p._keys)])[0] if p._keys else ()
 
 
 def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -227,70 +302,49 @@ def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def lp_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division in the Laurent ring over the integers.
-
-    Both operands are encoded as dense exponent tuples over the sorted union
-    of their variables, and the per-variable minimum exponent is factored out
-    of each so they become ordinary polynomials. The numerator is then
-    reduced by leading terms of the remainder, taken in descending graded-lex
-    order from a heap; any non-divisible step raises NotDivisible.
-    """
+    """Exact division in the Laurent ring over the integers: num is reduced by
+    the leading term of the remainder, taken from a heap in descending order;
+    a step whose quotient term is below g_num / g_den in some variable, for
+    the floors g (a borrow out of a guard bit), or whose coefficient does not
+    divide raises NotDivisible."""
     if den.is_zero():
         raise DivisionByZero("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-
-    names = sorted(num.variables() | den.variables())
-    num_v = _vectors(num.terms, names)
-    den_v = _vectors(den.terms, names)
-    g_num = _floor(num_v)
-    g_den = _floor(den_v)
-
-    def key(exps: Exponents, low: Exponents) -> Exponents:
-        # Negated (degree, exponents) of the shifted monomial: the smallest
-        # key on the min-heap is the graded-lex leading monomial, and keys
-        # of a product add up.
-        neg = tuple(map(sub, low, exps))
-        return (sum(neg),) + neg
-
-    rem = {key(e, g_num): c for e, c in zip(num_v, num.terms.values())}
-    den_terms = sorted((key(e, g_den), c) for e, c in zip(den_v, den.terms.values()))
-    lead_d, lc_d = den_terms[0]
-    tail_d = den_terms[1:]
-    heap = list(rem)
+    amb, rem, dk = _align(num, den, division=True)
+    unit, guard = amb.unit, amb.guard
+    lc_d = dk[lead_d := max(dk)]
+    tail_d = [(k, c) for k, c in dk.items() if k != lead_d]
+    shift = _floor_on(num, amb, rem) - _floor_on(den, amb, dk)
+    # a term divides when no field is below bar's (its degree field is 0)
+    bar = (lead_d + shift) & ((1 << amb.top) - 1)
+    rem = dict(rem)
+    heap = [-k for k in rem]  # a max-heap of the remainder's keys
     heapify(heap)
-    quot: dict[Exponents, int] = {}
+    quot: dict[int, int] = {}
     while heap:
-        lead_r = heappop(heap)
+        lead_r = -heappop(heap)
         lc_r = rem.pop(lead_r, 0)
         if not lc_r:
             continue  # cancelled after it was pushed
-        if any(map(gt, lead_r, lead_d)):
+        if (lead_r | guard) - bar & guard != guard:
             raise NotDivisible(f"{format_poly(num)} is not divisible by {format_poly(den)}")
         if lc_r % lc_d != 0:
-            raise NotDivisible(
-                f"coefficient {lc_r} not divisible by {lc_d} over the integers"
-            )
-        t = tuple(map(sub, lead_r, lead_d))
+            raise NotDivisible(f"coefficient {lc_r} not divisible by {lc_d} over the integers")
+        t = lead_r - lead_d  # the quotient term's key, less the unit
         q = lc_r // lc_d
-        quot[t] = q
+        quot[t + unit] = q
         for k_d, c_d in tail_d:
-            k = tuple(map(add, t, k_d))
+            k = t + k_d
             c = rem.get(k)
             if c is None:
                 rem[k] = -q * c_d
-                heappush(heap, k)
+                heappush(heap, -k)
             elif c == q * c_d:
                 del rem[k]
             else:
                 rem[k] = c - q * c_d
-
-    shift = tuple(map(sub, g_num, g_den))
-    out: dict[Monomial, int] = {}
-    for t, q in quot.items():
-        exps = map(sub, shift, t[1:])
-        out[tuple((v, e) for v, e in zip(names, exps) if e)] = q
-    return LaurentPoly(out)
+    return _poly(amb, quot, num._bound + den._bound, shift + unit)
 
 
 def lp_has_nonnegative_coefficients(p: LaurentPoly) -> bool:
@@ -299,53 +353,31 @@ def lp_has_nonnegative_coefficients(p: LaurentPoly) -> bool:
 
 # -- canonical text form ----------------------------------------------------
 
-_IDENT_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'/~.()"
-)
-
-
-def _is_int(tok: str) -> bool:
-    t = tok[1:] if tok[:1] == "-" else tok
-    return t.isdigit()
-
 
 def format_poly(p: LaurentPoly) -> str:
     """Canonical text: terms in descending graded-lex order."""
     if p.is_zero():
         return "0"
     parts: list[str] = []
-    for i, (m, c) in enumerate(p.sorted_terms()):
-        mag = abs(c)
+    for m, c in p.sorted_terms():
         factors = [f"{v}^{e}" if e != 1 else v for v, e in m]
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + "*".join(factors))
     return " ".join(parts)
 
 
+# a sign or operator, an atom (an integer or a name), or a character neither may hold
+_TOKEN = re.compile(r"\s*(?:([-+*^])|([A-Za-z0-9_'/~.()]+)|(\S))")
+
+
 def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            yield (ch, ch, i)
-            i += 1
-            continue
-        if ch in _IDENT_CHARS:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            yield ("atom", text[i:j], i)
-            i = j
-            continue
-        raise LaurentParseError(f"unexpected character {ch!r}", position=i)
+    for match in _TOKEN.finditer(text):
+        op, atom, bad = match.groups()
+        if bad:
+            raise LaurentParseError(f"unexpected character {bad!r}", position=match.start(3))
+        yield (op, op, match.start(1)) if op else ("atom", atom, match.start(2))
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -355,89 +387,57 @@ def parse_poly(text: str) -> LaurentPoly:
         raise LaurentParseError("empty polynomial text")
     pos = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    def skip(kind: str) -> bool:
+        nonlocal pos
+        found = pos < len(tokens) and tokens[pos][0] == kind
+        pos += found
+        return found
 
-    def take(kind=None):
+    def atom() -> tuple[str, int]:
         nonlocal pos
         if pos >= len(tokens):
             raise LaurentParseError("unexpected end of input")
-        tok = tokens[pos]
-        if kind is not None and tok[0] != kind:
-            raise LaurentParseError(
-                f"expected {kind}, found {tok[1]!r}", position=tok[2]
-            )
+        kind, value, at = tokens[pos]
+        if kind != "atom":
+            raise LaurentParseError(f"expected atom, found {value!r}", position=at)
         pos += 1
-        return tok
+        return value, at
 
-    def parse_int_atom() -> int:
-        tok = take("atom")
-        if not _is_int(tok[1]):
-            raise LaurentParseError(f"expected integer, found {tok[1]!r}", position=tok[2])
-        return int(tok[1])
-
-    def parse_term(sign: int) -> tuple[Monomial, int]:
-        coef = sign
-        exps: dict[VarId, int] = {}
-        first = True
-        while True:
-            tok = take("atom")
-            name = tok[1]
-            if _is_int(name):
+    terms: dict[Monomial, int] = {}
+    sign = -1 if skip("-") else 1
+    if sign == 1:
+        skip("+")
+    while True:
+        coef, exps, first = sign, {}, True
+        while first or skip("*"):
+            name, at = atom()
+            if name.isdigit():  # an atom holds no sign
                 if not first:
-                    raise LaurentParseError(
-                        "integer factor only allowed first", position=tok[2]
-                    )
+                    raise LaurentParseError("integer factor only allowed first", position=at)
                 coef *= int(name)
             else:
-                # an atom is made of _IDENT_CHARS: if not an integer, a name
                 exp = 1
-                nxt = peek()
-                if nxt is not None and nxt[0] == "^":
-                    take("^")
-                    neg = False
-                    nxt2 = peek()
-                    if nxt2 is not None and nxt2[0] == "-":
-                        take("-")
-                        neg = True
-                    exp = parse_int_atom()
-                    if neg:
-                        exp = -exp
+                if skip("^"):
+                    neg = skip("-")
+                    digits, at = atom()
+                    if not digits.isdigit():
+                        raise LaurentParseError(f"expected integer, found {digits!r}", position=at)
+                    exp = -int(digits) if neg else int(digits)
                 exps[name] = exps.get(name, 0) + exp
             first = False
-            nxt = peek()
-            if nxt is not None and nxt[0] == "*":
-                take("*")
-                continue
-            break
-        return monomial(exps), coef
-
-    total = LaurentPoly.zero()
-    sign = 1
-    tok = peek()
-    if tok is not None and tok[0] in "+-":
-        take()
-        sign = -1 if tok[0] == "-" else 1
-    while True:
-        m, c = parse_term(sign)
-        total = total + LaurentPoly({m: c})
-        tok = peek()
-        if tok is None:
-            break
-        if tok[0] not in "+-":
-            raise LaurentParseError(
-                f"expected '+' or '-', found {tok[1]!r}", position=tok[2]
-            )
-        take()
-        sign = -1 if tok[0] == "-" else 1
-    return total
+        m = monomial(exps)
+        terms[m] = terms.get(m, 0) + coef
+        if pos == len(tokens):
+            return LaurentPoly(terms)
+        kind, value, at = tokens[pos]
+        if kind not in "+-":
+            raise LaurentParseError(f"expected '+' or '-', found {value!r}", position=at)
+        pos += 1
+        sign = -1 if kind == "-" else 1
 
 
 def poly_product(factors: Iterable[LaurentPoly]) -> LaurentPoly:
-    factors = iter(factors)
-    out = next(factors, None)
-    if out is None:
-        return LaurentPoly.one()
+    out = None
     for f in factors:
-        out = out * f
-    return out
+        out = f if out is None else out * f
+    return LaurentPoly.one() if out is None else out

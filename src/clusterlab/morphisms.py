@@ -22,7 +22,7 @@ from .errors import (
     NotSimilar,
     SeedMismatch,
 )
-from .laurent import LaurentPoly, VarId, format_poly, lp_exact_div, min_exponents
+from .laurent import Ambient, LaurentPoly, VarId, format_poly, lp_exact_div, min_exponents
 from .seeds import (
     DEFAULT_NODE_BUDGET,
     Memo,
@@ -57,6 +57,8 @@ class ClusterMap:
     def __post_init__(self):
         object.__setattr__(self, "source", self.source.reroot())
         object.__setattr__(self, "target", self.target.reroot())
+        # images are built on the target's ambient, as its values are
+        object.__setattr__(self, "_ambient", Ambient(self.target.labels))
         src_labels = set(self.source.labels)
         tgt_labels = set(self.target.labels)
         if set(self.assignment) != src_labels:
@@ -85,13 +87,13 @@ class ClusterMap:
 
     def _resolve(self, img: Image) -> LaurentPoly:
         if isinstance(img, str):
-            return LaurentPoly.var(img)
-        return LaurentPoly.const(img)
+            return self.target.values[img]  # re-rooted: the variable itself
+        return self._ambient.const(img)
 
     def _subst_poly(self, p: LaurentPoly) -> LaurentPoly:
-        out = LaurentPoly.zero()
+        out = self._ambient.const(0)
         for mono, coeff in p.terms.items():
-            term = LaurentPoly.const(coeff)
+            term = self._ambient.const(coeff)
             for v, e in mono:
                 if e < 0:
                     raise AssertionError("substitution needs a polynomial")

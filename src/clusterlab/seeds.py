@@ -26,13 +26,17 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from . import laurent
-from .laurent import LaurentPoly, VarId, format_poly, poly_product
+from .laurent import Ambient, LaurentPoly, VarId, format_poly, on_one_ambient, poly_product
 
 Matrix = dict[VarId, dict[VarId, int]]
 
 DEFAULT_NODE_BUDGET = 100_000
 
 T = TypeVar("T")
+
+
+def _shared_value(first: VarId, second: VarId, value: LaurentPoly):
+    raise InvalidSeed(f"labels {first!r} and {second!r} share the value {format_poly(value)}")
 
 
 def _freeze_matrix(entries: Mapping[VarId, Mapping[VarId, int]]) -> Matrix:
@@ -65,16 +69,13 @@ class Seed:
                     raise InvalidSeed("zero entries must not be stored")
         if set(self.values) != labels:
             raise InvalidSeed("values must be given for exactly the cluster labels")
-        self._check_values_distinct()
-
-    def _check_values_distinct(self):
+        # every value on one ambient, so mutation never re-encodes
+        object.__setattr__(self, "values", on_one_ambient(self.values))
         seen: dict[LaurentPoly, VarId] = {}
         for v in self.labels:
             first = seen.setdefault(self.values[v], v)
             if first != v:
-                raise InvalidSeed(
-                    f"labels {first!r} and {v!r} share the value {format_poly(self.values[v])}"
-                )
+                _shared_value(first, v, self.values[v])
 
     @cached_property
     def _exchanges(self) -> dict:  # mutate_seed's table, beside the frozen fields
@@ -83,16 +84,21 @@ class Seed:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _mutated(cls, labels, exchangeable, matrix, values, exchanges) -> "Seed":
-        """A seed from fields that pass every structural check of
-        __post_init__ by construction, as mutation's do; only distinct
-        values are checked. It uses the given exchange table."""
+    def _mutated(cls, labels, exchangeable, matrix, values, exchanges, fresh=None) -> "Seed":
+        """A seed from fields that pass every check of __post_init__ by
+        construction, as mutation's do, except that the value of the label
+        `fresh`, if given, may equal another. It uses the given exchange
+        table."""
         seed = object.__new__(cls)
         seed.__dict__.update(
             labels=labels, exchangeable=exchangeable, matrix=matrix, values=values,
             _exchanges=exchanges,
         )
-        seed._check_values_distinct()
+        if fresh is not None:
+            new = values[fresh]
+            for v in labels:
+                if v != fresh and values[v] == new:
+                    _shared_value(*sorted((v, fresh), key=labels.index), new)
         return seed
 
     @classmethod
@@ -110,7 +116,8 @@ class Seed:
             for v, w, b in entries:
                 if b:
                     matrix.setdefault(v, {})[w] = b
-        values = {v: LaurentPoly.var(v) for v in labels}
+        ambient = Ambient(labels)
+        values = {v: ambient.var(v) for v in labels}
         return cls(tuple(labels), frozenset(exchangeable), matrix, values)
 
     @classmethod
@@ -331,7 +338,7 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     exchangeable = (seed.exchangeable - {x}) | {new_label}
     # labels stay distinct (the fresh label is new), exchangeables and matrix
     # keys stay in the cluster and no zero entry is stored
-    return Seed._mutated(labels, frozenset(exchangeable), matrix, values, exchanges)
+    return Seed._mutated(labels, frozenset(exchangeable), matrix, values, exchanges, new_label)
 
 
 def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:

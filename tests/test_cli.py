@@ -685,6 +685,61 @@ class TestHardenedInput:
         with pytest.raises(InvalidFamily, match=message):
             ArcFamily("half-nest", limit=Fraction(0), limit2=Fraction(1, 2), scale=Fraction(1, 4))
 
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_half_nest_meeting_late_exits_one(self, tmp_path, capsys, fmt):
+        # a_20 = b_20 = 1/60: found for every k, not in a window of arcs; this
+        # file used to pass validate-tri and stall filtration at size 37
+        family = {"kind": "half-nest", "limit": "0", "limit2": "1/30", "scale": "1/3"}
+        path = tmp_path / "late.tri"
+        path.write_text(json.dumps({"families": [family]}))
+        message = "a family's tip sequences meet, joining a point to itself"
+        for verb in (["validate-tri"], ["limit-arcs"], ["filtration", "--steps", "20"]):
+            code, out = run_cli(["--format", fmt, verb[0], "--tri", str(path), *verb[1:]], capsys)
+            assert code == 1
+            assert message in out
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ({**FOUNTAIN, "scale2": "0"}, "right-fountain takes no scale2"),
+            ({**FOUNTAIN, "kind": "left-fountain", "scale2": "1/8"},
+             "left-fountain takes no scale2"),
+            ({"kind": "nest", "limit": "1/2", "scale": "1/4", "limit2": "1/8"},
+             "nest takes no second limit"),
+            ({**FOUNTAIN, "limit2": "1/8"}, "right-fountain takes no second limit"),
+            ({**FOUNTAIN, "kind": "fountain", "scale2": "-1/8"}, "scale2 must be positive"),
+        ],
+    )
+    def test_family_field_its_kind_ignores_exits_one(self, tmp_path, capsys, family, message):
+        # each of these files used to exit 0, the field silently ignored
+        path = tmp_path / "bad.tri"
+        path.write_text(json.dumps({"families": [family]}))
+        for verb in ("validate-tri", "limit-arcs"):
+            code, out = run_cli([verb, "--tri", str(path)], capsys)
+            assert code == 1
+            assert message in out
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize("order", [("p", "q", "r"), ("r", "p", "q")])
+    def test_mutation_onto_an_existing_value_exits_three(self, tmp_path, capsys, fmt, order):
+        # mutating p gives (y + 1) / x, the value r already has; the error
+        # names both labels in label order
+        data = {
+            "variables": [{"id": v, "exchangeable": v != "r"} for v in order],
+            "matrix": [["p", "q", 1], ["q", "p", -1]],
+            "values": [["p", "x"], ["q", "y"], ["r", "x^-1*y + x^-1"]],
+        }
+        path = tmp_path / "dup.seed"
+        path.write_text(json.dumps(data))
+        pair = "\"p'1\" and 'r'" if order[0] == "p" else "'r' and \"p'1\""
+        message = f"labels {pair} share the value x^-1*y + x^-1"
+        for verb in (["mutate", "--at", "p"], ["enumerate", "--depth", "1"]):
+            code, out = run_cli(["--format", fmt, verb[0], "--seed", str(path), *verb[1:]], capsys)
+            assert code == 3
+            assert (json.loads(out)["error"] if fmt == "structured" else out) == (
+                message if fmt == "structured" else f"error: {message}\n"
+            )
+
     def test_flip_at_a_point_exits_three(self, files, capsys):
         code, out = run_cli(["flip", "--tri", files["pent.tri"], "--arc", "0/1~0/1"], capsys)
         assert code == 3

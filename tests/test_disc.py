@@ -1,5 +1,6 @@
 """Disc triangulations: crossing, validation, seeds, flips, arc families."""
 
+import random
 from fractions import Fraction as F
 from math import comb
 
@@ -13,7 +14,9 @@ from clusterlab.disc import (
     ArcFamily,
     FiniteTriangulation,
     InfiniteTriangulation,
+    _KINDS,
     _non_crossing,
+    _TipSequence,
     all_triangulations,
     arcs_cross,
     classify_arc,
@@ -382,6 +385,70 @@ class TestArcFamilies:
         # a negative scale2 puts b_k = a_k on the same side of the limit
         with pytest.raises(InvalidFamily, match="tip sequences meet"):
             ArcFamily("nest", limit=F(1, 2), scale=F(1, 4), scale2=F(-1, 4))
+
+    def test_half_nest_meeting_late_is_found(self):
+        # a_20 = b_20 = 1/60, beyond any fixed window of arcs
+        with pytest.raises(InvalidFamily, match="tip sequences meet"):
+            ArcFamily("half-nest", limit=F(0), limit2=F(1, 30), scale=F(1, 3))
+        # a_101 = b_100: the second arc shape, found from its quadratic
+        a_limit, scale = F(0), F(1, 4)
+        b_limit = a_limit + scale / 101 + scale / 100
+        with pytest.raises(InvalidFamily, match="tip sequences meet"):
+            ArcFamily("half-nest", limit=a_limit, limit2=b_limit, scale=scale)
+
+    def test_meeting_decided_for_every_k_matches_a_scan(self):
+        # Half the families are half-nests built to meet at a seeded k up to
+        # 200, in either arc shape; the others have limits in 120ths and
+        # steps in 24ths, so they meet, if at all, at k <= 110 (the steps'
+        # difference over the limits' gap). A scan to 250 decides each one,
+        # and the family must agree.
+        rng = random.Random(15)
+        late = 0
+        for i in range(300):
+            kind = "half-nest" if i % 2 else rng.choice(["nest", "half-nest"])
+            scale, scale2 = F(rng.randint(1, 11), 24), F(rng.randint(1, 11), 24)
+            fields = dict(limit=F(rng.randint(0, 119), 120), scale=scale, start=rng.randint(1, 3))
+            if i % 2:  # a_k = b_k or a_(k+1) = b_k at k
+                k = rng.randint(fields["start"], 200)
+                late += k > 32
+                gap = scale2 / k + scale / (k + rng.randint(0, 1))
+                fields.update(scale2=scale2, limit2=fields["limit"] + gap)
+            else:
+                fields["scale2"] = rng.choice([-1, 1]) * scale2
+                if kind == "half-nest":
+                    fields["limit2"] = F(rng.randint(0, 119), 120)
+            if "limit2" in fields and fields["limit2"] % 1 == fields["limit"]:
+                continue  # no limit arc, rejected before its tips are looked at
+            a, b = (
+                _TipSequence(fields.get(limit, fields["limit"]), sign * step, fields["start"])
+                for (limit, sign), step in zip(_KINDS[kind][1], (scale, fields["scale2"]))
+            )
+            start = fields["start"]
+            scan = any(a.tip(k) == b.tip(k) or a.tip(k + 1) == b.tip(k) for k in range(start, 250))
+            try:
+                ArcFamily(kind, **fields)
+            except InvalidFamily as exc:
+                assert scan == ("tip sequences meet" in str(exc)), (kind, fields)
+            else:
+                assert not scan, (kind, fields)
+        assert late > 100
+
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            ("left-fountain", dict(base=F(1, 2), scale2=F(1, 8)), "left-fountain takes no scale2"),
+            ("right-fountain", dict(base=F(1, 2), scale2=F(0)), "right-fountain takes no scale2"),
+            ("fountain", dict(base=F(1, 2), limit2=F(1, 8)), "fountain takes no second limit"),
+            ("nest", dict(limit2=F(1, 8)), "nest takes no second limit"),
+            ("right-fountain", dict(base=F(1, 2), limit2=F(1, 8)),
+             "right-fountain takes no second limit"),
+            ("fountain", dict(base=F(1, 2), scale2=F(-1, 8)), "scale2 must be positive"),
+            ("fountain", dict(base=F(1, 2), scale2=F(0)), "scale2 must be positive"),
+        ],
+    )
+    def test_fields_a_kind_ignores_are_rejected(self, kind, fields, message):
+        with pytest.raises(InvalidFamily, match=f"^{message}$"):
+            ArcFamily(kind, limit=F(0), scale=F(1, 4), **fields)
 
 
 class TestLimitArcs:

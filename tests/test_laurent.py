@@ -1,11 +1,15 @@
-"""Exact Laurent arithmetic: ring axioms, exact division, serialization."""
+"""Exact Laurent arithmetic: ring axioms, exact division, serialization,
+packed monomials."""
 
+import hashlib
 import random
 
 import pytest
 
 from clusterlab.errors import DivisionByZero, LaurentParseError, NotDivisible
 from clusterlab.laurent import (
+    WIDTH,
+    Ambient,
     LaurentPoly,
     format_poly,
     lp_add,
@@ -14,6 +18,7 @@ from clusterlab.laurent import (
     lp_mul,
     parse_poly,
 )
+from clusterlab.seeds import Seed, mutate_seed
 
 x1, x2, x3 = (LaurentPoly.var(v) for v in ("x1", "x2", "x3"))
 y1, y2 = (LaurentPoly.var(v) for v in ("y1", "y2"))
@@ -160,3 +165,87 @@ class TestSerialization:
         for bad in ("", "x1 +", "x1^", "2*", "x1^x2", "&"):
             with pytest.raises(LaurentParseError):
                 parse_poly(bad)
+
+
+CAP = (1 << (WIDTH - 2)) - 1  # the largest absolute value a default field holds
+
+
+class TestPackedFields:
+    """A monomial is one integer of fixed-width fields; a value that would
+    not fit them moves to wider fields, and no field wraps."""
+
+    def test_exponents_at_the_largest_field_value_and_one_beyond(self):
+        for e in (CAP, -CAP, CAP + 1, -CAP - 1):
+            p = LaurentPoly.var("x", e)
+            assert p.terms == {(("x", e),): 1}
+            assert format_poly(p) == f"x^{e}"
+            assert parse_poly(f"x^{e}") == p
+        x, top = LaurentPoly.var("x"), LaurentPoly.var("x", CAP)
+        assert (top * x).terms == {(("x", CAP + 1),): 1}
+        assert (LaurentPoly.var("x", -CAP) * inv("x")).terms == {(("x", -CAP - 1),): 1}
+        assert lp_exact_div(top * x, x) == top
+        assert lp_exact_div(top, LaurentPoly.var("x", -1)).terms == {(("x", CAP + 1),): 1}
+
+    def test_the_degree_field_fills_first(self):
+        # each exponent fits, the total degree 2 * CAP does not
+        x, top = LaurentPoly.var("x"), LaurentPoly.var("x", CAP)
+        xy = top * LaurentPoly.var("y", CAP)
+        assert xy.terms == {(("x", CAP), ("y", CAP)): 1}
+        assert format_poly(xy + x + LaurentPoly.var("y", 2 * CAP + 1)) == (
+            f"y^{2 * CAP + 1} + x^{CAP}*y^{CAP} + x"
+        )
+        assert lp_exact_div(xy * (x + one), x + one) == xy
+        assert lp_exact_div(xy, LaurentPoly.var("y", CAP)) == top
+        with pytest.raises(NotDivisible, match=f"^x\\^{CAP}\\*y\\^{CAP} is not divisible by x \\+ 1$"):
+            lp_exact_div(xy, x + one)
+
+    def test_an_ambient_too_narrow_raises(self):
+        with pytest.raises(OverflowError):
+            Ambient(["x"]).encode(LaurentPoly.var("x", CAP + 1))
+        assert Ambient(["x", "y"]).encode(LaurentPoly.var("x", CAP)) == LaurentPoly.var("x", CAP)
+
+    def test_one_variable_hashes_as_its_terms(self):
+        a = Ambient(["a", "b", "c"]).var("b")
+        assert a == LaurentPoly.var("b") == parse_poly("b")
+        assert hash(a) == hash(LaurentPoly.var("b")) == hash(frozenset(a.terms.items()))
+
+    def test_a_constant_built_before_a_seed_meets_its_values(self):
+        early = LaurentPoly.one()
+        seed = Seed.initial(["a", "b"], ["a", "b"], [("a", "b", 1), ("b", "a", -1)])
+        value = mutate_seed(seed, "a").values["a'1"]
+        assert format_poly(value + early) == "1 + a^-1*b + a^-1"
+        assert format_poly(value * LaurentPoly.const(-2)) == "-2*a^-1*b - 2*a^-1"
+        assert (value - value).is_zero()
+
+
+def seeded_walks(count: int, seed: int):
+    """Labels, matrix entries and walk of `count` seeded walks of 1-4
+    mutations, no position twice in a row, on rank 2-5 skew-symmetric or
+    (three in ten) skew-symmetrizable seeds."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randint(2, 5)
+        d = [rng.choice((1, 2)) for _ in range(rank)] if rng.random() < 0.3 else [1] * rank
+        labels = [f"x{i}" for i in range(rank)]
+        entries = []
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                s = rng.choice((-1, 0, 1))
+                if s:
+                    entries += [(labels[i], labels[j], s * d[j]), (labels[j], labels[i], -s * d[i])]
+        walk: list[int] = []
+        for _ in range(rng.randint(1, 4)):
+            walk.append(rng.choice([p for p in range(rank) if not walk or p != walk[-1]]))
+        yield labels, entries, walk
+
+
+def test_seeded_walk_values_are_pinned():
+    # the canonical text of every value at the end of 300 seeded walks
+    digest = hashlib.sha256()
+    for labels, entries, walk in seeded_walks(300, 2015):
+        seed = Seed.initial(labels, labels, entries)
+        for p in walk:
+            seed = mutate_seed(seed, seed.labels[p])
+        for label in seed.labels:
+            digest.update(format_poly(seed.values[label]).encode() + b"\n")
+    assert digest.hexdigest() == "5004daafb3927dcd4e00b360846d2c5f1dede5e9addd226913ff4bdeadaefc53"

@@ -13,7 +13,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from clusterlab.errors import NotDivisible  # noqa: E402
-from clusterlab.laurent import LaurentPoly, lp_exact_div, lp_mul, parse_poly  # noqa: E402
+from clusterlab.laurent import (  # noqa: E402
+    Ambient,
+    LaurentPoly,
+    format_poly,
+    lp_exact_div,
+    lp_mul,
+    parse_poly,
+)
 
 NAMES = ("x1", "x2", "x10", "y")
 SYMBOLS = sympy.symbols(NAMES)
@@ -107,3 +114,22 @@ def test_obstruction_examples(num, den, message):
     with pytest.raises(NotDivisible) as info:
         lp_exact_div(parse_poly(num), parse_poly(den))
     assert str(info.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, nonzero_polys)
+def test_values_on_two_ambients_agree(a, b):
+    # each value on the ambient of its own variables and on one with every
+    # name and some it never uses; results must not depend on which
+    wide = Ambient(NAMES + ("a0", "x0", "zz"))
+    wa, wb = wide.encode(a), wide.encode(b)
+    for p, wp in ((a, wa), (b, wb)):
+        assert wp == p and p == wp
+        assert hash(wp) == hash(p) == hash(frozenset(p.terms.items()))
+        assert wp.terms == p.terms and format_poly(wp) == format_poly(p)
+    product, total = wa * wb, wa + wb
+    assert a * b == wa * b == a * wb == product
+    assert a + b == wa + b == a + wb == total
+    assert hash(a * b) == hash(product) and hash(a - b) == hash(wa - wb)
+    assert lp_exact_div(a * b, b) == lp_exact_div(wa * b, b) == lp_exact_div(product, wb) == a
+    assert same(product, sympy.expand(to_sympy(a) * to_sympy(b)))
