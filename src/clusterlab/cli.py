@@ -91,8 +91,19 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise _file_error("read", path, exc) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError(f"JSON nested too deeply: {path}") from exc
+
+
+def _file_error(action: str, path: str, exc: OSError) -> ParseError:
+    """A path that cannot be read, written or created is an input error."""
+    return ParseError(f"cannot {action} {path}: {exc.strerror or exc}")
 
 
 def _expect(cond: bool, message: str, expected: str | None = None):
@@ -200,9 +211,12 @@ def seed_to_data(seed: Seed) -> dict:
 
 
 def _write_json(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise _file_error("write", path, exc) from exc
 
 
 def save_seed_file(seed: Seed, path: str) -> None:
@@ -519,7 +533,10 @@ def _cmd_filtration(args) -> tuple[int, dict]:
     if args.out_dir:
         import os
 
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise _file_error("create", args.out_dir, exc) from exc
         for i, stage in enumerate(fil.stages):
             save_seed_file(stage, os.path.join(args.out_dir, f"stage{i}.seed"))
     return EXIT_OK, {

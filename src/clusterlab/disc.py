@@ -18,10 +18,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, count, islice
 from math import isqrt
 from typing import Iterable, Sequence, TypeVar
+import weakref
 
 from .errors import (
     CrossingPair,
@@ -644,12 +645,15 @@ class InfiniteTriangulation:
             pts.update(a.endpoints())
         object.__setattr__(self, "finite_points", tuple(sorted(pts)))
         # memos in the instance __dict__, beside the frozen fields: each
-        # answer is computed once per instance, and errors are never stored
+        # answer is computed once per instance, and errors are never stored.
+        # They reach their owner through a proxy, so the owner sits in no
+        # reference cycle and is freed when its last user drops it.
+        owner, cls = weakref.proxy(self), type(self)
         self.__dict__.update(
-            _where=Memo(self._place),
-            _near=Memo(self._find_neighbour),
-            _arc_in=Memo(self._member),
-            _faces=Memo(self._search_faces),
+            _where=Memo(partial(cls._place, owner)),
+            _near=Memo(partial(cls._find_neighbour, owner)),
+            _arc_in=Memo(partial(cls._member, owner)),
+            _faces=Memo(partial(cls._search_faces, owner)),
         )
         # each family has checked itself; what is left spans families
         arcs = self._window_arcs(10)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -547,10 +548,13 @@ def opposite_seed(seed: Seed) -> Seed:
 def verify_similarity_bijection(
     s: Seed, t: Seed, bijection: Mapping[VarId, VarId]
 ) -> bool:
-    """Re-verify a similarity witness directly against the definition."""
-    if set(bijection) != set(s.labels):
+    """Re-verify a similarity witness directly against the definition: a
+    bijection of labels that keeps exchangeability and maps the rows of
+    each exchangeably connected component of s onto the rows of one of t,
+    up to one sign per component."""
+    if set(bijection) != set(s.labels) or set(bijection.values()) != set(t.labels):
         return False
-    if set(bijection.values()) != set(t.labels):
+    if len(s.labels) != len(t.labels):  # two labels share an image
         return False
     if {bijection[x] for x in s.exchangeable} != set(t.exchangeable):
         return False
@@ -558,21 +562,14 @@ def verify_similarity_bijection(
         frozenset(c.labels): c for c in exchangeably_connected_components(t)
     }
     for comp in exchangeably_connected_components(s):
-        image = frozenset(bijection[v] for v in comp.labels)
-        target = t_components.get(image)
+        target = t_components.get(frozenset(bijection[v] for v in comp.labels))
         if target is None:
             return False
-        ok_plus = all(
-            t.b(bijection[v], bijection[w]) == comp.b(v, w)
-            for v in comp.labels
-            for w in comp.labels
-        )
-        ok_minus = all(
-            t.b(bijection[v], bijection[w]) == -comp.b(v, w)
-            for v in comp.labels
-            for w in comp.labels
-        )
-        if not (ok_plus or ok_minus):
+        rows = {
+            bijection[v]: {bijection[w]: b for w, b in row.items()}
+            for v, row in comp.matrix.items()
+        }
+        if rows != target.matrix and rows != opposite_seed(target).matrix:
             return False
     return True
 
@@ -581,111 +578,81 @@ def check_similar(
     s: Seed, t: Seed, budget: int = 200_000
 ) -> dict[VarId, VarId] | None:
     """Search for a similarity bijection; None is a definitive 'not similar',
-    SearchBudgetExceeded means the search space was not exhausted."""
+    SearchBudgetExceeded means the search space was not exhausted.
+
+    Depth first over a stack of choice levels: each source component chooses
+    a free target component of its size and a sign, then each of its labels,
+    most neighbours first, an image consistent with the labels placed before
+    it. A level makes its choice when it yields and undoes it when resumed;
+    each component, sign and image tried counts one node of the budget."""
     s_comps = exchangeably_connected_components(s)
     t_comps = exchangeably_connected_components(t)
     if len(s_comps) != len(t_comps):
         return None
     if len(s.labels) != len(t.labels) or len(s.exchangeable) != len(t.exchangeable):
         return None
-
-    nodes = [0]
+    nodes = count(1)
 
     def spend():
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise SearchBudgetExceeded(
-                f"similarity search exceeded budget of {budget}"
-            )
+        if next(nodes) > budget:
+            raise SearchBudgetExceeded(f"similarity search exceeded budget of {budget}")
 
     # Components may share coefficient labels, so all component isos extend
     # one global partial bijection.
     assignment: dict[VarId, VarId] = {}
     used: set[VarId] = set()
-
-    def component_iso(a: Seed, b_seed: Seed, sign: int, i: int) -> bool:
-        """Extend the global assignment to an iso a -> b_seed (sign-twisted
-        matrix equality, exchangeability preserved), then continue with the
-        remaining components; backtracks on failure."""
-        a_labels = sorted(a.labels, key=lambda v: (-len(a.neighbours(v)), v))
-        b_by_flag: dict[bool, list[VarId]] = {True: [], False: []}
-        for w in sorted(b_seed.labels):
-            b_by_flag[w in b_seed.exchangeable].append(w)
-        b_label_set = set(b_seed.labels)
-
-        def extend(k: int) -> bool:
-            if k == len(a_labels):
-                return match(i + 1)
-            v = a_labels[k]
-            fixed = assignment.get(v)
-            if fixed is not None:
-                flag_ok = fixed in b_label_set and (
-                    (fixed in b_seed.exchangeable) == (v in a.exchangeable)
-                )
-                candidates = [fixed] if flag_ok else []
-                preassigned = True
-            else:
-                candidates = b_by_flag[v in a.exchangeable]
-                preassigned = False
-            for w in candidates:
-                if not preassigned and w in used:
-                    continue
-                spend()
-                ok = True
-                for v2 in a_labels[:k]:
-                    w2 = assignment[v2]
-                    if b_seed.b(w, w2) != sign * a.b(v, v2) or b_seed.b(
-                        w2, w
-                    ) != sign * a.b(v2, v):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if preassigned:
-                    if extend(k + 1):
-                        return True
-                else:
-                    assignment[v] = w
-                    used.add(w)
-                    if extend(k + 1):
-                        return True
-                    del assignment[v]
-                    used.remove(w)
-            return False
-
-        return extend(0)
-
     t_used = [False] * len(t_comps)
+    chosen: list[tuple[int, int]] = [(0, 0)] * len(s_comps)  # (target component, sign)
+    orders = [sorted(a.labels, key=lambda v: (-len(a.neighbours(v)), v)) for a in s_comps]
+    pools = [dict.fromkeys(sorted(b.labels)) for b in t_comps]  # ordered, with O(1) membership
 
-    def match(i: int) -> bool:
-        if i == len(s_comps):
-            return True
+    def component(i: int) -> Iterator[bool]:
         a = s_comps[i]
-        for j, b_comp in enumerate(t_comps):
-            if t_used[j]:
+        for j, b in enumerate(t_comps):
+            if t_used[j] or len(a.labels) != len(b.labels) or len(a.exchangeable) != len(b.exchangeable):
                 continue
-            if len(a.labels) != len(b_comp.labels):
-                continue
-            if len(a.exchangeable) != len(b_comp.exchangeable):
-                continue
+            t_used[j] = True
             for sign in (1, -1):
                 spend()
-                t_used[j] = True
-                if component_iso(a, b_comp, sign, i):
-                    return True
-                t_used[j] = False
-        return False
+                chosen[i] = j, sign
+                yield True
+            t_used[j] = False
 
-    if not match(0):
-        return None
+    def image(i: int, k: int) -> Iterator[bool]:
+        a, order, (j, sign) = s_comps[i], orders[i], chosen[i]
+        b, v, pool = t_comps[j], order[k], pools[j]
+        fixed = assignment.get(v)  # a coefficient an earlier component placed
+        candidates = [w for w in pool if w not in used] if fixed is None else [fixed]
+        for w in candidates:
+            if w not in pool or (w in b.exchangeable) != (v in a.exchangeable):
+                continue  # outside this component, or of the other kind
+            spend()
+            if any(b.b(w, assignment[u]) != sign * a.b(v, u) or b.b(assignment[u], w) != sign * a.b(u, v)
+                   for u in order[:k]):
+                continue
+            if fixed is None:
+                assignment[v] = w
+                used.add(w)
+            yield True
+            if fixed is None:
+                del assignment[v]
+                used.remove(w)
+
+    plan = [(i, k) for i, order in enumerate(orders) for k in range(-1, len(order))]
+    stack: list[Iterator[bool]] = []
+    while len(stack) < len(plan):
+        i, k = plan[len(stack)]
+        stack.append(component(i) if k < 0 else image(i, k))
+        while not next(stack[-1], False):
+            stack.pop()
+            if not stack:
+                return None
 
     bijection = dict(assignment)
     # Coefficients in no exchangeably connected component: unconstrained,
     # matched in canonical order.
     s_rest = sorted(set(s.labels) - set(bijection))
-    t_rest = sorted(set(t.labels) - set(bijection.values()))
-    if len(s_rest) != len(t_rest):
-        return None
+    t_rest = sorted(set(t.labels) - set(bijection.values()))  # as many as s_rest
     bijection.update(zip(s_rest, t_rest))
     if not verify_similarity_bijection(s, t, bijection):
         return None

@@ -318,6 +318,13 @@ class TestDeterminism:
         assert all(v in plain for v in data["values"])
 
 
+def rendered(report, fmt):
+    """The text `main` prints for a report in the given format."""
+    if fmt == "structured":
+        return json.dumps(report, indent=2) + "\n"
+    return "".join(f"{key}: {value}\n" for key, value in report.items())
+
+
 def run_captured(argv):
     """Exit code, stdout and stderr of one in-process `main` call."""
     out, err = io.StringIO(), io.StringIO()
@@ -534,6 +541,23 @@ class TestMoreCli:
         )
         assert code == 2
         assert "biadmissible enumeration exceeded 4 nodes" in out
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_similar_budget_exits_two(self, tmp_path, fmt):
+        # the twelve loose variables match in 12! * 2^12 ways before the
+        # pair z1, z2 (b = 2, -1 against 1, -1) is found never to match
+        paths = []
+        for b in (2, 1):
+            path = tmp_path / f"z{b}.seed"
+            path.write_text(json.dumps({
+                "variables": [{"id": v, "exchangeable": True}
+                              for v in [f"a{i:02d}" for i in range(12)] + ["z1", "z2"]],
+                "matrix": [["z1", "z2", b], ["z2", "z1", -1]],
+            }))
+            paths.append(str(path))
+        code, out, err = run_captured(["--format", fmt, "similar", "--src", paths[0], "--dst", paths[1]])
+        report = {"inconclusive": "similarity search exceeded budget of 200000"}
+        assert (code, out, err) == (2, rendered(report, fmt), "")
 
     @pytest.mark.parametrize(
         "verb, flag, value",
@@ -798,6 +822,30 @@ class TestHardenedInput:
         code, out = run_cli([verb, "--oracle", oracle, "--sequence", "x'1,x,x'1", "--target", "x"], capsys)
         assert code == 0
         assert "stage: 3" in out
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["enumerate", "--seed"], None, "cannot read {}: Is a directory"),
+            (["enumerate", "--seed"], b"\xff\xfe\x00", "not UTF-8 text: {}"),
+            (["enumerate", "--seed"], b"[" * 100_000, "JSON nested too deeply: {}"),
+            (["mutate", "--seed", "a2.seed", "--at", "y1", "--out"], None,
+             "cannot write {}: Is a directory"),
+            (["filtration", "--steps", "2", "--out-dir"], b"", "cannot create {}: File exists"),
+        ],
+        ids=["read-directory", "not-utf8", "nested", "write-directory", "out-dir-is-a-file"],
+    )
+    def test_file_fault_exits_three(self, files, tmp_path, fmt, argv, content, message):
+        # each of these used to end in a traceback and exit 1
+        path = tmp_path / "fault"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = ["--format", fmt, *(files.get(arg, arg) for arg in argv), str(path)]
+        report = {"error": message.format(path)}
+        assert run_captured(argv) == (3, rendered(report, fmt), "")
 
     def test_jobs_flag_is_gone(self, files, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 """Oracles, neighbourhood balls, filtrations, stable mutation, colimits."""
 
+import gc
+import weakref
 from fractions import Fraction as F
 from itertools import islice
 
@@ -172,6 +174,19 @@ class TestFiltration:
         fil = build_filtration(PathQuiverOracle(), 4)
         for inc in fil.inclusions:
             assert check_no_specialization_conditions(inc).passed
+
+    def test_triangulation_freed_without_the_cycle_collector(self):
+        # its memo tables reach it through a proxy, so dropping the oracle
+        # frees it at once rather than at the next cyclic collection
+        oracle = split_fountain_oracle()
+        tri = weakref.ref(oracle.tri)
+        gc.disable()
+        try:
+            build_filtration(oracle, 4)
+            del oracle
+            assert tri() is None
+        finally:
+            gc.enable()
 
 
 class TestTower:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from itertools import islice
 
 import pytest
@@ -13,6 +14,7 @@ from clusterlab.errors import (
     NotExchangeable,
     NotSkewSymmetrizable,
     ResourceLimit,
+    SearchBudgetExceeded,
 )
 from clusterlab.laurent import LaurentPoly, format_poly, parse_poly
 from clusterlab.seeds import (
@@ -345,6 +347,48 @@ class TestOpposite:
         assert opposite_seed(s).same_seed(s)
 
 
+def similarity_pair(rng):
+    """A skew-symmetrizable seed of rank <= 8 and a shuffled, relabelled,
+    possibly opposite copy of it: unchanged, with one arrow reversed, with
+    one exchangeability flipped, or replaced by an unrelated seed."""
+    rank = rng.randint(1, 8)
+    names = [f"v{i}" for i in range(rank)]
+    d = {v: rng.choice((1, 1, 2)) for v in names}
+    entries = {}
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if rng.random() < 0.4:
+                v, w, c = names[i], names[j], rng.choice((-1, 1))
+                entries[v, w], entries[w, v] = c * d[w], -c * d[v]
+    ex = {v for v in names if rng.random() < 0.6}
+    s = Seed.initial(names, ex, [(v, w, b) for (v, w), b in entries.items()])
+    mode = rng.randrange(4)
+    rename = dict(zip(names, rng.sample([f"w{i}" for i in range(rank)], rank)))
+    if mode == 1 and entries:
+        v, w = rng.choice(sorted(entries))
+        entries[v, w] = -entries[v, w]
+        entries[w, v] = -entries[w, v]
+    elif mode == 2:
+        ex ^= {rng.choice(names)}
+    elif mode == 3:
+        return s, similarity_pair(rng)[0]
+    sign = rng.choice((1, -1))
+    t = Seed.initial(
+        [rename[v] for v in rng.sample(names, rank)],
+        {rename[v] for v in ex},
+        [(rename[v], rename[w], sign * b) for (v, w), b in entries.items()],
+    )
+    return s, t
+
+
+def similarity_outcome(s, t, budget):
+    try:
+        bij = check_similar(s, t, budget)
+    except SearchBudgetExceeded as exc:
+        return f"budget: {exc}"
+    return "None" if bij is None else repr(sorted(bij.items()))
+
+
 class TestSimilarity:
     def test_opposite_seed(self):
         s = example_seed()
@@ -369,6 +413,56 @@ class TestSimilarity:
             s = random_seed(rng)
             t = random_seed(rng)
             assert (check_similar(s, t) is None) == (check_similar(t, s) is None)
+
+    def test_outcomes_pinned(self):
+        # 1200 seeded pairs, each at the default budget and at one of 1-40:
+        # every bijection, every None and every exhausted budget, as the
+        # recursive search found them
+        digest = hashlib.sha256()
+        for i in range(1200):
+            rng = random.Random(i)
+            s, t = similarity_pair(rng)
+            for budget in (200_000, rng.randint(1, 40)):
+                digest.update(similarity_outcome(s, t, budget).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "8a3c838c0914eef41d9037f747a924c88c3326b3356df1986565f2b102e38adb"
+        )
+
+    def test_star_deeper_than_the_recursion_limit(self):
+        # the search keeps its choices on a stack of its own, so a seed
+        # larger than the interpreter's recursion limit allows is searched
+        leaves = [f"x{i:03d}" for i in range(400)]
+        arrows = [e for v in leaves for e in (("c", v, 1), (v, "c", -1))]
+        star = Seed.initial(["c", *leaves], ["c", *leaves], arrows)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            bij = check_similar(star, star)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert bij == {v: v for v in star.labels}
+        assert verify_similarity_bijection(star, star, bij)
+
+    def test_budget_exhausted(self):
+        # twelve loose variables match in 12! * 2^12 ways before the one
+        # pair, b = (2, -1) against (1, -1), is found never to match
+        loose = [f"a{i:02d}" for i in range(12)]
+        s, t = (
+            Seed.initial([*loose, "z1", "z2"], [*loose, "z1", "z2"], [("z1", "z2", b), ("z2", "z1", -1)])
+            for b in (2, 1)
+        )
+        with pytest.raises(SearchBudgetExceeded, match="exceeded budget of 200000"):
+            check_similar(s, t)
+
+    def test_verify_rejects_a_map_that_is_not_injective(self):
+        # c is a coefficient in no component, so only injectivity rules out c -> q
+        s = Seed.initial(["a", "b", "c"], ["a", "b"], [("a", "b", 1), ("b", "a", -1)])
+        t = Seed.initial(["p", "q"], ["p", "q"], [("p", "q", 1), ("q", "p", -1)])
+        assert not verify_similarity_bijection(s, t, {"a": "p", "b": "q", "c": "q"})
+        assert verify_similarity_bijection(s, s, {"a": "a", "b": "b", "c": "c"})
 
 
 class TestSeedIdentity:
