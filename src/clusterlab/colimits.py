@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from itertools import count, islice
 from typing import Iterator, Protocol, Sequence
 
@@ -20,6 +21,8 @@ from .disc import (
     ArcFamily,
     FiniteTriangulation,
     InfiniteTriangulation,
+    chord_label,
+    chord_of,
     parse_arc_label,
     seed_from_triangulation,
     triangle_sides,
@@ -49,6 +52,7 @@ from .morphisms import (
     check_no_specialization_conditions,
 )
 from .seeds import (
+    Matrix,
     Memo,
     Seed,
     check_skew_symmetrizable,
@@ -144,7 +148,7 @@ class PathQuiverOracle:
 
 class TriangulationOracle:
     """Seed oracle of a finitely described infinite triangulation; labels
-    are canonical arc labels."""
+    are canonical arc labels, each parsed to its chord once per oracle."""
 
     def __init__(
         self,
@@ -155,20 +159,20 @@ class TriangulationOracle:
         if representatives is None:
             representatives = [p[0].label for p in triangulation_components(tri, COMPONENT_WINDOW)]
         self._reps = list(representatives)
+        self._chords = Memo(lambda v: chord_of(parse_arc_label(v)))
 
     def neighbor_row(self, v: VarId) -> dict[VarId, int]:
-        row = self.tri.arc_neighbour_row(parse_arc_label(v))
-        return {a.label: s for a, s in row.items()}
+        return {chord_label(c): s for c, s in self.tri.chord_row(self._chords[v]).items()}
 
     def is_exchangeable(self, v: VarId) -> bool:
-        return self.tri.arc_exchangeable(parse_arc_label(v))
+        return self.tri.chord_exchangeable(self._chords[v])
 
     def is_vertex(self, v: VarId) -> bool:
         try:
-            arc = parse_arc_label(v)
+            c = self._chords[v]
         except ParseError:
             return False
-        return arc.label == v and self.tri.arc_in(arc)
+        return chord_label(c) == v and self.tri.chord_in(c)
 
     def representatives(self) -> list[VarId]:
         return list(self._reps)
@@ -259,19 +263,46 @@ ORACLES = {
 def _oracle_balls(oracle: SeedOracle, center: VarId) -> Iterator[Seed]:
     """materialize_ball(oracle, center, r) for r = 0, 1, 2, ...: a row is
     fetched when its vertex enters the ball, exchangeability is asked when
-    the vertex leaves the outer shell."""
+    the vertex leaves the outer shell. A ball's skew-symmetrizability is
+    checked on its new shell alone (_extend_symmetrizer); only when that
+    fails does the full check run, for its error text and witness."""
     rows = Memo(oracle.neighbor_row)
     exchangeable: set[VarId] = set()
+    ratios: dict[VarId, tuple[int, int]] = {center: (1, 1)}  # d_v as (n, d), up to scale
+    inner: set[VarId] = set()  # the shell before
     for ball, shell in grow(center, rows.__getitem__):
         labels = sorted(ball)  # so the rows of the shell are fetched in sorted order
         matrix = {v: {w: b for w, b in rows[v].items() if w in ball} for v in labels}
         seed = Seed.initial(labels, exchangeable, matrix)
-        try:
-            check_skew_symmetrizable(seed.matrix, seed.labels)
-        except NotSkewSymmetrizable as exc:
-            raise OracleInconsistent(f"ball at {center!r} is not skew-symmetrizable: {exc}")
+        if not _extend_symmetrizer(ratios, seed.matrix, sorted(inner), shell):
+            try:
+                ratios = {v: (d, 1) for v, d in check_skew_symmetrizable(seed.matrix, labels).items()}
+            except NotSkewSymmetrizable as exc:
+                raise OracleInconsistent(f"ball at {center!r} is not skew-symmetrizable: {exc}")
         yield seed
         exchangeable |= {v for v in sorted(shell) if oracle.is_exchangeable(v)}
+        inner = shell
+
+
+def _extend_symmetrizer(ratios: dict, matrix: Matrix, inner: list[VarId], shell: set[VarId]) -> bool:
+    """Extends in place a symmetrizer of a ball less its outer shell to the
+    ball, by d_w / d_v = -b_vw / b_wv over every entry touching the shell;
+    each lies in a row of the shell or of the one before (`inner`), whose
+    neighbours the shell is. False at a sign violation or inconsistency."""
+    for v in [*inner, *sorted(shell)]:
+        for w, bvw in matrix.get(v, {}).items():
+            if v not in shell and w not in shell:
+                continue
+            bwv = matrix.get(w, {}).get(v, 0)
+            if bvw * bwv >= 0 or v not in ratios:
+                return False
+            (vn, vd), num, den = ratios[v], -bvw, bwv
+            if w not in ratios:
+                g = gcd(vn * num, vd * den)
+                ratios[w] = (vn * num // g, vd * den // g)
+            elif ratios[w][0] * vd * den != vn * num * ratios[w][1]:
+                return False
+    return True
 
 
 def materialize_ball(oracle: SeedOracle, center: VarId, radius: int) -> Seed:
@@ -326,11 +357,11 @@ def check_only_coefficients(
     if not inner.exchangeable <= outer.exchangeable:
         raise NotFullSubseed("inner exchangeables are not outer exchangeables")
     for v in inner.labels:
-        for w in inner.labels:
-            if inner.b(v, w) != outer.b(v, w):
-                raise NotFullSubseed(
-                    f"matrix entry ({v!r}, {w!r}) is not the outer restriction"
-                )
+        row = outer.matrix.get(v, {})
+        if inner.matrix.get(v, {}) != {w: b for w, b in row.items() if w in inner_labels}:
+            # the first differing entry in label order names the mismatch
+            w = next(w for w in inner.labels if inner.b(v, w) != outer.b(v, w))
+            raise NotFullSubseed(f"matrix entry ({v!r}, {w!r}) is not the outer restriction")
     for v in sorted(inner.exchangeable):
         for w in outer.neighbours(v):
             if w not in inner_labels:

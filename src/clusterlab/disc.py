@@ -6,11 +6,14 @@ ranks of their sorted points, with Fractions read only at input and when
 arcs are named. Infinite triangulations are described by finitely many
 arc families (fountains, nests, half-nests) with tip sequences of the form
 limit +/- scale/k, plus finitely many exceptional arcs, with all edges of
-the marked point set implied. An infinite triangulation locates each point
-once (whether it is a finite point, and its tip index k in each sequence)
-and finds each point's neighbour once per direction; arc membership, apex
-candidates and edges are read from those, an edge being an arc with no
-marked point strictly between its endpoints on one side.
+the marked point set implied. Inside one, a point is the pair (n, d) of
+its angle n/d in lowest terms and an arc a chord, its points in angle
+order, compared by cross-multiplying; Fractions and Arcs are met only at
+the public methods. It locates each point once (whether it is a finite
+point, and its tip index k in each sequence) and finds each point's
+neighbour once per direction; arc membership, apex candidates and edges
+are read from those, an edge being an arc with no marked point strictly
+between its endpoints on one side.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, cmp_to_key, partial
 from itertools import combinations, count, islice
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Sequence, TypeVar
 import weakref
 
@@ -62,11 +65,58 @@ def frac_str(x: Fraction) -> str:
 def in_open(a: Fraction, b: Fraction, z: Fraction) -> bool:
     """z lies in the open cyclic interval (a, b), traversed by increasing
     angle from a to b."""
+    return _in_open(_pt(a), _pt(b), _pt(z))
+
+
+# -- points and chords on integers --------------------------------------------------
+
+Pt = tuple[int, int]  # angle or gap n/d as (n, d), d > 0; a point has 0 <= n < d, reduced
+Chord = tuple[Pt, Pt]  # an arc's endpoints in increasing angle order
+
+
+def _pt(x: Fraction) -> Pt:
+    return x.numerator, x.denominator
+
+
+def _lt(a: Pt, b: Pt) -> bool:
+    """Angle order, by one cross-multiplication; also for gaps."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
+_by_angle = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # sorts points by angle
+
+
+def _in_open(a: Pt, b: Pt, z: Pt) -> bool:
+    """in_open on points."""
+    if _lt(a, b):
+        return _lt(a, z) and _lt(z, b)
+    return _lt(b, a) and (_lt(a, z) or _lt(z, b))
+
+
+def _gap(p: Pt, q: Pt) -> Pt:
+    """norm_angle(q - p): how far q lies counterclockwise from p."""
+    den = p[1] * q[1]
+    return (q[0] * p[1] - p[0] * q[1]) % den, den
+
+
+def _chord(a: Pt, b: Pt) -> Chord:
+    """Arc.of on points in [0, 1)."""
     if a == b:
-        return False
-    if a < b:
-        return a < z < b
-    return z > a or z < b
+        raise ValueError("arc endpoints must be distinct")
+    return (a, b) if _lt(a, b) else (b, a)
+
+
+def chord_of(arc: "Arc") -> Chord:
+    return _pt(arc.p), _pt(arc.q)
+
+
+def _arc(c: Chord) -> "Arc":
+    return Arc(Fraction(*c[0]), Fraction(*c[1]))
+
+
+def chord_label(c: Chord) -> VarId:
+    """Arc.label of the chord's arc."""
+    return "{}/{}~{}/{}".format(*c[0], *c[1])
 
 
 @dataclass(frozen=True, order=True)
@@ -143,17 +193,17 @@ def _non_crossing(pairs: Iterable[tuple]) -> bool:
     return True
 
 
-def _arcs_non_crossing(arcs: Iterable[Arc]) -> bool:
-    """_non_crossing over the ranks of the arcs' endpoints among them."""
-    arcs = list(arcs)
-    rank = {x: i for i, x in enumerate(sorted({x for a in arcs for x in (a.p, a.q)}))}
-    return _non_crossing((rank[a.p], rank[a.q]) for a in arcs)
+def _chords_non_crossing(chords: Iterable[Chord]) -> bool:
+    """_non_crossing over the ranks of the chords' endpoints among them."""
+    chords = list(chords)
+    rank = {x: i for i, x in enumerate(sorted({x for c in chords for x in c}, key=_by_angle))}
+    return _non_crossing((rank[p], rank[q]) for p, q in chords)
 
 
 def first_crossing(arcs: Sequence[Arc]) -> tuple[Arc, Arc] | None:
     """The first crossing pair (a, b) with a before b in the given order:
     a in order, then b in order after it."""
-    if _arcs_non_crossing(arcs):
+    if _chords_non_crossing(map(chord_of, arcs)):
         return None
     for i, a in enumerate(arcs):
         for b in arcs[i + 1 :]:
@@ -388,26 +438,31 @@ class _TipSequence:
         if self.start < 1:
             raise InvalidFamily("tip index range must start at k >= 1")
         if abs(self.step) / self.start >= Fraction(1, 2):
-            raise InvalidFamily(
-                "tip sequence must stay within half a turn of its limit"
-            )
+            raise InvalidFamily("tip sequence must stay within half a turn of its limit")
+        self.__dict__["_ints"] = _pt(self.limit) + _pt(self.step)  # what every query reads
 
     def tip(self, k: int) -> Fraction:
-        # (limit + step/k) mod 1 on integers: a/b + c/(dk) = (adk + bc)/(bdk)
-        a, b = self.limit.numerator, self.limit.denominator
-        c, d = self.step.numerator, self.step.denominator
+        return Fraction(*self._tip(k))
+
+    def _tip(self, k: int) -> Pt:
+        # (limit + step/k) mod 1: a/b + c/(dk) = (adk + bc)/(bdk)
+        a, b, c, d = self._ints
         den = b * d * k
-        return Fraction((a * d * k + b * c) % den, den)
+        num = (a * d * k + b * c) % den
+        g = gcd(num, den)
+        return num // g, den // g
 
     def index_of(self, p: Fraction) -> int | None:
+        return self._index(_pt(p))
+
+    def _index(self, p: Pt) -> int | None:
         """The k with tip(k) == p, if any. A tip lies within half a turn of
         the limit on the side of the step, so p - limit taken on that side
-        is step/k itself; all on integers."""
-        pn, pd = p.numerator, p.denominator
+        is step/k itself."""
+        pn, pd = p
         if not 0 <= pn < pd:
             return None
-        a, b = self.limit.numerator, self.limit.denominator
-        c, d = self.step.numerator, self.step.denominator
+        a, b, c, d = self._ints
         # p - limit = dn/dd, in [0, 1), then in [-1, 0) for a negative step
         dd = pd * b
         dn = (pn * b - a * pd) % dd
@@ -418,31 +473,35 @@ class _TipSequence:
         k, rem = divmod(c * dd, d * dn)
         return k if rem == 0 and k >= self.start else None
 
-    def nearest(self, p: Fraction, ccw: bool):
+    def nearest(self, p: Fraction, ccw: bool) -> tuple[str, Fraction]:
+        kind, x = self._nearest(_pt(p), ccw)
+        return kind, Fraction(*x)
+
+    def _nearest(self, p: Pt, ccw: bool) -> tuple[str, Pt]:
         """Closest tip strictly after p going counterclockwise (ccw) or
         clockwise; clockwise is the mirror image, with angles and the step
-        negated and the tip(k) found mirrored back.
-
-        Returns ("point", tip) when attained, ("accum", distance) when the
-        infimum is an accumulation value that no tip attains.
-        """
-        # p is at distance D before the limit, the tips at offset s/k beyond it
-        D, s = (norm_angle(self.limit - p), self.step) if ccw else (norm_angle(p - self.limit), -self.step)
-        Dn, Dd = D.numerator, D.denominator
-        sn, sd = s.numerator, s.denominator
+        negated and the tip(k) found mirrored back. Returns ("point", tip)
+        when attained, ("accum", distance) when the infimum is an
+        accumulation value that no tip attains."""
+        a, b, c, d = self._ints
+        pn, pd = p
+        # p is at distance D = Dn/Dd before the limit, the tips at offset s/k beyond it
+        Dd = b * pd
+        Dn = (a * pd - pn * b if ccw else pn * b - a * pd) % Dd
+        sn = c if ccw else -c
         if sn > 0:
             # tips beyond the point, D + s/k >= 1, wrap round to just after
             # it; the nearest is the largest such k, unless it is the point
-            kw, rem = divmod(sn * Dd, sd * (Dd - Dn))
+            kw, rem = divmod(sn * Dd, d * (Dd - Dn))
             if rem == 0:
                 kw -= 1
             if kw >= self.start:
-                return ("point", self.tip(kw))
-            return ("accum", D)
+                return ("point", self._tip(kw))
+            return ("accum", (Dn, Dd))
         if Dn == 0:
-            return ("point", self.tip(self.start))
+            return ("point", self._tip(self.start))
         # the first tip short of the limit and past the point: s/k < D
-        return ("point", self.tip(max(self.start, -sn * Dd // (sd * Dn) + 1)))
+        return ("point", self._tip(max(self.start, -sn * Dd // (d * Dn) + 1)))
 
 
 def _zigzag_meets(a: _TipSequence, b: _TipSequence) -> bool:
@@ -538,7 +597,8 @@ class ArcFamily:
             _TipSequence(getattr(self, limit), sign * step, self.start)
             for (limit, sign), step in zip(specs, steps)
         )
-        if fountain and any(seq.index_of(self.base) is not None for seq in self._sequences):
+        self.__dict__["_base"] = None if self.base is None else _pt(self.base)
+        if fountain and any(seq._index(self._base) is not None for seq in self._sequences):
             raise InvalidFamily(
                 f"{self.kind} base {frac_str(self.base)} is one of its own tips"
             )
@@ -546,71 +606,76 @@ class ArcFamily:
         # negative scale2 puts a nest's two on one side of its limit
         if not fountain and _zigzag_meets(*self._sequences):
             raise InvalidFamily("a family's tip sequences meet, joining a point to itself")
-        pair = first_crossing(self.arcs(12))
-        if pair is not None:
-            raise InvalidFamily(
-                f"family generates crossing arcs {pair[0]} and {pair[1]}"
-            )
+        if not _chords_non_crossing(self._chords(12)):
+            a, b = first_crossing(self.arcs(12))
+            raise InvalidFamily(f"family generates crossing arcs {a} and {b}")
 
     def sequences(self) -> tuple[_TipSequence, ...]:
         return self._sequences
 
-    def _ends(self, window: int) -> list[tuple[Fraction, Fraction]]:
+    def _ends(self, window: int) -> list[tuple[Pt, Pt]]:
         """The endpoints of the first `window` arcs, deterministically, read
         from tip(k) of each sequence in turn: a fountain joins its base to
         each tip, a zigzag joins a_k to b_k and a_{k+1} to b_k."""
-        base, seqs = self.base, self._sequences
+        base, seqs = self._base, self._sequences
         ends = (
-            (base, seq.tip(k)) if base is not None
-            else (seq.tip(k), seqs[1].tip(k)) if i == 0
-            else (seqs[0].tip(k + 1), seq.tip(k))
+            (base, seq._tip(k)) if base is not None
+            else (seq._tip(k), seqs[1]._tip(k)) if i == 0
+            else (seqs[0]._tip(k + 1), seq._tip(k))
             for k in count(self.start)
             for i, seq in enumerate(seqs)
         )
         return list(islice(ends, window))
 
+    def _chords(self, window: int) -> list[Chord]:
+        return [_chord(p, q) for p, q in self._ends(window)]
+
     def arcs(self, window: int) -> list[Arc]:
         """The first `window` arcs of the family, deterministically."""
-        return [Arc.of(p, q) for p, q in self._ends(window)]
+        return [_arc(c) for c in self._chords(window)]
+
+    def _tips(self, window: int) -> set[Pt]:
+        return {x for ends in self._ends(window) for x in ends} - {self._base}
 
     def tips(self, window: int) -> set[Fraction]:
         """The moving endpoints of the first `window` arcs."""
-        return {x for ends in self._ends(window) for x in ends} - {self.base}
+        return {Fraction(*x) for x in self._tips(window)}
 
     def is_member(self, arc: Arc) -> bool:
         """Exact membership test for a candidate arc."""
-        return self._joins(arc, self._tips_at(arc.p), self._tips_at(arc.q))
+        p, q = c = chord_of(arc)
+        return self._joins(c, self._tips_at(p), self._tips_at(q))
 
-    def _tips_at(self, p: Fraction) -> dict[int, int]:
+    def _tips_at(self, p: Pt) -> dict[int, int]:
         """Sequence index -> k, for each of the family's sequences with
         tip(k) == p."""
-        found = ((i, seq.index_of(p)) for i, seq in enumerate(self._sequences))
+        found = ((i, seq._index(p)) for i, seq in enumerate(self._sequences))
         return {i: k for i, k in found if k is not None}
 
-    def _joins(self, arc: Arc, at_p: dict[int, int], at_q: dict[int, int]) -> bool:
-        """Whether the arc is the family's, given where its endpoints are
+    def _joins(self, c: Chord, at_p: dict[int, int], at_q: dict[int, int]) -> bool:
+        """Whether the chord is the family's, given where its endpoints are
         tips (as _tips_at gives them)."""
-        base = self.base
+        base = self._base
         if base is not None:
-            return bool(at_q) if arc.p == base else arc.q == base and bool(at_p)
+            return bool(at_q) if c[0] == base else c[1] == base and bool(at_p)
         # zigzag arcs {a_k, b_k} and {a_{k+1}, b_k}
         for at_a, at_b in ((at_p, at_q), (at_q, at_p)):
             if 0 in at_a and 1 in at_b and at_a[0] - at_b[1] in (0, 1):
                 return True
         return False
 
-    def _partners(self, i: int, k: int) -> list[Fraction]:
+    def _partners(self, i: int, k: int) -> list[Pt]:
         """Apex candidates at tip(k) of sequence i. A fountain's are its
         base and tips k - 1 and k + 1, the apexes over the arc to the base.
         A zigzag's are the other endpoints of its arcs at the tip: a_k meets
         b_k and b_{k-1}, b_k meets a_k and a_{k+1}."""
-        if self.base is not None:
+        if self._base is not None:
             seq = self._sequences[i]
-            return [self.base, seq.tip(k + 1)] + ([seq.tip(k - 1)] if k > self.start else [])
+            return [self._base, seq._tip(k + 1)] + ([seq._tip(k - 1)] if k > self.start else [])
         sa, sb = self._sequences
         if i == 1:
-            return [sa.tip(k), sa.tip(k + 1)]
-        return [sb.tip(k)] + ([sb.tip(k - 1)] if k > self.start else [])
+            return [sa._tip(k), sa._tip(k + 1)]
+        return [sb._tip(k)] + ([sb._tip(k - 1)] if k > self.start else [])
 
     def limit_arc(self) -> Arc | None:
         """Half-nests and fountains converge to an arc of the closure; a
@@ -629,6 +694,8 @@ class InfiniteTriangulation:
     Maximality of the described set is the modeler's responsibility; every
     finite window materialization is validated pairwise non-crossing.
 
+    Inside, points are integer pairs and arcs are chords, so every memo key
+    is small ints; each public method converts around its integer twin.
     Each point is located once per instance (the finite points and the
     tip indices it has), and each point's neighbours once per direction;
     membership, edges and apex candidates are read from those.
@@ -644,106 +711,118 @@ class InfiniteTriangulation:
         for a in self.extra_arcs:
             pts.update(a.endpoints())
         object.__setattr__(self, "finite_points", tuple(sorted(pts)))
-        # memos in the instance __dict__, beside the frozen fields: each
-        # answer is computed once per instance, and errors are never stored.
-        # They reach their owner through a proxy, so the owner sits in no
-        # reference cycle and is freed when its last user drops it.
+        # points, chords and memos in the instance __dict__, beside the
+        # frozen fields: each answer is computed once, errors are never
+        # stored, and the memos reach their owner through a proxy, so the
+        # owner sits in no reference cycle and is freed with its last user.
         owner, cls = weakref.proxy(self), type(self)
+        points = tuple(map(_pt, self.finite_points))  # in angle order
         self.__dict__.update(
+            _points=points,
+            _point_set=frozenset(points),
+            _extra=frozenset(map(chord_of, self.extra_arcs)),
             _where=Memo(partial(cls._place, owner)),
             _near=Memo(partial(cls._find_neighbour, owner)),
             _arc_in=Memo(partial(cls._member, owner)),
             _faces=Memo(partial(cls._search_faces, owner)),
         )
         # each family has checked itself; what is left spans families
-        arcs = self._window_arcs(10)
-        if not _arcs_non_crossing(arcs):
-            raise CrossingPair(*first_crossing(sorted(arcs)))
+        chords = self._window_chords(10)
+        if not _chords_non_crossing(chords):
+            raise CrossingPair(*first_crossing(sorted(map(_arc, chords))))
         # no two families may share a tip among their first 32 arcs
         if len(self.families) > 1:
-            pools = [f.tips(32) for f in self.families]
+            pools = [f._tips(32) for f in self.families]
             if any(a & b for a, b in combinations(pools, 2)):
                 raise InvalidFamily("families must not share moving endpoints")
 
     # -- point set ------------------------------------------------------
 
-    def _place(self, p: Fraction) -> tuple[bool, tuple[dict[int, int], ...]]:
-        """Where the angle p (in [0, 1)) lies: whether it is a finite point,
-        and for each family, sequence index -> k for its sequences with
-        tip(k) == p."""
-        return p in self.finite_points, tuple(f._tips_at(p) for f in self.families)
+    def _place(self, p: Pt) -> tuple[bool, tuple[dict[int, int], ...]]:
+        """Where the point p lies: whether it is a finite point, and for
+        each family, sequence index -> k for its sequences with tip(k) == p."""
+        return p in self._point_set, tuple(f._tips_at(p) for f in self.families)
 
     def in_point_set(self, p: Fraction) -> bool:
-        finite, tips = self._where[norm_angle(p)]
+        finite, tips = self._where[_pt(norm_angle(p))]
         return finite or any(tips)
 
     def nearest(self, p: Fraction, ccw: bool) -> Fraction | None:
         """The neighbouring marked point of p in the given direction, or
         None when marked points accumulate there without a closest one."""
-        return self._near[norm_angle(p), ccw][0]
+        q = self._near[_pt(norm_angle(p)), ccw][0]
+        return None if q is None else Fraction(*q)
 
-    def _find_neighbour(self, key: tuple[Fraction, bool]) -> tuple[Fraction | None, Fraction | None]:
-        """For key (p, ccw), with the angle p in [0, 1): nearest(p, ccw),
-        and the infimum of the distances from p in that direction of the
-        marked points other than p (None if there are none)."""
+    def _find_neighbour(self, key: tuple[Pt, bool]) -> tuple[Pt | None, Pt | None]:
+        """For key (p, ccw): the nearest marked point that way, and the
+        infimum of the distances that way from p of the marked points other
+        than p (None if there are none)."""
         p, ccw = key
-        dist = (lambda x: norm_angle(x - p)) if ccw else (lambda x: norm_angle(p - x))
-        near: tuple[Fraction, Fraction] | None = None  # (distance, point)
-        pts = self.finite_points
+        dist = (lambda x: _gap(p, x)) if ccw else (lambda x: _gap(x, p))
+        near: tuple[Pt, Pt] | None = None  # (distance, point)
+        pts = self._points
         if pts:
-            # the next finite point that way, cyclically
-            q = pts[(bisect_right(pts, p) if ccw else bisect_left(pts, p) - 1) % len(pts)]
+            # the next finite point that way, cyclically; the key has the sign of q - p
+            n, d = p
+            at = (bisect_right if ccw else bisect_left)(pts, 0, key=lambda q: q[0] * d - n * q[1])
+            q = pts[(at if ccw else at - 1) % len(pts)]
             if q != p:
                 near = (dist(q), q)
-        accum: Fraction | None = None
+        accum: Pt | None = None
         for f in self.families:
             for seq in f.sequences():
-                kind, val = seq.nearest(p, ccw)
+                kind, val = seq._nearest(p, ccw)
                 if kind == "point":
-                    d = dist(val)
-                    if near is None or d < near[0]:
-                        near = (d, val)
-                elif accum is None or val < accum:
+                    g = dist(val)
+                    if near is None or _lt(g, near[0]):
+                        near = (g, val)
+                elif accum is None or _lt(val, accum):
                     accum = val
-        if near is None or (accum is not None and accum < near[0]):
+        if near is None or (accum is not None and _lt(accum, near[0])):
             return None, accum
         return near[1], near[0]
 
     # -- arc membership ----------------------------------------------------
 
     def is_edge(self, a: Arc) -> bool:
+        return self._is_edge(chord_of(a))
+
+    def _is_edge(self, c: Chord) -> bool:
         """No marked point lies strictly between the endpoints on one side:
         going counterclockwise from p (or from q), the marked points come
         no nearer than the other endpoint. For marked endpoints, q is p's
         counterclockwise neighbour or p is q's."""
-        return self._clear(a.p, a.q) or self._clear(a.q, a.p)
+        return self._clear(*c) or self._clear(c[1], c[0])
 
-    def _clear(self, lo: Fraction, hi: Fraction) -> bool:
+    def _clear(self, lo: Pt, hi: Pt) -> bool:
         """No marked point in the open counterclockwise interval (lo, hi)."""
         gap = self._near[lo, True][1]
-        return gap is None or gap >= norm_angle(hi - lo)
+        return gap is None or not _lt(gap, _gap(lo, hi))
 
     def arc_in(self, a: Arc) -> bool:
-        return self._arc_in[a]
+        return self._arc_in[chord_of(a)]
 
-    def _member(self, a: Arc) -> bool:
-        finite_p, tips_p = self._where[a.p]
-        finite_q, tips_q = self._where[a.q]
+    def chord_in(self, c: Chord) -> bool:
+        return self._arc_in[c]
+
+    def _member(self, c: Chord) -> bool:
+        finite_p, tips_p = self._where[c[0]]
+        finite_q, tips_q = self._where[c[1]]
         if not ((finite_p or any(tips_p)) and (finite_q or any(tips_q))):
             return False
-        if a in self.extra_arcs:
+        if c in self._extra:
             return True
-        if any(f._joins(a, *at) for f, *at in zip(self.families, tips_p, tips_q)):
+        if any(f._joins(c, *at) for f, *at in zip(self.families, tips_p, tips_q)):
             return True
-        return self.is_edge(a)
+        return self._is_edge(c)
 
     # -- triangles -----------------------------------------------------------
 
-    def _candidates(self, x0: Fraction, x1: Fraction) -> set[Fraction]:
-        """Possible apexes over the arc {x0, x1}, on either side, read from
-        the endpoints' neighbours and tip indices; the set is symmetric in
-        x0 and x1."""
-        out: set[Fraction] = set()
+    def _candidates(self, x0: Pt, x1: Pt) -> set[Pt]:
+        """Possible apexes over the chord {x0, x1}, on either side, read
+        from the endpoints' neighbours and tip indices; the set is
+        symmetric in x0 and x1."""
+        out: set[Pt] = set()
         for x in (x0, x1):
             for ccw in (True, False):
                 q = self._near[x, ccw][0]
@@ -752,70 +831,82 @@ class InfiniteTriangulation:
             for f, at in zip(self.families, self._where[x][1]):
                 for i, k in at.items():
                     out.update(f._partners(i, k))
-            for a in self.extra_arcs:
-                if x in a.endpoints():
-                    out.add(a.other(x))
+            for c in self._extra:
+                if x in c:
+                    out.add(c[1] if x == c[0] else c[0])
         out -= {x0, x1}
         return out
 
     def triangles_of(self, arc: Arc) -> list[Corners]:
         """The at most two triangles of the triangulation having this arc
         as a side, each as an increasing-angle corner triple."""
-        return list(self._faces[arc])
+        return [tuple(Fraction(*p) for p in tri) for tri in self._faces[chord_of(arc)]]
 
-    def _search_faces(self, arc: Arc) -> list[Corners]:
-        if not self._arc_in[arc]:
-            raise NotAnArc(f"{arc} is not an arc of the triangulation")
+    def _search_faces(self, c: Chord) -> list[tuple[Pt, Pt, Pt]]:
+        if not self._arc_in[c]:
+            raise NotAnArc(f"{_arc(c)} is not an arc of the triangulation")
+        p, q = c
         out = []
-        candidates = sorted(self._candidates(arc.p, arc.q))
-        for lo, hi in (arc.endpoints(), (arc.q, arc.p)):
+        candidates = self._candidates(p, q)
+        for lo, hi in (c, (q, p)):
             found = [
                 z for z in candidates
-                if in_open(lo, hi, z) and self._arc_in[Arc.of(lo, z)] and self._arc_in[Arc.of(z, hi)]
+                if _in_open(lo, hi, z) and self._arc_in[_chord(lo, z)] and self._arc_in[_chord(z, hi)]
             ]
             if len(found) > 1:
                 raise InvalidFamily(
-                    f"arc {arc} has two apexes {found} on one side; "
+                    f"arc {_arc(c)} has two apexes {sorted(Fraction(*z) for z in found)} on one side; "
                     "the described arc set is not a triangulation"
                 )
             if found:
-                out.append(tuple(sorted((lo, hi, found[0]))))
+                z = found[0]
+                # corners in angle order: z between p and q, or before p, or after q
+                out.append((p, z, q) if lo == p else (z, p, q) if _lt(z, p) else (p, q, z))
         return out
 
     def arc_neighbour_row(self, arc: Arc) -> dict[Arc, int]:
-        """Signed quiver row of the arc: entries to the other sides of its
+        return {_arc(c): s for c, s in self.chord_row(chord_of(arc)).items()}
+
+    def chord_row(self, c: Chord) -> dict[Chord, int]:
+        """Signed quiver row of the chord: entries to the other sides of its
         flanking triangles under the fixed orientation convention."""
-        row: dict[Arc, int] = {}
-        for tri in self.triangles_of(arc):
-            for src, dst in _triangle_arrows(triangle_sides(tri)):
-                if src == arc:
+        row: dict[Chord, int] = {}
+        for p, q, r in self._faces[c]:
+            for src, dst in _triangle_arrows(((p, q), (q, r), (p, r))):
+                if src == c:
                     row[dst] = row.get(dst, 0) + 1
-                elif dst == arc:
+                elif dst == c:
                     row[src] = row.get(src, 0) - 1
         return {a: v for a, v in row.items() if v}
 
     def arc_exchangeable(self, arc: Arc) -> bool:
-        return len(self.triangles_of(arc)) == 2
+        return self.chord_exchangeable(chord_of(arc))
+
+    def chord_exchangeable(self, c: Chord) -> bool:
+        return len(self._faces[c]) == 2
 
     # -- materialization -----------------------------------------------------
 
     def window_points(self, window: int) -> list[Fraction]:
+        return [Fraction(*p) for p in self._window_points(window)]
+
+    def _window_points(self, window: int) -> list[Pt]:
         # the finite points, the bases among them, and the window's tips
-        return sorted(set(self.finite_points).union(*(f.tips(window) for f in self.families)))
+        return sorted(set(self._points).union(*(f._tips(window) for f in self.families)), key=_by_angle)
 
     def window_arcs(self, window: int) -> list[Arc]:
         """Family arcs of the window, exceptional arcs, and those edges of
         the FULL point set whose endpoints are materialized."""
-        return sorted(self._window_arcs(window))
+        return sorted(map(_arc, self._window_chords(window)))
 
-    def _window_arcs(self, window: int) -> set[Arc]:
-        arcs = set(self.extra_arcs).union(*(f.arcs(window) for f in self.families))
+    def _window_chords(self, window: int) -> set[Chord]:
+        chords = set(self._extra).union(*(f._chords(window) for f in self.families))
         # each point and the next, cyclically; a lone point has no edge
-        pts = self.window_points(window)
+        pts = self._window_points(window)
         for p, q in zip(pts, pts[1:] + pts[:1]):
-            if p != q and self.is_edge(a := Arc.of(p, q)):
-                arcs.add(a)
-        return arcs
+            if p != q and self._is_edge(c := _chord(p, q)):
+                chords.add(c)
+        return chords
 
 
 def limit_arcs(it: InfiniteTriangulation) -> set[Arc]:
@@ -837,13 +928,9 @@ def triangulation_components(
     def side(a: Arc, ell: Arc) -> str:
         if a == ell:
             return "self"
-        within = lambda lo, hi, x: x == lo or x == hi or in_open(lo, hi, x)
-        p_in_01 = within(ell.p, ell.q, a.p) and within(ell.p, ell.q, a.q)
-        p_in_10 = within(ell.q, ell.p, a.p) and within(ell.q, ell.p, a.q)
-        if p_in_01:
-            return "a"
-        if p_in_10:
-            return "b"
+        for name, (lo, hi) in (("a", ell.endpoints()), ("b", (ell.q, ell.p))):
+            if all(x in (lo, hi) or in_open(lo, hi, x) for x in a.endpoints()):
+                return name
         raise InvalidFamily(
             f"arc {a} crosses the limit arc {ell}; inconsistent triangulation"
         )

@@ -414,10 +414,8 @@ def check_no_specialization_conditions(
         for y in members:
             fy = m.assignment[y]
             sums: dict[VarId, int] = {}
-            for v in m.source.labels:
-                b = m.source.b(y, v)
-                if b:
-                    sums[m.assignment[v]] = sums.get(m.assignment[v], 0) + b
+            for v, b in m.source.matrix.get(y, {}).items():
+                sums[m.assignment[v]] = sums.get(m.assignment[v], 0) + b
             sums = {v: s for v, s in sums.items() if s}
             row = {w: b for w, b in m.target.row(fy).items() if b}
             ok = set()

@@ -133,13 +133,17 @@ class Seed:
     def row(self, v: VarId) -> dict[VarId, int]:
         return dict(self.matrix.get(v, {}))
 
+    @cached_property
+    def _adjacency(self) -> dict[VarId, set[VarId]]:
+        """Neighbours from rows and columns (support need not be sign-skew)."""
+        adj: dict[VarId, set[VarId]] = {}
+        for v, w in ((v, w) for v, row in self.matrix.items() for w in row if w != v):
+            adj.setdefault(v, set()).add(w)
+            adj.setdefault(w, set()).add(v)
+        return adj
+
     def neighbours(self, v: VarId) -> set[VarId]:
-        out = {w for w, b in self.matrix.get(v, {}).items() if b}
-        for u, r in self.matrix.items():
-            if r.get(v):
-                out.add(u)
-        out.discard(v)
-        return out
+        return set(self._adjacency.get(v, ()))
 
     def coefficients(self) -> tuple[VarId, ...]:
         return tuple(v for v in self.labels if v not in self.exchangeable)

@@ -3,9 +3,11 @@
 import gc
 import weakref
 from fractions import Fraction as F
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterlab.colimits import (
     Filtration,
@@ -37,7 +39,15 @@ from clusterlab.errors import (
 )
 from clusterlab.laurent import format_poly, parse_poly
 from clusterlab.morphisms import ClusterMap, check_cm3, check_no_specialization_conditions
-from clusterlab.seeds import Seed, full_subseed, mutate_sequence, opposite_seed
+from clusterlab.errors import NotSkewSymmetrizable
+from clusterlab.seeds import (
+    Seed,
+    check_skew_symmetrizable,
+    full_subseed,
+    grow,
+    mutate_sequence,
+    opposite_seed,
+)
 
 
 def path_seed(lo, hi):
@@ -317,6 +327,26 @@ class TestOnlyCoefficients:
         with pytest.raises(NotFullSubseed):
             check_only_coefficients(stranger, outer)
 
+    def test_mismatch_text_names_the_first_entry_in_label_order(self):
+        # rows x0 and x1 agree; row x2 differs at x1 and x3 but not at x0,
+        # and row x3 differs too: the text names (x2, x1)
+        inner = Seed.initial(
+            ["x0", "x1", "x2", "x3"],
+            [],
+            [("x0", "x1", 1), ("x1", "x0", -1), ("x2", "x0", 1), ("x2", "x1", 2), ("x3", "x0", 1)],
+        )
+        outer = Seed.initial(
+            ["x0", "x1", "x2", "x3", "y"],
+            [],
+            [
+                ("x0", "x1", 1), ("x1", "x0", -1), ("x1", "y", 1), ("x2", "x0", 1),
+                ("x2", "x1", 1), ("x2", "x3", 1), ("x3", "x0", 2),
+            ],
+        )
+        with pytest.raises(NotFullSubseed) as exc:
+            check_only_coefficients(inner, outer)
+        assert str(exc.value) == "matrix entry ('x2', 'x1') is not the outer restriction"
+
 
 class TestInclusionMorphism:
     def test_stage_into_wrapper(self):
@@ -506,3 +536,130 @@ class TestOracleFixtures:
 
     def test_split_fountain_three_components(self):
         assert len(split_fountain_oracle().representatives()) == 3
+
+
+# -- rows pinned across representations ----------------------------------------------
+
+HALF_NEST_TRI = {
+    "points": [],
+    "arcs": [],
+    "families": [
+        {"kind": "half-nest", "limit": "1/8", "limit2": "5/8", "scale": "1/8", "scale2": "1/8"}
+    ],
+}
+
+
+def _pinned_oracles(tmp_path):
+    import json
+
+    from clusterlab.cli import load_triangulation_file
+
+    path = tmp_path / "half-nest.tri"
+    path.write_text(json.dumps(HALF_NEST_TRI))
+    return {
+        "fan": fan_oracle(),
+        "split-fountain": split_fountain_oracle(),
+        "nest": nest_oracle(),
+        "half-nest": TriangulationOracle(load_triangulation_file(str(path))),
+    }
+
+
+def test_radius_five_rows_are_pinned(tmp_path):
+    """neighbor_row and is_exchangeable over every label of the radius-5
+    balls of four triangulation oracles, digested; the digest was taken
+    when the triangulations ran on Fractions, and must not move."""
+    import hashlib
+    import json
+
+    digest = hashlib.sha256()
+    for name, oracle in sorted(_pinned_oracles(tmp_path).items()):
+        for rep in oracle.representatives():
+            for v in materialize_ball(oracle, rep, 5).labels:
+                row = sorted(oracle.neighbor_row(v).items())
+                digest.update(json.dumps([name, rep, v, row, oracle.is_exchangeable(v)]).encode())
+    assert digest.hexdigest() == "419a805a1db24cb9e1c2b8d6d3fe70fd0f691eac706c46e47ed8f5b6fd7ee088"
+
+
+
+# -- the ball check reads only the new shell -------------------------------------------
+
+
+def first_rejected(oracle, center, radii):
+    """(radius, text) of the first ball _oracle_balls rejects, or None."""
+    balls = _oracle_balls(oracle, center)
+    for r in range(radii):
+        try:
+            next(balls)
+        except OracleInconsistent as exc:
+            return r, str(exc)
+    return None
+
+
+def first_rejected_by_full_checks(oracle, center, radii):
+    """The same, running check_skew_symmetrizable afresh on each ball grown
+    by grow."""
+    for r, (ball, _) in zip(range(radii), grow(center, lambda v: oracle.neighbor_row(v))):
+        labels = sorted(ball)
+        rows = {v: {w: b for w, b in oracle.neighbor_row(v).items() if w in ball} for v in labels}
+        try:
+            check_skew_symmetrizable(Seed.initial(labels, [], rows).matrix, labels)
+        except NotSkewSymmetrizable as exc:
+            return r, f"ball at {center!r} is not skew-symmetrizable: {exc}"
+    return None
+
+
+@st.composite
+def perturbed_matrices(draw):
+    """A skew-symmetrizable matrix on at most seven labels, from a random
+    symmetrizer and support, with up to two entries then negated, dropped
+    or scaled: sign violations, and cycles whose ratios disagree."""
+    n = draw(st.integers(1, 7))
+    d = [draw(st.integers(1, 3)) for _ in range(n)]
+    entries = {}
+    for i, j in combinations(range(n), 2):
+        if draw(st.booleans()):
+            s = draw(st.sampled_from([1, -1, 2, -2]))
+            entries[i, j], entries[j, i] = s * d[j], -s * d[i]
+    for _ in range(draw(st.integers(0, 2))):
+        if entries:
+            key = draw(st.sampled_from(sorted(entries)))
+            how = draw(st.sampled_from(["negate", "drop", "scale"]))
+            if how == "negate":
+                entries[key] = -entries[key]
+            elif how == "drop":
+                del entries[key]
+            else:
+                entries[key] *= draw(st.integers(2, 3))
+    labels = [f"v{i}" for i in range(n)]
+    return labels, [(labels[i], labels[j], b) for (i, j), b in entries.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_matrices(), st.data())
+def test_incremental_ball_check_matches_the_full_check(matrix, data):
+    labels, entries = matrix
+    oracle = FiniteSeedOracle(Seed.initial(labels, labels, entries))
+    center = data.draw(st.sampled_from(labels))
+    radii = len(labels) + 2
+    assert first_rejected(oracle, center, radii) == first_rejected_by_full_checks(oracle, center, radii)
+
+
+@pytest.mark.parametrize(
+    "cycle, radius",
+    [
+        # ratios d1/d0 = 1, d2/d1 = 1, d3/d2 = 1 but d0/d3 = 2: the
+        # 4-cycle closes when v2 enters, at radius 2
+        ([("v0", "v1", 1, -1), ("v1", "v2", 1, -1), ("v2", "v3", 1, -1), ("v3", "v0", 2, -1)], 2),
+        # a 6-cycle through the center closes at radius 3
+        ([(f"v{i}", f"v{(i + 1) % 6}", 1, -1) for i in range(5)] + [("v5", "v0", 1, -2)], 3),
+        # a sign violation between the two vertices of the second shell
+        ([("v0", "v1", 1, -1), ("v0", "v2", 1, -1), ("v1", "v3", 1, -1), ("v2", "v4", 1, -1), ("v3", "v4", 1, 1)], 2),
+    ],
+)
+def test_late_inconsistencies_fail_at_their_radius(cycle, radius):
+    labels = sorted({v for v, w, _, _ in cycle} | {w for v, w, _, _ in cycle})
+    entries = [e for v, w, b, c in cycle for e in ((v, w, b), (w, v, c))]
+    oracle = FiniteSeedOracle(Seed.initial(labels, labels, entries))
+    found = first_rejected(oracle, "v0", len(labels) + 2)
+    assert found is not None and found[0] == radius
+    assert found == first_rejected_by_full_checks(oracle, "v0", len(labels) + 2)

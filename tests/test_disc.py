@@ -15,10 +15,18 @@ from clusterlab.disc import (
     FiniteTriangulation,
     InfiniteTriangulation,
     _KINDS,
+    _arc,
+    _by_angle,
+    _chord,
+    _gap,
+    _in_open,
+    _lt,
     _non_crossing,
     _TipSequence,
     all_triangulations,
     arcs_cross,
+    chord_label,
+    chord_of,
     classify_arc,
     exchangeable_arcs,
     fan_triangulation,
@@ -26,6 +34,7 @@ from clusterlab.disc import (
     flip_arc,
     in_open,
     limit_arcs,
+    norm_angle,
     seed_from_triangulation,
     triangle_sides,
     triangles,
@@ -954,7 +963,11 @@ class TestInfiniteMemos:
                 tri.triangles_of(arc)
             texts.append(str(exc.value))
         assert texts == ["{1/4, 5/8} is not an arc of the triangulation"] * 2
-        assert arc not in tri._faces
+        # the face memo is keyed by chords, so an Arc would never be found there
+        assert chord_of(arc) not in tri._faces
+        assert chord_of(Arc.of(F(3, 8), F(5, 8))) not in tri._faces
+        tri.triangles_of(Arc.of(F(3, 8), F(5, 8)))
+        assert chord_of(Arc.of(F(3, 8), F(5, 8))) in tri._faces
 
     def test_non_arc_raises_on_every_call(self):
         tri = nest_oracle().tri
@@ -1257,3 +1270,61 @@ def test_typed_errors_keep_their_texts_and_stay_value_errors():
             call()
         assert type(exc.value) is cls and str(exc.value) == text
         assert isinstance(exc.value, ClusterLabError) and isinstance(exc.value, ValueError)
+
+
+# -- points and chords on integers ---------------------------------------------------
+
+
+def reference_in_open(a, b, z):
+    """The open cyclic interval test on Fractions: the reference for in_open and _in_open."""
+    if a == b:
+        return False
+    if a < b:
+        return a < z < b
+    return z > a or z < b
+
+
+@st.composite
+def rationals(draw, unit=False):
+    """(Fraction, (n, d) pair) for a random rational: an angle in [0, 1) in
+    lowest terms when `unit`, otherwise any rational, with the pair scaled
+    by a random factor so that it is often not reduced."""
+    d = draw(st.integers(1, 60))
+    if unit:
+        x = F(draw(st.integers(0, d - 1)), d)
+        return x, (x.numerator, x.denominator)
+    n = draw(st.integers(-130, 130))
+    m = draw(st.integers(1, 4))
+    return F(n, d), (n * m, d * m)
+
+
+class TestPointHelpers:
+    """The integer point helpers against Fraction arithmetic and Arc."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rationals(), rationals(), rationals())
+    def test_order_interval_and_gap_take_any_pair(self, a, b, z):
+        (fa, pa), (fb, pb), (fz, pz) = a, b, z
+        assert _lt(pa, pb) == (fa < fb)
+        assert _in_open(pa, pb, pz) == reference_in_open(fa, fb, fz)
+        assert in_open(fa, fb, fz) == reference_in_open(fa, fb, fz)
+        gap = _gap(pa, pb)
+        assert 0 <= gap[0] < gap[1] and F(*gap) == norm_angle(fb - fa)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(rationals(unit=True), min_size=2, max_size=6))
+    def test_chords_labels_and_sorting_on_reduced_points(self, points):
+        (fa, pa), (fb, pb) = points[:2]
+        if fa == fb:
+            with pytest.raises(ValueError, match="arc endpoints must be distinct"):
+                _chord(pa, pb)
+            with pytest.raises(ValueError, match="arc endpoints must be distinct"):
+                Arc.of(fa, fb)
+        else:
+            arc = Arc.of(fa, fb)
+            c = _chord(pa, pb)
+            assert c == _chord(pb, pa) == chord_of(arc)
+            assert _arc(c) == arc
+            assert chord_label(c) == arc.label
+        pts = [p for _, p in points]
+        assert [F(*p) for p in sorted(pts, key=_by_angle)] == sorted(f for f, _ in points)

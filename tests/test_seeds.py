@@ -6,6 +6,8 @@ import sys
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterlab.errors import (
     InvalidSeed,
@@ -647,3 +649,41 @@ class TestIsolatedExchangeable:
         t = mutate_seed(s, "a")
         assert format_poly(t.values["a'1"]) == "2*a^-1"
         assert mutate_seed(t, "a'1").same_seed(s)
+
+
+
+# -- neighbours from a per-seed adjacency ------------------------------------------------
+
+
+@st.composite
+def any_support_seeds(draw):
+    """A seed built with Seed(...) on up to six labels whose matrix has any
+    support: one-way entries and entries of equal sign both ways, and
+    diagonal entries unless one mutation is then applied (mutating at a
+    label with a diagonal entry leaves a row under the old label)."""
+    labels = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    exchangeable = frozenset(draw(st.sets(st.sampled_from(labels))))
+    mutate = bool(exchangeable) and draw(st.booleans())
+    matrix = {}
+    for v in labels:
+        row = {
+            w: b for w in labels
+            if (b := draw(st.sampled_from([0, 0, 0, 1, -1, 2]))) and not (mutate and v == w)
+        }
+        if row:
+            matrix[v] = row
+    seed = Seed(tuple(labels), exchangeable, matrix, Seed.initial(labels, [], {}).values)
+    if mutate:
+        seed = mutate_seed(seed, draw(st.sampled_from(sorted(exchangeable))))
+    return seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_support_seeds())
+def test_neighbours_match_the_definition(seed):
+    for v in seed.labels:
+        brute = {w for w in seed.labels if w != v and (seed.b(v, w) or seed.b(w, v))}
+        got = seed.neighbours(v)
+        assert got == brute
+        got.add("intruder")  # each call returns a fresh set
+        assert seed.neighbours(v) == brute
