@@ -155,7 +155,12 @@ class Seed:
     def canonical_key(self):
         """Equality key under the value-preserving label correspondence: the
         values, the exchangeable values and the matrix entries between
-        values. Values in a seed are distinct, so labels play no part."""
+        values. Values in a seed are distinct, so labels play no part. The
+        key is built once per seed and kept beside the frozen fields."""
+        return self._key
+
+    @cached_property
+    def _key(self):
         val = self.values
         return (
             frozenset(val.values()),
@@ -278,6 +283,10 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     Every label keeps its position in `labels`, and the fresh label takes
     the position of x; so a variable's descendant along any sequence sits
     at the variable's position, and callers track variables by position.
+    Mutation at x needs b_xx = 0 (a skew-symmetrizable matrix has a zero
+    diagonal): a nonzero diagonal entry raises InvalidSeed before any
+    division or table entry. With b_xx = 0 mutation is an involution,
+    whatever the support of the matrix.
 
     The new value comes from an exchange table before any division. Its
     key is the value of x with the frozenset of (neighbour value, b_xv)
@@ -292,6 +301,8 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
         raise NotExchangeable(x)
 
     row = seed.matrix.get(x, {})
+    if x in row:  # the 2-path update would write x's row under the old label
+        raise InvalidSeed(f"cannot mutate at {x!r}: its diagonal entry is {row[x]}, not 0")
     val = seed.values
     exchanges = seed._exchanges
     old_value = val[x]
@@ -428,11 +439,27 @@ def grow(center: T, neighbours: Callable[[T], Iterable[T]]) -> Iterator[tuple[se
 
 
 def _seed_class(seed: Seed, depth: int, max_nodes: int) -> Iterator[Seed]:
+    # Mutation is an involution: when mutate_seed(s, x) gives t, mutating t
+    # at its new value gives s back. So `back` records (key of t, new value),
+    # and a seed with that key skips the mutation at that value: it could
+    # only lead to s, a seed already seen. Each exchange-graph edge is then
+    # crossed once. `back` holds values, not positions or labels, since
+    # seeds with one key may hold their values at different positions.
     # mutate_seed and canonical_key are looked up per call, so a rebinding
     # on the module or the class applies here too.
+    back: set = set()
+
+    def children(s: Seed) -> Iterator[Seed]:
+        key = s.canonical_key()
+        for x in sorted(s.exchangeable):
+            if (key, s.values[x]) not in back:
+                t = mutate_seed(s, x)
+                back.add((t.canonical_key(), t.values[t.labels[s.labels.index(x)]]))
+                yield t
+
     return explore(
         seed,
-        lambda s: (mutate_seed(s, x) for x in sorted(s.exchangeable)),
+        children,
         depth,
         max_nodes,
         f"seed frontier exceeded the node budget of {max_nodes}",

@@ -13,7 +13,7 @@ from clusterlab.morphisms import ClusterMap, check_cm3
 from clusterlab.seeds import Seed, enumerate_seeds, mutate_seed
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -62,19 +62,18 @@ def test_cm3_source_and_target_walks_share_one_table(divisions):
 
 
 def test_a_failed_division_stores_nothing():
-    # b_xy = b_yx = 1 breaks sign-skew-symmetry, so the walk reaches an
-    # exchange that does not divide; a second walk from the same root,
-    # which now carries the table, fails at the same step with the same text
-    root = Seed.initial(["x", "y"], ["x", "y"], [("x", "y", 1), ("y", "x", 1)])
+    # a one-way entry b_xy = 1 (b_yx = 0) breaks sign-skew-symmetry, so the
+    # walk reaches an exchange that does not divide; a second walk from the
+    # same root, which now carries the table, fails at the same step with
+    # the same text
+    root = Seed.initial(["x", "y"], ["x", "y"], [("x", "y", 1)])
     for _ in range(2):
         cur = root
         with pytest.raises(NotDivisible) as exc:
-            for position in (0, 0, 0, 1, 0):
+            for position in (0, 1, 0):
                 cur = mutate_seed(cur, cur.labels[position])
-        assert str(exc.value) == (
-            "1 + x^-1*y + 2*x^-1 + x^-1*y^-1 is not divisible by x^-1*y + x^-1"
-        )
-        assert cur.labels == ("x'3", "y'1")
+        assert str(exc.value) == "1 + 2*y^-1 is not divisible by x^-1*y + x^-1"
+        assert cur.labels == ("x'1", "y'1")
 
 
 def test_a_seed_built_by_hand_starts_without_a_table():
@@ -161,3 +160,45 @@ def test_table_values_equal_a_fresh_division(root, steps):
             format_poly(fresh.values[v]) for v in fresh.labels
         ]
         last = position
+
+
+@st.composite
+def zero_diagonal_seeds(draw):
+    """A seed on up to five labels whose matrix has any support off the
+    diagonal (one-way entries, entries of equal sign both ways) and none on
+    it, then up to two mutations at labels whose diagonal entry is still 0.
+    Examples whose mutations do not divide are rejected."""
+    rank = draw(st.integers(1, 5))
+    labels = [f"v{i}" for i in range(rank)]
+    entries = [
+        (v, w, b) for v in labels for w in labels
+        if v != w and (b := draw(st.sampled_from([0, 0, 0, 1, -1, 2, -2])))
+    ]
+    seed = Seed.initial(labels, draw(st.sets(st.sampled_from(labels), min_size=1)), entries)
+    for step in draw(st.lists(st.integers(0, 4), max_size=2)):
+        zero = [x for x in sorted(seed.exchangeable) if not seed.b(x, x)]
+        if not zero:
+            break
+        try:
+            seed = mutate_seed(seed, zero[step % len(zero)])
+        except NotDivisible:
+            assume(False)
+    return seed
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(zero_diagonal_seeds(), st.integers(0, 4))
+def test_mutation_is_an_involution_read_from_the_table(divisions, seed, pick):
+    # mutating at x and then at the new label gives the seed back, whatever
+    # the support, and the way back reads the reverse table entry
+    zero = [x for x in sorted(seed.exchangeable) if not seed.b(x, x)]
+    assume(zero)
+    x = zero[pick % len(zero)]
+    try:
+        there = mutate_seed(seed, x)
+    except NotDivisible:
+        assume(False)
+    made = len(divisions)
+    back = mutate_seed(there, there.labels[seed.labels.index(x)])
+    assert len(divisions) == made
+    assert back.canonical_key() == seed.canonical_key()

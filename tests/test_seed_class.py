@@ -1,0 +1,174 @@
+"""The keyed seed-class walk behind `enumerate_seeds` and
+`enumerate_cluster_variables`: it crosses each exchange-graph edge once,
+and yields what a walk that mutates every exchangeable of every seed
+yields, in the same order and under the same budget."""
+
+from math import comb
+
+import pytest
+
+import clusterlab.seeds
+from clusterlab.errors import ClusterLabError, ResourceLimit
+from clusterlab.seeds import (
+    Seed,
+    _seed_class,
+    enumerate_cluster_variables,
+    enumerate_seeds,
+    mutate_seed,
+)
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def key(seed):
+    """Seed identity from values and matrix, built here, not read from the seed."""
+    val = seed.values
+    return (
+        frozenset(val.values()),
+        frozenset(val[v] for v in seed.exchangeable),
+        frozenset((val[v], val[w], b) for v, row in seed.matrix.items() for w, b in row.items()),
+    )
+
+
+def plain_walk(seed, depth, max_nodes):
+    """Breadth-first to the depth, mutating every exchangeable of every seed
+    and skipping a seed whose key was seen; every yield, the root included,
+    counts against max_nodes."""
+    exceeded = f"seed frontier exceeded the node budget of {max_nodes}"
+    if max_nodes < 1:
+        raise ResourceLimit(exceeded)
+    seen = {key(seed)}
+    yield seed
+    level, nodes = [seed], 1
+    for _ in range(depth):
+        below = []
+        for s in level:
+            for x in sorted(s.exchangeable):
+                t = mutate_seed(s, x)
+                k = key(t)
+                if k in seen:
+                    continue
+                seen.add(k)
+                nodes += 1
+                if nodes > max_nodes:
+                    raise ResourceLimit(exceeded)
+                yield t
+                below.append(t)
+        level = below
+
+
+def run(walk):
+    """The seeds a walk yields, then the error it ends with (None if none)."""
+    seeds = []
+    try:
+        for s in walk:
+            seeds.append(s)
+    except ClusterLabError as err:
+        return seeds, (type(err), str(err))
+    return seeds, None
+
+
+def fields(seeds):
+    return [(s.labels, s.exchangeable, s.matrix, s.values) for s in seeds]
+
+
+def assert_same_walks(root, depth):
+    # A fresh copy of the root per walk, so neither reads the other's table.
+    copy = lambda: Seed(root.labels, root.exchangeable, root.matrix, dict(root.values))
+    seeds, end = run(plain_walk(copy(), depth, 10**6))
+    got, got_end = run(_seed_class(copy(), depth, 10**6))
+    assert fields(got) == fields(seeds) and got_end == end
+    if end is None:
+        assert fields(enumerate_seeds(copy(), depth)) == fields(seeds)
+        values = list(dict.fromkeys(s.values[v] for s in seeds for v in s.labels))
+        assert enumerate_cluster_variables(copy(), depth) == values
+    # every budget below the class size stops both walks after the same
+    # yields with the same text
+    for budget in range(len(seeds)):
+        plain, plain_end = run(plain_walk(copy(), depth, budget))
+        got, got_end = run(_seed_class(copy(), depth, budget))
+        assert fields(got) == fields(plain) == fields(seeds[:budget])
+        assert got_end == plain_end == (
+            ResourceLimit, f"seed frontier exceeded the node budget of {budget}"
+        )
+
+
+@st.composite
+def small_seeds(draw):
+    """A seed on up to four labels: skew-symmetric with entries up to 2, or
+    of any support off the diagonal (one-way entries, entries of equal sign
+    both ways), whose walks may stop at a division or a diagonal entry."""
+    rank = draw(st.integers(1, 4))
+    labels = [f"v{i}" for i in range(rank)]
+    pairs = [(v, w) for i, v in enumerate(labels) for w in labels[i + 1:]]
+    entries = []
+    if draw(st.booleans()):
+        for v, w in pairs:
+            b = draw(st.integers(-2, 2))
+            entries += [(v, w, b), (w, v, -b)]
+    else:
+        for v, w in pairs:
+            entries += [(v, w, draw(st.integers(-2, 2))), (w, v, draw(st.integers(-2, 2)))]
+    return Seed.initial(labels, draw(st.sets(st.sampled_from(labels), min_size=1)), entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_seeds(), st.integers(0, 4))
+def test_walk_matches_the_plain_walk(root, depth):
+    assert_same_walks(root, depth)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [("a", "b", 3), ("b", "a", -1)],
+        [("a", "b", -3), ("b", "a", 1)],
+        [("a", "b", 2), ("b", "c", 2), ("c", "a", 2),  # the Markov quiver
+         ("b", "a", -2), ("c", "b", -2), ("a", "c", -2)],
+    ],
+    ids=["rank2-b3", "rank2-b-3", "markov"],
+)
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+def test_infinite_type_walk_matches_the_plain_walk(entries, depth):
+    labels = sorted({v for v, _, _ in entries})
+    assert_same_walks(Seed.initial(labels, labels, entries), depth)
+
+
+# (rank, bonds (i, j, p, q) meaning b_ij = p, b_ji = -q, number of seeds)
+FINITE_TYPES = {
+    **{f"A{n}": (n, [(i, i + 1, 1, 1) for i in range(n - 1)], comb(2 * n + 2, n + 1) // (n + 2))
+       for n in range(1, 7)},
+    **{f"B{n}": (n, [(i, i + 1, 1, 1) for i in range(n - 2)] + [(n - 2, n - 1, 2, 1)], comb(2 * n, n))
+       for n in range(2, 5)},
+    **{f"C{n}": (n, [(i, i + 1, 1, 1) for i in range(n - 2)] + [(n - 2, n - 1, 1, 2)], comb(2 * n, n))
+       for n in range(3, 5)},
+    **{f"D{n}": (n, [(i, i + 1, 1, 1) for i in range(n - 2)] + [(n - 3, n - 1, 1, 1)],
+                 (3 * n - 2) * comb(2 * n - 2, n - 1) // n)
+       for n in range(4, 6)},
+    "G2": (2, [(0, 1, 3, 1)], 8),
+}
+
+
+@pytest.mark.parametrize("orientation", ["same", "alternating"])
+@pytest.mark.parametrize("kind", sorted(FINITE_TYPES))
+def test_closed_class_crosses_each_edge_once(kind, orientation, monkeypatch):
+    # The exchange graph of a finite type is n-regular (the 1-skeleton of
+    # its generalized associahedron), so it has n * |V| / 2 edges, and the
+    # walk mutates once per edge.
+    n, bonds, count = FINITE_TYPES[kind]
+    labels = [f"v{i}" for i in range(n)]
+    entries = []
+    for k, (i, j, p, q) in enumerate(bonds):
+        sign = -1 if orientation == "alternating" and k % 2 == 0 else 1
+        entries += [(labels[i], labels[j], sign * p), (labels[j], labels[i], -sign * q)]
+    calls = []
+
+    def counting(seed, x):
+        calls.append(x)
+        return mutate_seed(seed, x)
+
+    monkeypatch.setattr(clusterlab.seeds, "mutate_seed", counting)
+    assert len(enumerate_seeds(Seed.initial(labels, labels, entries), 40)) == count
+    assert len(calls) * 2 == n * count

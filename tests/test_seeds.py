@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clusterlab.laurent
 from clusterlab.errors import (
     InvalidSeed,
     LabelCollision,
@@ -172,6 +173,17 @@ class TestMutation:
     def test_not_exchangeable(self):
         with pytest.raises(NotExchangeable):
             mutate_seed(example_seed(), "x1")
+
+    def test_diagonal_entry_refused(self, monkeypatch):
+        # The 2-path update would write x's row under the old label, outside
+        # the new cluster; mutation refuses before dividing or storing anything.
+        monkeypatch.setattr(clusterlab.laurent, "lp_exact_div", lambda *a: pytest.fail("divided"))
+        s = Seed(("v0", "v1"), frozenset({"v0"}), {"v0": {"v0": 1, "v1": 1}},
+                 Seed.initial(["v0", "v1"], [], {}).values)
+        with pytest.raises(InvalidSeed) as err:
+            mutate_seed(s, "v0")
+        assert str(err.value) == "cannot mutate at 'v0': its diagonal entry is 1, not 0"
+        assert s._exchanges == {}
 
     def test_coefficients_never_mutated(self):
         s = mutate_seed(example_seed(), "x2")
@@ -658,23 +670,24 @@ class TestIsolatedExchangeable:
 @st.composite
 def any_support_seeds(draw):
     """A seed built with Seed(...) on up to six labels whose matrix has any
-    support: one-way entries and entries of equal sign both ways, and
-    diagonal entries unless one mutation is then applied (mutating at a
-    label with a diagonal entry leaves a row under the old label)."""
+    support: one-way entries, entries of equal sign both ways and diagonal
+    entries, except at the label then mutated, if one mutation is applied
+    (mutation at a label with a diagonal entry raises InvalidSeed)."""
     labels = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
     exchangeable = frozenset(draw(st.sets(st.sampled_from(labels))))
     mutate = bool(exchangeable) and draw(st.booleans())
+    at = draw(st.sampled_from(sorted(exchangeable))) if mutate else None
     matrix = {}
     for v in labels:
         row = {
             w: b for w in labels
-            if (b := draw(st.sampled_from([0, 0, 0, 1, -1, 2]))) and not (mutate and v == w)
+            if (b := draw(st.sampled_from([0, 0, 0, 1, -1, 2]))) and not (v == w == at)
         }
         if row:
             matrix[v] = row
     seed = Seed(tuple(labels), exchangeable, matrix, Seed.initial(labels, [], {}).values)
     if mutate:
-        seed = mutate_seed(seed, draw(st.sampled_from(sorted(exchangeable))))
+        seed = mutate_seed(seed, at)
     return seed
 
 
