@@ -607,8 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="mutate a seed at a variable or along a sequence")
     p.add_argument("--seed", required=True)
-    p.add_argument("--at")
-    p.add_argument("--sequence")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--at")
+    source.add_argument("--sequence")
     p.add_argument("--out")
 
     p = sub.add_parser("enumerate", help="depth-bounded cluster variable census")
@@ -655,8 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tri", required=True)
 
     p = sub.add_parser("filtration", help="finite full-subseed filtration")
-    p.add_argument("--oracle", default="path-quiver")
-    p.add_argument("--tri", help="build from a triangulation file instead")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--oracle", default="path-quiver")
+    source.add_argument("--tri", help="build from a triangulation file instead")
     p.add_argument("--steps", type=int, default=6)
     p.add_argument("--out-dir")
 

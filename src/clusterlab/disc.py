@@ -9,11 +9,11 @@ limit +/- scale/k, plus finitely many exceptional arcs, with all edges of
 the marked point set implied. Inside one, a point is the pair (n, d) of
 its angle n/d in lowest terms and an arc a chord, its points in angle
 order, compared by cross-multiplying; Fractions and Arcs are met only at
-the public methods. It locates each point once (whether it is a finite
-point, and its tip index k in each sequence) and finds each point's
-neighbour once per direction; arc membership, apex candidates and edges
-are read from those, an edge being an arc with no marked point strictly
-between its endpoints on one side.
+input and where arcs are named. It locates each point once (whether it is
+a finite point, and its tip index k in each sequence) and finds each
+point's neighbour once per direction; arc membership, apex candidates and
+edges are read from those, an edge being an arc with no marked point
+strictly between its endpoints on one side.
 """
 
 from __future__ import annotations
@@ -62,16 +62,11 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def in_open(a: Fraction, b: Fraction, z: Fraction) -> bool:
-    """z lies in the open cyclic interval (a, b), traversed by increasing
-    angle from a to b."""
-    return _in_open(_pt(a), _pt(b), _pt(z))
-
-
 # -- points and chords on integers --------------------------------------------------
 
 Pt = tuple[int, int]  # angle or gap n/d as (n, d), d > 0; a point has 0 <= n < d, reduced
 Chord = tuple[Pt, Pt]  # an arc's endpoints in increasing angle order
+_label = "{}/{}~{}/{}".format  # an arc's label p/q~r/s from its endpoints' ints
 
 
 def _pt(x: Fraction) -> Pt:
@@ -87,7 +82,7 @@ _by_angle = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # sorts points b
 
 
 def _in_open(a: Pt, b: Pt, z: Pt) -> bool:
-    """in_open on points."""
+    """z lies in the open cyclic interval (a, b), counterclockwise from a to b."""
     if _lt(a, b):
         return _lt(a, z) and _lt(z, b)
     return _lt(b, a) and (_lt(a, z) or _lt(z, b))
@@ -116,7 +111,7 @@ def _arc(c: Chord) -> "Arc":
 
 def chord_label(c: Chord) -> VarId:
     """Arc.label of the chord's arc."""
-    return "{}/{}~{}/{}".format(*c[0], *c[1])
+    return _label(*c[0], *c[1])
 
 
 @dataclass(frozen=True, order=True)
@@ -135,7 +130,7 @@ class Arc:
 
     @cached_property
     def label(self) -> VarId:
-        return f"{frac_str(self.p)}~{frac_str(self.q)}"
+        return _label(self.p.numerator, self.p.denominator, self.q.numerator, self.q.denominator)
 
     def endpoints(self) -> tuple[Fraction, Fraction]:
         return (self.p, self.q)
@@ -157,11 +152,10 @@ def parse_arc_label(label: VarId) -> Arc:
 
 def arcs_cross(a: Arc, b: Arc) -> bool:
     """True iff the chords properly cross; shared endpoints never cross."""
-    if {a.p, a.q} & {b.p, b.q}:
+    (p, q), (r, s) = chord_of(a), chord_of(b)
+    if {p, q} & {r, s}:
         return False
-    b0_in = in_open(a.p, a.q, b.p)
-    b1_in = in_open(a.p, a.q, b.q)
-    return b0_in != b1_in
+    return _in_open(p, q, r) != _in_open(p, q, s)
 
 
 Corners = tuple[Fraction, Fraction, Fraction]
@@ -441,9 +435,6 @@ class _TipSequence:
             raise InvalidFamily("tip sequence must stay within half a turn of its limit")
         self.__dict__["_ints"] = _pt(self.limit) + _pt(self.step)  # what every query reads
 
-    def tip(self, k: int) -> Fraction:
-        return Fraction(*self._tip(k))
-
     def _tip(self, k: int) -> Pt:
         # (limit + step/k) mod 1: a/b + c/(dk) = (adk + bc)/(bdk)
         a, b, c, d = self._ints
@@ -451,9 +442,6 @@ class _TipSequence:
         num = (a * d * k + b * c) % den
         g = gcd(num, den)
         return num // g, den // g
-
-    def index_of(self, p: Fraction) -> int | None:
-        return self._index(_pt(p))
 
     def _index(self, p: Pt) -> int | None:
         """The k with tip(k) == p, if any. A tip lies within half a turn of
@@ -472,10 +460,6 @@ class _TipSequence:
             return None
         k, rem = divmod(c * dd, d * dn)
         return k if rem == 0 and k >= self.start else None
-
-    def nearest(self, p: Fraction, ccw: bool) -> tuple[str, Fraction]:
-        kind, x = self._nearest(_pt(p), ccw)
-        return kind, Fraction(*x)
 
     def _nearest(self, p: Pt, ccw: bool) -> tuple[str, Pt]:
         """Closest tip strictly after p going counterclockwise (ccw) or
@@ -607,7 +591,7 @@ class ArcFamily:
         if not fountain and _zigzag_meets(*self._sequences):
             raise InvalidFamily("a family's tip sequences meet, joining a point to itself")
         if not _chords_non_crossing(self._chords(12)):
-            a, b = first_crossing(self.arcs(12))
+            a, b = first_crossing(list(map(_arc, self._chords(12))))
             raise InvalidFamily(f"family generates crossing arcs {a} and {b}")
 
     def sequences(self) -> tuple[_TipSequence, ...]:
@@ -630,21 +614,13 @@ class ArcFamily:
     def _chords(self, window: int) -> list[Chord]:
         return [_chord(p, q) for p, q in self._ends(window)]
 
-    def arcs(self, window: int) -> list[Arc]:
-        """The first `window` arcs of the family, deterministically."""
-        return [_arc(c) for c in self._chords(window)]
-
     def _tips(self, window: int) -> set[Pt]:
+        """The moving endpoints of the first `window` arcs."""
         return {x for ends in self._ends(window) for x in ends} - {self._base}
 
-    def tips(self, window: int) -> set[Fraction]:
-        """The moving endpoints of the first `window` arcs."""
-        return {Fraction(*x) for x in self._tips(window)}
-
-    def is_member(self, arc: Arc) -> bool:
-        """Exact membership test for a candidate arc."""
-        p, q = c = chord_of(arc)
-        return self._joins(c, self._tips_at(p), self._tips_at(q))
+    def is_member(self, c: Chord) -> bool:
+        """Exact membership test for a candidate chord."""
+        return self._joins(c, self._tips_at(c[0]), self._tips_at(c[1]))
 
     def _tips_at(self, p: Pt) -> dict[int, int]:
         """Sequence index -> k, for each of the family's sequences with
@@ -695,7 +671,7 @@ class InfiniteTriangulation:
     finite window materialization is validated pairwise non-crossing.
 
     Inside, points are integer pairs and arcs are chords, so every memo key
-    is small ints; each public method converts around its integer twin.
+    is small ints; each query is one method, on Arcs only where it names arcs.
     Each point is located once per instance (the finite points and the
     tip indices it has), and each point's neighbours once per direction;
     membership, edges and apex candidates are read from those.
@@ -743,15 +719,14 @@ class InfiniteTriangulation:
         each family, sequence index -> k for its sequences with tip(k) == p."""
         return p in self._point_set, tuple(f._tips_at(p) for f in self.families)
 
-    def in_point_set(self, p: Fraction) -> bool:
-        finite, tips = self._where[_pt(norm_angle(p))]
+    def in_point_set(self, p: Pt) -> bool:
+        finite, tips = self._where[p]
         return finite or any(tips)
 
-    def nearest(self, p: Fraction, ccw: bool) -> Fraction | None:
+    def nearest(self, p: Pt, ccw: bool) -> Pt | None:
         """The neighbouring marked point of p in the given direction, or
         None when marked points accumulate there without a closest one."""
-        q = self._near[_pt(norm_angle(p)), ccw][0]
-        return None if q is None else Fraction(*q)
+        return self._near[p, ccw][0]
 
     def _find_neighbour(self, key: tuple[Pt, bool]) -> tuple[Pt | None, Pt | None]:
         """For key (p, ccw): the nearest marked point that way, and the
@@ -784,9 +759,6 @@ class InfiniteTriangulation:
 
     # -- arc membership ----------------------------------------------------
 
-    def is_edge(self, a: Arc) -> bool:
-        return self._is_edge(chord_of(a))
-
     def _is_edge(self, c: Chord) -> bool:
         """No marked point lies strictly between the endpoints on one side:
         going counterclockwise from p (or from q), the marked points come
@@ -798,9 +770,6 @@ class InfiniteTriangulation:
         """No marked point in the open counterclockwise interval (lo, hi)."""
         gap = self._near[lo, True][1]
         return gap is None or not _lt(gap, _gap(lo, hi))
-
-    def arc_in(self, a: Arc) -> bool:
-        return self._arc_in[chord_of(a)]
 
     def chord_in(self, c: Chord) -> bool:
         return self._arc_in[c]
@@ -865,6 +834,7 @@ class InfiniteTriangulation:
         return out
 
     def arc_neighbour_row(self, arc: Arc) -> dict[Arc, int]:
+        """chord_row on Arcs; bench/tracing.py wraps this method by name."""
         return {_arc(c): s for c, s in self.chord_row(chord_of(arc)).items()}
 
     def chord_row(self, c: Chord) -> dict[Chord, int]:
@@ -879,16 +849,10 @@ class InfiniteTriangulation:
                     row[src] = row.get(src, 0) - 1
         return {a: v for a, v in row.items() if v}
 
-    def arc_exchangeable(self, arc: Arc) -> bool:
-        return self.chord_exchangeable(chord_of(arc))
-
     def chord_exchangeable(self, c: Chord) -> bool:
         return len(self._faces[c]) == 2
 
     # -- materialization -----------------------------------------------------
-
-    def window_points(self, window: int) -> list[Fraction]:
-        return [Fraction(*p) for p in self._window_points(window)]
 
     def _window_points(self, window: int) -> list[Pt]:
         # the finite points, the bases among them, and the window's tips
@@ -928,8 +892,9 @@ def triangulation_components(
     def side(a: Arc, ell: Arc) -> str:
         if a == ell:
             return "self"
-        for name, (lo, hi) in (("a", ell.endpoints()), ("b", (ell.q, ell.p))):
-            if all(x in (lo, hi) or in_open(lo, hi, x) for x in a.endpoints()):
+        p, q = chord_of(ell)
+        for name, (lo, hi) in (("a", (p, q)), ("b", (q, p))):
+            if all(x in (lo, hi) or _in_open(lo, hi, x) for x in chord_of(a)):
                 return name
         raise InvalidFamily(
             f"arc {a} crosses the limit arc {ell}; inconsistent triangulation"

@@ -576,6 +576,31 @@ class TestMoreCli:
         assert exc.value.code == 3
         assert f"{flag} must not be negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mutate", "--at", "y1", "--sequence", "y2"],
+             "argument --sequence: not allowed with argument --at"),
+            (["mutate", "--sequence", "y2", "--at", "y1"],
+             "argument --at: not allowed with argument --sequence"),
+            (["mutate"], "mutate needs --at or --sequence"),
+            (["mutate", "--sequence", ""], "mutate needs --at or --sequence"),
+            (["filtration", "--tri", "pent.tri", "--oracle", "fan"],
+             "argument --oracle: not allowed with argument --tri"),
+            (["filtration", "--oracle", "path-quiver", "--tri", "pent.tri"],
+             "argument --tri: not allowed with argument --oracle"),
+        ],
+    )
+    def test_ambiguous_or_missing_source_exits_three(self, files, capsys, argv, message):
+        # two sources for one verb are rejected, not resolved by precedence
+        argv = [files.get(a, a) for a in argv]
+        if argv[0] == "mutate":
+            argv += ["--seed", files["a2.seed"]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
 
 class TestHardenedInput:
     """Every malformed file, unknown target and removed flag is an input

@@ -1,5 +1,6 @@
 """Disc triangulations: crossing, validation, seeds, flips, arc families."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 from math import comb
@@ -22,6 +23,7 @@ from clusterlab.disc import (
     _in_open,
     _lt,
     _non_crossing,
+    _pt,
     _TipSequence,
     all_triangulations,
     arcs_cross,
@@ -32,7 +34,6 @@ from clusterlab.disc import (
     fan_triangulation,
     first_crossing,
     flip_arc,
-    in_open,
     limit_arcs,
     norm_angle,
     seed_from_triangulation,
@@ -148,13 +149,13 @@ class TestExchangeableArcs:
                 if y in (a.p, a.q):
                     continue
                 if Arc.of(a.p, y) in t.arcs and Arc.of(y, a.q) in t.arcs:
-                    sides += 1 if in_open(a.p, a.q, y) else 0
+                    sides += 1 if reference_in_open(a.p, a.q, y) else 0
             other = 0
             for y in t.points:
                 if y in (a.p, a.q):
                     continue
                 if Arc.of(a.p, y) in t.arcs and Arc.of(y, a.q) in t.arcs:
-                    other += 1 if in_open(a.q, a.p, y) else 0
+                    other += 1 if reference_in_open(a.q, a.p, y) else 0
             if sides and other:
                 expected.add(a)
         assert exchangeable_arcs(t) == expected
@@ -316,20 +317,20 @@ class TestFaceModel:
 class TestArcFamilies:
     def test_fountain_arcs_share_base(self):
         fam = ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=F(0))
-        arcs = fam.arcs(6)
+        arcs = list(map(_arc, fam._chords(6)))
         assert all(F(0) in a.endpoints() for a in arcs)
         tips = sorted(a.other(F(0)) for a in arcs)
         assert tips == sorted(F(1, 2) - F(1, 2) / k for k in range(2, 8))
 
     def test_family_membership(self):
         fam = ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=F(0))
-        assert fam.is_member(Arc.of(F(0), F(1, 4)))
-        assert fam.is_member(Arc.of(F(0), F(1, 2) - F(1, 2) / 97))
-        assert not fam.is_member(Arc.of(F(0), F(1, 3) + F(1, 97)))
+        assert fam.is_member(chord_of(Arc.of(F(0), F(1, 4))))
+        assert fam.is_member(chord_of(Arc.of(F(0), F(1, 2) - F(1, 2) / 97)))
+        assert not fam.is_member(chord_of(Arc.of(F(0), F(1, 3) + F(1, 97))))
 
     def test_nest_zigzag_non_crossing(self):
         fam = ArcFamily("nest", limit=F(1, 2), scale=F(1, 4), start=1)
-        arcs = fam.arcs(10)
+        arcs = list(map(_arc, fam._chords(10)))
         for i, a in enumerate(arcs):
             for b in arcs[i + 1 :]:
                 assert not arcs_cross(a, b)
@@ -378,10 +379,10 @@ class TestArcFamilies:
         assert limit_arcs(tri) == limit_arcs(tri_twin)
         for a in arcs:
             assert tri.triangles_of(a) == tri_twin.triangles_of(a)
-        pts = tri.window_points(12)
+        pts = tri._window_points(12)
         for i, p in enumerate(pts):
             for q in pts[i + 1 :]:
-                a = Arc.of(p, q)
+                a = _chord(p, q)
                 assert fam.is_member(a) == fam_twin.is_member(a)
 
     @pytest.mark.parametrize("kind", ["nest", "half-nest"])
@@ -433,7 +434,10 @@ class TestArcFamilies:
                 for (limit, sign), step in zip(_KINDS[kind][1], (scale, fields["scale2"]))
             )
             start = fields["start"]
-            scan = any(a.tip(k) == b.tip(k) or a.tip(k + 1) == b.tip(k) for k in range(start, 250))
+            scan = any(
+                ref_tip(a, k) == ref_tip(b, k) or ref_tip(a, k + 1) == ref_tip(b, k)
+                for k in range(start, 250)
+            )
             try:
                 ArcFamily(kind, **fields)
             except InvalidFamily as exc:
@@ -502,14 +506,14 @@ class TestSplitFountainStructure:
     def test_middle_arc_internal_but_not_exchangeable(self):
         tri = split_fountain()
         mid = Arc.of(F(1, 4), F(3, 4))
-        assert tri.arc_in(mid)
-        assert not tri.is_edge(mid)
-        assert not tri.arc_exchangeable(mid)
+        assert tri.chord_in(chord_of(mid))
+        assert not tri._is_edge(chord_of(mid))
+        assert not tri.chord_exchangeable(chord_of(mid))
 
     def test_fan_arcs_exchangeable(self):
         tri = split_fountain()
-        assert tri.arc_exchangeable(Arc.of(F(1, 4), F(1, 8)))
-        assert tri.arc_exchangeable(Arc.of(F(3, 4), F(7, 8)))
+        assert tri.chord_exchangeable(chord_of(Arc.of(F(1, 4), F(1, 8))))
+        assert tri.chord_exchangeable(chord_of(Arc.of(F(3, 4), F(7, 8))))
 
     def test_components(self):
         parts = triangulation_components(split_fountain(), window=6)
@@ -546,11 +550,11 @@ class TestSplitFountainStructure:
 class TestInfiniteMachinery:
     def test_nearest_points(self):
         tri = split_fountain()
-        assert tri.nearest(F(1, 4), ccw=True) == F(1, 2)
-        assert tri.nearest(F(1, 4), ccw=False) == F(1, 6)
+        assert tri.nearest(_pt(F(1, 4)), ccw=True) == _pt(F(1, 2))
+        assert tri.nearest(_pt(F(1, 4)), ccw=False) == _pt(F(1, 6))
         # points accumulate at 0 from both sides: no neighbour across it
-        assert tri.nearest(F(5, 6), ccw=True) == F(7, 8)
-        assert tri.nearest(F(1, 6), ccw=False) == F(1, 8)
+        assert tri.nearest(_pt(F(5, 6)), ccw=True) == _pt(F(7, 8))
+        assert tri.nearest(_pt(F(1, 6)), ccw=False) == _pt(F(1, 8))
 
     def test_no_neighbour_at_accumulation(self):
         tri = InfiniteTriangulation(
@@ -561,13 +565,13 @@ class TestInfiniteMachinery:
             )
         )
         # going ccw from the last materialized tip there are always more tips
-        assert tri.nearest(F(0), ccw=False) is None
+        assert tri.nearest(_pt(F(0)), ccw=False) is None
 
     def test_edges_certified_exactly(self):
         tri = split_fountain()
-        assert tri.is_edge(Arc.of(F(1, 6), F(1, 4)))
-        assert tri.is_edge(Arc.of(F(1, 4), F(1, 2)))
-        assert not tri.is_edge(Arc.of(F(1, 6), F(1, 2)))
+        assert tri._is_edge(chord_of(Arc.of(F(1, 6), F(1, 4))))
+        assert tri._is_edge(chord_of(Arc.of(F(1, 4), F(1, 2))))
+        assert not tri._is_edge(chord_of(Arc.of(F(1, 6), F(1, 2))))
 
     def test_window_arcs_pairwise_non_crossing(self):
         for tri in (split_fountain(),):
@@ -610,6 +614,11 @@ def _has_tip_linear(seq, a, b):
     return kmin <= kmax
 
 
+def ref_tip(seq, k):
+    """tip(k) of the sequence from its definition, on Fractions."""
+    return (seq.limit + seq.step / k) % 1
+
+
 def index_of_shifts(seq, p):
     """The k with tip(k) == p, if any, tried at three shifts of one turn."""
     for shift in (0, -1, 1):
@@ -617,7 +626,7 @@ def index_of_shifts(seq, p):
         if delta == 0:
             continue
         ratio = seq.step / delta
-        if ratio.denominator == 1 and ratio >= seq.start and seq.tip(int(ratio)) == p:
+        if ratio.denominator == 1 and ratio >= seq.start and ref_tip(seq, int(ratio)) == p:
             return int(ratio)
     return None
 
@@ -625,7 +634,7 @@ def index_of_shifts(seq, p):
 def has_point_in(tri, lo, hi):
     """Any marked point of the infinite triangulation in the open cyclic
     interval (lo, hi)?"""
-    return any(in_open(lo, hi, p) for p in tri.finite_points) or any(
+    return any(reference_in_open(lo, hi, p) for p in tri.finite_points) or any(
         has_tip_in(seq, lo, hi) for f in tri.families for seq in f.sequences()
     )
 
@@ -641,7 +650,7 @@ class TestTipSequenceBruteForce:
     direct enumeration over a large index range."""
 
     def brute_tips(self, seq, kmax=400):
-        return [seq.tip(k) for k in range(seq.start, kmax)]
+        return [ref_tip(seq, k) for k in range(seq.start, kmax)]
 
     def test_has_tip_in_matches_enumeration(self):
         import random
@@ -663,13 +672,13 @@ class TestTipSequenceBruteForce:
                 if lo == hi:
                     continue
                 lo, hi = lo % 1, hi % 1
-                expected = any(in_open(lo, hi, t) for t in tips)
+                expected = any(reference_in_open(lo, hi, t) for t in tips)
                 got = has_tip_in(seq, lo, hi)
                 # enumeration is truncated: a positive answer beyond the
                 # brute window can only happen very close to the limit
                 if got != expected:
                     assert got and not expected
-                    assert in_open(lo, hi, seq.limit) or seq.limit in (lo, hi)
+                    assert reference_in_open(lo, hi, seq.limit) or seq.limit in (lo, hi)
 
     def test_nearest_matches_enumeration(self):
         import random
@@ -688,16 +697,16 @@ class TestTipSequenceBruteForce:
             brute: dict = {}
             for _ in range(200):
                 p = F(rng.randint(0, 60), 60) % 1
-                kind, val = seq.nearest(p, True)
+                kind, val = seq._nearest(_pt(p), True)
                 if p not in brute:
                     brute[p] = min(pair for pair in (((t - p) % 1, t) for t in tips) if pair[0])
                 dist, tip = brute[p]
                 if kind == "point":
-                    assert val == tip
+                    assert val == _pt(tip)
                 else:
                     # accumulation: brute distances approach val from above
-                    assert dist > val
-                    assert dist - val < F(1, 100)
+                    assert dist > F(*val)
+                    assert dist - F(*val) < F(1, 100)
 
     def test_index_of_roundtrip(self):
         from clusterlab.disc import _TipSequence
@@ -712,8 +721,9 @@ class TestTipSequenceBruteForce:
             (_TipSequence(F(1, 2), F(9, 1000), 2), None),
         ):
             for k in range(seq.start, seq.start + 50):
-                assert seq.index_of(seq.tip(k)) == k
-            assert seq.index_of(F(9, 1000) + seq.limit) == off_tip
+                assert F(*seq._tip(k)) == ref_tip(seq, k)
+                assert seq._index(seq._tip(k)) == k
+            assert seq._index(_pt(F(9, 1000) + seq.limit)) == off_tip
 
 
 class TestHalfNest:
@@ -727,14 +737,14 @@ class TestHalfNest:
     def test_innermost_arc_is_an_edge(self):
         hn = half_nest()
         inner = Arc.of(F(1, 4), F(1, 2))
-        assert hn.is_edge(inner)
+        assert hn._is_edge(chord_of(inner))
         assert len(hn.triangles_of(inner)) == 1
 
     def test_zigzag_arcs_exchangeable(self):
         hn = half_nest()
         zig = Arc.of(F(1, 8) + F(1, 16), F(1, 2))
-        assert hn.arc_in(zig)
-        assert hn.arc_exchangeable(zig)
+        assert hn.chord_in(chord_of(zig))
+        assert hn.chord_exchangeable(chord_of(zig))
 
 
 class TestNestStructure:
@@ -920,13 +930,13 @@ OFF_POINTS = [
 def answer(tri, method, arc):
     """One query's answer, or the type and text of the error it raises."""
     try:
-        return getattr(tri, method)(arc)
+        return getattr(tri, method)(chord_of(arc) if method.startswith("chord_") else arc)
     except (ValueError, InvalidFamily) as exc:
         return type(exc), str(exc)
 
 
 class TestInfiniteMemos:
-    METHODS = ("triangles_of", "arc_in", "arc_neighbour_row", "arc_exchangeable")
+    METHODS = ("triangles_of", "chord_in", "arc_neighbour_row", "chord_exchangeable")
 
     @pytest.mark.parametrize("name", sorted(LONG_LIVED))
     def test_long_lived_answers_match_fresh_instances(self, name):
@@ -934,9 +944,9 @@ class TestInfiniteMemos:
         tri = make()
         # the chords between four marked points: arcs, and non-arcs that
         # cross some arc
-        points = tri.window_points(3)[:4]
-        chords = [Arc.of(p, q) for i, p in enumerate(points) for q in points[i + 1 :]]
-        assert not all(make().arc_in(c) for c in chords)
+        points = tri._window_points(3)[:4]
+        chords = [_arc(_chord(p, q)) for i, p in enumerate(points) for q in points[i + 1 :]]
+        assert not all(make().chord_in(chord_of(c)) for c in chords)
         arcs = tri.window_arcs(12) + chords + OFF_POINTS
         queries = [(m, a) for m in self.METHODS for a in arcs]
         expected = {(m, a): answer(make(), m, a) for m, a in queries}
@@ -975,7 +985,7 @@ class TestInfiniteMemos:
             for arc in OFF_POINTS + [Arc.of(F(1, 4), F(5, 8))]:
                 with pytest.raises(ValueError, match="is not an arc of the triangulation"):
                     tri.triangles_of(arc)
-                assert not tri.arc_in(arc)
+                assert not tri.chord_in(chord_of(arc))
 
     def test_two_apexes_raise_on_every_call(self):
         # the exceptional arc crosses fountain arcs beyond every window the
@@ -1124,7 +1134,7 @@ def probe_points(draw, tri):
     limits = sorted({seq.limit for f in tri.families for seq in f.sequences()})
     k = draw(st.integers(0, 200))
     d = draw(st.sampled_from([7, 12, 16, 48, 97]))
-    return draw(st.sampled_from([*tri.window_points(12), *limits, F(k % d, d)]))
+    return draw(st.sampled_from([*(F(*p) for p in tri._window_points(12)), *limits, F(k % d, d)]))
 
 
 def accumulates_before_any_point(tri, p, ccw):
@@ -1154,32 +1164,102 @@ class TestNeighbourRule:
         q = data.draw(probe_points(tri))
         for f in tri.families:
             for seq in f.sequences():
-                assert seq.index_of(p) == index_of_shifts(seq, p)
-        assert tri.in_point_set(p) == marked(tri, p)
+                assert seq._index(_pt(p)) == index_of_shifts(seq, p)
+        assert tri.in_point_set(_pt(p)) == marked(tri, p)
         for ccw in (True, False):
-            n = tri.nearest(p, ccw)
+            n = tri.nearest(_pt(p), ccw)
             assert (n is None) == accumulates_before_any_point(tri, p, ccw)
             if n is not None:
+                n = F(*n)
                 assert n != p and marked(tri, n)
                 assert not has_point_in(tri, *((p, n) if ccw else (n, p)))
         if p != q:
             a = Arc.of(p, q)
             expected = not has_point_in(tri, a.p, a.q) or not has_point_in(tri, a.q, a.p)
-            assert tri.is_edge(a) == expected
+            assert tri._is_edge(chord_of(a)) == expected
 
     def test_unmarked_endpoint_beside_an_accumulation(self):
         # no marked point lies in (3/4, 1/8) going round through 0, but the
         # half-nest's tips accumulate just past 1/8: there is no nearest
         # point, and the arc is an edge
         hn = half_nest()
-        assert hn.nearest(F(3, 4), ccw=True) is None
-        assert hn.is_edge(Arc.of(F(1, 8), F(3, 4)))
+        assert hn.nearest(_pt(F(3, 4)), ccw=True) is None
+        assert hn._is_edge(chord_of(Arc.of(F(1, 8), F(3, 4))))
         assert not has_point_in(hn, F(3, 4), F(1, 8))
 
     def test_a_marked_limit_is_nearer_than_the_tips_beyond_it(self):
         tri = marked_limit_left_fountain()
-        assert tri.nearest(F(0), ccw=True) == F(1, 2)
-        assert tri.is_edge(Arc.of(F(0), F(1, 2)))
+        assert tri.nearest(_pt(F(0)), ccw=True) == _pt(F(1, 2))
+        assert tri._is_edge(chord_of(Arc.of(F(0), F(1, 2))))
+
+
+# -- components and windows pinned ---------------------------------------------------
+
+
+# SHA-256 of every part of triangulation_components, in order, and of
+# window_arcs, one arc label per line (a part's labels joined by spaces)
+PINNED = {
+    ("fan", 6): (
+        "0f3008533b29f2bd790849743c4806090ad8285d565233c47914a8d6fcdf9fbe",
+        "845640ce4d9dde1fa74a9007c8ea4b18f11096da9e4748323fca4b5318b59fec",
+    ),
+    ("fan", 12): (
+        "d7d5dd0dd456fb6a505f5be7f8be18101bf273e1653d520aa40de0c3b490c47f",
+        "69ad46604b38a95ebf9c810f71bc97c8b18318578f332f368585e22ab1a2d609",
+    ),
+    ("fountain", 6): (
+        "76de298555d8a9cb4a11d688e21662819f8702ba15e344979c315c9c379b3070",
+        "b78ed5c109f59f5f45dd8583120e830ed1d5e7e9106acf8e72559809cbce9839",
+    ),
+    ("fountain", 12): (
+        "b228bdde18a24b06f8a7e5693deb1e8f762324f9c40bbcd4faef62163418e207",
+        "e7e0cc7cb9dc3599e1509b872ad5127aeadd3179c69eafb5cb8e5c88d7f5efe3",
+    ),
+    ("half-nest", 6): (
+        "7553ad111751ba4ebbf1bf10c01d8fc8a0905c78dbd233c4d365e0792cbdd990",
+        "efe5049ffc1dc2583c6fa1561313a8b3630b862d270e18ccbe0ef8b634eb34c4",
+    ),
+    ("half-nest", 12): (
+        "a2da7e07c66d89676778dd6f3dd871d7a641643fc40f9d1d651bd73cdd583fa2",
+        "bd8f5027a1ccd2c056431eae1747a5a4d2f56416129b329e037e249af7934a5f",
+    ),
+    ("left-fountain", 6): (
+        "08cb2182484825d2a7c3d403c75c6caae72f1171e4c7f88186c7e85fe0482cbb",
+        "642c37805b6389e30ab94606a81530d6a4674a71003992b3f20006e907223d46",
+    ),
+    ("left-fountain", 12): (
+        "4580fb94a081b1952b34f9db5efb88850a73c8f7bf45bd838fac43cee040182e",
+        "ca9657ab2e6b7cd773ae63d8329a51eaf4d6bb62121232f1b28d6b17a3513f70",
+    ),
+    ("nest", 6): (
+        "55d4c4c0821dfd0ef87d0392d78d1efa1957aa13d77655fd1e731fa7ca7cefb5",
+        "2e72d6ea01d62bec7a101ba78cf9485aef65d22b96db872fea33fba3a3774293",
+    ),
+    ("nest", 12): (
+        "8b867b098fc3e21954ae2a311cfcc1bb5e7d82c1c94fe3f03a7130317e10e64b",
+        "97b06cc21f450f12aa007086c4f2e7c9fd58fcf01eb65defd3b90b7080aadfd4",
+    ),
+    ("split-fountain", 6): (
+        "3480d928e7d4529d3a9e6f9850008d6da2b8fa183280dfdd52ddbccebbffef90",
+        "3480b16ebc804137e3af595449de8a191d8a4f62601c7dbe9e370ef8b0922aa7",
+    ),
+    ("split-fountain", 12): (
+        "2f4bd8daff6324b70dc953fe8b617dd583d40b645e77517fb9e0be1762a2345f",
+        "d1cebf84c30f48a61fc39e0d6de400c2f530e5ef3eda22725e90215fd6b18318",
+    ),
+}
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, window", sorted(PINNED))
+def test_components_and_window_arcs_are_pinned(name, window):
+    tri = PROBED[name]
+    parts = triangulation_components(tri, window)
+    assert digest(" ".join(a.label for a in part) for part in parts) == PINNED[name, window][0]
+    assert digest(a.label for a in tri.window_arcs(window)) == PINNED[name, window][1]
 
 
 # -- flanking triangles in closed form, from tip indices ---------------------------
@@ -1194,12 +1274,12 @@ def closed_form_faces(fam):
     if fam.base is not None:
         for seq in fam.sequences():
             for k in ks:
-                yield (fam.base, seq.tip(k)), (seq.tip(k - 1), seq.tip(k + 1))
+                yield (fam.base, ref_tip(seq, k)), (ref_tip(seq, k - 1), ref_tip(seq, k + 1))
         return
     sa, sb = fam.sequences()
     for k in ks:
-        yield (sa.tip(k), sb.tip(k)), (sa.tip(k + 1), sb.tip(k - 1))
-        yield (sa.tip(k + 1), sb.tip(k)), (sa.tip(k), sb.tip(k + 1))
+        yield (ref_tip(sa, k), ref_tip(sb, k)), (ref_tip(sa, k + 1), ref_tip(sb, k - 1))
+        yield (ref_tip(sa, k + 1), ref_tip(sb, k)), (ref_tip(sa, k), ref_tip(sb, k + 1))
 
 
 class TestClosedFormFaces:
@@ -1276,7 +1356,7 @@ def test_typed_errors_keep_their_texts_and_stay_value_errors():
 
 
 def reference_in_open(a, b, z):
-    """The open cyclic interval test on Fractions: the reference for in_open and _in_open."""
+    """The open cyclic interval test on Fractions: the reference for _in_open."""
     if a == b:
         return False
     if a < b:
@@ -1307,7 +1387,6 @@ class TestPointHelpers:
         (fa, pa), (fb, pb), (fz, pz) = a, b, z
         assert _lt(pa, pb) == (fa < fb)
         assert _in_open(pa, pb, pz) == reference_in_open(fa, fb, fz)
-        assert in_open(fa, fb, fz) == reference_in_open(fa, fb, fz)
         gap = _gap(pa, pb)
         assert 0 <= gap[0] < gap[1] and F(*gap) == norm_angle(fb - fa)
 
@@ -1326,5 +1405,9 @@ class TestPointHelpers:
             assert c == _chord(pb, pa) == chord_of(arc)
             assert _arc(c) == arc
             assert chord_label(c) == arc.label
+        if len({f for f, _ in points[:4]}) == 4:
+            (fa, _), (fb, _), (fc, _), (fd, _) = points[:4]
+            crossed = reference_in_open(fa, fb, fc) != reference_in_open(fa, fb, fd)
+            assert arcs_cross(Arc.of(fa, fb), Arc.of(fc, fd)) == crossed
         pts = [p for _, p in points]
         assert [F(*p) for p in sorted(pts, key=_by_angle)] == sorted(f for f, _ in points)
