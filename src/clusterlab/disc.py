@@ -66,7 +66,6 @@ def frac_str(x: Fraction) -> str:
 
 Pt = tuple[int, int]  # angle or gap n/d as (n, d), d > 0; a point has 0 <= n < d, reduced
 Chord = tuple[Pt, Pt]  # an arc's endpoints in increasing angle order
-_label = "{}/{}~{}/{}".format  # an arc's label p/q~r/s from its endpoints' ints
 
 
 def _pt(x: Fraction) -> Pt:
@@ -111,7 +110,7 @@ def _arc(c: Chord) -> "Arc":
 
 def chord_label(c: Chord) -> VarId:
     """Arc.label of the chord's arc."""
-    return _label(*c[0], *c[1])
+    return "{}/{}~{}/{}".format(*c[0], *c[1])
 
 
 @dataclass(frozen=True, order=True)
@@ -130,7 +129,7 @@ class Arc:
 
     @cached_property
     def label(self) -> VarId:
-        return _label(self.p.numerator, self.p.denominator, self.q.numerator, self.q.denominator)
+        return f"{frac_str(self.p)}~{frac_str(self.q)}"
 
     def endpoints(self) -> tuple[Fraction, Fraction]:
         return (self.p, self.q)
