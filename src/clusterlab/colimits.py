@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from itertools import count, islice
 from typing import Iterator, Protocol, Sequence
 
@@ -52,9 +51,9 @@ from .morphisms import (
     check_no_specialization_conditions,
 )
 from .seeds import (
-    Matrix,
     Memo,
     Seed,
+    _extend_symmetrizer,
     check_skew_symmetrizable,
     connected_components,
     coproduct,
@@ -282,27 +281,6 @@ def _oracle_balls(oracle: SeedOracle, center: VarId) -> Iterator[Seed]:
         yield seed
         exchangeable |= {v for v in sorted(shell) if oracle.is_exchangeable(v)}
         inner = shell
-
-
-def _extend_symmetrizer(ratios: dict, matrix: Matrix, inner: list[VarId], shell: set[VarId]) -> bool:
-    """Extends in place a symmetrizer of a ball less its outer shell to the
-    ball, by d_w / d_v = -b_vw / b_wv over every entry touching the shell;
-    each lies in a row of the shell or of the one before (`inner`), whose
-    neighbours the shell is. False at a sign violation or inconsistency."""
-    for v in [*inner, *sorted(shell)]:
-        for w, bvw in matrix.get(v, {}).items():
-            if v not in shell and w not in shell:
-                continue
-            bwv = matrix.get(w, {}).get(v, 0)
-            if bvw * bwv >= 0 or v not in ratios:
-                return False
-            (vn, vd), num, den = ratios[v], -bvw, bwv
-            if w not in ratios:
-                g = gcd(vn * num, vd * den)
-                ratios[w] = (vn * num // g, vd * den // g)
-            elif ratios[w][0] * vd * den != vn * num * ratios[w][1]:
-                return False
-    return True
 
 
 def materialize_ball(oracle: SeedOracle, center: VarId, radius: int) -> Seed:

@@ -115,16 +115,18 @@ def chord_label(c: Chord) -> VarId:
 
 @dataclass(frozen=True, order=True)
 class Arc:
-    """Unordered pair of distinct marked points, stored with p < q."""
+    """Unordered pair of distinct marked points, stored with 0 <= p < q < 1."""
 
     p: Fraction
     q: Fraction
 
+    def __post_init__(self):
+        if not 0 <= self.p < self.q < 1:
+            raise ValueError(f"arc endpoints must be distinct, with 0 <= p < q < 1: p={self.p}, q={self.q}")
+
     @staticmethod
     def of(a: Fraction, b: Fraction) -> "Arc":
         a, b = norm_angle(a), norm_angle(b)
-        if a == b:
-            raise ValueError("arc endpoints must be distinct")
         return Arc(min(a, b), max(a, b))
 
     @cached_property
@@ -195,9 +197,7 @@ def _chords_non_crossing(chords: Iterable[Chord]) -> bool:
 
 def first_crossing(arcs: Sequence[Arc]) -> tuple[Arc, Arc] | None:
     """The first crossing pair (a, b) with a before b in the given order:
-    a in order, then b in order after it."""
-    if _chords_non_crossing(map(chord_of, arcs)):
-        return None
+    a in order, then b in order after it; callers sweep (_non_crossing) first."""
     for i, a in enumerate(arcs):
         for b in arcs[i + 1 :]:
             if arcs_cross(a, b):
@@ -280,16 +280,13 @@ def classify_arc(t: FiniteTriangulation, a: Arc) -> str:
 
 
 def _checked(t: FiniteTriangulation) -> FiniteTriangulation:
-    """The checks every finite triangulation passes, on ranks: each arc
-    joins two of the n points, no two arcs cross (one pass), and, as points
-    on a circle are in convex position, the non-crossing set is maximal iff
-    it has 2n - 3 arcs. Errors name arcs: the first crossing pair in (p, q)
-    order, or the first free arc that crosses nothing."""
+    """The checks every finite triangulation passes, on ranks, whose pairs
+    (i, j) have i < j as Arcs are ordered: no two arcs cross (one pass),
+    and, as points on a circle are in convex position, the non-crossing set
+    is maximal iff it has 2n - 3 arcs. Errors name arcs: the first crossing
+    pair in (p, q) order, or the first free arc that crosses nothing."""
     n = len(t.points)
     pairs = t._pairs
-    for (i, j), a in pairs.items():
-        if not 0 <= i < j < n:
-            raise UnmarkedPoint(f"arc {a} uses a point outside the marked set")
     if not _non_crossing(pairs):
         raise CrossingPair(*first_crossing(sorted(t.arcs)))
     if len(pairs) < 2 * n - 3:

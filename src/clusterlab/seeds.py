@@ -11,7 +11,6 @@ bookkeeping, values are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import gcd, lcm
@@ -186,9 +185,10 @@ def check_skew_symmetrizable(
 ) -> dict[VarId, int]:
     """Least positive integral symmetrizer per connected component.
 
-    Propagates d_w / d_v = -b_vw / b_wv along nonzero entries and clears
-    denominators componentwise; raises NotSkewSymmetrizable with a witness
-    pair (sign violation) or cycle (inconsistent ratios).
+    Propagates _ratio_step along nonzero entries and clears denominators
+    componentwise; raises NotSkewSymmetrizable with a witness pair (sign
+    violation) or cycle (inconsistent ratios), and InvalidSeed at the first
+    row, in label order, with a column outside `labels`.
     """
     labels = sorted(set(labels))
     b: Callable[[VarId, VarId], int] = lambda v, w: matrix.get(v, {}).get(w, 0)
@@ -196,6 +196,8 @@ def check_skew_symmetrizable(
     for v in labels:
         for w, entry in matrix.get(v, {}).items():
             if entry:
+                if w not in adjacency:
+                    raise InvalidSeed(f"matrix column {w!r} of row {v!r} not in cluster")
                 adjacency[v].add(w)
                 adjacency[w].add(v)
     # sorted once: the witness and the walk follow label order, not string hashes
@@ -209,35 +211,59 @@ def check_skew_symmetrizable(
                     witness=(v, w),
                 )
 
-    d: dict[VarId, Fraction] = {}
+    d: dict[VarId, tuple[int, int]] = {}
     parent: dict[VarId, VarId] = {}
     result: dict[VarId, int] = {}
     for root in labels:
         if root in d:
             continue
-        d[root] = Fraction(1)
+        d[root] = (1, 1)
         parent[root] = root
         component = [root]  # first in, first out: read while it grows
         for v in component:
             for w in neighbours[v]:
-                ratio = Fraction(-b(v, w), b(w, v))
-                if w in d:
-                    if d[w] != d[v] * ratio:
-                        cycle = _trace_cycle(parent, v, w)
-                        raise NotSkewSymmetrizable(
-                            f"inconsistent symmetrizer ratios on cycle {cycle}",
-                            witness=cycle,
-                        )
-                else:
-                    d[w] = d[v] * ratio
+                dw = _ratio_step(d[v], b(v, w), b(w, v))
+                if d.setdefault(w, dw) != dw:
+                    cycle = _trace_cycle(parent, v, w)
+                    raise NotSkewSymmetrizable(
+                        f"inconsistent symmetrizer ratios on cycle {cycle}",
+                        witness=cycle,
+                    )
+                if w not in parent:  # found just now
                     parent[w] = v
                     component.append(w)
-        denom_lcm = lcm(*(d[v].denominator for v in component))
-        scaled = {v: int(d[v] * denom_lcm) for v in component}
-        shrink = gcd(*scaled.values())
+        # the gcd of reduced fractions n / m is gcd(n) / lcm(m); divide by it
+        top = gcd(*(d[v][0] for v in component))
+        bottom = lcm(*(d[v][1] for v in component))
         for v in component:
-            result[v] = scaled[v] // shrink
+            result[v] = d[v][0] // top * (bottom // d[v][1])
     return result
+
+
+def _ratio_step(dv: tuple[int, int], bvw: int, bwv: int) -> tuple[int, int]:
+    """d_w from d_v by d_w / d_v = -b_vw / b_wv, for entries of opposite
+    signs; each d is a reduced pair (n, m), m > 0, standing for n / m."""
+    n, m = dv[0] * abs(bvw), dv[1] * abs(bwv)
+    g = gcd(n, m)
+    return n // g, m // g
+
+
+def _extend_symmetrizer(ratios: dict, matrix: Matrix, inner: list[VarId], shell: set[VarId]) -> bool:
+    """Extends in place a symmetrizer of a ball less its outer shell to the
+    ball, by _ratio_step over every entry touching the shell; each lies in
+    a row of the shell or of the one before (`inner`), whose neighbours the
+    shell is. False at a sign violation or inconsistency."""
+    for v in [*inner, *sorted(shell)]:
+        for w, bvw in matrix.get(v, {}).items():
+            if v not in shell and w not in shell:
+                continue
+            bwv = matrix.get(w, {}).get(v, 0)
+            if bvw * bwv >= 0 or v not in ratios:
+                return False
+            dw = _ratio_step(ratios[v], bvw, bwv)
+            if ratios.setdefault(w, dw) != dw:
+                return False
+    return True
 
 
 def _trace_cycle(parent: Mapping[VarId, VarId], v: VarId, w: VarId) -> tuple[VarId, ...]:

@@ -602,6 +602,114 @@ class TestMoreCli:
         assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
+PATH3 = {
+    "variables": [
+        {"id": "x1", "exchangeable": False},
+        {"id": "x2", "exchangeable": True},
+        {"id": "x3", "exchangeable": False},
+    ],
+    "matrix": [["x1", "x2", 1], ["x2", "x1", -1], ["x2", "x3", 1], ["x3", "x2", -1]],
+}
+
+A3 = {
+    "variables": [{"id": v, "exchangeable": True} for v in ("x1", "x2", "x3")],
+    "matrix": [["x1", "x2", 1], ["x2", "x1", -1], ["x2", "x3", 1], ["x3", "x2", -1]],
+}
+
+SPLIT_TRI = {
+    "points": ["1/2", "1/6", "5/6"],
+    "arcs": [["1/4", "3/4"]],
+    "families": [
+        {"kind": "left-fountain", "base": "1/4", "limit": "0/1", "scale": "1/2", "start": 4},
+        {"kind": "right-fountain", "base": "3/4", "limit": "0/1", "scale": "1/2", "start": 4},
+    ],
+}
+
+# the map sending x1, x2 and x3 to y1: x2' = (x1 + x3) / x2 goes to 2, not to y1' of A2
+COMPOSITE_CM3 = {
+    "cm1": True,
+    "cm2": True,
+    "cm2_witnesses": [],
+    "cm3": "counterexample",
+    "counterexample": {
+        "sequence": ["x2"],
+        "variable": "x2",
+        "lhs": "2",
+        "rhs": "y1^-1*y2 + y1^-1",
+    },
+    "nodes": 2,
+}
+
+COMPOSITE_CM3_PLAIN = """cm1: True
+cm2: True
+cm2_witnesses: 
+cm3: counterexample
+counterexample:
+  sequence: x2
+  variable: x2
+  lhs: 2
+  rhs: y1^-1*y2 + y1^-1
+nodes: 2
+"""
+
+
+class TestReportBranches:
+    """Report shapes of the verbs' less travelled branches, in both formats."""
+
+    @pytest.fixture
+    def more(self, files):
+        out = dict(files)
+        for name, data in [
+            ("path3.seed", PATH3),
+            ("a3.seed", A3),
+            ("split.tri", SPLIT_TRI),
+            ("composite.map", {"assignment": [["x1", "y1"], ["x2", "y1"], ["x3", "y1"]]}),
+            ("identity.map", {"assignment": [["x1", "x1"], ["x2", "x2"], ["x3", "x3"]]}),
+        ]:
+            path = files["dir"] / name
+            path.write_text(json.dumps(data))
+            out[name] = str(path)
+        return out
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize("verb", ["check-morphism", "check-ideal"])
+    def test_a_cm3_counterexample_exits_one(self, more, fmt, verb):
+        argv = ["--format", fmt, verb, "--src", more["path3.seed"], "--dst", more["a2.seed"]]
+        code, out, err = run_captured([*argv, "--map", more["composite.map"]])
+        head = {"command": verb}
+        if verb == "check-ideal":
+            head["error"] = "the map is not a verified rooted cluster morphism"
+        if fmt == "structured":
+            assert out == rendered({**head, **COMPOSITE_CM3}, fmt)
+        else:
+            assert out == rendered(head, fmt) + COMPOSITE_CM3_PLAIN
+        assert (code, err) == (1, "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_the_identity_is_ideal_to_depth(self, more, fmt):
+        argv = ["--format", fmt, "check-ideal", "--src", more["a3.seed"], "--dst", more["a3.seed"]]
+        code, out, err = run_captured([*argv, "--map", more["identity.map"], "--depth", "2"])
+        report = {"command": "check-ideal", "status": "ideal-to-depth", "depth": 2}
+        assert (code, out, err) == (0, rendered(report, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["flip", "--tri", "split.tri", "--arc", "1/4~3/4"], "flip applies to finite triangulations"),
+            (["tri-seed", "--tri", "split.tri"], "tri-seed applies to finite triangulations"),
+            (
+                ["stable-mutate", "--oracle", "zigzag", "--sequence", "x0", "--target", "x0"],
+                "unknown oracle 'zigzag' "
+                "(expected path-quiver | fan | split-fountain | nest | wrap:SEEDFILE)",
+            ),
+        ],
+    )
+    def test_input_errors_exit_three(self, more, fmt, argv, message):
+        code, out, err = run_captured(["--format", fmt, *(more.get(a, a) for a in argv)])
+        assert (code, out, err) == (3, rendered({"error": message}, fmt), "")
+
+
 class TestHardenedInput:
     """Every malformed file, unknown target and removed flag is an input
     error (exit 3) with a message, never a traceback or a guess."""

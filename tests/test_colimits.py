@@ -35,6 +35,8 @@ from clusterlab.errors import (
     NotOnlyCoefficients,
     OracleInconsistent,
     ParseError,
+    ResourceLimit,
+    SeedMismatch,
     UnknownVertex,
 )
 from clusterlab.laurent import format_poly, parse_poly
@@ -199,6 +201,21 @@ class TestFiltration:
             gc.enable()
 
 
+def test_components_that_meet_are_rejected():
+    class TwoRepresentatives(PathQuiverOracle):
+        def representatives(self):
+            return ["x0", "x3"]
+
+    tower = oracle_tower(TwoRepresentatives())
+    assert list(islice(tower, 2))[1].labels == ("x0", "x1", "xm1", "x3")
+    with pytest.raises(OracleInconsistent) as exc:
+        next(tower)  # stage 2: the x0 ball of radius 2 and the x3 ball of radius 1 share x2
+    assert str(exc.value) == (
+        "component representatives are not disconnected: "
+        "label 'x2' occurs in more than one summand"
+    )
+
+
 class TestTower:
     """Stages of the tower against balls grown here, radius by radius from
     scratch, without the library's generator."""
@@ -327,6 +344,13 @@ class TestOnlyCoefficients:
         with pytest.raises(NotFullSubseed):
             check_only_coefficients(stranger, outer)
 
+    def test_an_inner_exchangeable_must_be_an_outer_one(self):
+        inner = materialize_ball(PathQuiverOracle(), "x0", 2)
+        frozen = Seed.initial(inner.labels, [], inner.matrix)
+        with pytest.raises(NotFullSubseed) as exc:
+            check_only_coefficients(inner, frozen)
+        assert str(exc.value) == "inner exchangeables are not outer exchangeables"
+
     def test_mismatch_text_names_the_first_entry_in_label_order(self):
         # rows x0 and x1 agree; row x2 differs at x1 and x3 but not at x0,
         # and row x3 differs too: the text names (x2, x1)
@@ -394,6 +418,11 @@ class TestStableMutation:
         mutated = mutate_sequence(ball, ["x0", "x1", "x2"])
         new = [l for l in mutated.labels if l not in ball.labels]
         assert mutated.values[[l for l in new if l.startswith("x2")][0]] == v2
+
+    def test_a_target_outside_every_stage_hits_the_stage_limit(self):
+        with pytest.raises(ResourceLimit) as exc:
+            stable_mutation(PathQuiverOracle(), ["x5"], "x5", max_stages=3)
+        assert str(exc.value) == "no stage up to 3 admits the sequence ('x5',) with target 'x5'"
 
     def test_never_admissible(self):
         mid = Arc.of(F(1, 4), F(3, 4)).label
@@ -482,6 +511,42 @@ class TestMediating:
         med, _ = mediating_morphism(fil, cone)
         other = ClusterMap(fil.stages[-1], big, dict(med.assignment))
         assert other.assignment == med.assignment
+
+
+    @staticmethod
+    def inclusion_cone(fil, target):
+        return [ClusterMap(s, target, {l: l for l in s.labels}) for s in fil.stages]
+
+    def test_a_cone_needs_one_map_per_stage(self):
+        fil = build_filtration(FiniteSeedOracle(wrapper_seed()), 4)
+        with pytest.raises(IncompatibleCone) as err:
+            mediating_morphism(fil, self.inclusion_cone(fil, wrapper_seed())[:3])
+        assert str(err.value) == "cone maps disagree on label '<arity>' between stages (3, 4)"
+
+    def test_each_cone_map_is_rooted_at_its_stage(self):
+        fil = build_filtration(FiniteSeedOracle(wrapper_seed()), 4)
+        cone = self.inclusion_cone(fil, wrapper_seed())
+        cone[1] = cone[2]
+        with pytest.raises(SeedMismatch) as err:
+            mediating_morphism(fil, cone)
+        assert str(err.value) == "cone map 1 is not rooted at stage 1"
+
+    def test_cone_maps_share_one_target(self):
+        fil = build_filtration(FiniteSeedOracle(wrapper_seed()), 4)
+        cone = self.inclusion_cone(fil, wrapper_seed())
+        cone[2] = self.inclusion_cone(fil, opposite_seed(wrapper_seed()))[2]
+        with pytest.raises(SeedMismatch) as err:
+            mediating_morphism(fil, cone)
+        assert str(err.value) == "cone maps must share one target seed"
+
+    def test_a_mediating_map_failing_cm2_is_rejected(self):
+        # into the wrapper with every variable frozen: b and c lose exchangeability
+        big = wrapper_seed()
+        fil = build_filtration(FiniteSeedOracle(big), 4)
+        cone = self.inclusion_cone(fil, Seed.initial(big.labels, [], big.matrix))
+        with pytest.raises(IncompatibleCone) as err:
+            mediating_morphism(fil, cone)
+        assert str(err.value) == "cone maps disagree on label 'b' between stages ('cm2', None)"
 
 
 class TestExhaustion:

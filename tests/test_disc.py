@@ -1352,6 +1352,54 @@ def test_typed_errors_keep_their_texts_and_stay_value_errors():
         assert isinstance(exc.value, ClusterLabError) and isinstance(exc.value, ValueError)
 
 
+# -- canonical arcs -----------------------------------------------------------------
+
+
+class TestCanonicalArcs:
+    """An Arc holds 0 <= p < q < 1 from construction; Arc.of normalizes and
+    orders. Each non-canonical Arc below used to be accepted."""
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(F(3, 4), F(1, 4)), (F(1, 4), F(5, 4)), (F(1, 4), F(1, 4)), (F(-1, 4), F(1, 4))],
+        ids=["descending", "past-one-turn", "equal", "negative"],
+    )
+    def test_a_non_canonical_arc_is_refused(self, p, q):
+        with pytest.raises(ValueError, match="^arc endpoints must be distinct"):
+            Arc(p, q)
+
+    def test_the_refusal_names_the_endpoints(self):
+        with pytest.raises(ValueError) as exc:
+            Arc(F(3, 4), F(1, 4))
+        assert str(exc.value) == "arc endpoints must be distinct, with 0 <= p < q < 1: p=3/4, q=1/4"
+
+    def test_arc_of_orders_and_normalizes_but_refuses_one_point(self):
+        assert Arc.of(F(5, 4), F(0)) == Arc(F(0), F(1, 4))
+        with pytest.raises(ValueError, match="^arc endpoints must be distinct"):
+            Arc.of(F(1, 4), F(5, 4))
+
+    @staticmethod
+    def split_fountain_with(extra):
+        return InfiniteTriangulation(
+            split_fountain().families, frozenset({extra}), (F(1, 2), F(1, 6), F(5, 6))
+        )
+
+    def test_a_descending_extra_arc_is_refused_not_a_type_error(self):
+        with pytest.raises(ValueError, match="^arc endpoints must be distinct"):
+            self.split_fountain_with(Arc(F(3, 4), F(1, 4)))
+
+    def test_an_extra_arc_past_one_turn_is_refused_not_dropped(self):
+        # it was accepted in place of {1/4, 3/4}, and then chord_in(((1, 4), (3, 4))) was False
+        with pytest.raises(ValueError, match="^arc endpoints must be distinct"):
+            self.split_fountain_with(Arc(F(1, 4), F(5, 4)))
+
+    def test_a_descending_arc_is_not_reported_as_unmarked(self):
+        pts = [F(0), F(1, 4), F(1, 2), F(3, 4)]
+        sides = [Arc.of(pts[k], pts[(k + 1) % 4]) for k in range(3)]
+        with pytest.raises(ValueError, match="^arc endpoints must be distinct"):
+            validate_triangulation(pts, [*sides, Arc(F(3, 4), F(0)), Arc.of(F(0), F(1, 2))])
+
+
 # -- points and chords on integers ---------------------------------------------------
 
 

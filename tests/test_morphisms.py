@@ -91,6 +91,34 @@ def composition_counterexample():
     return f, g
 
 
+class TestClusterMapChecks:
+    @pytest.mark.parametrize(
+        "assignment, extra, text",
+        [
+            ({"x1": "y1"}, {}, "assignment must be total on the source labels"),
+            ({"x1": "y1", "x2": "y2", "x3": True}, {}, "image of 'x3' must be a label or an integer"),
+            ({"x1": "y1", "x2": "y2", "x3": 1.5}, {}, "image of 'x3' must be a label or an integer"),
+            ({"x1": "y1", "x2": "y2", "x3": "q"}, {}, "image label 'q' is not a target label"),
+            ({"x1": "y1", "x2": "y2", "x3": 1}, {"x1": "q"}, "extra image label 'q' is not a target label"),
+            (
+                {"x1": "y1", "x2": "y2", "x3": 1},
+                {"z": "y1"},
+                "extra generators must be Laurent polynomials in the source cluster",
+            ),
+            (
+                {"x1": "y1", "x2": "y2", "x3": 1},
+                {"x1*x2": "y1"},
+                "extra generator image is inconsistent: f(x1*x2) cannot be 'y1'",
+            ),
+        ],
+    )
+    def test_construction_names_what_is_wrong(self, assignment, extra, text):
+        extra = {parse_poly(gen): img for gen, img in extra.items()}
+        with pytest.raises(InvalidSeed) as err:
+            ClusterMap(example_seed(), a2_seed(), assignment, extra)
+        assert str(err.value) == text
+
+
 class TestCm1Cm2:
     def test_example_map_passes(self):
         cm1, cm2, wit = check_cm1_cm2(example_map())
@@ -245,6 +273,13 @@ class TestNoSpecializationConditions:
     def test_specialization_rejected(self):
         with pytest.raises(InvalidSeed):
             check_no_specialization_conditions(example_map())
+
+    def test_an_exchangeable_sent_to_a_coefficient_fails_condition1(self):
+        src = Seed.initial(["x1", "x2"], ["x1", "x2"], [("x1", "x2", 1), ("x2", "x1", -1)])
+        dst = Seed.initial(["y1", "y2"], ["y1"], [("y1", "y2", 1), ("y2", "y1", -1)])
+        report = check_no_specialization_conditions(ClusterMap(src, dst, {"x1": "y1", "x2": "y2"}))
+        assert not report.condition1
+        assert report.witnesses == ("condition1: x2 -> y2 is not exchangeable",)
 
     def test_coefficient_merge_via_sufficient_criterion(self):
         # two coefficient clones with identical rows merge cleanly

@@ -126,6 +126,23 @@ class TestSkewSymmetrizable:
         assert digest == "8e48e24cdf7093a1371719a0d38a69aaf374b2742b4f733e0b4e12ad4f2efdb3"
 
 
+    @pytest.mark.parametrize(
+        "matrix, labels, text",
+        [
+            ({"a": {"z": 1}}, ["a"], "matrix column 'z' of row 'a' not in cluster"),
+            # the row of 'b' is never read: 'b' is not a label
+            ({"a": {"b": 1}, "b": {"a": -1}}, ["a"], "matrix column 'b' of row 'a' not in cluster"),
+            # rows are read in label order, not in the matrix's order
+            ({"b": {"y": 1}, "a": {"z": 1}}, ["b", "a"], "matrix column 'z' of row 'a' not in cluster"),
+        ],
+        ids=["unknown-column", "dropped-label", "label-order"],
+    )
+    def test_an_entry_outside_the_labels_is_an_invalid_seed(self, matrix, labels, text):
+        with pytest.raises(InvalidSeed) as err:
+            check_skew_symmetrizable(matrix, labels)
+        assert type(err.value) is InvalidSeed and str(err.value) == text
+
+
 class TestMemoAndGrow:
     def test_a_memo_computes_each_key_once(self):
         calls = []
@@ -514,6 +531,29 @@ class TestSeedInvariants:
                 {},
                 {"a": LaurentPoly.var("a"), "b": LaurentPoly.var("a")},
             )
+
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            (dict(exchangeable=frozenset({"a", "z"})), "exchangeable labels not in cluster: ['z']"),
+            (dict(matrix={"z": {"a": 1}}), "matrix row 'z' not in cluster"),
+            (dict(matrix={"a": {"z": 1}}), "matrix column 'z' not in cluster"),
+            (dict(matrix={"a": {"b": 0}}), "zero entries must not be stored"),
+            (dict(values={"a": LaurentPoly.var("a")}), "values must be given for exactly the cluster labels"),
+        ],
+        ids=["exchangeable", "row", "column", "zero", "values"],
+    )
+    def test_structural_checks_name_what_is_wrong(self, change, text):
+        fields = dict(
+            labels=("a", "b"),
+            exchangeable=frozenset({"a"}),
+            matrix={"a": {"b": 1}, "b": {"a": -1}},
+            values={"a": LaurentPoly.var("a"), "b": LaurentPoly.var("b")},
+        )
+        Seed(**fields)  # the unchanged fields pass
+        with pytest.raises(InvalidSeed) as err:
+            Seed(**{**fields, **change})
+        assert str(err.value) == text
 
     def test_mutation_keeps_the_distinct_values_check(self):
         # mutation skips the structural checks it preserves, not this one:
