@@ -9,14 +9,16 @@ variable by variable in ascending plain-string name order, the larger
 exponent winning, an absent variable counting as 0), a product of monomials
 is `a + b - unit`, and exact division reduces the remainder in that order
 with a heap of integers (Johnson 1974; Monagan and Pearce, J. Symb. Comput.
-46 (2011)). At the API, `terms` maps monomials, sorted tuples of (variable,
-nonzero exponent) pairs, to coefficients. Equality and hash do not depend on
-the ambient: one ambient compares packed maps, two compare terms, and the
-hash is that of frozenset(terms.items()). Operands on two ambients meet on
-the union of their names. Each value bounds its fields, a product or
-quotient by the sum of its operands' bounds; an operation that might not fit
-takes exact bounds and, if still too large, moves to wider fields: no field
-wraps.
+46 (2011)); a monomial divisor needs no heap. At the API, `terms` maps
+monomials, sorted tuples of (variable, nonzero exponent) pairs, to
+coefficients. Equality and hash do not depend on the ambient: one ambient
+compares packed maps, two compare terms, and the hash is taken from the term
+count, the coefficient sum and the leading and trailing terms, which are the
+same on every ambient, so only those two are decoded. Operands on two
+ambients meet on the union of their names. Each value bounds its fields, a
+product or quotient by the sum of its operands' bounds; an operation that
+might not fit takes exact bounds and, if still too large, moves to wider
+fields: no field wraps.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ class Ambient:
     def var(self, v: VarId) -> "LaurentPoly":
         """The variable v; its hash comes from (v, 1), without decoding."""
         low = self.unit + (1 << self.place[v])
-        return _poly(self, {low + (1 << self.top): 1}, 1, low, hash(frozenset({(((v, 1),), 1)})))
+        term = (((v, 1),), 1)
+        return _poly(self, {low + (1 << self.top): 1}, 1, low, hash((1, 1, term, term)))
 
     def encode(self, p: "LaurentPoly") -> "LaurentPoly":
         """p on this ambient, whose names must cover p's variables."""
@@ -272,7 +275,14 @@ class LaurentPoly:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash(frozenset(zip(self._amb.monomials(self._keys), self._keys.values())))
+            keys = self._keys
+            if keys:  # the leading and trailing terms, (monomial, coefficient)
+                lead, trail = max(keys), min(keys)
+                m_lead, m_trail = self._amb.monomials((lead, trail))
+                h = hash((len(keys), sum(keys.values()), (m_lead, keys[lead]), (m_trail, keys[trail])))
+            else:
+                h = hash((0, 0))
+            self._hash = h
         return h
 
     def __bool__(self):
@@ -306,7 +316,9 @@ def lp_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     the leading term of the remainder, taken from a heap in descending order;
     a step whose quotient term is below g_num / g_den in some variable, for
     the floors g (a borrow out of a guard bit), or whose coefficient does not
-    divide raises NotDivisible."""
+    divide raises NotDivisible. A monomial divisor shifts every term at once:
+    no term is below the floors, so only a coefficient can fail, and the
+    leading one that does is named, as the heap would meet it first."""
     if den.is_zero():
         raise DivisionByZero("division by the zero polynomial")
     if num.is_zero():
@@ -316,6 +328,12 @@ def lp_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     lc_d = dk[lead_d := max(dk)]
     tail_d = [(k, c) for k, c in dk.items() if k != lead_d]
     shift = _floor_on(num, amb, rem) - _floor_on(den, amb, dk)
+    if not tail_d:
+        bad = [k for k, c in rem.items() if c % lc_d]
+        if bad:
+            raise NotDivisible(f"coefficient {rem[max(bad)]} not divisible by {lc_d} over the integers")
+        t = lead_d - unit
+        return _poly(amb, {k - t: c // lc_d for k, c in rem.items()}, num._bound + den._bound, shift + unit)
     # a term divides when no field is below bar's (its degree field is 0)
     bar = (lead_d + shift) & ((1 << amb.top) - 1)
     rem = dict(rem)

@@ -81,24 +81,33 @@ class Seed:
     def _exchanges(self) -> dict:  # mutate_seed's table, beside the frozen fields
         return {}
 
+    @cached_property
+    def _ids(self) -> dict[VarId, int]:
+        """Each label's value as id() of its one object in the exchange
+        table, interned there on first use; mutation hands it down."""
+        table = self._exchanges
+        return {v: id(table.setdefault(p, p)) for v, p in self.values.items()}
+
+    @cached_property
+    def _walk_key(self):
+        """canonical_key on the values' ids: equal within one exchange table
+        exactly when canonical_key is."""
+        return self._key_on(self._ids)
+
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _mutated(cls, labels, exchangeable, matrix, values, exchanges, fresh=None) -> "Seed":
+    def _mutated(cls, labels, exchangeable, matrix, values, exchanges, ids=None) -> "Seed":
         """A seed from fields that pass every check of __post_init__ by
-        construction, as mutation's do, except that the value of the label
-        `fresh`, if given, may equal another. It uses the given exchange
-        table."""
+        construction, as mutation's do. It uses the given exchange table and
+        value ids; without ids, _ids interns the values on first use."""
         seed = object.__new__(cls)
         seed.__dict__.update(
             labels=labels, exchangeable=exchangeable, matrix=matrix, values=values,
             _exchanges=exchanges,
         )
-        if fresh is not None:
-            new = values[fresh]
-            for v in labels:
-                if v != fresh and values[v] == new:
-                    _shared_value(*sorted((v, fresh), key=labels.index), new)
+        if ids is not None:
+            seed.__dict__["_ids"] = ids
         return seed
 
     @classmethod
@@ -160,13 +169,14 @@ class Seed:
 
     @cached_property
     def _key(self):
-        val = self.values
+        return self._key_on(self.values)
+
+    def _key_on(self, val: Mapping[VarId, Hashable]):
+        """The three sets of canonical_key with each label read as val[label]."""
         return (
             frozenset(val.values()),
-            frozenset(val[v] for v in self.exchangeable),
-            frozenset(
-                (val[v], val[w], b) for v, row in self.matrix.items() for w, b in row.items()
-            ),
+            frozenset(map(val.__getitem__, self.exchangeable)),
+            frozenset((val[v], val[w], b) for v, row in self.matrix.items() for w, b in row.items()),
         )
 
     def same_seed(self, other: "Seed") -> bool:
@@ -188,7 +198,8 @@ def check_skew_symmetrizable(
     Propagates _ratio_step along nonzero entries and clears denominators
     componentwise; raises NotSkewSymmetrizable with a witness pair (sign
     violation) or cycle (inconsistent ratios), and InvalidSeed at the first
-    row, in label order, with a column outside `labels`.
+    row, in label order, with a column outside `labels`, else at the first
+    nonzero row, in sorted order, outside `labels`.
     """
     labels = sorted(set(labels))
     b: Callable[[VarId, VarId], int] = lambda v, w: matrix.get(v, {}).get(w, 0)
@@ -200,6 +211,9 @@ def check_skew_symmetrizable(
                     raise InvalidSeed(f"matrix column {w!r} of row {v!r} not in cluster")
                 adjacency[v].add(w)
                 adjacency[w].add(v)
+    outside = [v for v, row in matrix.items() if v not in adjacency and any(row.values())]
+    if outside:
+        raise InvalidSeed(f"matrix row {min(outside)!r} not in cluster")
     # sorted once: the witness and the walk follow label order, not string hashes
     neighbours = {v: sorted(adjacency[v]) for v in labels}
     for v in labels:
@@ -314,73 +328,86 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     division or table entry. With b_xx = 0 mutation is an involution,
     whatever the support of the matrix.
 
-    The new value comes from an exchange table before any division. Its
-    key is the value of x with the frozenset of (neighbour value, b_xv)
-    over x's row: that fixes the numerator N = P + Q, so it fixes the
-    quotient x' = N / x. A division stores that entry and the reverse one,
-    (x', {(v, -b_xv)}) -> x, which is exact because N = x * x'; a failed
-    division stores nothing. The table is created in the `__dict__` of the
-    seed a walk starts from, on its first mutation, and is shared by every
-    seed mutated from it; a seed built any other way starts without one,
-    except the target root of a CM3 walk, which shares the source's."""
+    The new value comes from an exchange table before any division. The
+    table also interns values: a quotient, and a root's value on first use,
+    is stored as itself, and a seed's `_ids` maps each label to id() of its
+    value's one object there, so a walk holds one object per value and its
+    bookkeeping hashes integers. An exchange key is the id of x's value
+    with the frozenset of (neighbour id, b_xv) over x's row: that fixes
+    the numerator N = P + Q, so it fixes the quotient x' = N / x. A
+    division stores that entry and the reverse one, (x', {(v, -b_xv)}) -> x,
+    which is exact because N = x * x'; a failed division stores no entry.
+    The table is created in the `__dict__` of the seed a walk starts from,
+    on its first mutation, and is shared by every seed mutated from it; a
+    seed built any other way starts without one, except the target root of
+    a CM3 walk, which shares the source's.
+
+    Only x's row and the rows of x's column (one lookup per row finds it)
+    are rebuilt; every other row is shared, labels come by slicing, and
+    values and ids by dict copy."""
     if x not in seed.exchangeable:
         raise NotExchangeable(x)
 
     row = seed.matrix.get(x, {})
     if x in row:  # the 2-path update would write x's row under the old label
         raise InvalidSeed(f"cannot mutate at {x!r}: its diagonal entry is {row[x]}, not 0")
-    val = seed.values
-    exchanges = seed._exchanges
-    old_value = val[x]
-    around = frozenset((val[v], e) for v, e in row.items())
-    new_value = exchanges.get((old_value, around))
+    table, ids = seed._exchanges, seed._ids
+    key = (ids[x], frozenset((ids[v], e) for v, e in row.items()))
+    new_value = table.get(key)
     if new_value is None:
+        val = seed.values
         pos = poly_product(val[v] ** e for v, e in row.items() if e > 0)
         neg = poly_product(val[v] ** -e for v, e in row.items() if e < 0)
         # Looked up on the module per call, so a rebinding there applies here too.
-        new_value = laurent.lp_exact_div(pos + neg, old_value)
-        exchanges[old_value, around] = new_value
-        exchanges[new_value, frozenset((p, -e) for p, e in around)] = old_value
+        quotient = laurent.lp_exact_div(pos + neg, val[x])
+        new_value = table.setdefault(quotient, quotient)
+        table[key] = new_value
+        # the reverse entry gives x's value as the table holds it: a root's
+        # own value may be an equal copy of it
+        table[id(new_value), frozenset((i, -e) for i, e in key[1])] = table[val[x]]
 
-    new_label = fresh_label(x, seed.labels)
-
-    # x's row and its column {v: b_vx} are read once; x's row and column
-    # change sign, and b_vw gains |b_vx| b_xw where b_vx and b_xw agree in sign
-    col: dict[VarId, int] = {}
-    matrix: Matrix = {}
-    for v, r in seed.matrix.items():
-        if not r:
-            continue
-        if x in r:
-            col[v] = r[x]
-            matrix[new_label if v == x else v] = {
-                (new_label if w == x else w): -e if (v == x or w == x) else e for w, e in r.items()
-            }
-        elif v == x:
-            matrix[new_label] = {w: -e for w, e in r.items()}
-        else:
-            matrix[v] = r  # unchanged, so shared: no code edits a seed's row in place
-    for v in row:
-        c = col.get(v)
-        if not c:
-            continue
-        for w, e in row.items():
-            if (c > 0) == (e > 0):
-                r = matrix.setdefault(v, {})
-                n = r.get(w, 0) + abs(c) * e
-                if n:
-                    r[w] = n
-                else:
-                    del r[w]
-    matrix = {v: r for v, r in matrix.items() if r}
-
-    labels = tuple(new_label if v == x else v for v in seed.labels)
-    values = {v: val[v] for v in seed.labels if v != x}
+    labels = seed.labels
+    new_label = fresh_label(x, labels)
+    at = labels.index(x)
+    labels = labels[:at] + (new_label,) + labels[at + 1:]
+    new_id = id(new_value)
+    ids = dict(ids)
+    del ids[x]
+    if new_id in ids.values():
+        first = next(v for v, i in ids.items() if i == new_id)
+        _shared_value(*sorted((first, new_label), key=labels.index), new_value)
+    ids[new_label] = new_id
+    values = dict(seed.values)
+    del values[x]
     values[new_label] = new_value
-    exchangeable = (seed.exchangeable - {x}) | {new_label}
+
+    # x's row and column change sign, and b_vw gains |b_vx| b_xw where b_vx
+    # and b_xw agree in sign; rows without x are shared, since no code edits
+    # a seed's row in place
+    matrix = dict(seed.matrix)
+    matrix.pop(x, None)
+    if row:
+        matrix[new_label] = {w: -e for w, e in row.items()}
+    for v, r in seed.matrix.items():
+        c = r.get(x)
+        if c is None:
+            continue
+        matrix[v] = r = dict(r)  # never empty: it keeps b_v,new = -c
+        del r[x]
+        r[new_label] = -c
+        if v in row:
+            for w, e in row.items():
+                if (c > 0) == (e > 0):
+                    n = r.get(w, 0) + abs(c) * e
+                    if n:
+                        r[w] = n
+                    else:
+                        del r[w]
+
+    exchangeable = seed.exchangeable - {x} | {new_label}
     # labels stay distinct (the fresh label is new), exchangeables and matrix
     # keys stay in the cluster and no zero entry is stored
-    return Seed._mutated(labels, frozenset(exchangeable), matrix, values, exchanges, new_label)
+    return Seed._mutated(labels, exchangeable, matrix, values, table, ids)
 
 
 def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:
@@ -469,18 +496,19 @@ def _seed_class(seed: Seed, depth: int, max_nodes: int) -> Iterator[Seed]:
     # at its new value gives s back. So `back` records (key of t, new value),
     # and a seed with that key skips the mutation at that value: it could
     # only lead to s, a seed already seen. Each exchange-graph edge is then
-    # crossed once. `back` holds values, not positions or labels, since
+    # crossed once. `back` holds value ids, not positions or labels, since
     # seeds with one key may hold their values at different positions.
-    # mutate_seed and canonical_key are looked up per call, so a rebinding
-    # on the module or the class applies here too.
+    # Seeds share the root's exchange table, so seeds and values are keyed
+    # by _walk_key and _ids, on integers. mutate_seed is looked up per call,
+    # so a rebinding on the module applies here too.
     back: set = set()
 
     def children(s: Seed) -> Iterator[Seed]:
-        key = s.canonical_key()
+        key, ids = s._walk_key, s._ids
         for x in sorted(s.exchangeable):
-            if (key, s.values[x]) not in back:
+            if (key, ids[x]) not in back:
                 t = mutate_seed(s, x)
-                back.add((t.canonical_key(), t.values[t.labels[s.labels.index(x)]]))
+                back.add((t._walk_key, t._ids[t.labels[s.labels.index(x)]]))
                 yield t
 
     return explore(
@@ -489,7 +517,7 @@ def _seed_class(seed: Seed, depth: int, max_nodes: int) -> Iterator[Seed]:
         depth,
         max_nodes,
         f"seed frontier exceeded the node budget of {max_nodes}",
-        key=lambda s: s.canonical_key(),
+        key=lambda s: s._walk_key,
     )
 
 

@@ -76,6 +76,20 @@ def test_a_failed_division_stores_nothing():
         assert cur.labels == ("x'1", "y'1")
 
 
+def test_around_the_pentagon_the_values_are_the_roots_objects():
+    # A2's exchange graph is a pentagon: five mutations at alternating
+    # positions give the root's seed back. The last two quotients come from
+    # divisions, and the table interns them, so they are the root's own
+    # value objects, not equal copies.
+    root = linear_a(2)
+    cur = root
+    for position in (0, 1, 0, 1, 0):
+        cur = mutate_seed(cur, cur.labels[position])
+    assert cur.same_seed(root)
+    mine = list(root.values.values())
+    assert all(any(value is own for own in mine) for value in cur.values.values())
+
+
 def test_a_seed_built_by_hand_starts_without_a_table():
     seed = linear_a(3)
     assert "_exchanges" not in seed.__dict__

@@ -39,6 +39,19 @@ def to_sympy(p: LaurentPoly):
     )
 
 
+def reference_hash(p: LaurentPoly) -> int:
+    """The hash from p.terms alone: the term count, the coefficient sum, and
+    the leading and trailing terms in graded-lex order (total degree, then
+    the exponents variable by variable in name order, absent ones 0)."""
+    terms = p.terms
+    if not terms:
+        return hash((0, 0))
+    names = sorted({v for m in terms for v, _ in m})
+    order = lambda m: (sum(e for _, e in m), [dict(m).get(v, 0) for v in names])
+    lead, trail = max(terms, key=order), min(terms, key=order)
+    return hash((len(terms), sum(terms.values()), (lead, terms[lead]), (trail, terms[trail])))
+
+
 def same(p: LaurentPoly, expr) -> bool:
     return sympy.expand(to_sympy(p) - expr) == 0
 
@@ -100,6 +113,24 @@ def test_coefficient_obstruction(a, b, k):
         assert laurent_quotient(a * b, den) is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(polys, monomials, st.sampled_from((1, -1, 2, -2, 3)))
+def test_division_by_a_monomial(p, m, c):
+    # a monomial divisor takes no heap; the quotient and the text of a
+    # coefficient that does not divide are those of the heap route: the
+    # leading such term of the numerator is named
+    den = LaurentPoly({m: c})
+    assert lp_exact_div(p * den, den) == p
+    assert same(lp_exact_div(p * den, den), sympy.expand(to_sympy(p * den) / to_sympy(den)))
+    bad = [k for _, k in p.sorted_terms() if k % c]
+    if bad:
+        with pytest.raises(NotDivisible) as info:
+            lp_exact_div(p, den)
+        assert str(info.value) == f"coefficient {bad[0]} not divisible by {c} over the integers"
+    else:
+        assert same(lp_exact_div(p, den), sympy.expand(to_sympy(p) / to_sympy(den)))
+
+
 @pytest.mark.parametrize(
     "num, den, message",
     [
@@ -125,7 +156,7 @@ def test_values_on_two_ambients_agree(a, b):
     wa, wb = wide.encode(a), wide.encode(b)
     for p, wp in ((a, wa), (b, wb)):
         assert wp == p and p == wp
-        assert hash(wp) == hash(p) == hash(frozenset(p.terms.items()))
+        assert hash(wp) == hash(p) == reference_hash(p)
         assert wp.terms == p.terms and format_poly(wp) == format_poly(p)
     product, total = wa * wb, wa + wb
     assert a * b == wa * b == a * wb == product

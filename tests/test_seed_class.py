@@ -171,18 +171,23 @@ FINITE_TYPES = {
 }
 
 
+def finite_type_root(kind, orientation="same"):
+    n, bonds, _ = FINITE_TYPES[kind]
+    labels = [f"v{i}" for i in range(n)]
+    entries = []
+    for k, (i, j, p, q) in enumerate(bonds):
+        sign = -1 if orientation == "alternating" and k % 2 == 0 else 1
+        entries += [(labels[i], labels[j], sign * p), (labels[j], labels[i], -sign * q)]
+    return Seed.initial(labels, labels, entries)
+
+
 @pytest.mark.parametrize("orientation", ["same", "alternating"])
 @pytest.mark.parametrize("kind", sorted(FINITE_TYPES))
 def test_closed_class_crosses_each_edge_once(kind, orientation, monkeypatch):
     # The exchange graph of a finite type is n-regular (the 1-skeleton of
     # its generalized associahedron), so it has n * |V| / 2 edges, and the
     # walk mutates once per edge.
-    n, bonds, count = FINITE_TYPES[kind]
-    labels = [f"v{i}" for i in range(n)]
-    entries = []
-    for k, (i, j, p, q) in enumerate(bonds):
-        sign = -1 if orientation == "alternating" and k % 2 == 0 else 1
-        entries += [(labels[i], labels[j], sign * p), (labels[j], labels[i], -sign * q)]
+    n, _, count = FINITE_TYPES[kind]
     calls = []
 
     def counting(seed, x):
@@ -190,5 +195,21 @@ def test_closed_class_crosses_each_edge_once(kind, orientation, monkeypatch):
         return mutate_seed(seed, x)
 
     monkeypatch.setattr(clusterlab.seeds, "mutate_seed", counting)
-    assert len(enumerate_seeds(Seed.initial(labels, labels, entries), 40)) == count
+    assert len(enumerate_seeds(finite_type_root(kind, orientation), 40)) == count
     assert len(calls) * 2 == n * count
+
+
+@pytest.mark.parametrize("kind", ["A3", "B3", "G2"])
+def test_walk_keys_agree_with_same_seed(kind):
+    # The walk keys seeds by the ids of their values in the table they
+    # share. Each seed of the closed class and each of its neighbours (a
+    # seed of the class again, under other labels) is compared with every
+    # other: equal walk keys exactly when same_seed holds.
+    seeds = enumerate_seeds(finite_type_root(kind), 40)
+    seeds += [mutate_seed(s, x) for s in list(seeds) for x in sorted(s.exchangeable)]
+    equal = 0
+    for a in seeds:
+        for b in seeds:
+            assert (a._walk_key == b._walk_key) == a.same_seed(b)
+            equal += a is not b and a.same_seed(b)
+    assert equal > 0

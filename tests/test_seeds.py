@@ -134,13 +134,19 @@ class TestSkewSymmetrizable:
             ({"a": {"b": 1}, "b": {"a": -1}}, ["a"], "matrix column 'b' of row 'a' not in cluster"),
             # rows are read in label order, not in the matrix's order
             ({"b": {"y": 1}, "a": {"z": 1}}, ["b", "a"], "matrix column 'z' of row 'a' not in cluster"),
+            # a row outside the labels is read too, and named in sorted order
+            ({"a": {}, "z": {"a": 1}}, ["a"], "matrix row 'z' not in cluster"),
+            ({"z": {"a": 1}, "y": {"a": -1}, "a": {}}, ["a"], "matrix row 'y' not in cluster"),
         ],
-        ids=["unknown-column", "dropped-label", "label-order"],
+        ids=["unknown-column", "dropped-label", "label-order", "unknown-row", "row-order"],
     )
     def test_an_entry_outside_the_labels_is_an_invalid_seed(self, matrix, labels, text):
         with pytest.raises(InvalidSeed) as err:
             check_skew_symmetrizable(matrix, labels)
         assert type(err.value) is InvalidSeed and str(err.value) == text
+
+    def test_an_empty_row_outside_the_labels_is_no_entry(self):
+        assert check_skew_symmetrizable({"a": {}, "z": {}, "y": {"a": 0}}, ["a"]) == {"a": 1}
 
 
 class TestMemoAndGrow:
