@@ -4,8 +4,10 @@ A SeedOracle answers local questions (matrix row, exchangeability) about a
 possibly infinite seed; filtrations interleave neighbourhood balls across
 connected components exactly as the colimit construction prescribes, with
 every stage a finite full subseed connected to the next only by its own
-coefficients. Mutations in the infinite seed are computed on a stage and
-certified stable against the next one.
+coefficients. There is one such tower: a triangulation's filtration is the
+tower of its seed, grown from one base arc per component. Mutations in the
+infinite seed are computed on a stage and certified stable against the
+next one.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from .disc import (
     chord_of,
     parse_arc_label,
     seed_from_triangulation,
-    triangle_sides,
     triangulation_components,
-    validate_triangulation,
 )
 from .errors import (
     IncompatibleCone,
     LabelCollision,
     NotAdmissible,
     NotAdmissibleAtStage,
+    NotAnArc,
     NotFullSubseed,
     NotOnlyCoefficients,
     NotSkewSymmetrizable,
@@ -487,21 +488,19 @@ def triangulation_filtration(
     steps: int,
     base_arcs: Sequence[Arc] | None = None,
 ) -> Filtration:
-    """Stages grow per connected component by glueing the triangles
-    adjacent to the previous stage, starting from one designated arc per
-    component; each component stage is validated as a finite triangulation
-    and converted to its seed, components interleaved as in the ball
-    construction."""
-
-    def neighbours(a: Arc) -> set[Arc]:
-        return {side for corners in tri.triangles_of(a) for side in triangle_sides(corners)} - {a}
-
-    def component(base: Arc) -> Iterator[Seed]:
-        for arcs, _ in grow(base, neighbours):
-            points = {p for a in arcs for p in a.endpoints()}
-            yield seed_from_triangulation(validate_triangulation(points, arcs))
-
+    """The colimit tower of a triangulation's seed, grown from one base arc
+    per component (by default the first arc of each triangulation_components
+    part): stage i holds component j's radius-(i-j) ball, as in
+    oracle_tower. A finite triangulation is read through its seed."""
     if base_arcs is None:
         base_arcs = [p[0] for p in triangulation_components(tri, COMPONENT_WINDOW)]
-    tower = _interleave([component(base) for base in base_arcs])
+    centers = [a.label for a in base_arcs]
+    if isinstance(tri, FiniteTriangulation):
+        oracle: SeedOracle = FiniteSeedOracle(seed_from_triangulation(tri))
+    else:
+        oracle = TriangulationOracle(tri, centers)
+    for a, v in zip(base_arcs, centers):
+        if not oracle.is_vertex(v):
+            raise NotAnArc(f"{a} is not an arc of the triangulation")
+    tower = _interleave([_oracle_balls(oracle, v) for v in centers])
     return _filtration(tower, steps, "triangulation-glueing")

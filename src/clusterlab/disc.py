@@ -205,12 +205,6 @@ def first_crossing(arcs: Sequence[Arc]) -> tuple[Arc, Arc] | None:
     return None
 
 
-def triangle_sides(corners: Corners) -> tuple[Arc, Arc, Arc]:
-    """The sides {p,q}, {q,r}, {r,p} of a triangle with corners (p, q, r)."""
-    p, q, r = corners
-    return Arc.of(p, q), Arc.of(q, r), Arc.of(r, p)
-
-
 @dataclass(frozen=True)
 class FiniteTriangulation:
     """A maximal set of pairwise non-crossing arcs on a finite point set.

@@ -395,14 +395,13 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
         matrix[v] = r = dict(r)  # never empty: it keeps b_v,new = -c
         del r[x]
         r[new_label] = -c
-        if v in row:
-            for w, e in row.items():
-                if (c > 0) == (e > 0):
-                    n = r.get(w, 0) + abs(c) * e
-                    if n:
-                        r[w] = n
-                    else:
-                        del r[w]
+        for w, e in row.items():
+            if (c > 0) == (e > 0):
+                n = r.get(w, 0) + abs(c) * e
+                if n:
+                    r[w] = n
+                else:
+                    del r[w]
 
     exchangeable = seed.exchangeable - {x} | {new_label}
     # labels stay distinct (the fresh label is new), exchangeables and matrix

@@ -1,15 +1,20 @@
 """Oracles, neighbourhood balls, filtrations, stable mutation, colimits."""
 
 import gc
+import json
+import os
+import tempfile
 import weakref
 from fractions import Fraction as F
 from itertools import combinations, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clusterlab.cli import load_triangulation_file
 from clusterlab.colimits import (
+    COMPONENT_WINDOW,
     Filtration,
     _oracle_balls,
     FiniteSeedOracle,
@@ -27,11 +32,22 @@ from clusterlab.colimits import (
     stable_mutation,
     triangulation_filtration,
 )
-from clusterlab.disc import Arc, fan_triangulation
+from clusterlab.disc import (
+    Arc,
+    FiniteTriangulation,
+    fan_triangulation,
+    parse_arc_label,
+    seed_from_triangulation,
+    triangulation_components,
+    validate_triangulation,
+)
 from clusterlab.errors import (
+    CrossingPair,
     IncompatibleCone,
     NotAdmissibleAtStage,
+    NotAnArc,
     NotFullSubseed,
+    NotMaximal,
     NotOnlyCoefficients,
     OracleInconsistent,
     ParseError,
@@ -45,11 +61,14 @@ from clusterlab.errors import NotSkewSymmetrizable
 from clusterlab.seeds import (
     Seed,
     check_skew_symmetrizable,
+    coproduct,
     full_subseed,
     grow,
+    mutate_seed,
     mutate_sequence,
     opposite_seed,
 )
+from test_tri_fuzz import polygon_files, rotated_templates
 
 
 def path_seed(lo, hi):
@@ -300,14 +319,77 @@ class TestTower:
         "make", [fan_oracle, split_fountain_oracle, nest_oracle], ids=["fan", "split-fountain", "nest"]
     )
     def test_triangulation_route_agrees(self, make):
-        tri = make().tri
-        glued = triangulation_filtration(tri, 6)
-        balls = build_filtration(TriangulationOracle(tri), 6)
-        for a, b in zip(glued.stages, balls.stages, strict=True):
-            labels_a, ex_a, entries_a = seed_parts(a)
-            labels_b, ex_b, entries_b = seed_parts(b)
-            assert set(labels_a) == set(labels_b)
-            assert (ex_a, entries_a) == (ex_b, entries_b)
+        oracle = make()
+        assert_glued_stages(oracle.tri, 6)
+        assert_glued_stages(oracle.tri, 6, [parse_arc_label(v) for v in oracle.representatives()])
+
+
+# -- the glueing route: the reference for triangulation_filtration -----------------
+
+
+def triangle_sides(corners):
+    """The sides {p,q}, {q,r}, {r,p} of a triangle with corners (p, q, r)."""
+    p, q, r = corners
+    return Arc.of(p, q), Arc.of(q, r), Arc.of(r, p)
+
+
+def glued_stages(tri, steps, base_arcs=None):
+    """The first stages of a triangulation's tower built without its seed
+    oracle: each component grows by glueing the triangles on its outer
+    shell, and every component stage is validated as a finite triangulation
+    and converted to its seed."""
+
+    def neighbours(a):
+        return {side for corners in tri.triangles_of(a) for side in triangle_sides(corners)} - {a}
+
+    def component(base):
+        for arcs, _ in grow(base, neighbours):
+            points = {p for a in arcs for p in a.endpoints()}
+            yield seed_from_triangulation(validate_triangulation(points, arcs))
+
+    if base_arcs is None:
+        base_arcs = [p[0] for p in triangulation_components(tri, COMPONENT_WINDOW)]
+    components = [component(base) for base in base_arcs]
+    return [coproduct([next(c) for c in components[: i + 1]]) for i in range(steps)]
+
+
+def assert_glued_stages(tri, steps, base_arcs=None):
+    """triangulation_filtration's stages have the glued stages' label sets,
+    exchangeables and matrices."""
+    fil = triangulation_filtration(tri, steps, base_arcs)
+    assert fil.provenance == "triangulation-glueing"
+    for a, b in zip(fil.stages, glued_stages(tri, steps, base_arcs), strict=True):
+        labels_a, ex_a, entries_a = seed_parts(a)
+        labels_b, ex_b, entries_b = seed_parts(b)
+        assert set(labels_a) == set(labels_b)
+        assert (ex_a, entries_a) == (ex_b, entries_b)
+
+
+def tri_from_data(data):
+    """The triangulation a `.tri` file holding this JSON reads as."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "generated.tri")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        return load_triangulation_file(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rotated_templates())
+def test_triangulation_route_agrees_on_generated_files(data):
+    assert_glued_stages(tri_from_data(data), 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polygon_files(), st.data())
+def test_triangulation_route_agrees_on_polygons(data, draw):
+    try:
+        tri = tri_from_data(data)
+    except (CrossingPair, NotMaximal, ParseError):
+        assume(False)  # a polygon file with an arc dropped or one added
+    assert isinstance(tri, FiniteTriangulation)
+    assert_glued_stages(tri, 6)
+    assert_glued_stages(tri, 6, [draw.draw(st.sampled_from(sorted(tri.arcs)))])
 
 
 class TestOnlyCoefficients:
@@ -438,6 +520,30 @@ class TestStableMutation:
         for oracle, seq, target in probes:
             value, _ = stable_mutation(oracle, seq, target)
             assert value.has_nonnegative_coefficients()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rotated_templates(), st.data())
+def test_positivity_on_generated_triangulations(data, draw):
+    """Positivity at infinite rank (Gratz, from Lee-Schiffler on the finite
+    stages) on valid generated triangulations: a walk of one to four
+    exchangeable current labels of a radius-3 ball, and the stable value of
+    a few targets along it. Each value has nonnegative coefficients and is
+    the value the walk gives in the ball, which is a full subseed holding
+    the rows of every exchangeable it mutates."""
+    oracle = TriangulationOracle(tri_from_data(data))
+    balls = [materialize_ball(oracle, rep, 3) for rep in oracle.representatives()]
+    ball = draw.draw(st.sampled_from([b for b in balls if b.exchangeable]))
+    seed, sequence = ball, []
+    for _ in range(draw.draw(st.integers(1, 4))):
+        step = draw.draw(st.sampled_from(sorted(seed.exchangeable)))
+        seed = mutate_seed(seed, step)
+        sequence.append(step)
+    others = draw.draw(st.lists(st.sampled_from(ball.labels), max_size=2))
+    for target in dict.fromkeys([sequence[0], *others]):
+        value, _ = stable_mutation(oracle, sequence, target)
+        assert value.has_nonnegative_coefficients()
+        assert value == seed.values[seed.labels[ball.labels.index(target)]]
 
 
 class TestSequenceNames:
@@ -582,14 +688,20 @@ class TestTriangulationFiltration:
     def test_finite_exhaustion(self):
         t = fan_triangulation(6)
         fil = triangulation_filtration(t, 8)
-        from clusterlab.disc import seed_from_triangulation
-
         assert fil.stages[-1].same_seed(seed_from_triangulation(t))
 
     def test_stages_verified(self):
         fil = triangulation_filtration(fan_oracle().tri, 4)
         for inc in fil.inclusions:
             assert check_no_specialization_conditions(inc).passed
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_a_base_that_is_no_arc_is_rejected_at_any_steps(self, steps):
+        outside = Arc.of(F(1, 12), F(5, 12))
+        for tri in (fan_triangulation(6), fan_oracle().tri):
+            with pytest.raises(NotAnArc) as exc:
+                triangulation_filtration(tri, steps, base_arcs=[outside])
+            assert str(exc.value) == "{1/12, 5/12} is not an arc of the triangulation"
 
 
 class TestOracleFixtures:

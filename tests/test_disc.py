@@ -37,7 +37,6 @@ from clusterlab.disc import (
     limit_arcs,
     norm_angle,
     seed_from_triangulation,
-    triangle_sides,
     triangles,
     triangulation_components,
     validate_triangulation,
@@ -294,7 +293,7 @@ class TestFaceModel:
                     assert len(faces) == (1 if classify_arc(t, a) == "edge" else 2)
                     for tri in faces:
                         assert list(tri) == sorted(tri)
-                        assert a in triangle_sides(tri)
+                        assert {a.p, a.q} <= set(tri)
                         assert tri in triangles(t)
 
     def test_first_crossing_keeps_the_given_order(self):

@@ -208,6 +208,12 @@ class TestMutation:
         assert str(err.value) == "cannot mutate at 'v0': its diagonal entry is 1, not 0"
         assert s._exchanges == {}
 
+    def test_a_one_way_entry_into_x_gets_the_two_path_update(self):
+        # b_vx = 1 while b_xv = 0: mu_x still gives b_vw = |b_vx| b_xw = 1
+        s = Seed.initial(["v", "x", "w"], ["x"], [("v", "x", 1), ("x", "w", 1), ("w", "x", -1)])
+        t = mutate_seed(s, "x")
+        assert t.matrix == {"v": {"x'1": -1, "w": 1}, "x'1": {"w": -1}, "w": {"x'1": 1}}
+
     def test_coefficients_never_mutated(self):
         s = mutate_seed(example_seed(), "x2")
         assert s.values["x1"] == LaurentPoly.var("x1")
@@ -746,3 +752,34 @@ def test_neighbours_match_the_definition(seed):
         assert got == brute
         got.add("intruder")  # each call returns a fresh set
         assert seed.neighbours(v) == brute
+
+
+# -- one mutation is matrix mutation, whatever the support -------------------------------
+
+
+def matrix_mutation(b, labels, x):
+    """mu_x(B) on a dense matrix: b'_ij = -b_ij when i or j is x, else
+    b_ij + (|b_ix| b_xj + b_ix |b_xj|) / 2; zero entries dropped."""
+    out = {}
+    for i in labels:
+        for j in labels:
+            if x in (i, j):
+                e = -b[i, j]
+            else:
+                e = b[i, j] + (abs(b[i, x]) * b[x, j] + b[i, x] * abs(b[x, j])) // 2
+            if e:
+                out[i, j] = e
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_mutation_is_matrix_mutation(data):
+    labels = [f"v{i}" for i in range(data.draw(st.integers(1, 5)))]
+    b = {(v, w): data.draw(st.integers(-3, 3)) if v != w else 0 for v in labels for w in labels}
+    x = data.draw(st.sampled_from(labels))
+    t = mutate_seed(Seed.initial(labels, [x], [(v, w, e) for (v, w), e in b.items()]), x)
+    new = t.labels[labels.index(x)]
+    name = lambda v: x if v == new else v
+    got = {(name(v), name(w)): e for v, row in t.matrix.items() for w, e in row.items()}
+    assert got == matrix_mutation(b, labels, x)
