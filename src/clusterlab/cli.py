@@ -186,6 +186,7 @@ def load_seed_file(path: str) -> Seed:
                     raise ParseError(
                         f"values entry references undeclared variable {vid!r}"
                     )
+                _expect(vid not in values, f"values entry for {vid!r} is given twice")
                 values[vid] = parse_poly(text)
             _expect(set(values) == label_set, "'values' must cover every variable")
             seed = Seed(seed.labels, seed.exchangeable, seed.matrix, values)
@@ -287,7 +288,7 @@ def load_map_file(path: str, source: Seed, target: Seed) -> ClusterMap:
     _expect(isinstance(data, dict), "map file must be an object")
     _expect("assignment" in data, "map file needs an 'assignment' key")
     assignment: dict[str, str | int] = {}
-    for pair in data["assignment"]:
+    for pair in _list_field(data, "assignment"):
         _expect(
             isinstance(pair, list) and len(pair) == 2,
             "assignment entries are [source-id, target-id-or-integer] pairs",
@@ -298,11 +299,12 @@ def load_map_file(path: str, source: Seed, target: Seed) -> ClusterMap:
             isinstance(img, int) and not isinstance(img, bool)
         )
         _expect(ok_img, "assignment images are ids or integers")
+        _expect(src not in assignment, f"assignment source {src!r} is given twice")
         assignment[src] = img
     extra: dict[LaurentPoly, str | int] = {}
-    for pair in data.get("extra", []):
+    for pair in _list_field(data, "extra"):
         _expect(
-            isinstance(pair, list) and len(pair) == 2,
+            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str),
             "'extra' entries are [laurent-text, target-id-or-integer] pairs",
         )
         text, img = pair
@@ -310,6 +312,8 @@ def load_map_file(path: str, source: Seed, target: Seed) -> ClusterMap:
             gen = parse_poly(text)
         except LaurentParseError as exc:
             raise ParseError(f"bad laurent text in 'extra': {exc}") from exc
+        if gen in extra:
+            raise ParseError(f"extra generator {format_poly(gen)} is given twice")
         extra[gen] = img
     try:
         return ClusterMap(source, target, assignment, extra)

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, partial
-from itertools import combinations, count, islice
+from itertools import combinations, count, islice, product
 from math import gcd, isqrt
 from typing import Iterable, Sequence, TypeVar
 import weakref
@@ -701,6 +701,10 @@ class InfiniteTriangulation:
             pools = [f._tips(32) for f in self.families]
             if any(a & b for a, b in combinations(pools, 2)):
                 raise InvalidFamily("families must not share moving endpoints")
+        # an arc crossing a limit arc crosses infinitely many of its family's arcs
+        for a, ell in product(sorted(self.extra_arcs), sorted(limit_arcs(self))):
+            if arcs_cross(a, ell):
+                raise InvalidFamily(f"arc {a} crosses the limit arc {ell}; inconsistent triangulation")
 
     # -- point set ------------------------------------------------------
 

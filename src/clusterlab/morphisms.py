@@ -69,6 +69,8 @@ class ClusterMap:
             if isinstance(img, str) and img not in tgt_labels:
                 raise InvalidSeed(f"image label {img!r} is not a target label")
         for gen, img in self.extra.items():
+            if isinstance(img, bool) or not isinstance(img, (int, str)):
+                raise InvalidSeed(f"extra image of {format_poly(gen)} must be a label or an integer")
             if isinstance(img, str) and img not in tgt_labels:
                 raise InvalidSeed(f"extra image label {img!r} is not a target label")
             if not gen.variables() <= src_labels:
@@ -222,10 +224,11 @@ def _walk_biadmissible(
     """Breadth-first over biadmissible sequences, shortest first and
     lexicographic within a length; yields every visited state including
     the root. Sequences are counted, not states. Both walks use the
-    source's exchange table: it is keyed on values, so any two seeds can
-    share it."""
-    t = m.target
-    tgt = Seed._mutated(t.labels, t.exchangeable, t.matrix, t.values, m.source._exchanges)
+    source's exchange table: the target root's values are interned there,
+    so a value both walks reach is one object and is divided once."""
+    t, table = m.target, m.source._exchanges
+    values = {v: table.setdefault(p, p) for v, p in t.values.items()}
+    tgt = Seed._mutated(t.labels, t.exchangeable, t.matrix, values, table)
     return explore(
         _PairState(m.source, tgt, (), None),
         lambda st: (_advance(st, x, slots) for x in _biadmissible_steps(st, slots)),

@@ -78,36 +78,29 @@ class Seed:
                 _shared_value(first, v, self.values[v])
 
     @cached_property
-    def _exchanges(self) -> dict:  # mutate_seed's table, beside the frozen fields
-        return {}
-
-    @cached_property
-    def _ids(self) -> dict[VarId, int]:
-        """Each label's value as id() of its one object in the exchange
-        table, interned there on first use; mutation hands it down."""
-        table = self._exchanges
-        return {v: id(table.setdefault(p, p)) for v, p in self.values.items()}
+    def _exchanges(self) -> dict:
+        """mutate_seed's table, beside the frozen fields; it starts holding
+        this seed's values as themselves."""
+        return {p: p for p in self.values.values()}
 
     @cached_property
     def _walk_key(self):
         """canonical_key on the values' ids: equal within one exchange table
         exactly when canonical_key is."""
-        return self._key_on(self._ids)
+        return self._key_on({v: id(p) for v, p in self.values.items()})
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _mutated(cls, labels, exchangeable, matrix, values, exchanges, ids=None) -> "Seed":
+    def _mutated(cls, labels, exchangeable, matrix, values, exchanges) -> "Seed":
         """A seed from fields that pass every check of __post_init__ by
-        construction, as mutation's do. It uses the given exchange table and
-        value ids; without ids, _ids interns the values on first use."""
+        construction, as mutation's do, on the given exchange table; its
+        values must be the table's own objects."""
         seed = object.__new__(cls)
         seed.__dict__.update(
             labels=labels, exchangeable=exchangeable, matrix=matrix, values=values,
             _exchanges=exchanges,
         )
-        if ids is not None:
-            seed.__dict__["_ids"] = ids
         return seed
 
     @classmethod
@@ -176,7 +169,7 @@ class Seed:
         return (
             frozenset(val.values()),
             frozenset(map(val.__getitem__, self.exchangeable)),
-            frozenset((val[v], val[w], b) for v, row in self.matrix.items() for w, b in row.items()),
+            frozenset([(val[v], val[w], b) for v, row in self.matrix.items() for w, b in row.items()]),
         )
 
     def same_seed(self, other: "Seed") -> bool:
@@ -328,57 +321,52 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     division or table entry. With b_xx = 0 mutation is an involution,
     whatever the support of the matrix.
 
-    The new value comes from an exchange table before any division. The
-    table also interns values: a quotient, and a root's value on first use,
-    is stored as itself, and a seed's `_ids` maps each label to id() of its
-    value's one object there, so a walk holds one object per value and its
-    bookkeeping hashes integers. An exchange key is the id of x's value
-    with the frozenset of (neighbour id, b_xv) over x's row: that fixes
-    the numerator N = P + Q, so it fixes the quotient x' = N / x. A
-    division stores that entry and the reverse one, (x', {(v, -b_xv)}) -> x,
-    which is exact because N = x * x'; a failed division stores no entry.
-    The table is created in the `__dict__` of the seed a walk starts from,
-    on its first mutation, and is shared by every seed mutated from it; a
-    seed built any other way starts without one, except the target root of
-    a CM3 walk, which shares the source's.
+    The exchange table is the walk's value store: it holds each value as
+    itself, a root's values from the start and each quotient when it is
+    divided, and every seed of the walk holds the table's own objects. So
+    a walk holds one object per value, equal values are the same object,
+    and its bookkeeping hashes id() of values, integers. The new value
+    comes from the table before any division. An exchange key is the id of
+    x's value with the frozenset of (neighbour's value id, b_xv) over x's
+    row: that fixes the numerator N = P + Q, so it fixes the quotient
+    x' = N / x. A division stores that entry and the reverse one,
+    (x', {(v, -b_xv)}) -> x, which is exact because N = x * x'; a failed
+    division stores no entry. The table is created in the `__dict__` of the
+    seed a walk starts from, on its first mutation, and is shared by every
+    seed mutated from it; a seed built any other way starts without one,
+    except the target root of a CM3 walk, whose values are interned in the
+    source's.
 
     Only x's row and the rows of x's column (one lookup per row finds it)
     are rebuilt; every other row is shared, labels come by slicing, and
-    values and ids by dict copy."""
+    values by dict copy."""
     if x not in seed.exchangeable:
         raise NotExchangeable(x)
 
     row = seed.matrix.get(x, {})
     if x in row:  # the 2-path update would write x's row under the old label
         raise InvalidSeed(f"cannot mutate at {x!r}: its diagonal entry is {row[x]}, not 0")
-    table, ids = seed._exchanges, seed._ids
-    key = (ids[x], frozenset((ids[v], e) for v, e in row.items()))
+    table, val = seed._exchanges, seed.values
+    key = (id(val[x]), frozenset((id(val[v]), e) for v, e in row.items()))
     new_value = table.get(key)
     if new_value is None:
-        val = seed.values
         pos = poly_product(val[v] ** e for v, e in row.items() if e > 0)
         neg = poly_product(val[v] ** -e for v, e in row.items() if e < 0)
         # Looked up on the module per call, so a rebinding there applies here too.
         quotient = laurent.lp_exact_div(pos + neg, val[x])
         new_value = table.setdefault(quotient, quotient)
         table[key] = new_value
-        # the reverse entry gives x's value as the table holds it: a root's
-        # own value may be an equal copy of it
-        table[id(new_value), frozenset((i, -e) for i, e in key[1])] = table[val[x]]
+        table[id(new_value), frozenset((i, -e) for i, e in key[1])] = val[x]
 
     labels = seed.labels
     new_label = fresh_label(x, labels)
     at = labels.index(x)
     labels = labels[:at] + (new_label,) + labels[at + 1:]
-    new_id = id(new_value)
-    ids = dict(ids)
-    del ids[x]
-    if new_id in ids.values():
-        first = next(v for v, i in ids.items() if i == new_id)
-        _shared_value(*sorted((first, new_label), key=labels.index), new_value)
-    ids[new_label] = new_id
-    values = dict(seed.values)
+    values = dict(val)
     del values[x]
+    for v, p in values.items():
+        if p is new_value:
+            _shared_value(*sorted((v, new_label), key=labels.index), new_value)
     values[new_label] = new_value
 
     # x's row and column change sign, and b_vw gains |b_vx| b_xw where b_vx
@@ -406,7 +394,7 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     exchangeable = seed.exchangeable - {x} | {new_label}
     # labels stay distinct (the fresh label is new), exchangeables and matrix
     # keys stay in the cluster and no zero entry is stored
-    return Seed._mutated(labels, exchangeable, matrix, values, table, ids)
+    return Seed._mutated(labels, exchangeable, matrix, values, table)
 
 
 def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:
@@ -497,17 +485,18 @@ def _seed_class(seed: Seed, depth: int, max_nodes: int) -> Iterator[Seed]:
     # only lead to s, a seed already seen. Each exchange-graph edge is then
     # crossed once. `back` holds value ids, not positions or labels, since
     # seeds with one key may hold their values at different positions.
-    # Seeds share the root's exchange table, so seeds and values are keyed
-    # by _walk_key and _ids, on integers. mutate_seed is looked up per call,
-    # so a rebinding on the module applies here too.
+    # Seeds share the root's exchange table and hold its objects, so seeds
+    # and values are keyed by _walk_key and id() of values, on integers.
+    # mutate_seed is looked up per call, so a rebinding on the module
+    # applies here too.
     back: set = set()
 
     def children(s: Seed) -> Iterator[Seed]:
-        key, ids = s._walk_key, s._ids
+        key, val = s._walk_key, s.values
         for x in sorted(s.exchangeable):
-            if (key, ids[x]) not in back:
+            if (key, id(val[x])) not in back:
                 t = mutate_seed(s, x)
-                back.add((t._walk_key, t._ids[t.labels[s.labels.index(x)]]))
+                back.add((t._walk_key, id(t.values[t.labels[s.labels.index(x)]])))
                 yield t
 
     return explore(

@@ -18,6 +18,7 @@ from clusterlab.cli import (
 )
 from clusterlab.disc import ArcFamily
 from clusterlab.errors import InvalidFamily, InvalidSeed, ParseError
+from clusterlab.laurent import parse_poly
 from clusterlab.seeds import Seed
 
 
@@ -709,6 +710,24 @@ class TestReportBranches:
         code, out, err = run_captured(["--format", fmt, *(more.get(a, a) for a in argv)])
         assert (code, out, err) == (3, rendered({"error": message}, fmt), "")
 
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_a_negative_term_fails_positivity(self, monkeypatch, fmt):
+        value = parse_poly("x1 - 2*x0 + x0^-1*xm1 - x2^2")
+        monkeypatch.setattr(clusterlab.cli, "stable_mutation", lambda oracle, seq, target: (value, 2))
+        argv = ["--format", fmt, "positivity", "--oracle", "path-quiver", "--sequence", "x0,x1"]
+        report = {
+            "command": "positivity",
+            "sequence": ["x0", "x1"],
+            "target": "x0",
+            "value": "-x2^2 - 2*x0 + x1 + x0^-1*xm1",
+            "stage": 2,
+            "positive": False,
+            "negative_terms": ["-2*x0", "-x2^2"],
+        }
+        if fmt == "plain":
+            report = {**report, "sequence": "x0, x1", "negative_terms": "-2*x0, -x2^2"}
+        assert run_captured([*argv, "--target", "x0"]) == (1, rendered(report, fmt), "")
+
 
 class TestHardenedInput:
     """Every malformed file, unknown target and removed flag is an input
@@ -749,8 +768,76 @@ class TestHardenedInput:
         assert code == 3
         assert message in out
 
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([["y1", "y1"], ["y2", "y2"], ["y1", "y2"]], "values entry for 'y1' is given twice"),
+            ([["y1", "y1"], ["y2", "y2"], ["y3", "y2"]], "values entry references undeclared variable 'y3'"),
+            ([["y1", "y1"], ["y2", "y2^"]], "bad laurent text: unexpected end of input"),
+        ],
+        ids=["repeated-id", "undeclared-id", "bad-text"],
+    )
+    def test_bad_seed_values_exit_three(self, tmp_path, fmt, values, message):
+        path = tmp_path / "bad.seed"
+        path.write_text(json.dumps({**A2, "values": values}))
+        argv = ["--format", fmt, "components", "--seed", str(path)]
+        assert run_captured(argv) == (3, rendered({"error": message}, fmt), "")
+
+    IDENTITY = [["y1", "y1"], ["y2", "y2"]]
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"assignment": 5}, "'assignment' must be a list"),
+            ({"assignment": IDENTITY, "extra": 7}, "'extra' must be a list"),
+            ({"assignment": IDENTITY, "extra": [[3, "y1"]]},
+             "'extra' entries are [laurent-text, target-id-or-integer] pairs"),
+            ({"assignment": IDENTITY, "extra": [["y1", [1]]]},
+             "extra image of y1 must be a label or an integer"),
+            ({"assignment": IDENTITY, "extra": [["y1", True]]},
+             "extra image of y1 must be a label or an integer"),
+            ({"assignment": IDENTITY, "extra": [["y1", 1.5]]},
+             "extra image of y1 must be a label or an integer"),
+            ({"assignment": IDENTITY, "extra": [["y1", None]]},
+             "extra image of y1 must be a label or an integer"),
+            ({"assignment": [["y1", "y1"], ["y1", "y2"], ["y2", "y2"]]},
+             "assignment source 'y1' is given twice"),
+            ({"assignment": IDENTITY, "extra": [["y1 + y2", "y1"], ["y2 + y1", "y2"]]},
+             "extra generator y1 + y2 is given twice"),
+            ({"assignment": IDENTITY, "extra": [["y1^", "y1"]]},
+             "bad laurent text in 'extra': unexpected end of input"),
+        ],
+    )
+    def test_bad_map_file_exits_three(self, files, fmt, data, message):
+        # each of these used to end in a traceback, or to keep the last of
+        # two entries and check the map so guessed
+        path = files["dir"] / "bad.map"
+        path.write_text(json.dumps(data))
+        argv = ["--format", fmt, "check-morphism", "--src", files["a2.seed"], "--dst", files["a2.seed"]]
+        assert run_captured([*argv, "--map", str(path)]) == (3, rendered({"error": message}, fmt), "")
+
     FOUNTAIN = {"kind": "right-fountain", "base": "0/1", "limit": "1/2",
                 "scale": "1/2", "start": 2}
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_half_nest_without_a_second_limit_exits_one(self, tmp_path, fmt):
+        path = tmp_path / "bad.tri"
+        path.write_text(json.dumps({"families": [{"kind": "half-nest", "limit": "0/1", "scale": "1/4"}]}))
+        argv = ["--format", fmt, "validate-tri", "--tri", str(path)]
+        assert run_captured(argv) == (1, rendered({"error": "half-nest needs a second limit"}, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_extra_arc_crossing_a_limit_arc_exits_one(self, tmp_path, fmt):
+        # validate-tri used to accept this file, and filtration --tri then
+        # failed with the same text
+        path = tmp_path / "bad.tri"
+        path.write_text(json.dumps({"arcs": [["49/100", "3/5"]], "families": [self.FOUNTAIN]}))
+        message = "arc {49/100, 3/5} crosses the limit arc {0/1, 1/2}; inconsistent triangulation"
+        for verb in (["validate-tri"], ["filtration", "--steps", "3"]):
+            argv = ["--format", fmt, verb[0], "--tri", str(path), *verb[1:]]
+            assert run_captured(argv) == (1, rendered({"error": message}, fmt), "")
 
     @pytest.mark.parametrize(
         "data, message",

@@ -500,6 +500,20 @@ class TestLimitArcs:
         )
         assert limit_arcs(tri) == set()
 
+    def test_an_extra_arc_crossing_a_limit_arc_is_refused(self):
+        # {49/100, 3/5} crosses {0, t_k} for every k >= 7, so infinitely many
+        # arcs of the fan; the 10-arc window sees none of them cross it
+        fan = ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=F(0))
+        with pytest.raises(InvalidFamily) as exc:
+            InfiniteTriangulation(families=(fan,), extra_arcs=frozenset({Arc.of(F(49, 100), F(3, 5))}))
+        assert str(exc.value) == (
+            "arc {49/100, 3/5} crosses the limit arc {0/1, 1/2}; inconsistent triangulation"
+        )
+        # the limit arc itself shares its endpoints, so it crosses nothing
+        limit = Arc.of(F(0), F(1, 2))
+        tri = InfiniteTriangulation(families=(fan,), extra_arcs=frozenset({limit}))
+        assert limit_arcs(tri) == {limit}
+
 
 class TestSplitFountainStructure:
     def test_middle_arc_internal_but_not_exchangeable(self):
@@ -987,12 +1001,13 @@ class TestInfiniteMemos:
                 assert not tri.chord_in(chord_of(arc))
 
     def test_two_apexes_raise_on_every_call(self):
-        # the exceptional arc crosses fountain arcs beyond every window the
-        # constructor checks, so {0, tip(30)} has two apexes on one side
+        # the exceptional arcs close the triangle {0, tip(30), 499/1000} over
+        # fountain arcs beyond every window the constructor checks, without
+        # crossing the limit arc, so {0, tip(30)} has two apexes on one side
         fan = ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=F(0))
-        tip30 = F(1, 2) - F(1, 60)
+        tip30, p = F(1, 2) - F(1, 60), F(499, 1000)
         tri = InfiniteTriangulation(
-            families=(fan,), extra_arcs=frozenset({Arc.of(tip30, F(3, 4))})
+            families=(fan,), extra_arcs=frozenset({Arc.of(tip30, p), Arc.of(F(0), p)})
         )
         for _ in range(3):
             with pytest.raises(InvalidFamily, match="has two apexes"):

@@ -429,6 +429,11 @@ class TestCompose:
         with pytest.raises(SeedMismatch):
             compose(example_map(), example_map())
 
+    def test_extra_tables_do_not_compose(self):
+        with pytest.raises(SeedMismatch) as err:
+            compose(identity_map(a2_seed()), ideal_counterexample_map())
+        assert str(err.value) == "maps with extra generator images do not compose"
+
     def test_inclusion_composition_is_inclusion(self):
         s = example_seed()
         sub1 = full_subseed(s, ["x1"])
@@ -514,6 +519,12 @@ class TestMorphismProperties:
                     if fx in m.target.exchangeable and fy in m.target.exchangeable:
                         assert abs(m.target.b(fx, fy)) == abs(m.source.b(x, y))
 
+
+    def test_descendant_along_a_non_biadmissible_sequence(self):
+        # x3 is exchangeable but maps to the integer 1
+        with pytest.raises(SeedMismatch) as err:
+            biadmissible_descendant(example_map(), ["x2", "x3"])
+        assert str(err.value) == "sequence ['x2', 'x3'] is not biadmissible at 'x3'"
 
     def test_descendant_follows_a_shared_image(self):
         # exchangeable x and coefficient a share the image y, so the step

@@ -1,9 +1,9 @@
 """Fuzzed `.seed` and `.map` files through the CLI verbs `enumerate`,
 `mutate`, `components`, `coproduct`, `similar`, `check-morphism`,
 `image-seed` and `check-ideal`: every call exits 0, 1, 2 or 3, never with a
-traceback, and a rerun in the same process prints the same bytes (so
-nothing one run leaves on its seeds, such as the exchange table, leaks into
-the next)."""
+traceback, a file that gives one key twice exits 3, and a rerun in the same
+process prints the same bytes (so nothing one run leaves on its seeds, such
+as the exchange table, leaks into the next)."""
 
 import contextlib
 import io
@@ -39,7 +39,7 @@ def declared(data) -> list:
 SEED_FLAWS = [
     "junk file", "junk variables", "junk id", "duplicate id", "junk flag", "missing key",
     "one-sided entry", "sign violation", "repeated entry", "undeclared entry", "junk entry",
-    "diagonal entry", "bad text", "partial values", "shared value",
+    "diagonal entry", "bad text", "partial values", "shared value", "repeated value",
 ]
 
 
@@ -80,6 +80,9 @@ def seed_files(draw, names=LABELS):
         data["values"] = [[l, draw(st.sampled_from(BAD_TEXTS))] for l in labels]
     elif flaw == "shared value":
         data["values"] = [[l, "x"] for l in labels]
+    elif variables and flaw == "repeated value":
+        values = data.setdefault("values", [[l, t] for l, t in zip(labels, TEXTS)])
+        values.append([draw(st.sampled_from(labels)), draw(st.sampled_from(TEXTS))])
     elif variables and flaw in ("junk id", "duplicate id", "junk flag", "partial values"):
         k = draw(st.integers(0, len(variables) - 1))
         if flaw == "junk id":
@@ -105,28 +108,57 @@ def seed_files(draw, names=LABELS):
     return data
 
 
+MAP_FLAWS = [
+    "junk file", "junk assignment", "junk extra", "junk generator", "junk extra image",
+    "missing", "undeclared", "junk image", "repeated source", "repeated generator",
+]
+
+
 @st.composite
 def map_files(draw, source, target):
     """A map from the labels of one seed file to those of the other, or to
     integers; with an `extra` entry now and then, and in a third of the
-    files a missing, undeclared or junk entry or a junk file."""
+    files one flaw from MAP_FLAWS."""
     src, dst = declared(source), declared(target)
-    assignment = [
-        [label, draw(st.sampled_from([-1, 0, 1, 2] + 3 * dst if dst else [0, 1]))] for label in src
-    ]
+    images = [-1, 0, 1, 2] + 3 * dst if dst else [0, 1]
+    assignment = [[label, draw(st.sampled_from(images))] for label in src]
     data = {"assignment": assignment}
+    extra = [draw(st.sampled_from(TEXTS + BAD_TEXTS)), draw(st.sampled_from(dst or LABELS))]
     if draw(st.integers(0, 4)) == 0:
-        data["extra"] = [[draw(st.sampled_from(TEXTS + BAD_TEXTS)), draw(st.sampled_from(dst or LABELS))]]
-    flaw = draw(st.sampled_from(["junk file", "missing", "undeclared", "junk image"] + [None] * 8))
+        data["extra"] = [extra]
+    flaw = draw(st.sampled_from(MAP_FLAWS + [None] * 2 * len(MAP_FLAWS)))
     if flaw == "junk file":
         return draw(st.sampled_from(JUNK))
-    if assignment and flaw == "missing":
+    if flaw in ("junk assignment", "junk extra"):
+        data["assignment" if flaw == "junk assignment" else "extra"] = draw(st.sampled_from(JUNK))
+    elif flaw in ("junk generator", "junk extra image"):
+        extra[flaw == "junk extra image"] = draw(st.sampled_from(JUNK))
+        data["extra"] = [extra]
+    elif flaw == "repeated generator":
+        data["extra"] = [extra, [extra[0], draw(st.sampled_from(images))]]
+    elif assignment and flaw == "missing":
         del assignment[draw(st.integers(0, len(assignment) - 1))]
     elif flaw == "undeclared":
         assignment.append([draw(st.sampled_from(MADE)), draw(st.sampled_from(LABELS + MADE))])
     elif assignment and flaw == "junk image":
         assignment[draw(st.integers(0, len(assignment) - 1))][1] = draw(st.sampled_from(JUNK))
+    elif assignment and flaw == "repeated source":
+        assignment.append([draw(st.sampled_from(src)), draw(st.sampled_from(images))])
     return data
+
+
+def gives_a_key_twice(data) -> bool:
+    """Whether a seed or map file names one id in 'values', one source in
+    'assignment' or one text in 'extra' twice."""
+    if not isinstance(data, dict):
+        return False
+    for field in ("values", "assignment", "extra"):
+        entries = data.get(field)
+        if isinstance(entries, list):
+            keys = [e[0] for e in entries if isinstance(e, list) and e and isinstance(e[0], str)]
+            if len(keys) != len(set(keys)):
+                return True
+    return False
 
 
 @st.composite
@@ -207,4 +239,6 @@ def test_seed_and_map_files_exit_cleanly_and_repeat_exactly(call):
         first = run(argv)
         assert first[0] in (0, 1, 2, 3), (argv, files, first)
         assert "Traceback" not in first[1] + first[2]
+        if any(map(gives_a_key_twice, files.values())):
+            assert first[0] == 3, (argv, files, first)
         assert run(argv) == first

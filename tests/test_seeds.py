@@ -206,7 +206,7 @@ class TestMutation:
         with pytest.raises(InvalidSeed) as err:
             mutate_seed(s, "v0")
         assert str(err.value) == "cannot mutate at 'v0': its diagonal entry is 1, not 0"
-        assert s._exchanges == {}
+        assert s._exchanges == {p: p for p in s.values.values()}  # no exchange entry stored
 
     def test_a_one_way_entry_into_x_gets_the_two_path_update(self):
         # b_vx = 1 while b_xv = 0: mu_x still gives b_vw = |b_vx| b_xw = 1
@@ -330,6 +330,11 @@ class TestComponents:
         parts = connected_components(coproduct([s1, s2]))
         keys = {p.canonical_key() for p in parts}
         assert keys == {s1.canonical_key(), s2.canonical_key()}
+
+    def test_a_foreign_label_is_no_subseed(self):
+        with pytest.raises(InvalidSeed) as err:
+            full_subseed(a2_seed(), ["y1", "z"])
+        assert str(err.value) == "subseed labels must belong to the seed"
 
 
 class TestExchangeablyConnected:
@@ -506,6 +511,18 @@ class TestSimilarity:
         t = Seed.initial(["p", "q"], ["p", "q"], [("p", "q", 1), ("q", "p", -1)])
         assert not verify_similarity_bijection(s, t, {"a": "p", "b": "q", "c": "q"})
         assert verify_similarity_bijection(s, s, {"a": "a", "b": "b", "c": "c"})
+
+    def test_verify_rejects_an_exchangeable_sent_to_a_coefficient(self):
+        s = Seed.initial(["a", "b"], ["a", "b"], [("a", "b", 1), ("b", "a", -1)])
+        t = Seed.initial(["p", "q"], ["p"], [("p", "q", 1), ("q", "p", -1)])
+        assert not verify_similarity_bijection(s, t, {"a": "p", "b": "q"})
+
+    def test_verify_rejects_rows_that_match_neither_sign(self):
+        # one component each, on matching labels, but b_pq = 2 is neither 1 nor -1
+        s = Seed.initial(["a", "b"], ["a", "b"], [("a", "b", 1), ("b", "a", -1)])
+        t = Seed.initial(["p", "q"], ["p", "q"], [("p", "q", 2), ("q", "p", -1)])
+        assert not verify_similarity_bijection(s, t, {"a": "p", "b": "q"})
+        assert verify_similarity_bijection(s, opposite_seed(s), {"a": "a", "b": "b"})
 
 
 class TestSeedIdentity:
