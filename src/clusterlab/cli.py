@@ -81,6 +81,9 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
+# the fraction fields of a family record
+_FAMILY_FRACTIONS = ("limit", "scale", "base", "limit2", "scale2")
+
 
 # -- file formats -------------------------------------------------------------
 
@@ -111,6 +114,12 @@ def _expect(cond: bool, message: str, expected: str | None = None):
         raise ParseError(message, expected=expected)
 
 
+def _known_keys(record: dict, keys: tuple[str, ...], what: str) -> None:
+    """A key no loader reads is an input error, not a silent default."""
+    for key in record:
+        _expect(key in keys, f"unknown key {key!r} in {what}", expected=" | ".join(keys))
+
+
 def _list_field(data: dict, key: str) -> list:
     value = data.get(key, [])
     _expect(isinstance(value, list), f"'{key}' must be a list")
@@ -133,6 +142,7 @@ def load_seed_file(path: str) -> Seed:
     """Parse, validate, and skew-symmetrizability-check a seed file."""
     data = _load_json(path)
     _expect(isinstance(data, dict), "seed file must be an object")
+    _known_keys(data, ("variables", "matrix", "values"), "the seed file")
     _expect("variables" in data, "seed file needs a 'variables' key")
     labels: list[str] = []
     exchangeable: set[str] = set()
@@ -142,6 +152,7 @@ def load_seed_file(path: str) -> Seed:
             "each variable needs an 'id'",
             expected='{"id": ..., "exchangeable": ...}',
         )
+        _known_keys(entry, ("id", "exchangeable"), "a variable")
         _expect(isinstance(entry["id"], str), "variable ids must be strings")
         labels.append(entry["id"])
         flag = entry.get("exchangeable", False)
@@ -190,7 +201,7 @@ def load_seed_file(path: str) -> Seed:
                 values[vid] = parse_poly(text)
             _expect(set(values) == label_set, "'values' must cover every variable")
             seed = Seed(seed.labels, seed.exchangeable, seed.matrix, values)
-        check_skew_symmetrizable(seed.matrix, seed.labels)
+        check_skew_symmetrizable(seed)
     except LaurentParseError as exc:
         raise ParseError(f"bad laurent text: {exc}") from exc
     except ClusterLabError as exc:
@@ -234,6 +245,7 @@ def _reported(data: dict, out: str | None) -> dict:
 def load_triangulation_file(path: str) -> FiniteTriangulation | InfiniteTriangulation:
     data = _load_json(path)
     _expect(isinstance(data, dict), "triangulation file must be an object")
+    _known_keys(data, ("points", "arcs", "families"), "the triangulation file")
     points = [_fraction(p, "a point") for p in _list_field(data, "points")]
     arcs = set()
     for pair in _list_field(data, "arcs"):
@@ -247,13 +259,16 @@ def load_triangulation_file(path: str) -> FiniteTriangulation | InfiniteTriangul
     specs = []
     for fam in _list_field(data, "families"):
         _expect(isinstance(fam, dict) and "kind" in fam, "families need a 'kind'")
+        _known_keys(fam, ("kind", *_FAMILY_FRACTIONS, "start"), "a family")
         _expect(
             isinstance(fam["kind"], str) and fam["kind"] in FAMILY_KINDS,
             f"unknown family kind {fam['kind']!r}",
             expected=" | ".join(FAMILY_KINDS),
         )
+        for key in ("limit", "scale"):
+            _expect(key in fam, f"families need a '{key}'")
         kwargs: dict[str, Any] = {"kind": fam["kind"]}
-        for key in ("limit", "scale", "base", "limit2", "scale2"):
+        for key in _FAMILY_FRACTIONS:
             if key in fam:
                 kwargs[key] = _fraction(fam[key], f"'{key}'", angle=not key.startswith("scale"))
         if "start" in fam:
@@ -286,6 +301,7 @@ def triangulation_to_data(t: FiniteTriangulation) -> dict:
 def load_map_file(path: str, source: Seed, target: Seed) -> ClusterMap:
     data = _load_json(path)
     _expect(isinstance(data, dict), "map file must be an object")
+    _known_keys(data, ("assignment", "extra"), "the map file")
     _expect("assignment" in data, "map file needs an 'assignment' key")
     assignment: dict[str, str | int] = {}
     for pair in _list_field(data, "assignment"):
@@ -523,7 +539,7 @@ def _oracle_from_args(args):
     if name not in ORACLES:
         raise ParseError(
             f"unknown oracle {name!r}",
-            expected="path-quiver | fan | split-fountain | nest | wrap:SEEDFILE",
+            expected=" | ".join([*ORACLES, "wrap:SEEDFILE"]),
         )
     return ORACLES[name]()
 

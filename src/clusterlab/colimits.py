@@ -55,7 +55,6 @@ from .seeds import (
     Memo,
     Seed,
     _extend_symmetrizer,
-    check_skew_symmetrizable,
     connected_components,
     coproduct,
     fresh_label,
@@ -263,22 +262,21 @@ ORACLES = {
 def _oracle_balls(oracle: SeedOracle, center: VarId) -> Iterator[Seed]:
     """materialize_ball(oracle, center, r) for r = 0, 1, 2, ...: a row is
     fetched when its vertex enters the ball, exchangeability is asked when
-    the vertex leaves the outer shell. A ball's skew-symmetrizability is
-    checked on its new shell alone (_extend_symmetrizer); only when that
-    fails does the full check run, for its error text and witness."""
+    the vertex leaves the outer shell. Each ball goes to seeds'
+    _extend_symmetrizer, which checks its new shell against the ratios
+    kept from the balls before."""
     rows = Memo(oracle.neighbor_row)
     exchangeable: set[VarId] = set()
-    ratios: dict[VarId, tuple[int, int]] = {center: (1, 1)}  # d_v as (n, d), up to scale
+    ratios: dict = {}  # _extend_symmetrizer's, from ball to ball
     inner: set[VarId] = set()  # the shell before
     for ball, shell in grow(center, rows.__getitem__):
         labels = sorted(ball)  # so the rows of the shell are fetched in sorted order
         matrix = {v: {w: b for w, b in rows[v].items() if w in ball} for v in labels}
         seed = Seed.initial(labels, exchangeable, matrix)
-        if not _extend_symmetrizer(ratios, seed.matrix, sorted(inner), shell):
-            try:
-                ratios = {v: (d, 1) for v, d in check_skew_symmetrizable(seed.matrix, labels).items()}
-            except NotSkewSymmetrizable as exc:
-                raise OracleInconsistent(f"ball at {center!r} is not skew-symmetrizable: {exc}")
+        try:
+            _extend_symmetrizer(ratios, seed, sorted(inner), shell)
+        except NotSkewSymmetrizable as exc:
+            raise OracleInconsistent(f"ball at {center!r} is not skew-symmetrizable: {exc}")
         yield seed
         exchangeable |= {v for v in sorted(shell) if oracle.is_exchangeable(v)}
         inner = shell

@@ -40,7 +40,8 @@ def _shared_value(first: VarId, second: VarId, value: LaurentPoly):
 
 
 def _freeze_matrix(entries: Mapping[VarId, Mapping[VarId, int]]) -> Matrix:
-    return {v: {w: b for w, b in row.items() if b} for v, row in entries.items() if row}
+    # zeros go first, so a row of zeros is no row
+    return {v: r for v, row in entries.items() if (r := {w: b for w, b in row.items() if b})}
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,32 +184,18 @@ class Seed:
 # -- skew-symmetrizability ----------------------------------------------------
 
 
-def check_skew_symmetrizable(
-    matrix: Mapping[VarId, Mapping[VarId, int]], labels: Iterable[VarId]
-) -> dict[VarId, int]:
+def check_skew_symmetrizable(seed: Seed) -> dict[VarId, int]:
     """Least positive integral symmetrizer per connected component.
 
     Propagates _ratio_step along nonzero entries and clears denominators
     componentwise; raises NotSkewSymmetrizable with a witness pair (sign
-    violation) or cycle (inconsistent ratios), and InvalidSeed at the first
-    row, in label order, with a column outside `labels`, else at the first
-    nonzero row, in sorted order, outside `labels`.
+    violation, a diagonal entry at (v, v) included) or cycle (inconsistent
+    ratios). The Seed has already placed every entry in its cluster.
     """
-    labels = sorted(set(labels))
-    b: Callable[[VarId, VarId], int] = lambda v, w: matrix.get(v, {}).get(w, 0)
-    adjacency: dict[VarId, set[VarId]] = {v: set() for v in labels}
-    for v in labels:
-        for w, entry in matrix.get(v, {}).items():
-            if entry:
-                if w not in adjacency:
-                    raise InvalidSeed(f"matrix column {w!r} of row {v!r} not in cluster")
-                adjacency[v].add(w)
-                adjacency[w].add(v)
-    outside = [v for v, row in matrix.items() if v not in adjacency and any(row.values())]
-    if outside:
-        raise InvalidSeed(f"matrix row {min(outside)!r} not in cluster")
-    # sorted once: the witness and the walk follow label order, not string hashes
-    neighbours = {v: sorted(adjacency[v]) for v in labels}
+    labels, b, adjacency = sorted(seed.labels), seed.b, seed._adjacency
+    # sorted once: the witness and the walk follow label order, not string
+    # hashes; a diagonal entry makes v its own neighbour, for the sign pass
+    neighbours = {v: sorted(adjacency.get(v, set()) | ({v} if b(v, v) else set())) for v in labels}
     for v in labels:
         for w in neighbours[v]:
             bvw, bwv = b(v, w), b(w, v)
@@ -255,22 +242,27 @@ def _ratio_step(dv: tuple[int, int], bvw: int, bwv: int) -> tuple[int, int]:
     return n // g, m // g
 
 
-def _extend_symmetrizer(ratios: dict, matrix: Matrix, inner: list[VarId], shell: set[VarId]) -> bool:
+def _extend_symmetrizer(ratios: dict, seed: Seed, inner: list[VarId], shell: set[VarId]) -> None:
     """Extends in place a symmetrizer of a ball less its outer shell to the
-    ball, by _ratio_step over every entry touching the shell; each lies in
-    a row of the shell or of the one before (`inner`), whose neighbours the
-    shell is. False at a sign violation or inconsistency."""
+    ball `seed`, by _ratio_step over every entry touching the shell; each
+    lies in a row of the shell or of the one before (`inner`), whose
+    neighbours the shell is. Empty `ratios` start at the first ball, whose
+    shell is its center."""
+    if not ratios:
+        ratios.update(dict.fromkeys(shell, (1, 1)))
+    matrix = seed.matrix
     for v in [*inner, *sorted(shell)]:
         for w, bvw in matrix.get(v, {}).items():
             if v not in shell and w not in shell:
                 continue
             bwv = matrix.get(w, {}).get(v, 0)
-            if bvw * bwv >= 0 or v not in ratios:
-                return False
-            dw = _ratio_step(ratios[v], bvw, bwv)
-            if ratios.setdefault(w, dw) != dw:
-                return False
-    return True
+            if bvw * bwv < 0 and v in ratios:
+                dw = _ratio_step(ratios[v], bvw, bwv)
+                if ratios.setdefault(w, dw) == dw:
+                    continue
+            # a sign violation or inconsistency: the full check raises, or re-seeds
+            ratios.update((u, (d, 1)) for u, d in check_skew_symmetrizable(seed).items())
+            return
 
 
 def _trace_cycle(parent: Mapping[VarId, VarId], v: VarId, w: VarId) -> tuple[VarId, ...]:
@@ -285,10 +277,6 @@ def _trace_cycle(parent: Mapping[VarId, VarId], v: VarId, w: VarId) -> tuple[Var
     cut_w = [x for x in path_w if x not in common]
     meet = next(x for x in path_v if x in common)
     return tuple(cut_v + [meet] + list(reversed(cut_w)))
-
-
-def seed_symmetrizer(seed: Seed) -> dict[VarId, int]:
-    return check_skew_symmetrizable(seed.matrix, seed.labels)
 
 
 # -- mutation --------------------------------------------------------------

@@ -822,6 +822,41 @@ class TestHardenedInput:
                 "scale": "1/2", "start": 2}
 
     @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize(
+        "verb, data, message",
+        [
+            ("validate-tri", {"families": [{k: v for k, v in FOUNTAIN.items() if k != "limit"}]},
+             "families need a 'limit'"),
+            ("validate-tri", {"families": [{k: v for k, v in FOUNTAIN.items() if k != "scale"}]},
+             "families need a 'scale'"),
+            ("validate-tri", {"families": [{**FOUNTAIN, "strat": 2}]},
+             "unknown key 'strat' in a family (expected kind | limit | scale | base | limit2 | scale2 | start)"),
+            ("validate-tri", {"points": PENTAGON["points"], "arc": PENTAGON["arcs"]},
+             "unknown key 'arc' in the triangulation file (expected points | arcs | families)"),
+            ("enumerate", {**A2, "variables": [{"id": "y1", "exchangable": True}, A2["variables"][1]]},
+             "unknown key 'exchangable' in a variable (expected id | exchangeable)"),
+            ("enumerate", {**A2, "value": [["y1", "y1"], ["y2", "y2"]]},
+             "unknown key 'value' in the seed file (expected variables | matrix | values)"),
+            ("check-morphism", {"assignment": IDENTITY, "extras": [["y1", "y1"]]},
+             "unknown key 'extras' in the map file (expected assignment | extra)"),
+        ],
+        ids=["no-limit", "no-scale", "family-key", "tri-key", "variable-key", "seed-key", "map-key"],
+    )
+    def test_unknown_or_missing_key_exits_three(self, files, fmt, verb, data, message):
+        # a family without limit or scale used to end in a traceback; each
+        # misspelt key used to be ignored, so the file was read as if the
+        # key were absent (the seed file as A2 with y1 a coefficient)
+        path = files["dir"] / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = {
+            "validate-tri": ["validate-tri", "--tri", str(path)],
+            "enumerate": ["enumerate", "--seed", str(path)],
+            "check-morphism": ["check-morphism", "--src", files["a2.seed"], "--dst", files["a2.seed"],
+                               "--map", str(path)],
+        }[verb]
+        assert run_captured(["--format", fmt, *argv]) == (3, rendered({"error": message}, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
     def test_half_nest_without_a_second_limit_exits_one(self, tmp_path, fmt):
         path = tmp_path / "bad.tri"
         path.write_text(json.dumps({"families": [{"kind": "half-nest", "limit": "0/1", "scale": "1/4"}]}))

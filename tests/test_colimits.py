@@ -12,9 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import clusterlab.seeds
 from clusterlab.cli import load_triangulation_file
 from clusterlab.colimits import (
     COMPONENT_WINDOW,
+    ORACLES,
     Filtration,
     _oracle_balls,
     FiniteSeedOracle,
@@ -68,6 +70,7 @@ from clusterlab.seeds import (
     mutate_sequence,
     opposite_seed,
 )
+from test_seed_class import finite_type_root
 from test_tri_fuzz import polygon_files, rotated_templates
 
 
@@ -761,6 +764,31 @@ def test_radius_five_rows_are_pinned(tmp_path):
 # -- the ball check reads only the new shell -------------------------------------------
 
 
+@pytest.fixture
+def full_checks(monkeypatch):
+    """The seeds handed to seeds.check_skew_symmetrizable, one per call."""
+    calls = []
+    check = clusterlab.seeds.check_skew_symmetrizable
+    counting = lambda seed: calls.append(seed) or check(seed)
+    monkeypatch.setattr(clusterlab.seeds, "check_skew_symmetrizable", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_consistent_oracle_balls_skip_the_full_check(name, full_checks):
+    oracle = ORACLES[name]()
+    for rep in oracle.representatives():
+        assert len(materialize_ball(oracle, rep, 6).labels) > 1
+    assert full_checks == []
+
+
+@pytest.mark.parametrize("kind", ["A5", "D5", "B4", "G2"])
+def test_consistent_finite_stages_skip_the_full_check(kind, full_checks):
+    fil = build_filtration(FiniteSeedOracle(finite_type_root(kind)), 6)
+    assert len(fil.stages[-1].labels) == int(kind[1])
+    assert full_checks == []
+
+
 def first_rejected(oracle, center, radii):
     """(radius, text) of the first ball _oracle_balls rejects, or None."""
     balls = _oracle_balls(oracle, center)
@@ -779,7 +807,7 @@ def first_rejected_by_full_checks(oracle, center, radii):
         labels = sorted(ball)
         rows = {v: {w: b for w, b in oracle.neighbor_row(v).items() if w in ball} for v in labels}
         try:
-            check_skew_symmetrizable(Seed.initial(labels, [], rows).matrix, labels)
+            check_skew_symmetrizable(Seed.initial(labels, [], rows))
         except NotSkewSymmetrizable as exc:
             return r, f"ball at {center!r} is not skew-symmetrizable: {exc}"
     return None
@@ -833,10 +861,13 @@ def test_incremental_ball_check_matches_the_full_check(matrix, data):
         ([("v0", "v1", 1, -1), ("v0", "v2", 1, -1), ("v1", "v3", 1, -1), ("v2", "v4", 1, -1), ("v3", "v4", 1, 1)], 2),
     ],
 )
-def test_late_inconsistencies_fail_at_their_radius(cycle, radius):
+def test_late_inconsistencies_fail_at_their_radius(cycle, radius, full_checks):
     labels = sorted({v for v, w, _, _ in cycle} | {w for v, w, _, _ in cycle})
     entries = [e for v, w, b, c in cycle for e in ((v, w, b), (w, v, c))]
     oracle = FiniteSeedOracle(Seed.initial(labels, labels, entries))
     found = first_rejected(oracle, "v0", len(labels) + 2)
     assert found is not None and found[0] == radius
+    # the shell extension carried every ball before; the failing one alone got the full check
+    ball, _ = next(islice(grow("v0", lambda v: oracle.neighbor_row(v)), radius, None))
+    assert [set(seed.labels) for seed in full_checks] == [ball]
     assert found == first_rejected_by_full_checks(oracle, "v0", len(labels) + 2)

@@ -52,9 +52,9 @@ from clusterlab.errors import (
     UnmarkedPoint,
 )
 from clusterlab.seeds import (
+    check_skew_symmetrizable,
     connected_components,
     mutate_seed,
-    seed_symmetrizer,
 )
 
 
@@ -200,7 +200,7 @@ class TestSeedFromTriangulation:
     def test_skew_symmetric_with_identity_symmetrizer(self):
         for n in (4, 5, 6):
             s = seed_from_triangulation(fan_triangulation(n))
-            assert set(seed_symmetrizer(s).values()) == {1}
+            assert set(check_skew_symmetrizable(s).values()) == {1}
 
     def test_local_finiteness(self):
         for n in (5, 7, 9):

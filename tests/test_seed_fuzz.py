@@ -1,9 +1,10 @@
 """Fuzzed `.seed` and `.map` files through the CLI verbs `enumerate`,
 `mutate`, `components`, `coproduct`, `similar`, `check-morphism`,
 `image-seed` and `check-ideal`: every call exits 0, 1, 2 or 3, never with a
-traceback, a file that gives one key twice exits 3, and a rerun in the same
-process prints the same bytes (so nothing one run leaves on its seeds, such
-as the exchange table, leaks into the next)."""
+traceback, a file that gives one key twice or has a key its loader does not
+read exits 3, and a rerun in the same process prints the same bytes (so
+nothing one run leaves on its seeds, such as the exchange table, leaks into
+the next)."""
 
 import contextlib
 import io
@@ -28,6 +29,16 @@ TEXTS = ["x", "y", "z^-1", "2", "1", "x*y", "x + y", "x^-1*y + x^-1", "-x", "0",
 BAD_TEXTS = ["x^", "1/0", "x**2", "(x)", "x +", "x^-", "*y"]
 
 
+SEED_KEYS = {"variables", "matrix", "values"}
+VARIABLE_KEYS = {"id", "exchangeable"}
+MAP_KEYS = {"assignment", "extra"}
+
+
+def misspelt(key: str) -> str:
+    """The key with its second letter left out, as a typing slip."""
+    return key[:1] + key[2:]
+
+
 def declared(data) -> list:
     """The string ids a seed file declares, however malformed it is."""
     variables = data.get("variables") if isinstance(data, dict) else None
@@ -40,6 +51,7 @@ SEED_FLAWS = [
     "junk file", "junk variables", "junk id", "duplicate id", "junk flag", "missing key",
     "one-sided entry", "sign violation", "repeated entry", "undeclared entry", "junk entry",
     "diagonal entry", "bad text", "partial values", "shared value", "repeated value",
+    "misspelt key", "misspelt variable key",
 ]
 
 
@@ -72,6 +84,14 @@ def seed_files(draw, names=LABELS):
         return draw(st.sampled_from(JUNK))
     if flaw == "junk variables":
         data["variables"] = draw(st.sampled_from(JUNK))
+    elif flaw == "misspelt key":
+        # mostly a key whose absence the loader would read as a default
+        key = draw(st.sampled_from(sorted(data) + ["matrix"] * 2))
+        data[misspelt(key)] = data.pop(key)
+    elif variables and flaw == "misspelt variable key":
+        record = draw(st.sampled_from(variables))
+        key = "exchangeable" if "exchangeable" in record and draw(st.integers(0, 3)) else "id"
+        record[misspelt(key)] = record.pop(key)
     elif flaw == "missing key":
         del data[draw(st.sampled_from(sorted(data)))]
     elif flaw == "undeclared entry":
@@ -111,6 +131,7 @@ def seed_files(draw, names=LABELS):
 MAP_FLAWS = [
     "junk file", "junk assignment", "junk extra", "junk generator", "junk extra image",
     "missing", "undeclared", "junk image", "repeated source", "repeated generator",
+    "misspelt key",
 ]
 
 
@@ -136,6 +157,10 @@ def map_files(draw, source, target):
         data["extra"] = [extra]
     elif flaw == "repeated generator":
         data["extra"] = [extra, [extra[0], draw(st.sampled_from(images))]]
+    elif flaw == "misspelt key":
+        data.setdefault("extra", [extra])
+        key = draw(st.sampled_from(["assignment", "extra", "extra"]))
+        data[misspelt(key)] = data.pop(key)
     elif assignment and flaw == "missing":
         del assignment[draw(st.integers(0, len(assignment) - 1))]
     elif flaw == "undeclared":
@@ -145,6 +170,18 @@ def map_files(draw, source, target):
     elif assignment and flaw == "repeated source":
         assignment.append([draw(st.sampled_from(src)), draw(st.sampled_from(images))])
     return data
+
+
+def has_unknown_key(data, keys) -> bool:
+    """Whether a file, or a variable record in it, has a key its loader
+    does not read; `keys` are those of the file's top level."""
+    if not isinstance(data, dict):
+        return False
+    records = data.get("variables") if "variables" in keys else None
+    records = records if isinstance(records, list) else []
+    return not set(data) <= keys or any(
+        isinstance(r, dict) and not set(r) <= VARIABLE_KEYS for r in records
+    )
 
 
 def gives_a_key_twice(data) -> bool:
@@ -240,5 +277,7 @@ def test_seed_and_map_files_exit_cleanly_and_repeat_exactly(call):
         assert first[0] in (0, 1, 2, 3), (argv, files, first)
         assert "Traceback" not in first[1] + first[2]
         if any(map(gives_a_key_twice, files.values())):
+            assert first[0] == 3, (argv, files, first)
+        if any(has_unknown_key(data, MAP_KEYS if name == "map" else SEED_KEYS) for name, data in files.items()):
             assert first[0] == 3, (argv, files, first)
         assert run(argv) == first

@@ -36,7 +36,6 @@ from clusterlab.seeds import (
     mutate_seed,
     mutate_sequence,
     opposite_seed,
-    seed_symmetrizer,
     verify_similarity_bijection,
 )
 
@@ -69,25 +68,25 @@ def random_seed(rng, max_rank=5, ex_prob=0.7, span=1):
 
 class TestSkewSymmetrizable:
     def test_skew_symmetric_identity(self):
-        d = check_skew_symmetrizable({"a": {"b": 1}, "b": {"a": -1}}, ["a", "b"])
+        d = check_skew_symmetrizable(Seed.initial(["a", "b"], [], {"a": {"b": 1}, "b": {"a": -1}}))
         assert d == {"a": 1, "b": 1}
 
     def test_b2_symmetrizer(self):
-        d = check_skew_symmetrizable({"a": {"b": 1}, "b": {"a": -2}}, ["a", "b"])
+        d = check_skew_symmetrizable(Seed.initial(["a", "b"], [], {"a": {"b": 1}, "b": {"a": -2}}))
         assert d == {"a": 2, "b": 1}
 
     def test_sign_violation(self):
         with pytest.raises(NotSkewSymmetrizable) as err:
-            check_skew_symmetrizable({"a": {"b": 1}, "b": {"a": 1}}, ["a", "b"])
+            check_skew_symmetrizable(Seed.initial(["a", "b"], [], {"a": {"b": 1}, "b": {"a": 1}}))
         assert set(err.value.witness) == {"a", "b"}
 
     def test_one_sided_entry(self):
         with pytest.raises(NotSkewSymmetrizable):
-            check_skew_symmetrizable({"a": {"b": 1}}, ["a", "b"])
+            check_skew_symmetrizable(Seed.initial(["a", "b"], [], {"a": {"b": 1}}))
 
     def test_diagonal_entry(self):
         with pytest.raises(NotSkewSymmetrizable):
-            check_skew_symmetrizable({"a": {"a": 1}}, ["a"])
+            check_skew_symmetrizable(Seed.initial(["a"], [], {"a": {"a": 1}}))
 
     def test_inconsistent_cycle(self):
         matrix = {
@@ -96,7 +95,7 @@ class TestSkewSymmetrizable:
             "c": {"a": 1, "b": -1},
         }
         with pytest.raises(NotSkewSymmetrizable) as err:
-            check_skew_symmetrizable(matrix, ["a", "b", "c"])
+            check_skew_symmetrizable(Seed.initial(["a", "b", "c"], [], matrix))
         assert err.value.witness == ("b", "a", "c")
         assert str(err.value) == "inconsistent symmetrizer ratios on cycle ('b', 'a', 'c')"
 
@@ -118,7 +117,7 @@ class TestSkewSymmetrizable:
                         matrix.setdefault(labels[i], {})[labels[j]] = s * rng.randint(1, 3)
                         matrix.setdefault(labels[j], {})[labels[i]] = -s * rng.randint(1, 3)
             try:
-                outcomes.append(sorted(check_skew_symmetrizable(matrix, labels).items()))
+                outcomes.append(sorted(check_skew_symmetrizable(Seed.initial(labels, [], matrix)).items()))
             except NotSkewSymmetrizable as exc:
                 outcomes.append(exc.witness)
         assert sum(isinstance(x, tuple) for x in outcomes) == 184
@@ -129,24 +128,26 @@ class TestSkewSymmetrizable:
     @pytest.mark.parametrize(
         "matrix, labels, text",
         [
-            ({"a": {"z": 1}}, ["a"], "matrix column 'z' of row 'a' not in cluster"),
-            # the row of 'b' is never read: 'b' is not a label
-            ({"a": {"b": 1}, "b": {"a": -1}}, ["a"], "matrix column 'b' of row 'a' not in cluster"),
-            # rows are read in label order, not in the matrix's order
-            ({"b": {"y": 1}, "a": {"z": 1}}, ["b", "a"], "matrix column 'z' of row 'a' not in cluster"),
-            # a row outside the labels is read too, and named in sorted order
+            ({"a": {"z": 1}}, ["a"], "matrix column 'z' not in cluster"),
+            ({"a": {"b": 1}, "b": {"a": -1}}, ["a"], "matrix column 'b' not in cluster"),
+            # the Seed reads rows in the matrix's order, not in label order
+            ({"b": {"y": 1}, "a": {"z": 1}}, ["b", "a"], "matrix column 'y' not in cluster"),
             ({"a": {}, "z": {"a": 1}}, ["a"], "matrix row 'z' not in cluster"),
-            ({"z": {"a": 1}, "y": {"a": -1}, "a": {}}, ["a"], "matrix row 'y' not in cluster"),
+            ({"z": {"a": 1}, "y": {"a": -1}, "a": {}}, ["a"], "matrix row 'z' not in cluster"),
         ],
         ids=["unknown-column", "dropped-label", "label-order", "unknown-row", "row-order"],
     )
     def test_an_entry_outside_the_labels_is_an_invalid_seed(self, matrix, labels, text):
+        # the Seed refuses these before any symmetrizer is asked of it
         with pytest.raises(InvalidSeed) as err:
-            check_skew_symmetrizable(matrix, labels)
+            Seed.initial(labels, [], matrix)
         assert type(err.value) is InvalidSeed and str(err.value) == text
 
     def test_an_empty_row_outside_the_labels_is_no_entry(self):
-        assert check_skew_symmetrizable({"a": {}, "z": {}, "y": {"a": 0}}, ["a"]) == {"a": 1}
+        # zeros go before empty rows, so a row of zeros is no row
+        seed = Seed.initial(["a"], [], {"a": {}, "z": {}, "y": {"a": 0}})
+        assert seed.matrix == {} and check_skew_symmetrizable(seed) == {"a": 1}
+        assert Seed.initial(["a", "b"], [], {"a": {"b": 0}}).matrix == {}
 
 
 class TestMemoAndGrow:
@@ -629,7 +630,7 @@ class TestSeedInvariants:
             s = random_seed(rng, span=2)
             if not s.exchangeable:
                 continue
-            d = seed_symmetrizer(s)
+            d = check_skew_symmetrizable(s)
             x = rng.choice(sorted(s.exchangeable))
             t = mutate_seed(s, x)
             new = next(l for l in t.labels if l not in s.labels)
@@ -721,7 +722,7 @@ class TestEmptySeed:
         assert coproduct([e, e]).same_seed(e)
         assert opposite_seed(e).same_seed(e)
         assert check_similar(e, e) == {}
-        assert check_skew_symmetrizable({}, []) == {}
+        assert check_skew_symmetrizable(e) == {}
 
 
 class TestIsolatedExchangeable:

@@ -1,7 +1,9 @@
 """Fuzzed `.tri` files through the CLI: every file gets an exit code in
 {0, 1, 2, 3}, never a traceback, and the same bytes when run again in the
-same process (so nothing one run computes leaks into the next). Rotated
-copies of valid family files exit 0 from every verb that reads them."""
+same process (so nothing one run computes leaks into the next); a file with
+a key the loader does not read, or a family without `limit` or `scale`,
+exits 3. Rotated copies of valid family files exit 0 from every verb that
+reads them."""
 
 import contextlib
 import io
@@ -39,6 +41,24 @@ def rarely(draw) -> bool:
     return draw(st.integers(0, 19)) == 0
 
 
+def misspelt(key: str) -> str:
+    """The key with its second letter left out, as a typing slip."""
+    return key[:1] + key[2:]
+
+
+TRI_KEYS = {"points", "arcs", "families"}
+FAMILY_KEYS = {"kind", "limit", "scale", "base", "limit2", "scale2", "start"}
+
+
+def has_key_flaw(data) -> bool:
+    """Whether a file has a key the loader does not read, or a family
+    without `limit` or `scale`: every verb refuses it as an input error."""
+    families = data.get("families", [])
+    return not set(data) <= TRI_KEYS or any(
+        not set(f) <= FAMILY_KEYS or not {"limit", "scale"} <= set(f) for f in families
+    )
+
+
 @st.composite
 def angles(draw):
     return draw(st.sampled_from(JUNK if rarely(draw) else ANGLES))
@@ -62,6 +82,14 @@ def family_records(draw):
         record["limit2"] = draw(angles())
         if draw(st.booleans()):
             record["scale2"] = draw(scales())
+    # and now and then limit or scale is left out, or a key misspelt
+    if rarely(draw):
+        key = draw(st.sampled_from(sorted(record)))
+        flaw = draw(st.sampled_from(["drop limit", "drop scale", "misspell"]))
+        if flaw == "misspell":
+            record[misspelt(key)] = record.pop(key)
+        else:
+            del record[flaw.split()[1]]
     return record
 
 
@@ -104,6 +132,9 @@ def tri_files(draw):
         data["points"] = draw(st.lists(angles(), max_size=3))
     if draw(st.booleans()):
         data["arcs"] = draw(st.lists(st.lists(angles(), min_size=2, max_size=2), max_size=2))
+    if rarely(draw):
+        key = draw(st.sampled_from(sorted(data)))
+        data[misspelt(key)] = data.pop(key)
     return data
 
 
@@ -162,6 +193,8 @@ def test_tri_files_exit_cleanly_and_repeat_exactly(data):
             first = run(argv)
             assert first[0] in (0, 1, 2, 3), (argv, first)
             assert "Traceback" not in first[1] + first[2]
+            if has_key_flaw(data):
+                assert first[0] == 3, (argv, first)
             assert run(argv) == first
 
 
