@@ -56,7 +56,6 @@ from .seeds import (
     Seed,
     _extend_symmetrizer,
     connected_components,
-    coproduct,
     fresh_label,
     grow,
     mutate_sequence,
@@ -161,7 +160,14 @@ class TriangulationOracle:
         self._chords = Memo(lambda v: chord_of(parse_arc_label(v)))
 
     def neighbor_row(self, v: VarId) -> dict[VarId, int]:
-        return {chord_label(c): s for c, s in self.tri.chord_row(self._chords[v]).items()}
+        """The row of v; each chord it names is recorded under its label, so
+        no label the oracle made is parsed back."""
+        row = {}
+        for c, s in self.tri.chord_row(self._chords[v]).items():
+            label = chord_label(c)
+            self._chords.setdefault(label, c)
+            row[label] = s
+        return row
 
     def is_exchangeable(self, v: VarId) -> bool:
         return self.tri.chord_exchangeable(self._chords[v])
@@ -293,15 +299,21 @@ def materialize_ball(oracle: SeedOracle, center: VarId, radius: int) -> Seed:
 def _interleave(components: Sequence[Iterator[Seed]]) -> Iterator[Seed]:
     """The colimit tower: stage i is the coproduct of component j's
     (i-j)-th seed, so component j enters at stage j and every component
-    grows by one radius per stage."""
+    grows by one radius per stage. The balls are initial seeds, so a stage
+    is the initial seed of their labels, exchangeables and rows, and no
+    value is re-encoded."""
     for i in count():
-        try:
-            stage = coproduct([next(c) for c in components[: i + 1]])
-        except LabelCollision as exc:
-            raise OracleInconsistent(
-                f"component representatives are not disconnected: {exc}"
-            ) from exc
-        yield stage
+        balls = [next(c) for c in components[: i + 1]]
+        labels = [v for ball in balls for v in ball.labels]
+        seen: set[VarId] = set()
+        for v in labels:
+            if v in seen:
+                raise OracleInconsistent(
+                    f"component representatives are not disconnected: {LabelCollision(v)}"
+                )
+            seen.add(v)
+        exchangeable = [v for ball in balls for v in ball.exchangeable]
+        yield Seed.initial(labels, exchangeable, {v: r for ball in balls for v, r in ball.matrix.items()})
 
 
 def oracle_tower(oracle: SeedOracle) -> Iterator[Seed]:
@@ -385,7 +397,7 @@ def _mutate_tracking(seed: Seed, sequence: Sequence[VarId], target: VarId):
         mutated = mutate_sequence(seed, sequence)
     except NotAdmissible as exc:
         return None, False, sequence[exc.index]
-    return mutated.values[mutated.labels[seed.labels.index(target)]], True, None
+    return mutated._vals[seed.labels.index(target)], True, None
 
 
 def _check_steps(oracle: SeedOracle, sequence: Sequence[VarId]) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, partial
+from functools import cmp_to_key, partial
 from itertools import combinations, count, islice, product
 from math import gcd, isqrt
 from typing import Iterable, Sequence, TypeVar
@@ -38,7 +38,7 @@ from .errors import (
     UnmarkedPoint,
 )
 from .laurent import VarId
-from .seeds import DEFAULT_NODE_BUDGET, Memo, Seed, explore
+from .seeds import DEFAULT_NODE_BUDGET, Memo, Seed, derived, explore
 
 T = TypeVar("T")
 
@@ -129,7 +129,7 @@ class Arc:
         a, b = norm_angle(a), norm_angle(b)
         return Arc(min(a, b), max(a, b))
 
-    @cached_property
+    @derived
     def label(self) -> VarId:
         return f"{frac_str(self.p)}~{frac_str(self.q)}"
 
@@ -219,17 +219,17 @@ class FiniteTriangulation:
 
     # rank data and memos in the instance __dict__, beside the frozen
     # fields; flip_arc fills a child's from its parent's
-    @cached_property
+    @derived
     def _rank(self) -> dict[Fraction, int]:
         return {p: k for k, p in enumerate(self.points)}
 
-    @cached_property
+    @derived
     def _pairs(self) -> dict[Pair, Arc]:
         """Each arc under its rank pair."""
         rank = self._rank
         return {(rank[a.p], rank[a.q]): a for a in self.arcs}
 
-    @cached_property
+    @derived
     def _rank_triangles(self) -> list[Ranks]:
         """Sorted triples of points pairwise joined by arcs; in a
         triangulation every such triple bounds a face."""
@@ -239,7 +239,7 @@ class FiniteTriangulation:
             adj[j].add(i)
         return sorted((i, j, k) for i, j in self._pairs for k in adj[i] & adj[j] if k > j)
 
-    @cached_property
+    @derived
     def _faces(self) -> dict[Pair, list[Ranks]]:
         faces: dict[Pair, list[Ranks]] = {pair: [] for pair in self._pairs}
         for tri in self._rank_triangles:

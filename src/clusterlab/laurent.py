@@ -13,12 +13,13 @@ with a heap of integers (Johnson 1974; Monagan and Pearce, J. Symb. Comput.
 monomials, sorted tuples of (variable, nonzero exponent) pairs, to
 coefficients. Equality and hash do not depend on the ambient: one ambient
 compares packed maps, two compare terms, and the hash is taken from the term
-count, the coefficient sum and the leading and trailing terms, which are the
-same on every ambient, so only those two are decoded. Operands on two
-ambients meet on the union of their names. Each value bounds its fields, a
-product or quotient by the sum of its operands' bounds; an operation that
-might not fit takes exact bounds and, if still too large, moves to wider
-fields: no field wraps.
+count, the coefficient sum, the leading and trailing coefficients and the
+weights sum(e_v * hash(v)) of the leading and trailing monomials, which are
+the same on every ambient and read from the packed fields, so no monomial is
+decoded. Operands on two ambients meet on the union of their names. Each
+value bounds its fields, a product or quotient by the sum of its operands'
+bounds; an operation that might not fit takes exact bounds and, if still too
+large, moves to wider fields: no field wraps.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ class Ambient:
     field of name v starts at bit place[v], the degree's at bit `top`. A
     floor (the per-variable minimum exponents) is packed with degree 0."""
 
-    __slots__ = ("names", "ident", "width", "place", "top", "mask", "bias", "unit", "guard", "cap")
+    __slots__ = (
+        "names", "ident", "width", "place", "top", "mask", "bias", "unit", "guard", "cap", "_weights",
+    )
 
     def __init__(self, names: Iterable[VarId], width: int = WIDTH):
         self.names = names = tuple(sorted(set(names)))
@@ -60,6 +63,7 @@ class Ambient:
         self.unit = self.bias * (((1 << (width * (n + 1))) - 1) // self.mask)
         # every field's top bit, and the largest absolute value a field holds
         self.guard, self.cap = self.unit << 1, self.bias - 1
+        self._weights = None  # (place, hash of name) per field, made when a hash first needs it
 
     def key(self, m: Monomial) -> int:
         place = self.place
@@ -68,6 +72,17 @@ class Ambient:
     def monomials(self, keys: Iterable[int]) -> list[Monomial]:
         fields, mask, bias = self.place.items(), self.mask, self.bias
         return [tuple([(v, e) for v, s in fields if (e := (k >> s & mask) - bias)]) for k in keys]
+
+    def weight(self, k: int) -> int:
+        """Sum of e_v * hash(v) over the monomial of key k: the same on every
+        ambient, read from the fields without decoding the monomial."""
+        weights = self._weights
+        if weights is None:
+            weights = self._weights = list(zip(self.place.values(), map(hash, self.names)))
+        mask, bias, total = self.mask, self.bias, 0
+        for s, w in weights:
+            total += ((k >> s & mask) - bias) * w
+        return total
 
     def floor(self, keys: Iterable[int]) -> int:
         """The floor of the (nonempty) keys."""
@@ -89,10 +104,9 @@ class Ambient:
         return _poly(self, {self.unit: n}, 0, self.unit) if n else _poly(self, {}, 0, None)
 
     def var(self, v: VarId) -> "LaurentPoly":
-        """The variable v; its hash comes from (v, 1), without decoding."""
+        """The variable v, its hash given: one term, coefficient 1, weight hash(v)."""
         low = self.unit + (1 << self.place[v])
-        term = (((v, 1),), 1)
-        return _poly(self, {low + (1 << self.top): 1}, 1, low, hash((1, 1, term, term)))
+        return _poly(self, {low + (1 << self.top): 1}, 1, low, hash((1, 1, 1, 1, hash(v), hash(v))))
 
     def encode(self, p: "LaurentPoly") -> "LaurentPoly":
         """p on this ambient, whose names must cover p's variables."""
@@ -276,10 +290,10 @@ class LaurentPoly:
         h = self._hash
         if h is None:
             keys = self._keys
-            if keys:  # the leading and trailing terms, (monomial, coefficient)
-                lead, trail = max(keys), min(keys)
-                m_lead, m_trail = self._amb.monomials((lead, trail))
-                h = hash((len(keys), sum(keys.values()), (m_lead, keys[lead]), (m_trail, keys[trail])))
+            if keys:  # the leading and trailing coefficients and monomial weights
+                lead, trail, weight = max(keys), min(keys), self._amb.weight
+                h = hash((len(keys), sum(keys.values()), keys[lead], keys[trail],
+                          weight(lead), weight(trail)))
             else:
                 h = hash((0, 0))
             self._hash = h

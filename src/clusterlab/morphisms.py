@@ -12,7 +12,7 @@ globally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     Inconclusive,
@@ -182,8 +182,7 @@ def check_cm1_cm2(m: ClusterMap) -> tuple[bool, bool, tuple[VarId, ...]]:
 # -- biadmissible enumeration ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PairState:
+class _PairState(NamedTuple):
     src: Seed
     tgt: Seed
     sequence: tuple[VarId, ...]
@@ -199,20 +198,17 @@ def _image_slots(m: ClusterMap) -> tuple[int | None, ...]:
     return tuple(where[img] if isinstance(img, str) else None for img in images)
 
 
-def _biadmissible_steps(state: _PairState, slots: Sequence[int | None]) -> list[VarId]:
-    src, tgt = state.src, state.tgt
-    return [
-        x
-        for x in sorted(src.exchangeable)
-        if (j := slots[src.labels.index(x)]) is not None
-        and tgt.labels[j] in tgt.exchangeable
-    ]
+def _biadmissible_steps(state: _PairState, slots: Sequence[int | None]) -> list[int]:
+    """The source positions a biadmissible step may mutate at, in label
+    order: exchangeable, with an exchangeable target image."""
+    src, tgt_ex = state.src, state.tgt._ex
+    return [i for i in sorted(src._ex, key=src.labels.__getitem__) if slots[i] in tgt_ex]
 
 
-def _advance(state: _PairState, x: VarId, slots: Sequence[int | None]) -> _PairState:
+def _advance(state: _PairState, i: int, slots: Sequence[int | None]) -> _PairState:
     # The target mutates at the image's position, so every source variable
-    # whose image is that element follows the mutation, not only x.
-    i = state.src.labels.index(x)
+    # whose image is that element follows the mutation, not only the one at i.
+    x = state.src.labels[i]
     src = mutate_seed(state.src, x)
     tgt = mutate_seed(state.tgt, state.tgt.labels[slots[i]])
     return _PairState(src, tgt, state.sequence + (x,), i)
@@ -227,11 +223,11 @@ def _walk_biadmissible(
     source's exchange table: the target root's values are interned there,
     so a value both walks reach is one object and is divided once."""
     t, table = m.target, m.source._exchanges
-    values = {v: table.setdefault(p, p) for v, p in t.values.items()}
-    tgt = Seed._mutated(t.labels, t.exchangeable, t.matrix, values, table)
+    vals = tuple(table.setdefault(p, p) for p in t._vals)
+    tgt = Seed._mutated(t.labels, t._ex, t._rows, vals, table)
     return explore(
         _PairState(m.source, tgt, (), None),
-        lambda st: (_advance(st, x, slots) for x in _biadmissible_steps(st, slots)),
+        lambda st: (_advance(st, i, slots) for i in _biadmissible_steps(st, slots)),
         depth,
         max_nodes,
         f"biadmissible enumeration exceeded {max_nodes} nodes",
@@ -278,9 +274,8 @@ def check_cm3(
             last = st.last
             order = [last] + [i for i in tracked if i != last and slots[i] == slots[last]]
         for i in order:
-            value = st.src.values[st.src.labels[i]]
-            lhs = images[value]
-            rhs = st.tgt.values[st.tgt.labels[slots[i]]]
+            lhs = images[st.src._vals[i]]
+            rhs = st.tgt._vals[slots[i]]
             if lhs != rhs:
                 counterexample = Cm3Counterexample(st.sequence, m.source.labels[i], lhs, rhs)
                 break
@@ -303,9 +298,10 @@ def biadmissible_descendant(m: ClusterMap, sequence: Sequence[VarId]) -> Cluster
     slots = _image_slots(m)
     st = _PairState(m.source, m.target, (), None)
     for x in sequence:
-        if x not in _biadmissible_steps(st, slots):
+        labels = st.src.labels
+        if x not in labels or (i := labels.index(x)) not in _biadmissible_steps(st, slots):
             raise SeedMismatch(f"sequence {sequence!r} is not biadmissible at {x!r}")
-        st = _advance(st, x, slots)
+        st = _advance(st, i, slots)
     position = {y: i for i, y in enumerate(m.source.labels)}
     assignment: dict[VarId, Image] = {}
     for y, img in m.assignment.items():

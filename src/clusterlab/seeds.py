@@ -10,11 +10,10 @@ bookkeeping, values are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError
 from itertools import count
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     InvalidSeed,
@@ -35,6 +34,23 @@ DEFAULT_NODE_BUDGET = 100_000
 T = TypeVar("T")
 
 
+class derived:
+    """An attribute computed on its first read and kept in the instance
+    `__dict__`, where every later read finds it first: a non-data
+    descriptor, as functools.cached_property is, without the lock that one
+    takes on each first read before Python 3.12. So an attribute already
+    in `__dict__` is never derived."""
+
+    def __init__(self, derive: Callable):
+        self.derive, self.name, self.__doc__ = derive, derive.__name__, derive.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.derive(obj)
+        return value
+
+
 def _shared_value(first: VarId, second: VarId, value: LaurentPoly):
     raise InvalidSeed(f"labels {first!r} and {second!r} share the value {format_poly(value)}")
 
@@ -44,64 +60,112 @@ def _freeze_matrix(entries: Mapping[VarId, Mapping[VarId, int]]) -> Matrix:
     return {v: r for v, row in entries.items() if (r := {w: b for w, b in row.items() if b})}
 
 
-@dataclass(frozen=True, eq=False)
 class Seed:
-    """Triple (cluster, exchangeable subset, exchange matrix) with values."""
+    """Triple (cluster, exchangeable subset, exchange matrix) with values.
 
-    labels: tuple[VarId, ...]
-    exchangeable: frozenset[VarId]
-    matrix: Matrix
-    values: dict[VarId, LaurentPoly]
+    A seed holds its content in two forms. The label form is `values`,
+    `matrix` and `exchangeable`, keyed by label; the constructor takes it
+    and checks it. The positional form is what mutation reads and writes:
+    `_vals` (the values by position in `labels`), `_rows` (each row as
+    {position: b}, one per position) and `_ex` (the exchangeable
+    positions). Each form is derived from the other once, on first read,
+    and a form already held is never derived: a seed the constructor made
+    derives its positional form on its first mutation, and a seed mutation
+    made derives `values`, `matrix` or `exchangeable` when one is read."""
 
-    def __post_init__(self):
-        labels = set(self.labels)
-        if len(labels) != len(self.labels):
+    def __init__(
+        self,
+        labels: tuple[VarId, ...],
+        exchangeable: frozenset[VarId],
+        matrix: Matrix,
+        values: dict[VarId, LaurentPoly],
+    ):
+        cluster = set(labels)
+        if len(cluster) != len(labels):
             raise InvalidSeed("duplicate labels in cluster")
-        if not self.exchangeable <= labels:
-            extra = sorted(self.exchangeable - labels)
+        if not exchangeable <= cluster:
+            extra = sorted(exchangeable - cluster)
             raise InvalidSeed(f"exchangeable labels not in cluster: {extra}")
-        for v, row in self.matrix.items():
-            if v not in labels:
+        for v, row in matrix.items():
+            if v not in cluster:
                 raise InvalidSeed(f"matrix row {v!r} not in cluster")
             for w, b in row.items():
-                if w not in labels:
+                if w not in cluster:
                     raise InvalidSeed(f"matrix column {w!r} not in cluster")
                 if b == 0:
                     raise InvalidSeed("zero entries must not be stored")
-        if set(self.values) != labels:
+        if set(values) != cluster:
             raise InvalidSeed("values must be given for exactly the cluster labels")
         # every value on one ambient, so mutation never re-encodes
-        object.__setattr__(self, "values", on_one_ambient(self.values))
+        values = on_one_ambient(values)
         seen: dict[LaurentPoly, VarId] = {}
-        for v in self.labels:
-            first = seen.setdefault(self.values[v], v)
+        for v in labels:
+            first = seen.setdefault(values[v], v)
             if first != v:
-                _shared_value(first, v, self.values[v])
+                _shared_value(first, v, values[v])
+        self.__dict__.update(labels=labels, exchangeable=exchangeable, matrix=matrix, values=values)
 
-    @cached_property
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # -- the two forms, each derived from the other ---------------------------
+
+    @derived
+    def values(self) -> dict[VarId, LaurentPoly]:
+        return dict(zip(self.labels, self._vals))
+
+    @derived
+    def matrix(self) -> Matrix:
+        labels = self.labels
+        return {labels[i]: {labels[j]: b for j, b in row.items()} for i, row in enumerate(self._rows) if row}
+
+    @derived
+    def exchangeable(self) -> frozenset[VarId]:
+        return frozenset(map(self.labels.__getitem__, self._ex))
+
+    @derived
+    def _vals(self) -> tuple[LaurentPoly, ...]:
+        return tuple(map(self.values.__getitem__, self.labels))
+
+    @derived
+    def _rows(self) -> tuple[dict[int, int], ...]:
+        at = {v: i for i, v in enumerate(self.labels)}
+        rows: list[dict[int, int]] = [{} for _ in at]
+        for v, row in self.matrix.items():
+            r = rows[at[v]]
+            for w, b in row.items():
+                r[at[w]] = b
+        return tuple(rows)
+
+    @derived
+    def _ex(self) -> frozenset[int]:
+        ex = self.exchangeable
+        return frozenset([i for i, v in enumerate(self.labels) if v in ex])
+
+    @derived
     def _exchanges(self) -> dict:
-        """mutate_seed's table, beside the frozen fields; it starts holding
+        """mutate_seed's table, beside the seed's content; it starts holding
         this seed's values as themselves."""
-        return {p: p for p in self.values.values()}
+        return {p: p for p in self._vals}
 
-    @cached_property
+    @derived
     def _walk_key(self):
         """canonical_key on the values' ids: equal within one exchange table
         exactly when canonical_key is."""
-        return self._key_on({v: id(p) for v, p in self.values.items()})
+        return self._key_on(tuple(map(id, self._vals)))
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _mutated(cls, labels, exchangeable, matrix, values, exchanges) -> "Seed":
-        """A seed from fields that pass every check of __post_init__ by
-        construction, as mutation's do, on the given exchange table; its
-        values must be the table's own objects."""
+    def _mutated(cls, labels, ex, rows, vals, exchanges) -> "Seed":
+        """A seed in positional form that passes every check of the
+        constructor by construction, as mutation's do, on the given exchange
+        table; its values must be the table's own objects."""
         seed = object.__new__(cls)
-        seed.__dict__.update(
-            labels=labels, exchangeable=exchangeable, matrix=matrix, values=values,
-            _exchanges=exchanges,
-        )
+        seed.__dict__.update(labels=labels, _ex=ex, _rows=rows, _vals=vals, _exchanges=exchanges)
         return seed
 
     @classmethod
@@ -135,7 +199,7 @@ class Seed:
     def row(self, v: VarId) -> dict[VarId, int]:
         return dict(self.matrix.get(v, {}))
 
-    @cached_property
+    @derived
     def _adjacency(self) -> dict[VarId, set[VarId]]:
         """Neighbours from rows and columns (support need not be sign-skew)."""
         adj: dict[VarId, set[VarId]] = {}
@@ -158,19 +222,19 @@ class Seed:
         """Equality key under the value-preserving label correspondence: the
         values, the exchangeable values and the matrix entries between
         values. Values in a seed are distinct, so labels play no part. The
-        key is built once per seed and kept beside the frozen fields."""
+        key is built once per seed and kept on it."""
         return self._key
 
-    @cached_property
+    @derived
     def _key(self):
-        return self._key_on(self.values)
+        return self._key_on(self._vals)
 
-    def _key_on(self, val: Mapping[VarId, Hashable]):
-        """The three sets of canonical_key with each label read as val[label]."""
+    def _key_on(self, val: Sequence[Hashable]):
+        """The three sets of canonical_key with position i read as val[i]."""
         return (
-            frozenset(val.values()),
-            frozenset(map(val.__getitem__, self.exchangeable)),
-            frozenset([(val[v], val[w], b) for v, row in self.matrix.items() for w, b in row.items()]),
+            frozenset(val),
+            frozenset(map(val.__getitem__, self._ex)),
+            frozenset([(val[i], val[j], b) for i, row in enumerate(self._rows) for j, b in row.items()]),
         )
 
     def same_seed(self, other: "Seed") -> bool:
@@ -282,9 +346,8 @@ def _trace_cycle(parent: Mapping[VarId, VarId], v: VarId, w: VarId) -> tuple[Var
 # -- mutation --------------------------------------------------------------
 
 
-def fresh_label(old: VarId, taken: Iterable[VarId]) -> VarId:
+def fresh_label(old: VarId, taken: Container[VarId]) -> VarId:
     """Primed-counter label scheme: x, x'1, x'2, ..."""
-    taken = set(taken)
     base, n = old, 0
     if "'" in old:
         stem, _, suffix = old.rpartition("'")
@@ -297,6 +360,14 @@ def fresh_label(old: VarId, taken: Iterable[VarId]) -> VarId:
             return candidate
 
 
+def _exchangeable_at(seed: Seed, x: VarId) -> int | None:
+    """x's position in seed.labels if x is an exchangeable label, else None."""
+    labels = seed.labels
+    if x in labels and (at := labels.index(x)) in seed._ex:
+        return at
+    return None
+
+
 def mutate_seed(seed: Seed, x: VarId) -> Seed:
     """Mutation at an exchangeable variable: exchange relation for the value,
     standard matrix mutation, fresh primed label for the mutated variable.
@@ -304,10 +375,13 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     Every label keeps its position in `labels`, and the fresh label takes
     the position of x; so a variable's descendant along any sequence sits
     at the variable's position, and callers track variables by position.
-    Mutation at x needs b_xx = 0 (a skew-symmetrizable matrix has a zero
-    diagonal): a nonzero diagonal entry raises InvalidSeed before any
-    division or table entry. With b_xx = 0 mutation is an involution,
-    whatever the support of the matrix.
+    Mutation reads and writes only the positional form of a seed (`_vals`,
+    `_rows`, `_ex`), its labels and the exchange table, so it builds no
+    label-keyed dict; the exchangeable positions never change. Mutation at
+    x needs b_xx = 0 (a skew-symmetrizable matrix has a zero diagonal): a
+    nonzero diagonal entry raises InvalidSeed before any division or table
+    entry. With b_xx = 0 mutation is an involution, whatever the support of
+    the matrix.
 
     The exchange table is the walk's value store: it holds each value as
     itself, a root's values from the start and each quotient when it is
@@ -325,52 +399,46 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     except the target root of a CM3 walk, whose values are interned in the
     source's.
 
-    Only x's row and the rows of x's column (one lookup per row finds it)
-    are rebuilt; every other row is shared, labels come by slicing, and
-    values by dict copy."""
-    if x not in seed.exchangeable:
+    Only x's row and the rows holding x are rebuilt; every other row is
+    shared, and labels and values come by slicing."""
+    at = _exchangeable_at(seed, x)
+    if at is None:
         raise NotExchangeable(x)
-
-    row = seed.matrix.get(x, {})
-    if x in row:  # the 2-path update would write x's row under the old label
-        raise InvalidSeed(f"cannot mutate at {x!r}: its diagonal entry is {row[x]}, not 0")
-    table, val = seed._exchanges, seed.values
-    key = (id(val[x]), frozenset((id(val[v]), e) for v, e in row.items()))
+    rows, vals = seed._rows, seed._vals
+    row = rows[at]
+    if at in row:  # the 2-path update would write into x's own row
+        raise InvalidSeed(f"cannot mutate at {x!r}: its diagonal entry is {row[at]}, not 0")
+    table, old = seed._exchanges, vals[at]
+    key = (id(old), frozenset([(id(vals[j]), e) for j, e in row.items()]))
     new_value = table.get(key)
     if new_value is None:
-        pos = poly_product(val[v] ** e for v, e in row.items() if e > 0)
-        neg = poly_product(val[v] ** -e for v, e in row.items() if e < 0)
+        pos = poly_product(vals[j] ** e for j, e in row.items() if e > 0)
+        neg = poly_product(vals[j] ** -e for j, e in row.items() if e < 0)
         # Looked up on the module per call, so a rebinding there applies here too.
-        quotient = laurent.lp_exact_div(pos + neg, val[x])
+        quotient = laurent.lp_exact_div(pos + neg, old)
         new_value = table.setdefault(quotient, quotient)
         table[key] = new_value
-        table[id(new_value), frozenset((i, -e) for i, e in key[1])] = val[x]
+        table[id(new_value), frozenset([(i, -e) for i, e in key[1]])] = old
 
     labels = seed.labels
-    new_label = fresh_label(x, labels)
-    at = labels.index(x)
-    labels = labels[:at] + (new_label,) + labels[at + 1:]
-    values = dict(val)
-    del values[x]
-    for v, p in values.items():
-        if p is new_value:
-            _shared_value(*sorted((v, new_label), key=labels.index), new_value)
-    values[new_label] = new_value
+    labels = labels[:at] + (fresh_label(x, labels),) + labels[at + 1:]
+    if new_value is not old and id(new_value) in map(id, vals):  # another position holds it
+        j = [*map(id, vals)].index(id(new_value))
+        _shared_value(labels[min(j, at)], labels[max(j, at)], new_value)
+    vals = vals[:at] + (new_value,) + vals[at + 1:]
 
     # x's row and column change sign, and b_vw gains |b_vx| b_xw where b_vx
     # and b_xw agree in sign; rows without x are shared, since no code edits
     # a seed's row in place
-    matrix = dict(seed.matrix)
-    matrix.pop(x, None)
+    new_rows = list(rows)
     if row:
-        matrix[new_label] = {w: -e for w, e in row.items()}
-    for v, r in seed.matrix.items():
-        c = r.get(x)
+        new_rows[at] = {j: -e for j, e in row.items()}
+    for i, r in enumerate(rows):
+        c = r.get(at)
         if c is None:
             continue
-        matrix[v] = r = dict(r)  # never empty: it keeps b_v,new = -c
-        del r[x]
-        r[new_label] = -c
+        new_rows[i] = r = dict(r)
+        r[at] = -c
         for w, e in row.items():
             if (c > 0) == (e > 0):
                 n = r.get(w, 0) + abs(c) * e
@@ -379,16 +447,14 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
                 else:
                     del r[w]
 
-    exchangeable = seed.exchangeable - {x} | {new_label}
-    # labels stay distinct (the fresh label is new), exchangeables and matrix
-    # keys stay in the cluster and no zero entry is stored
-    return Seed._mutated(labels, exchangeable, matrix, values, table)
+    # labels stay distinct (the fresh label is new), and no zero entry is stored
+    return Seed._mutated(labels, seed._ex, tuple(new_rows), vals, table)
 
 
 def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:
     current = seed
     for i, step in enumerate(sequence):
-        if step not in current.exchangeable:
+        if _exchangeable_at(current, step) is None:
             raise NotAdmissible(sequence, i)
         current = mutate_seed(current, step)
     return current
@@ -480,11 +546,11 @@ def _seed_class(seed: Seed, depth: int, max_nodes: int) -> Iterator[Seed]:
     back: set = set()
 
     def children(s: Seed) -> Iterator[Seed]:
-        key, val = s._walk_key, s.values
-        for x in sorted(s.exchangeable):
-            if (key, id(val[x])) not in back:
-                t = mutate_seed(s, x)
-                back.add((t._walk_key, id(t.values[t.labels[s.labels.index(x)]])))
+        key, vals, labels = s._walk_key, s._vals, s.labels
+        for i in sorted(s._ex, key=labels.__getitem__):  # in label order
+            if (key, id(vals[i])) not in back:
+                t = mutate_seed(s, labels[i])
+                back.add((t._walk_key, id(t._vals[i])))
                 yield t
 
     return explore(
@@ -501,12 +567,10 @@ def enumerate_cluster_variables(
     seed: Seed, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> list[LaurentPoly]:
     """All values occurring in seeds reachable by admissible sequences of
-    length <= depth; deduplicated by value, in deterministic BFS order."""
-    values: dict[LaurentPoly, None] = {}
-    for s in _seed_class(seed, depth, max_nodes):
-        for v in s.labels:
-            values.setdefault(s.values[v])
-    return list(values)
+    length <= depth; deduplicated by value, in deterministic BFS order.
+    The walk's seeds hold one object per value, so ids tell values apart."""
+    values = {id(p): p for s in _seed_class(seed, depth, max_nodes) for p in s._vals}
+    return list(values.values())
 
 
 def enumerate_seeds(

@@ -205,12 +205,25 @@ class TestPackedFields:
         assert Ambient(["x", "y"]).encode(LaurentPoly.var("x", CAP)) == LaurentPoly.var("x", CAP)
 
     def test_one_variable_hashes_as_its_terms(self):
-        # the hash of one term: count 1, coefficient sum 1, and that term
-        # leading and trailing, computed here from the terms alone
+        # the hash of one term: count 1, coefficient sum 1, that coefficient
+        # leading and trailing, and the weight sum(e_v * hash(v)) of that
+        # monomial leading and trailing, computed here from the terms alone
         a = Ambient(["a", "b", "c"]).var("b")
         assert a == LaurentPoly.var("b") == parse_poly("b")
         ((term, coeff),) = a.terms.items()
-        assert hash(a) == hash(LaurentPoly.var("b")) == hash((1, coeff, (term, coeff), (term, coeff)))
+        weight = sum(e * hash(v) for v, e in term)
+        assert hash(a) == hash(LaurentPoly.var("b")) == hash((1, coeff, coeff, coeff, weight, weight))
+
+    def test_the_initial_variables_of_a_star_hash_apart(self):
+        # a hash that ignored which variable a monomial holds would put all
+        # of a 1201-variable star seed's values in one bucket; the hashes
+        # the star's ambient gives its variables are those computed for
+        # each variable on its own
+        leaves = [f"x{i:04d}" for i in range(1200)]
+        star = Seed.initial(["c", *leaves], ["c"], [("c", v, 1) for v in leaves])
+        hashes = [hash(star.values[v]) for v in leaves]
+        assert len(set(hashes)) == 1200
+        assert hashes == [hash(LaurentPoly.var(v)) for v in leaves]
 
     def test_a_constant_built_before_a_seed_meets_its_values(self):
         early = LaurentPoly.one()

@@ -40,16 +40,18 @@ def to_sympy(p: LaurentPoly):
 
 
 def reference_hash(p: LaurentPoly) -> int:
-    """The hash from p.terms alone: the term count, the coefficient sum, and
-    the leading and trailing terms in graded-lex order (total degree, then
-    the exponents variable by variable in name order, absent ones 0)."""
+    """The hash from p.terms alone: the term count, the coefficient sum, the
+    coefficients of the leading and trailing terms in graded-lex order
+    (total degree, then the exponents variable by variable in name order,
+    absent ones 0), and the weights sum(e_v * hash(v)) of their monomials."""
     terms = p.terms
     if not terms:
         return hash((0, 0))
     names = sorted({v for m in terms for v, _ in m})
     order = lambda m: (sum(e for _, e in m), [dict(m).get(v, 0) for v in names])
     lead, trail = max(terms, key=order), min(terms, key=order)
-    return hash((len(terms), sum(terms.values()), (lead, terms[lead]), (trail, terms[trail])))
+    weight = lambda m: sum(e * hash(v) for v, e in m)
+    return hash((len(terms), sum(terms.values()), terms[lead], terms[trail], weight(lead), weight(trail)))
 
 
 def same(p: LaurentPoly, expr) -> bool:

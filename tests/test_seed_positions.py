@@ -1,7 +1,10 @@
-"""Mutation keeps positions: property tests on hypothesis-drawn seeds.
+"""Mutation on positions: property tests on hypothesis-drawn seeds.
 
 The CM3 walk and stable mutation track a cluster variable by its position
-in `Seed.labels`; these tests pin the contract they rely on.
+in `Seed.labels`; these tests pin the contract they rely on. `mutate_seed`
+reads and writes a seed's positional form; `reference_mutate` below is the
+same mutation on the label-keyed dicts, the form mutation took before, and
+the positional route must agree with it step by step.
 """
 
 import pytest
@@ -11,7 +14,55 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from clusterlab.colimits import _mutate_tracking  # noqa: E402
-from clusterlab.seeds import Seed, mutate_seed  # noqa: E402
+from clusterlab.errors import ClusterLabError, InvalidSeed, NotExchangeable  # noqa: E402
+from clusterlab.laurent import LaurentPoly, lp_exact_div, poly_product  # noqa: E402
+from clusterlab.seeds import Seed, fresh_label, mutate_seed  # noqa: E402
+
+
+def reference_mutate(seed: Seed, x) -> Seed:
+    """mu_x on labels: a fresh division with no exchange table, the values
+    dict, the matrix dict and the exchangeable set rebuilt, and the result
+    checked by the constructor (which names two labels sharing a value in
+    position order, as mutate_seed does)."""
+    if x not in seed.exchangeable:
+        raise NotExchangeable(x)
+    row = seed.matrix.get(x, {})
+    if x in row:
+        raise InvalidSeed(f"cannot mutate at {x!r}: its diagonal entry is {row[x]}, not 0")
+    val = seed.values
+    pos = poly_product(val[v] ** e for v, e in row.items() if e > 0)
+    neg = poly_product(val[v] ** -e for v, e in row.items() if e < 0)
+    new_value = lp_exact_div(pos + neg, val[x])
+
+    labels = seed.labels
+    new_label = fresh_label(x, labels)
+    at = labels.index(x)
+    labels = labels[:at] + (new_label,) + labels[at + 1:]
+    values = dict(val)
+    del values[x]
+    values[new_label] = new_value
+
+    # x's row and column change sign, and b_vw gains |b_vx| b_xw where b_vx
+    # and b_xw agree in sign
+    matrix = dict(seed.matrix)
+    matrix.pop(x, None)
+    if row:
+        matrix[new_label] = {w: -e for w, e in row.items()}
+    for v, r in seed.matrix.items():
+        c = r.get(x)
+        if c is None:
+            continue
+        matrix[v] = r = dict(r)
+        del r[x]
+        r[new_label] = -c
+        for w, e in row.items():
+            if (c > 0) == (e > 0):
+                n = r.get(w, 0) + abs(c) * e
+                if n:
+                    r[w] = n
+                else:
+                    del r[w]
+    return Seed(labels, seed.exchangeable - {x} | {new_label}, matrix, values)
 
 
 @st.composite
@@ -55,3 +106,70 @@ def test_tracking_by_position_matches_chasing_labels(seed, data):
         sequence.append(step)
         current = after
     assert _mutate_tracking(seed, sequence, target) == (current.values[desc], True, None)
+
+
+@st.composite
+def seeds_and_walks(draw):
+    """A seed of rank 1-6 and a walk of up to 6 positions. Each pair of
+    positions is unlinked, linked skew-symmetrizably (b_ij = s d_j,
+    b_ji = -s d_i for a drawn symmetrizer d) or by a one-way entry; some
+    labels are coefficients, some seeds carry a diagonal entry, and some
+    give one label the value 2 / v_i, which mutating v_i on an empty row
+    would give a second time. A step at a coefficient, a diagonal entry, a
+    division that fails or a shared value ends the walk with an error."""
+    rank = draw(st.integers(1, 6))
+    labels = [f"v{i}" for i in range(rank)]
+    d = [draw(st.integers(1, 2)) for _ in labels]
+    matrix: dict = {}
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            link = draw(st.sampled_from(["none", "none", "skew", "skew", "one-way"]))
+            s = draw(st.sampled_from([1, -1]))
+            if link == "skew":
+                matrix.setdefault(labels[i], {})[labels[j]] = s * d[j]
+                matrix.setdefault(labels[j], {})[labels[i]] = -s * d[i]
+            elif link == "one-way":
+                v, w = (labels[i], labels[j]) if draw(st.booleans()) else (labels[j], labels[i])
+                matrix.setdefault(v, {})[w] = s
+    if draw(st.integers(0, 9)) == 0:
+        v = draw(st.sampled_from(labels))
+        matrix.setdefault(v, {})[v] = draw(st.sampled_from([1, -1]))
+    values = {v: LaurentPoly.var(v) for v in labels}
+    if rank > 1 and draw(st.integers(0, 4)) == 0:
+        k, i = draw(st.permutations(range(rank)))[:2]
+        values[labels[k]] = LaurentPoly.const(2) * LaurentPoly.var(labels[i], -1)
+    exchangeable = frozenset(v for v in labels if draw(st.integers(0, 3)))
+    seed = Seed(tuple(labels), exchangeable, matrix, values)
+    mutable = [i for i, v in enumerate(labels) if v in exchangeable] or [0]
+    step = st.one_of(st.sampled_from(mutable), st.integers(0, rank - 1))  # mostly exchangeable
+    return seed, draw(st.lists(step, min_size=1, max_size=6))
+
+
+def _outcome(mutate, seed, x):
+    try:
+        return mutate(seed, x), None
+    except ClusterLabError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds_and_walks())
+def test_positions_agree_with_the_label_keyed_reference(drawn):
+    # The positional route carries its exchange table along the walk, the
+    # reference divides afresh; every view of every seed must agree, and a
+    # step that fails must fail the same way on both.
+    seed, walk = drawn
+    mine = ref = seed
+    for p in walk:
+        if any(abs(b) > 4 for r in ref.matrix.values() for b in r.values()):
+            break  # one-way entries can grow without bound, and the values with them
+        x = ref.labels[p]
+        (mine, error), (ref, ref_error) = _outcome(mutate_seed, mine, x), _outcome(reference_mutate, ref, x)
+        assert error == ref_error
+        if error:
+            break
+        assert mine.labels == ref.labels
+        assert mine.values == ref.values
+        assert mine.matrix == ref.matrix
+        assert mine.exchangeable == ref.exchangeable
+        assert mine.same_seed(ref)
