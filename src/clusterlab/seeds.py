@@ -211,9 +211,6 @@ class Seed:
     def neighbours(self, v: VarId) -> set[VarId]:
         return set(self._adjacency.get(v, ()))
 
-    def coefficients(self) -> tuple[VarId, ...]:
-        return tuple(v for v in self.labels if v not in self.exchangeable)
-
     def reroot(self) -> "Seed":
         """Forget values: each label becomes its own initial variable."""
         return Seed.initial(self.labels, self.exchangeable, self.matrix)

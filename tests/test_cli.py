@@ -728,6 +728,20 @@ class TestReportBranches:
             report = {**report, "sequence": "x0, x1", "negative_terms": "-2*x0, -x2^2"}
         assert run_captured([*argv, "--target", "x0"]) == (1, rendered(report, fmt), "")
 
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_the_stable_mutate_report(self, fmt):
+        argv = ["--format", fmt, "stable-mutate", "--oracle", "path-quiver", "--sequence", "x0,x1"]
+        report = {
+            "command": "stable-mutate",
+            "sequence": ["x0", "x1"],
+            "target": "x1",
+            "value": "x1^-1*xm1 + x0^-1*x2 + x0^-1*x1^-1*x2*xm1",
+            "stage": 2,
+        }
+        if fmt == "plain":
+            report = {**report, "sequence": "x0, x1"}
+        assert run_captured([*argv, "--target", "x1"]) == (0, rendered(report, fmt), "")
+
 
 class TestHardenedInput:
     """Every malformed file, unknown target and removed flag is an input

@@ -18,6 +18,7 @@ from clusterlab.colimits import (
     COMPONENT_WINDOW,
     ORACLES,
     Filtration,
+    _mutate_tracking,
     _oracle_balls,
     FiniteSeedOracle,
     PathQuiverOracle,
@@ -514,6 +515,16 @@ class TestStableMutation:
         with pytest.raises(NotAdmissibleAtStage):
             stable_mutation(split_fountain_oracle(), [mid], mid)
 
+    @pytest.mark.parametrize(
+        "max_stages, error", [(3, ResourceLimit), (4, NotAdmissibleAtStage), (5, NotAdmissibleAtStage)]
+    )
+    def test_never_admissible_at_the_stage_budget(self, max_stages, error):
+        # the arc enters at stage 2 and is inner, never exchangeable, from
+        # stage 3 on: a budget of three stages does not reach that verdict
+        mid = Arc.of(F(1, 4), F(3, 4)).label
+        with pytest.raises(error):
+            stable_mutation(split_fountain_oracle(), [mid], mid, max_stages=max_stages)
+
     def test_positivity_on_oracles(self):
         probes = [
             (PathQuiverOracle(), ["x0", "x1"], "x1"),
@@ -525,28 +536,92 @@ class TestStableMutation:
             assert value.has_nonnegative_coefficients()
 
 
+@st.composite
+def oracle_walks(draw, oracle):
+    """A radius-3 ball around a representative, a walk of one to four of
+    its exchangeable current labels, the seed the walk reaches, and up to
+    three targets of the ball, the first step first. Four steps keep every
+    value small (at most 7 terms on G2, the largest seen in 1600 draws)."""
+    balls = [materialize_ball(oracle, rep, 3) for rep in oracle.representatives()]
+    ball = draw(st.sampled_from([b for b in balls if b.exchangeable]))
+    seed, sequence = ball, []
+    for _ in range(draw(st.integers(1, 4))):
+        step = draw(st.sampled_from(sorted(seed.exchangeable)))
+        seed = mutate_seed(seed, step)
+        sequence.append(step)
+    others = draw(st.lists(st.sampled_from(ball.labels), max_size=2))
+    return ball, seed, sequence, list(dict.fromkeys([sequence[0], *others]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(rotated_templates(), st.data())
 def test_positivity_on_generated_triangulations(data, draw):
     """Positivity at infinite rank (Gratz, from Lee-Schiffler on the finite
-    stages) on valid generated triangulations: a walk of one to four
-    exchangeable current labels of a radius-3 ball, and the stable value of
-    a few targets along it. Each value has nonnegative coefficients and is
-    the value the walk gives in the ball, which is a full subseed holding
-    the rows of every exchangeable it mutates."""
+    stages) on valid generated triangulations: the stable value of a few
+    targets along a drawn walk has nonnegative coefficients and is the
+    value the walk gives in its ball, which is a full subseed holding the
+    rows of every exchangeable it mutates."""
     oracle = TriangulationOracle(tri_from_data(data))
-    balls = [materialize_ball(oracle, rep, 3) for rep in oracle.representatives()]
-    ball = draw.draw(st.sampled_from([b for b in balls if b.exchangeable]))
-    seed, sequence = ball, []
-    for _ in range(draw.draw(st.integers(1, 4))):
-        step = draw.draw(st.sampled_from(sorted(seed.exchangeable)))
-        seed = mutate_seed(seed, step)
-        sequence.append(step)
-    others = draw.draw(st.lists(st.sampled_from(ball.labels), max_size=2))
-    for target in dict.fromkeys([sequence[0], *others]):
+    ball, seed, sequence, targets = draw.draw(oracle_walks(oracle))
+    for target in targets:
         value, _ = stable_mutation(oracle, sequence, target)
         assert value.has_nonnegative_coefficients()
         assert value == seed.values[seed.labels[ball.labels.index(target)]]
+
+
+# -- the two-stage comparison: the reference for stable_mutation ---------------------
+
+
+def assert_stable_in_later_stages(make, sequence, target):
+    """stable_mutation's value, found in stage i, is the value the sequence
+    gives in stages i + 1 and i + 3 of a fresh oracle's tower."""
+    value, i = stable_mutation(make(), sequence, target)
+    stages = list(islice(oracle_tower(make()), i + 4))
+    for later in (stages[i + 1], stages[i + 3]):
+        assert _mutate_tracking(later, sequence, target) == (value, True, None)
+
+
+STABLE_ORACLES = {
+    **ORACLES,
+    **{kind: lambda kind=kind: FiniteSeedOracle(finite_type_root(kind)) for kind in ["A5", "D5", "B4", "G2"]},
+}
+
+
+@pytest.mark.parametrize("name", list(STABLE_ORACLES))
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_stable_value_holds_in_later_stages(name, data):
+    make = STABLE_ORACLES[name]
+    _, _, sequence, targets = data.draw(oracle_walks(make()))
+    for target in targets:
+        assert_stable_in_later_stages(make, sequence, target)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rotated_templates(), st.data())
+def test_stable_value_holds_in_later_stages_of_generated_triangulations(data, draw):
+    tri = tri_from_data(data)
+    make = lambda: TriangulationOracle(tri)
+    _, _, sequence, targets = draw.draw(oracle_walks(make()))
+    for target in targets:
+        assert_stable_in_later_stages(make, sequence, target)
+
+
+@pytest.mark.parametrize(
+    "make, sequence, target",
+    [
+        (PathQuiverOracle, ["x0", "x1", "x2"], "x2"),
+        (fan_oracle, ["0/1~1/3"], "0/1~1/3"),
+        (nest_oracle, ["3/8~5/8"], "3/8~5/8"),
+        (split_fountain_oracle, ["1/8~1/4"], "1/8~1/4"),
+    ],
+    ids=["path-quiver", "fan", "nest", "split-fountain"],
+)
+def test_stable_mutation_fetches_the_rows_of_its_stage_only(make, sequence, target):
+    oracle = TestTower.Counting(make())
+    _, i = stable_mutation(oracle, sequence, target)
+    stage = next(islice(oracle_tower(make()), i, None))
+    assert sorted(oracle.rows) == sorted(stage.labels)
 
 
 class TestSequenceNames:

@@ -162,9 +162,19 @@ class TestSerialization:
         assert parse_poly(format_poly(p)) == p
 
     def test_parse_errors(self):
-        for bad in ("", "x1 +", "x1^", "2*", "x1^x2", "&"):
-            with pytest.raises(LaurentParseError):
+        for bad, message, position in [
+            ("", "empty polynomial text", None),
+            ("x1 +", "unexpected end of input", None),
+            ("x1^", "unexpected end of input", None),
+            ("2*", "unexpected end of input", None),
+            ("x1^x2", "expected integer, found 'x2'", 3),
+            ("&", "unexpected character '&'", 0),
+            ("x1*2", "integer factor only allowed first", 3),
+            ("x1 x2", "expected '+' or '-', found 'x2'", 3),
+        ]:
+            with pytest.raises(LaurentParseError) as err:
                 parse_poly(bad)
+            assert (str(err.value), err.value.position) == (message, position), bad
 
 
 CAP = (1 << (WIDTH - 2)) - 1  # the largest absolute value a default field holds

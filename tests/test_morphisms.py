@@ -408,6 +408,22 @@ class TestApply:
         with pytest.raises(NonLaurentImage):
             m.apply(parse_poly("y1^-1*y2"))
 
+    @pytest.mark.parametrize(
+        "assignment, text, message",
+        [
+            ({"x1": 0, "x2": 0}, "x2*x1^-1",
+             "image of x1^-1*x2 is 0/0-indeterminate and no extra generator image is declared"),
+            ({"x1": 0, "x2": 0}, "x1^-1", "image of x1^-1 inverts a variable specialized to 0"),
+            ({"x1": 2, "x2": 1}, "x2*x1^-1", "image of x1^-1*x2 leaves the integer Laurent ring"),
+        ],
+    )
+    def test_non_laurent_image_texts(self, assignment, text, message):
+        src = Seed.initial(["x1", "x2"], ["x1", "x2"], [("x1", "x2", 1), ("x2", "x1", -1)])
+        m = ClusterMap(src, Seed.initial(["y"], [], []), assignment)
+        with pytest.raises(NonLaurentImage) as err:
+            m.apply(parse_poly(text))
+        assert str(err.value) == message
+
     def test_extra_consistency_enforced(self):
         src = ideal_counterexample_map().source
         with pytest.raises(InvalidSeed):
