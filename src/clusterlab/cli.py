@@ -46,6 +46,7 @@ from .errors import (
     CrossingPair,
     Inconclusive,
     InvalidSeed,
+    LabelCollision,
     LaurentParseError,
     NotAdmissible,
     NotAdmissibleAtStage,
@@ -712,6 +713,7 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ParseError, InvalidSeed, LaurentParseError, NotExchangeable,
         NotAdmissible, NotFlippable, NotAdmissibleAtStage, UnknownVertex,
+        LabelCollision,
     ) as exc:
         emit({"error": str(exc)}, args.format)
         return EXIT_INPUT

@@ -273,33 +273,14 @@ def classify_arc(t: FiniteTriangulation, a: Arc) -> str:
     return "edge" if j - i in (1, len(t.points) - 1) else "internal"
 
 
-def _checked(t: FiniteTriangulation) -> FiniteTriangulation:
-    """The checks every finite triangulation passes, on ranks, whose pairs
+def validate_triangulation(
+    points: Iterable[Fraction], arcs: Iterable[Arc]
+) -> FiniteTriangulation:
+    """Reads the points and arcs, then checks them on ranks, whose pairs
     (i, j) have i < j as Arcs are ordered: no two arcs cross (one pass),
     and, as points on a circle are in convex position, the non-crossing set
     is maximal iff it has 2n - 3 arcs. Errors name arcs: the first crossing
     pair in (p, q) order, or the first free arc that crosses nothing."""
-    n = len(t.points)
-    pairs = t._pairs
-    if not _non_crossing(pairs):
-        raise CrossingPair(*first_crossing(sorted(t.arcs)))
-    if len(pairs) < 2 * n - 3:
-        for i, j in combinations(range(n), 2):
-            if (i, j) in pairs:
-                continue
-            cand = Arc(t.points[i], t.points[j])
-            if not any(arcs_cross(cand, a) for a in t.arcs):
-                raise NotMaximal(cand)
-    # consequence of maximality: all edges of the point set are present
-    assert all((k, k + 1) in pairs for k in range(n - 1)) and (0, n - 1) in pairs
-    return t
-
-
-def validate_triangulation(
-    points: Iterable[Fraction], arcs: Iterable[Arc]
-) -> FiniteTriangulation:
-    """Reads the points and arcs, then checks non-crossing and maximality
-    on ranks."""
     pts = tuple(sorted({norm_angle(p) for p in points}))
     if len(pts) < 2:
         raise TooFewPoints("a triangulation needs at least two marked points")
@@ -307,7 +288,20 @@ def validate_triangulation(
     for a in t.arcs:
         if None in t._pair_of(a):
             raise UnmarkedPoint(f"arc {a} uses a point outside the marked set")
-    return _checked(t)
+    n = len(pts)
+    pairs = t._pairs
+    if not _non_crossing(pairs):
+        raise CrossingPair(*first_crossing(sorted(t.arcs)))
+    if len(pairs) < 2 * n - 3:
+        for i, j in combinations(range(n), 2):
+            if (i, j) in pairs:
+                continue
+            cand = Arc(pts[i], pts[j])
+            if not any(arcs_cross(cand, a) for a in t.arcs):
+                raise NotMaximal(cand)
+    # consequence of maximality: all edges of the point set are present
+    assert all((k, k + 1) in pairs for k in range(n - 1)) and (0, n - 1) in pairs
+    return t
 
 
 def triangles(t: FiniteTriangulation) -> list[Corners]:
@@ -354,11 +348,12 @@ def seed_from_triangulation(t: FiniteTriangulation) -> Seed:
 
 def flip_arc(t: FiniteTriangulation, a: Arc) -> FiniteTriangulation:
     """Replace an exchangeable arc by the opposite diagonal of its
-    quadrilateral. The result is derived from the parent, checked on
-    ranks: the new diagonal joins the apexes of the two flanking
-    triangles, those two triangles give way to the two on the new
-    diagonal, and the child passes the checks validate_triangulation
-    makes."""
+    quadrilateral. The result is derived from the parent on ranks: the new
+    diagonal joins the apexes of the two flanking triangles, and those two
+    triangles give way to the two on the new diagonal. The child needs no
+    validation: the flanking triangles form a convex quadrilateral, whose
+    other diagonal crosses no arc of the parent but the one removed, and
+    the child still has 2n - 3 arcs."""
     pair = t._pair_of(a)
     if len(t._faces.get(pair, ())) != 2:
         raise NotFlippable(a)
@@ -378,7 +373,7 @@ def _flip(t: FiniteTriangulation, pair: Pair) -> FiniteTriangulation:
     tris += (tuple(sorted((i, k1, k2))), tuple(sorted((j, k1, k2))))
     u = FiniteTriangulation(t.points, t.arcs - {t._pairs[pair]} | {new_arc})
     u.__dict__.update(_rank=t._rank, _pairs=pairs, _rank_triangles=sorted(tris))
-    return _checked(u)
+    return u
 
 
 def fan_triangulation(n: int) -> FiniteTriangulation:

@@ -396,11 +396,13 @@ class TestCommands:
         assert code == 0
         assert "count: 1" in out
 
-    def test_coproduct_collision_exits_one_or_three(self, files, capsys):
-        code, _ = run_cli(
-            ["coproduct", "--seeds", files["a2.seed"], files["a2.seed"]], capsys
-        )
-        assert code in (1, 3)
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_coproduct_collision_exits_three(self, files, fmt):
+        # summands that share a label are an input error, not a failed
+        # verification
+        argv = ["--format", fmt, "coproduct", "--seeds", files["a2.seed"], files["a2.seed"]]
+        report = {"error": "label 'y1' occurs in more than one summand"}
+        assert run_captured(argv) == (3, rendered(report, fmt), "")
 
     def test_flip_roundtrip(self, files, tmp_path, capsys):
         out1 = tmp_path / "flip1.tri"
@@ -876,6 +878,23 @@ class TestHardenedInput:
         path.write_text(json.dumps({"families": [{"kind": "half-nest", "limit": "0/1", "scale": "1/4"}]}))
         argv = ["--format", fmt, "validate-tri", "--tri", str(path)]
         assert run_captured(argv) == (1, rendered({"error": "half-nest needs a second limit"}, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ({"kind": "nest", "limit": "1/2", "scale": "1/4", "scale2": "0"},
+             "tip sequence needs a nonzero step"),
+            ({"kind": "right-fountain", "limit": "1/2", "scale": "1/2", "start": 1, "base": "0"},
+             "tip sequence must stay within half a turn of its limit"),
+        ],
+        ids=["zero-step", "half-turn"],
+    )
+    def test_tip_sequence_guards_exit_one(self, tmp_path, fmt, family, message):
+        path = tmp_path / "bad.tri"
+        path.write_text(json.dumps({"families": [family]}))
+        argv = ["--format", fmt, "validate-tri", "--tri", str(path)]
+        assert run_captured(argv) == (1, rendered({"error": message}, fmt), "")
 
     @pytest.mark.parametrize("fmt", ["plain", "structured"])
     def test_extra_arc_crossing_a_limit_arc_exits_one(self, tmp_path, fmt):

@@ -189,6 +189,34 @@ class TestBalls:
         assert balls[3].labels == tuple(sorted(rows))
 
 
+# the four built-in oracles and four finite types, by name
+TEST_ORACLES = {
+    **ORACLES,
+    **{kind: lambda kind=kind: FiniteSeedOracle(finite_type_root(kind)) for kind in ["A5", "D5", "B4", "G2"]},
+}
+
+
+def assert_inclusions_pass(fil):
+    for inc in fil.inclusions:
+        assert check_no_specialization_conditions(inc).passed
+
+
+@st.composite
+def skew_symmetrizable_seeds(draw, max_rank=6):
+    """An initial seed of rank 1 to max_rank whose matrix d symmetrizes:
+    b_ij = c d_j and b_ji = -c d_i for a drawn symmetrizer d and bond c,
+    with a drawn set of exchangeables."""
+    n = draw(st.integers(1, max_rank))
+    d = [draw(st.integers(1, 3)) for _ in range(n)]
+    labels = [f"v{i}" for i in range(n)]
+    entries = []
+    for i, j in combinations(range(n), 2):
+        c = draw(st.sampled_from([0, 0, 1, -1, 2, -2]))
+        if c:
+            entries += [(labels[i], labels[j], c * d[j]), (labels[j], labels[i], -c * d[i])]
+    return Seed.initial(labels, draw(st.sets(st.sampled_from(labels))), entries)
+
+
 class TestFiltration:
     def test_path_stage_sizes(self):
         fil = build_filtration(PathQuiverOracle(), 3)
@@ -205,10 +233,16 @@ class TestFiltration:
             ok, witness = check_only_coefficients(inner, outer)
             assert ok, witness
 
-    def test_consecutive_inclusions_verified(self):
-        fil = build_filtration(PathQuiverOracle(), 4)
-        for inc in fil.inclusions:
-            assert check_no_specialization_conditions(inc).passed
+    @pytest.mark.parametrize("name", list(TEST_ORACLES))
+    def test_consecutive_inclusions_verified(self, name):
+        # inclusion_morphism checks only coefficients; the characterization
+        # is the reference that this is enough for a morphism
+        assert_inclusions_pass(build_filtration(TEST_ORACLES[name](), 5))
+
+    @settings(max_examples=50, deadline=None)
+    @given(rotated_templates())
+    def test_consecutive_inclusions_verified_on_generated_files(self, data):
+        assert_inclusions_pass(triangulation_filtration(tri_from_data(data), 4))
 
     def test_triangulation_freed_without_the_cycle_collector(self):
         # its memo tables reach it through a proxy, so dropping the oracle
@@ -396,6 +430,18 @@ def test_triangulation_route_agrees_on_polygons(data, draw):
     assert_glued_stages(tri, 6, [draw.draw(st.sampled_from(sorted(tri.arcs)))])
 
 
+@settings(max_examples=100, deadline=None)
+@given(skew_symmetrizable_seeds(), st.data())
+def test_only_coefficients_decides_the_inclusion_conditions(outer, data):
+    # the full subseed on L with exchangeables E, E among outer's on L
+    labels = data.draw(st.sets(st.sampled_from(outer.labels), min_size=1))
+    sub = full_subseed(outer, labels)
+    exchangeable = data.draw(st.sets(st.sampled_from(sorted(sub.exchangeable)))) if sub.exchangeable else set()
+    inner = Seed(sub.labels, frozenset(exchangeable), sub.matrix, dict(sub.values))
+    identity = ClusterMap(inner, outer, {v: v for v in inner.labels})
+    assert check_only_coefficients(inner, outer)[0] == check_no_specialization_conditions(identity).passed
+
+
 class TestOnlyCoefficients:
     def test_pass(self):
         inner = materialize_ball(PathQuiverOracle(), "x0", 1)
@@ -581,17 +627,11 @@ def assert_stable_in_later_stages(make, sequence, target):
         assert _mutate_tracking(later, sequence, target) == (value, True, None)
 
 
-STABLE_ORACLES = {
-    **ORACLES,
-    **{kind: lambda kind=kind: FiniteSeedOracle(finite_type_root(kind)) for kind in ["A5", "D5", "B4", "G2"]},
-}
-
-
-@pytest.mark.parametrize("name", list(STABLE_ORACLES))
+@pytest.mark.parametrize("name", list(TEST_ORACLES))
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_stable_value_holds_in_later_stages(name, data):
-    make = STABLE_ORACLES[name]
+    make = TEST_ORACLES[name]
     _, _, sequence, targets = data.draw(oracle_walks(make()))
     for target in targets:
         assert_stable_in_later_stages(make, sequence, target)

@@ -1047,9 +1047,9 @@ class TestFlipEquivalence:
     """A flip derived from its parent equals the triangulation validated
     from scratch on the same arcs, in every answer it gives."""
 
-    @pytest.mark.parametrize("n", range(4, 9))
-    def test_flip_equals_validation_from_scratch(self, n):
-        for t in all_triangulations(n):
+    @staticmethod
+    def assert_flips_match(triangulations):
+        for t in triangulations:
             for a in sorted(exchangeable_arcs(t)):
                 u = flip_arc(t, a)
                 v = validate_triangulation(t.points, (t.arcs - {a}) | {opposite_diagonal(t, a)})
@@ -1063,6 +1063,22 @@ class TestFlipEquivalence:
                 assert (su.labels, su.exchangeable, su.matrix, su.values) == (
                     sv.labels, sv.exchangeable, sv.matrix, sv.values,
                 )
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_flip_equals_validation_from_scratch(self, n):
+        self.assert_flips_match(all_triangulations(n))
+
+    @settings(max_examples=2, deadline=None)
+    @given(st.lists(st.integers(0, 96), min_size=8, max_size=8, unique=True))
+    def test_flip_equals_validation_on_drawn_points(self, ks):
+        # the octagon's triangulations carried by rank onto eight points k/97
+        points = sorted(F(k, 97) for k in ks)
+        octagon = all_triangulations(8)
+        rank = {p: i for i, p in enumerate(octagon[0].points)}
+        self.assert_flips_match(
+            validate_triangulation(points, {Arc(points[rank[a.p]], points[rank[a.q]]) for a in t.arcs})
+            for t in octagon
+        )
 
 
 # -- flips against the Plücker relations --------------------------------------------

@@ -68,6 +68,13 @@ class TestMul:
         p = parse_poly("3*x1^2 - x2")
         assert lp_mul(p, zero) == zero
 
+    def test_negative_power_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            LaurentPoly.var("x") ** -1
+        assert str(err.value) == (
+            "negative powers of polynomials are not defined; invert monomials explicitly"
+        )
+
 
 class TestExactDiv:
     def test_factored_product(self):

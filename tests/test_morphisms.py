@@ -4,6 +4,8 @@ counterexamples, plus the randomized soundness properties."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterlab.errors import (
     Inconclusive,
@@ -29,13 +31,16 @@ from clusterlab.morphisms import (
 from clusterlab.seeds import (
     Seed,
     check_similar,
+    connected_components,
     coproduct,
     enumerate_cluster_variables,
     full_subseed,
     is_admissible,
     mutate_seed,
     opposite_seed,
+    verify_similarity_bijection,
 )
+from test_colimits import skew_symmetrizable_seeds
 
 
 def a2_seed():
@@ -461,6 +466,40 @@ class TestCompose:
         f13 = compose(f23, f12)
         assert f13.assignment == {"x1": "x1"}
         assert f13.target.same_seed(s)
+
+
+def assert_characterized(fwd, inv):
+    assert check_no_specialization_conditions(fwd).passed
+    assert check_no_specialization_conditions(inv).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_symmetrizable_seeds(max_rank=5), st.data())
+def test_similarity_maps_pass_the_characterization(s, data):
+    # t is s relabelled, in a drawn order, with one drawn sign per
+    # connected component; morphism_from_similarity trusts the verify, and
+    # the characterization is the reference that this is sound
+    relabel = dict(zip(s.labels, data.draw(st.permutations([f"u{i}" for i in range(len(s.labels))]))))
+    sign = {}
+    for comp in connected_components(s):
+        sign.update(dict.fromkeys(comp.labels, data.draw(st.sampled_from([1, -1]))))
+    t = Seed.initial(
+        [relabel[v] for v in data.draw(st.permutations(s.labels))],
+        [relabel[v] for v in s.exchangeable],
+        [(relabel[v], relabel[w], sign[v] * b) for v, row in s.matrix.items() for w, b in row.items()],
+    )
+    witness = check_similar(s, t)
+    assert witness is not None
+    fwd, inv = morphism_from_similarity(witness, s, t)
+    assert_characterized(fwd, inv)
+    for p in enumerate_cluster_variables(s, 2):
+        assert inv.apply(fwd.apply(p)) == p
+    # verify implies the characterization both ways: for the relabelling,
+    # which verifies, and for a bijection drawn at random, which may not
+    assert verify_similarity_bijection(s, t, relabel)
+    for bijection in (relabel, dict(zip(s.labels, data.draw(st.permutations(t.labels))))):
+        if verify_similarity_bijection(s, t, bijection):
+            assert_characterized(*morphism_from_similarity(bijection, s, t))
 
 
 class TestSimilarityMorphisms:

@@ -513,6 +513,12 @@ class TestSimilarity:
         assert not verify_similarity_bijection(s, t, {"a": "p", "b": "q", "c": "q"})
         assert verify_similarity_bijection(s, s, {"a": "a", "b": "b", "c": "c"})
 
+    def test_verify_rejects_a_map_that_misses_a_source_label(self):
+        s = Seed.initial(["a", "b"], ["a", "b"], [("a", "b", 1), ("b", "a", -1)])
+        t = Seed.initial(["p", "q"], ["p", "q"], [("p", "q", 1), ("q", "p", -1)])
+        assert not verify_similarity_bijection(s, t, {"a": "p"})
+        assert verify_similarity_bijection(s, t, {"a": "p", "b": "q"})
+
     def test_verify_rejects_an_exchangeable_sent_to_a_coefficient(self):
         s = Seed.initial(["a", "b"], ["a", "b"], [("a", "b", 1), ("b", "a", -1)])
         t = Seed.initial(["p", "q"], ["p"], [("p", "q", 1), ("q", "p", -1)])
@@ -584,6 +590,11 @@ class TestSeedInvariants:
         with pytest.raises(InvalidSeed) as err:
             Seed(**{**fields, **change})
         assert str(err.value) == text
+
+    def test_duplicate_labels_are_an_invalid_seed(self):
+        with pytest.raises(InvalidSeed) as err:
+            Seed.initial(["a", "a"], [], [])
+        assert str(err.value) == "duplicate labels in cluster"
 
     def test_mutation_keeps_the_distinct_values_check(self):
         # mutation skips the structural checks it preserves, not this one:
