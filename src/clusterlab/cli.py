@@ -70,7 +70,6 @@ from .seeds import (
     DEFAULT_NODE_BUDGET,
     Seed,
     check_similar,
-    check_skew_symmetrizable,
     connected_components,
     coproduct,
     enumerate_cluster_variables,
@@ -140,7 +139,8 @@ def _fraction(value: Any, what: str, angle: bool = True) -> Fraction:
 
 
 def load_seed_file(path: str) -> Seed:
-    """Parse, validate, and skew-symmetrizability-check a seed file."""
+    """Parse and validate a seed file; the Seed constructor checks that its
+    matrix is skew-symmetrizable."""
     data = _load_json(path)
     _expect(isinstance(data, dict), "seed file must be an object")
     _known_keys(data, ("variables", "matrix", "values"), "the seed file")
@@ -161,7 +161,7 @@ def load_seed_file(path: str) -> Seed:
         if flag:
             exchangeable.add(entry["id"])
     label_set = set(labels)
-    entries: list[tuple[str, str, int]] = []
+    matrix: dict[str, dict[str, int]] = {}
     given: set[tuple[str, str]] = set()
     for triple in _list_field(data, "matrix"):
         _expect(
@@ -181,33 +181,35 @@ def load_seed_file(path: str) -> Seed:
             )
         _expect((row, col) not in given, f"matrix entry ({row!r}, {col!r}) is given twice")
         given.add((row, col))
-        entries.append((row, col, value))
+        if value:
+            matrix.setdefault(row, {})[col] = value
     try:
-        seed = Seed.initial(labels, exchangeable, entries)
-        if "values" in data:
-            values = {}
-            for pair in _list_field(data, "values"):
-                _expect(
-                    isinstance(pair, list)
-                    and len(pair) == 2
-                    and all(isinstance(x, str) for x in pair),
-                    "'values' entries are [id, laurent-text] pairs",
+        if "values" not in data:
+            return Seed.initial(labels, exchangeable, matrix)
+        # the constructor's first check, made before the values are read
+        if len(label_set) != len(labels):
+            raise InvalidSeed("duplicate labels in cluster")
+        values = {}
+        for pair in _list_field(data, "values"):
+            _expect(
+                isinstance(pair, list)
+                and len(pair) == 2
+                and all(isinstance(x, str) for x in pair),
+                "'values' entries are [id, laurent-text] pairs",
+            )
+            vid, text = pair
+            if vid not in label_set:
+                raise ParseError(
+                    f"values entry references undeclared variable {vid!r}"
                 )
-                vid, text = pair
-                if vid not in label_set:
-                    raise ParseError(
-                        f"values entry references undeclared variable {vid!r}"
-                    )
-                _expect(vid not in values, f"values entry for {vid!r} is given twice")
-                values[vid] = parse_poly(text)
-            _expect(set(values) == label_set, "'values' must cover every variable")
-            seed = Seed(seed.labels, seed.exchangeable, seed.matrix, values)
-        check_skew_symmetrizable(seed)
+            _expect(vid not in values, f"values entry for {vid!r} is given twice")
+            values[vid] = parse_poly(text)
+        _expect(set(values) == label_set, "'values' must cover every variable")
+        return Seed(tuple(labels), frozenset(exchangeable), matrix, values)
     except LaurentParseError as exc:
         raise ParseError(f"bad laurent text: {exc}") from exc
     except ClusterLabError as exc:
         raise InvalidSeed(str(exc)) from exc
-    return seed
 
 
 def seed_to_data(seed: Seed) -> dict:

@@ -53,7 +53,6 @@ from .morphisms import (
 from .seeds import (
     Memo,
     Seed,
-    _extend_symmetrizer,
     connected_components,
     fresh_label,
     grow,
@@ -267,24 +266,19 @@ ORACLES = {
 def _oracle_balls(oracle: SeedOracle, center: VarId) -> Iterator[Seed]:
     """materialize_ball(oracle, center, r) for r = 0, 1, 2, ...: a row is
     fetched when its vertex enters the ball, exchangeability is asked when
-    the vertex leaves the outer shell. Each ball goes to seeds'
-    _extend_symmetrizer, which checks its new shell against the ratios
-    kept from the balls before."""
+    the vertex leaves the outer shell. A ball the Seed constructor finds
+    not skew-symmetrizable makes the oracle inconsistent."""
     rows = Memo(oracle.neighbor_row)
     exchangeable: set[VarId] = set()
-    ratios: dict = {}  # _extend_symmetrizer's, from ball to ball
-    inner: set[VarId] = set()  # the shell before
     for ball, shell in grow(center, rows.__getitem__):
         labels = sorted(ball)  # so the rows of the shell are fetched in sorted order
         matrix = {v: {w: b for w, b in rows[v].items() if w in ball} for v in labels}
-        seed = Seed.initial(labels, exchangeable, matrix)
         try:
-            _extend_symmetrizer(ratios, seed, sorted(inner), shell)
+            seed = Seed.initial(labels, exchangeable, matrix)
         except NotSkewSymmetrizable as exc:
             raise OracleInconsistent(f"ball at {center!r} is not skew-symmetrizable: {exc}")
         yield seed
         exchangeable |= {v for v in sorted(shell) if oracle.is_exchangeable(v)}
-        inner = shell
 
 
 def materialize_ball(oracle: SeedOracle, center: VarId, radius: int) -> Seed:

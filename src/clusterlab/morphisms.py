@@ -93,12 +93,13 @@ class ClusterMap:
         return self._ambient.const(img)
 
     def _subst_poly(self, p: LaurentPoly) -> LaurentPoly:
+        """f(p) for a polynomial p. _substitute passes only p shifted by
+        -min_exponents(p) and a nonnegative monomial, so every exponent here
+        is at least 0."""
         out = self._ambient.const(0)
         for mono, coeff in p.terms.items():
             term = self._ambient.const(coeff)
             for v, e in mono:
-                if e < 0:
-                    raise AssertionError("substitution needs a polynomial")
                 term = term * self._resolve(self.assignment[v]) ** e
             out = out + term
         return out

@@ -68,10 +68,13 @@ class Seed:
     and checks it. The positional form is what mutation reads and writes:
     `_vals` (the values by position in `labels`), `_rows` (each row as
     {position: b}, one per position) and `_ex` (the exchangeable
-    positions). Each form is derived from the other once, on first read,
-    and a form already held is never derived: a seed the constructor made
-    derives its positional form on its first mutation, and a seed mutation
-    made derives `values`, `matrix` or `exchangeable` when one is read."""
+    positions). The constructor builds the positional form in the pass
+    that checks the label form, and then checks that the matrix is
+    skew-symmetrizable (see check_skew_symmetrizable), raising
+    NotSkewSymmetrizable with its witness if not: so every seed has a zero
+    diagonal and sign-skew support. A seed mutation made holds only the
+    positional form, and derives `values`, `matrix` or `exchangeable` when
+    one is read."""
 
     def __init__(
         self,
@@ -80,21 +83,24 @@ class Seed:
         matrix: Matrix,
         values: dict[VarId, LaurentPoly],
     ):
-        cluster = set(labels)
-        if len(cluster) != len(labels):
+        at = {v: i for i, v in enumerate(labels)}
+        if len(at) != len(labels):
             raise InvalidSeed("duplicate labels in cluster")
-        if not exchangeable <= cluster:
-            extra = sorted(exchangeable - cluster)
+        if not at.keys() >= exchangeable:
+            extra = sorted(exchangeable - at.keys())
             raise InvalidSeed(f"exchangeable labels not in cluster: {extra}")
+        rows: list[dict[int, int]] = [{} for _ in labels]
         for v, row in matrix.items():
-            if v not in cluster:
+            if v not in at:
                 raise InvalidSeed(f"matrix row {v!r} not in cluster")
+            r = rows[at[v]]
             for w, b in row.items():
-                if w not in cluster:
+                if w not in at:
                     raise InvalidSeed(f"matrix column {w!r} not in cluster")
                 if b == 0:
                     raise InvalidSeed("zero entries must not be stored")
-        if set(values) != cluster:
+                r[at[w]] = b
+        if values.keys() != at.keys():
             raise InvalidSeed("values must be given for exactly the cluster labels")
         # every value on one ambient, so mutation never re-encodes
         values = on_one_ambient(values)
@@ -103,7 +109,15 @@ class Seed:
             first = seen.setdefault(values[v], v)
             if first != v:
                 _shared_value(first, v, values[v])
-        self.__dict__.update(labels=labels, exchangeable=exchangeable, matrix=matrix, values=values)
+        rows = tuple(rows)
+        # a skew-symmetric matrix needs no ratio walk; any other is walked,
+        # which raises for one that is not skew-symmetrizable
+        if any(rows[j].get(i) != -b for i, r in enumerate(rows) for j, b in r.items()):
+            _symmetrizer(labels, rows)
+        self.__dict__.update(
+            labels=labels, exchangeable=exchangeable, matrix=matrix, values=values, _rows=rows,
+            _vals=tuple(map(values.__getitem__, labels)), _ex=frozenset(map(at.__getitem__, exchangeable)),
+        )
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -111,7 +125,7 @@ class Seed:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    # -- the two forms, each derived from the other ---------------------------
+    # -- the label form, derived for a seed mutation made --------------------
 
     @derived
     def values(self) -> dict[VarId, LaurentPoly]:
@@ -125,25 +139,6 @@ class Seed:
     @derived
     def exchangeable(self) -> frozenset[VarId]:
         return frozenset(map(self.labels.__getitem__, self._ex))
-
-    @derived
-    def _vals(self) -> tuple[LaurentPoly, ...]:
-        return tuple(map(self.values.__getitem__, self.labels))
-
-    @derived
-    def _rows(self) -> tuple[dict[int, int], ...]:
-        at = {v: i for i, v in enumerate(self.labels)}
-        rows: list[dict[int, int]] = [{} for _ in at]
-        for v, row in self.matrix.items():
-            r = rows[at[v]]
-            for w, b in row.items():
-                r[at[w]] = b
-        return tuple(rows)
-
-    @derived
-    def _ex(self) -> frozenset[int]:
-        ex = self.exchangeable
-        return frozenset([i for i, v in enumerate(self.labels) if v in ex])
 
     @derived
     def _exchanges(self) -> dict:
@@ -199,17 +194,10 @@ class Seed:
     def row(self, v: VarId) -> dict[VarId, int]:
         return dict(self.matrix.get(v, {}))
 
-    @derived
-    def _adjacency(self) -> dict[VarId, set[VarId]]:
-        """Neighbours from rows and columns (support need not be sign-skew)."""
-        adj: dict[VarId, set[VarId]] = {}
-        for v, w in ((v, w) for v, row in self.matrix.items() for w in row if w != v):
-            adj.setdefault(v, set()).add(w)
-            adj.setdefault(w, set()).add(v)
-        return adj
-
     def neighbours(self, v: VarId) -> set[VarId]:
-        return set(self._adjacency.get(v, ()))
+        """The labels of v's row: the support is sign-skew, so its column
+        holds the same ones."""
+        return set(self.matrix.get(v, ()))
 
     def reroot(self) -> "Seed":
         """Forget values: each label becomes its own initial variable."""
@@ -246,30 +234,45 @@ class Seed:
 
 
 def check_skew_symmetrizable(seed: Seed) -> dict[VarId, int]:
-    """Least positive integral symmetrizer per connected component.
+    """Least positive integral symmetrizer per connected component: the
+    walk of _symmetrizer on the seed's rows. The constructor has made that
+    walk, or found the matrix skew-symmetric, so for a seed it never
+    raises."""
+    return _symmetrizer(seed.labels, seed._rows)
 
-    Propagates _ratio_step along nonzero entries and clears denominators
-    componentwise; raises NotSkewSymmetrizable with a witness pair (sign
-    violation, a diagonal entry at (v, v) included) or cycle (inconsistent
-    ratios). The Seed has already placed every entry in its cluster.
+
+def _symmetrizer(labels: Sequence[VarId], rows: Sequence[Mapping[int, int]]) -> dict[VarId, int]:
+    """Least positive integral symmetrizer per connected component of the
+    matrix with the given rows, by label.
+
+    A sign pass over each position's row and column support, then
+    _ratio_step propagated along nonzero entries, first in, first out,
+    with denominators cleared componentwise; raises NotSkewSymmetrizable
+    with a witness pair (sign violation, a diagonal entry at (v, v)
+    included) or cycle (inconsistent ratios). Positions are visited in
+    label order, so the witness follows label order, not string hashes.
     """
-    labels, b, adjacency = sorted(seed.labels), seed.b, seed._adjacency
-    # sorted once: the witness and the walk follow label order, not string
-    # hashes; a diagonal entry makes v its own neighbour, for the sign pass
-    neighbours = {v: sorted(adjacency.get(v, set()) | ({v} if b(v, v) else set())) for v in labels}
-    for v in labels:
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    support: list[set[int]] = [set() for _ in labels]
+    for i, r in enumerate(rows):
+        for j in r:
+            support[i].add(j)
+            support[j].add(i)
+    neighbours = [sorted(s, key=labels.__getitem__) for s in support]
+    b = lambda i, j: rows[i].get(j, 0)
+    for v in order:
         for w in neighbours[v]:
             bvw, bwv = b(v, w), b(w, v)
             if bvw * bwv > 0 or (bvw == 0) != (bwv == 0):
                 raise NotSkewSymmetrizable(
-                    f"sign violation at ({v!r}, {w!r}): b={bvw}, b'={bwv}",
-                    witness=(v, w),
+                    f"sign violation at ({labels[v]!r}, {labels[w]!r}): b={bvw}, b'={bwv}",
+                    witness=(labels[v], labels[w]),
                 )
 
-    d: dict[VarId, tuple[int, int]] = {}
-    parent: dict[VarId, VarId] = {}
+    d: dict[int, tuple[int, int]] = {}
+    parent: dict[int, int] = {}
     result: dict[VarId, int] = {}
-    for root in labels:
+    for root in order:
         if root in d:
             continue
         d[root] = (1, 1)
@@ -279,7 +282,7 @@ def check_skew_symmetrizable(seed: Seed) -> dict[VarId, int]:
             for w in neighbours[v]:
                 dw = _ratio_step(d[v], b(v, w), b(w, v))
                 if d.setdefault(w, dw) != dw:
-                    cycle = _trace_cycle(parent, v, w)
+                    cycle = tuple(labels[u] for u in _trace_cycle(parent, v, w))
                     raise NotSkewSymmetrizable(
                         f"inconsistent symmetrizer ratios on cycle {cycle}",
                         witness=cycle,
@@ -291,7 +294,7 @@ def check_skew_symmetrizable(seed: Seed) -> dict[VarId, int]:
         top = gcd(*(d[v][0] for v in component))
         bottom = lcm(*(d[v][1] for v in component))
         for v in component:
-            result[v] = d[v][0] // top * (bottom // d[v][1])
+            result[labels[v]] = d[v][0] // top * (bottom // d[v][1])
     return result
 
 
@@ -303,30 +306,7 @@ def _ratio_step(dv: tuple[int, int], bvw: int, bwv: int) -> tuple[int, int]:
     return n // g, m // g
 
 
-def _extend_symmetrizer(ratios: dict, seed: Seed, inner: list[VarId], shell: set[VarId]) -> None:
-    """Extends in place a symmetrizer of a ball less its outer shell to the
-    ball `seed`, by _ratio_step over every entry touching the shell; each
-    lies in a row of the shell or of the one before (`inner`), whose
-    neighbours the shell is. Empty `ratios` start at the first ball, whose
-    shell is its center."""
-    if not ratios:
-        ratios.update(dict.fromkeys(shell, (1, 1)))
-    matrix = seed.matrix
-    for v in [*inner, *sorted(shell)]:
-        for w, bvw in matrix.get(v, {}).items():
-            if v not in shell and w not in shell:
-                continue
-            bwv = matrix.get(w, {}).get(v, 0)
-            if bvw * bwv < 0 and v in ratios:
-                dw = _ratio_step(ratios[v], bvw, bwv)
-                if ratios.setdefault(w, dw) == dw:
-                    continue
-            # a sign violation or inconsistency: the full check raises, or re-seeds
-            ratios.update((u, (d, 1)) for u, d in check_skew_symmetrizable(seed).items())
-            return
-
-
-def _trace_cycle(parent: Mapping[VarId, VarId], v: VarId, w: VarId) -> tuple[VarId, ...]:
+def _trace_cycle(parent: Mapping[int, int], v: int, w: int) -> tuple[int, ...]:
     path_v = [v]
     while parent[path_v[-1]] != path_v[-1]:
         path_v.append(parent[path_v[-1]])
@@ -374,11 +354,11 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     at the variable's position, and callers track variables by position.
     Mutation reads and writes only the positional form of a seed (`_vals`,
     `_rows`, `_ex`), its labels and the exchange table, so it builds no
-    label-keyed dict; the exchangeable positions never change. Mutation at
-    x needs b_xx = 0 (a skew-symmetrizable matrix has a zero diagonal): a
-    nonzero diagonal entry raises InvalidSeed before any division or table
-    entry. With b_xx = 0 mutation is an involution, whatever the support of
-    the matrix.
+    label-keyed dict; the exchangeable positions never change. A seed's
+    matrix is skew-symmetrizable, with a zero diagonal and sign-skew
+    support: so b_vx and b_xv never share a sign, the 2-path update never
+    writes b_vv, and mutation keeps the matrix skew-symmetrizable, with
+    the same symmetrizer, and is an involution.
 
     The exchange table is the walk's value store: it holds each value as
     itself, a root's values from the start and each quotient when it is
@@ -403,8 +383,6 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
         raise NotExchangeable(x)
     rows, vals = seed._rows, seed._vals
     row = rows[at]
-    if at in row:  # the 2-path update would write into x's own row
-        raise InvalidSeed(f"cannot mutate at {x!r}: its diagonal entry is {row[at]}, not 0")
     table, old = seed._exchanges, vals[at]
     key = (id(old), frozenset([(id(vals[j]), e) for j, e in row.items()]))
     new_value = table.get(key)

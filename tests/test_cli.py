@@ -887,14 +887,36 @@ class TestHardenedInput:
              "tip sequence needs a nonzero step"),
             ({"kind": "right-fountain", "limit": "1/2", "scale": "1/2", "start": 1, "base": "0"},
              "tip sequence must stay within half a turn of its limit"),
+            ({"kind": "right-fountain", "limit": "1/2", "scale": "1/2", "start": 0, "base": "0"},
+             "tip index range must start at k >= 1"),
         ],
-        ids=["zero-step", "half-turn"],
+        ids=["zero-step", "half-turn", "start-zero"],
     )
     def test_tip_sequence_guards_exit_one(self, tmp_path, fmt, family, message):
         path = tmp_path / "bad.tri"
         path.write_text(json.dumps({"families": [family]}))
         argv = ["--format", fmt, "validate-tri", "--tri", str(path)]
         assert run_captured(argv) == (1, rendered({"error": message}, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize(
+        "labels, matrix, message",
+        [
+            ("ab", [["b", "a", 1]], "sign violation at ('a', 'b'): b=0, b'=1"),
+            ("ab", [["a", "a", 1], ["a", "b", 1], ["b", "a", -1]], "sign violation at ('a', 'a'): b=1, b'=1"),
+            ("abc", [["a", "b", 1], ["a", "c", -1], ["b", "a", -2], ["b", "c", 1], ["c", "a", 1], ["c", "b", -1]],
+             "inconsistent symmetrizer ratios on cycle ('b', 'a', 'c')"),
+        ],
+        ids=["one-way", "diagonal", "cycle"],
+    )
+    def test_a_matrix_that_is_not_skew_symmetrizable_exits_three(self, tmp_path, fmt, labels, matrix, message):
+        # the Seed constructor refuses it, with the witness of its walk in
+        # label order; a one-way entry is found from the column it lies in
+        path = tmp_path / "bad.seed"
+        path.write_text(json.dumps({"variables": [{"id": v, "exchangeable": True} for v in labels],
+                                    "matrix": matrix}))
+        argv = ["--format", fmt, "enumerate", "--seed", str(path)]
+        assert run_captured(argv) == (3, rendered({"error": message}, fmt), "")
 
     @pytest.mark.parametrize("fmt", ["plain", "structured"])
     def test_extra_arc_crossing_a_limit_arc_exits_one(self, tmp_path, fmt):

@@ -63,7 +63,6 @@ from clusterlab.morphisms import ClusterMap, check_cm3, check_no_specialization_
 from clusterlab.errors import NotSkewSymmetrizable
 from clusterlab.seeds import (
     Seed,
-    check_skew_symmetrizable,
     coproduct,
     full_subseed,
     grow,
@@ -485,18 +484,21 @@ class TestOnlyCoefficients:
 
     def test_mismatch_text_names_the_first_entry_in_label_order(self):
         # rows x0 and x1 agree; row x2 differs at x1 and x3 but not at x0,
-        # and row x3 differs too: the text names (x2, x1)
+        # and lists x3 first in the outer seed; row x3 differs too: the text
+        # names (x2, x1)
         inner = Seed.initial(
             ["x0", "x1", "x2", "x3"],
             [],
-            [("x0", "x1", 1), ("x1", "x0", -1), ("x2", "x0", 1), ("x2", "x1", 2), ("x3", "x0", 1)],
+            [("x0", "x1", 1), ("x1", "x0", -1), ("x1", "x2", -1), ("x2", "x1", 2),
+             ("x0", "x3", -1), ("x3", "x0", 1)],
         )
         outer = Seed.initial(
             ["x0", "x1", "x2", "x3", "y"],
             [],
             [
-                ("x0", "x1", 1), ("x1", "x0", -1), ("x1", "y", 1), ("x2", "x0", 1),
-                ("x2", "x1", 1), ("x2", "x3", 1), ("x3", "x0", 2),
+                ("x0", "x1", 1), ("x1", "x0", -1), ("x1", "y", 1), ("y", "x1", -1),
+                ("x1", "x2", -1), ("x2", "x3", 1), ("x2", "x1", 1), ("x3", "x2", -1),
+                ("x0", "x3", -1), ("x3", "x0", 1),
             ],
         )
         with pytest.raises(NotFullSubseed) as exc:
@@ -876,32 +878,60 @@ def test_radius_five_rows_are_pinned(tmp_path):
 
 
 
-# -- the ball check reads only the new shell -------------------------------------------
+# -- the ball check: the constructor walks only a ball that is not skew-symmetric --------
 
 
 @pytest.fixture
-def full_checks(monkeypatch):
-    """The seeds handed to seeds.check_skew_symmetrizable, one per call."""
+def ratio_walks(monkeypatch):
+    """(labels, rows) of each call of seeds._symmetrizer, the ratio walk the
+    Seed constructor makes on a matrix that is not skew-symmetric."""
     calls = []
-    check = clusterlab.seeds.check_skew_symmetrizable
-    counting = lambda seed: calls.append(seed) or check(seed)
-    monkeypatch.setattr(clusterlab.seeds, "check_skew_symmetrizable", counting)
+    walk = clusterlab.seeds._symmetrizer
+    counting = lambda labels, rows: calls.append((set(labels), rows)) or walk(labels, rows)
+    monkeypatch.setattr(clusterlab.seeds, "_symmetrizer", counting)
     return calls
 
 
+def skew_symmetric(rows) -> bool:
+    return all(rows[j].get(i) == -b for i, r in enumerate(rows) for j, b in r.items())
+
+
 @pytest.mark.parametrize("name", sorted(ORACLES))
-def test_consistent_oracle_balls_skip_the_full_check(name, full_checks):
+def test_skew_symmetric_oracle_balls_skip_the_ratio_walk(name, ratio_walks):
     oracle = ORACLES[name]()
     for rep in oracle.representatives():
         assert len(materialize_ball(oracle, rep, 6).labels) > 1
-    assert full_checks == []
+    assert ratio_walks == []
 
 
 @pytest.mark.parametrize("kind", ["A5", "D5", "B4", "G2"])
-def test_consistent_finite_stages_skip_the_full_check(kind, full_checks):
+def test_finite_stages_walk_only_what_is_not_skew_symmetric(kind, ratio_walks):
     fil = build_filtration(FiniteSeedOracle(finite_type_root(kind)), 6)
     assert len(fil.stages[-1].labels) == int(kind[1])
-    assert full_checks == []
+    assert all(not skew_symmetric(rows) for _, rows in ratio_walks)
+    assert (ratio_walks == []) == (kind in ("A5", "D5"))
+
+
+class RawRows:
+    """An oracle on the given rows, which need not be skew-symmetrizable:
+    a seed on them would not be built. Every vertex is exchangeable."""
+
+    def __init__(self, labels, entries):
+        self.rows = {v: {} for v in labels}
+        for v, w, b in entries:
+            self.rows[v][w] = b
+
+    def neighbor_row(self, v):
+        return dict(self.rows[v])
+
+    def is_exchangeable(self, v):
+        return True
+
+    def is_vertex(self, v):
+        return v in self.rows
+
+    def representatives(self):
+        return [min(self.rows)]
 
 
 def first_rejected(oracle, center, radii):
@@ -915,14 +945,13 @@ def first_rejected(oracle, center, radii):
     return None
 
 
-def first_rejected_by_full_checks(oracle, center, radii):
-    """The same, running check_skew_symmetrizable afresh on each ball grown
-    by grow."""
+def first_rejected_by_fresh_checks(oracle, center, radii):
+    """The same, building a seed afresh on each ball grown by grow."""
     for r, (ball, _) in zip(range(radii), grow(center, lambda v: oracle.neighbor_row(v))):
         labels = sorted(ball)
         rows = {v: {w: b for w, b in oracle.neighbor_row(v).items() if w in ball} for v in labels}
         try:
-            check_skew_symmetrizable(Seed.initial(labels, [], rows))
+            Seed.initial(labels, [], rows)
         except NotSkewSymmetrizable as exc:
             return r, f"ball at {center!r} is not skew-symmetrizable: {exc}"
     return None
@@ -956,12 +985,12 @@ def perturbed_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(perturbed_matrices(), st.data())
-def test_incremental_ball_check_matches_the_full_check(matrix, data):
+def test_ball_check_matches_a_fresh_check_of_each_ball(matrix, data):
     labels, entries = matrix
-    oracle = FiniteSeedOracle(Seed.initial(labels, labels, entries))
+    oracle = RawRows(labels, entries)
     center = data.draw(st.sampled_from(labels))
     radii = len(labels) + 2
-    assert first_rejected(oracle, center, radii) == first_rejected_by_full_checks(oracle, center, radii)
+    assert first_rejected(oracle, center, radii) == first_rejected_by_fresh_checks(oracle, center, radii)
 
 
 @pytest.mark.parametrize(
@@ -976,13 +1005,17 @@ def test_incremental_ball_check_matches_the_full_check(matrix, data):
         ([("v0", "v1", 1, -1), ("v0", "v2", 1, -1), ("v1", "v3", 1, -1), ("v2", "v4", 1, -1), ("v3", "v4", 1, 1)], 2),
     ],
 )
-def test_late_inconsistencies_fail_at_their_radius(cycle, radius, full_checks):
+def test_late_inconsistencies_fail_at_their_radius(cycle, radius, ratio_walks):
     labels = sorted({v for v, w, _, _ in cycle} | {w for v, w, _, _ in cycle})
     entries = [e for v, w, b, c in cycle for e in ((v, w, b), (w, v, c))]
-    oracle = FiniteSeedOracle(Seed.initial(labels, labels, entries))
+    oracle = RawRows(labels, entries)
     found = first_rejected(oracle, "v0", len(labels) + 2)
     assert found is not None and found[0] == radius
-    # the shell extension carried every ball before; the failing one alone got the full check
-    ball, _ = next(islice(grow("v0", lambda v: oracle.neighbor_row(v)), radius, None))
-    assert [set(seed.labels) for seed in full_checks] == [ball]
-    assert found == first_rejected_by_full_checks(oracle, "v0", len(labels) + 2)
+    # the balls up to the failing one were each checked once, and only those
+    # that are not skew-symmetric were walked, the failing one last
+    balls = [ball for ball, _ in islice(grow("v0", lambda v: oracle.neighbor_row(v)), radius + 1)]
+    at = lambda ball: {v: i for i, v in enumerate(sorted(ball))}
+    positional = lambda ball: [{at(ball)[w]: b for w, b in oracle.rows[v].items() if w in ball} for v in sorted(ball)]
+    walked = [ball for ball in balls if not skew_symmetric(positional(ball))]
+    assert [labels for labels, _ in ratio_walks] == walked and walked[-1] == balls[-1]
+    assert found == first_rejected_by_fresh_checks(oracle, "v0", len(labels) + 2)

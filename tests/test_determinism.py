@@ -3,7 +3,7 @@ each run in a fresh interpreter under PYTHONHASHSEED 0..3, prints the same
 bytes every time.
 
 The list starts with a seed file whose `a` breaks the sign condition with
-four neighbours at once, so the witness that `check_skew_symmetrizable`
+four neighbours at once, so the witness that the `Seed` constructor
 names depends on the order in which it walks `a`'s neighbours. Then comes
 one small job for each verb that loads a map, reads an oracle or reads a
 finite triangulation."""

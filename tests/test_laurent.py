@@ -237,7 +237,7 @@ class TestPackedFields:
         # the star's ambient gives its variables are those computed for
         # each variable on its own
         leaves = [f"x{i:04d}" for i in range(1200)]
-        star = Seed.initial(["c", *leaves], ["c"], [("c", v, 1) for v in leaves])
+        star = Seed.initial(["c", *leaves], ["c"], [e for v in leaves for e in (("c", v, 1), (v, "c", -1))])
         hashes = [hash(star.values[v]) for v in leaves]
         assert len(set(hashes)) == 1200
         assert hashes == [hash(LaurentPoly.var(v)) for v in leaves]

@@ -104,8 +104,8 @@ def assert_same_walks(root, depth):
 @st.composite
 def small_seeds(draw):
     """A seed on up to four labels: skew-symmetric with entries up to 2, or
-    of any support off the diagonal (one-way entries, entries of equal sign
-    both ways), whose walks may stop at a division or a diagonal entry."""
+    skew-symmetrizable, with mirrored entries b_vw = s d_w and b_wv = -s d_v
+    for a drawn symmetrizer d."""
     rank = draw(st.integers(1, 4))
     labels = [f"v{i}" for i in range(rank)]
     pairs = [(v, w) for i, v in enumerate(labels) for w in labels[i + 1:]]
@@ -115,8 +115,10 @@ def small_seeds(draw):
             b = draw(st.integers(-2, 2))
             entries += [(v, w, b), (w, v, -b)]
     else:
+        d = {v: draw(st.integers(1, 2)) for v in labels}
         for v, w in pairs:
-            entries += [(v, w, draw(st.integers(-2, 2))), (w, v, draw(st.integers(-2, 2)))]
+            s = draw(st.integers(-1, 1))
+            entries += [(v, w, s * d[w]), (w, v, -s * d[v])]
     return Seed.initial(labels, draw(st.sets(st.sampled_from(labels), min_size=1)), entries)
 
 

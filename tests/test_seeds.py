@@ -81,8 +81,9 @@ class TestSkewSymmetrizable:
         assert set(err.value.witness) == {"a", "b"}
 
     def test_one_sided_entry(self):
-        with pytest.raises(NotSkewSymmetrizable):
-            check_skew_symmetrizable(Seed.initial(["a", "b"], [], {"a": {"b": 1}}))
+        with pytest.raises(NotSkewSymmetrizable) as err:
+            Seed.initial(["a", "b"], [], {"a": {"b": 1}})
+        assert str(err.value) == "sign violation at ('a', 'b'): b=1, b'=0"
 
     def test_diagonal_entry(self):
         with pytest.raises(NotSkewSymmetrizable):
@@ -198,22 +199,21 @@ class TestMutation:
         with pytest.raises(NotExchangeable):
             mutate_seed(example_seed(), "x1")
 
-    def test_diagonal_entry_refused(self, monkeypatch):
-        # The 2-path update would write x's row under the old label, outside
-        # the new cluster; mutation refuses before dividing or storing anything.
-        monkeypatch.setattr(clusterlab.laurent, "lp_exact_div", lambda *a: pytest.fail("divided"))
-        s = Seed(("v0", "v1"), frozenset({"v0"}), {"v0": {"v0": 1, "v1": 1}},
+    def test_diagonal_entry_refused(self):
+        # A seed with b_xx != 0 is never built, so mutation never meets one:
+        # the constructor refuses it, naming the diagonal entry.
+        with pytest.raises(NotSkewSymmetrizable) as err:
+            Seed(("v0", "v1"), frozenset({"v0"}), {"v0": {"v0": 1, "v1": 1}},
                  Seed.initial(["v0", "v1"], [], {}).values)
-        with pytest.raises(InvalidSeed) as err:
-            mutate_seed(s, "v0")
-        assert str(err.value) == "cannot mutate at 'v0': its diagonal entry is 1, not 0"
-        assert s._exchanges == {p: p for p in s.values.values()}  # no exchange entry stored
+        assert str(err.value) == "sign violation at ('v0', 'v0'): b=1, b'=1"
+        assert err.value.witness == ("v0", "v0")
 
-    def test_a_one_way_entry_into_x_gets_the_two_path_update(self):
-        # b_vx = 1 while b_xv = 0: mu_x still gives b_vw = |b_vx| b_xw = 1
-        s = Seed.initial(["v", "x", "w"], ["x"], [("v", "x", 1), ("x", "w", 1), ("w", "x", -1)])
-        t = mutate_seed(s, "x")
-        assert t.matrix == {"v": {"x'1": -1, "w": 1}, "x'1": {"w": -1}, "w": {"x'1": 1}}
+    def test_a_one_way_entry_into_x_is_refused(self):
+        # b_vx = 1 while b_xv = 0: the constructor refuses the seed, reading
+        # the entry from x's column
+        with pytest.raises(NotSkewSymmetrizable) as err:
+            Seed.initial(["v", "x", "w"], ["x"], [("v", "x", 1), ("x", "w", 1), ("w", "x", -1)])
+        assert str(err.value) == "sign violation at ('v', 'x'): b=1, b'=0"
 
     def test_coefficients_never_mutated(self):
         s = mutate_seed(example_seed(), "x2")
@@ -745,30 +745,26 @@ class TestIsolatedExchangeable:
 
 
 
-# -- neighbours from a per-seed adjacency ------------------------------------------------
+# -- neighbours read from a row --------------------------------------------------------
 
 
 @st.composite
 def any_support_seeds(draw):
     """A seed built with Seed(...) on up to six labels whose matrix has any
-    support: one-way entries, entries of equal sign both ways and diagonal
-    entries, except at the label then mutated, if one mutation is applied
-    (mutation at a label with a diagonal entry raises InvalidSeed)."""
+    skew-symmetrizable support: b_vw = s d_w and b_wv = -s d_v for a drawn
+    symmetrizer d and sign s per pair, then now and then one mutation."""
     labels = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
     exchangeable = frozenset(draw(st.sets(st.sampled_from(labels))))
-    mutate = bool(exchangeable) and draw(st.booleans())
-    at = draw(st.sampled_from(sorted(exchangeable))) if mutate else None
+    d = {v: draw(st.sampled_from([1, 1, 2])) for v in labels}
     matrix = {}
-    for v in labels:
-        row = {
-            w: b for w in labels
-            if (b := draw(st.sampled_from([0, 0, 0, 1, -1, 2]))) and not (v == w == at)
-        }
-        if row:
-            matrix[v] = row
+    for i, v in enumerate(labels):
+        for w in labels[i + 1:]:
+            if s := draw(st.sampled_from([0, 0, 1, -1])):
+                matrix.setdefault(v, {})[w] = s * d[w]
+                matrix.setdefault(w, {})[v] = -s * d[v]
     seed = Seed(tuple(labels), exchangeable, matrix, Seed.initial(labels, [], {}).values)
-    if mutate:
-        seed = mutate_seed(seed, at)
+    if exchangeable and draw(st.booleans()):
+        seed = mutate_seed(seed, draw(st.sampled_from(sorted(exchangeable))))
     return seed
 
 
@@ -783,7 +779,7 @@ def test_neighbours_match_the_definition(seed):
         assert seed.neighbours(v) == brute
 
 
-# -- one mutation is matrix mutation, whatever the support -------------------------------
+# -- one mutation is matrix mutation ----------------------------------------------------
 
 
 def matrix_mutation(b, labels, x):
@@ -804,8 +800,14 @@ def matrix_mutation(b, labels, x):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_one_mutation_is_matrix_mutation(data):
+    # mirrored entries, b_vw = s d_w and b_wv = -s d_v: any skew-symmetrizable support
     labels = [f"v{i}" for i in range(data.draw(st.integers(1, 5)))]
-    b = {(v, w): data.draw(st.integers(-3, 3)) if v != w else 0 for v in labels for w in labels}
+    d = {v: data.draw(st.integers(1, 3)) for v in labels}
+    b = {(v, v): 0 for v in labels}
+    for i, v in enumerate(labels):
+        for w in labels[i + 1:]:
+            s = data.draw(st.integers(-2, 2))
+            b[v, w], b[w, v] = s * d[w], -s * d[v]
     x = data.draw(st.sampled_from(labels))
     t = mutate_seed(Seed.initial(labels, [x], [(v, w, e) for (v, w), e in b.items()]), x)
     new = t.labels[labels.index(x)]
