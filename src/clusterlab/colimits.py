@@ -53,6 +53,7 @@ from .morphisms import (
 from .seeds import (
     Memo,
     Seed,
+    _check_matrix,
     connected_components,
     fresh_label,
     grow,
@@ -266,18 +267,22 @@ ORACLES = {
 def _oracle_balls(oracle: SeedOracle, center: VarId) -> Iterator[Seed]:
     """materialize_ball(oracle, center, r) for r = 0, 1, 2, ...: a row is
     fetched when its vertex enters the ball, exchangeability is asked when
-    the vertex leaves the outer shell. A ball the Seed constructor finds
-    not skew-symmetrizable makes the oracle inconsistent."""
+    the vertex leaves the outer shell. A ball's rows are built on positions
+    from the oracle rows, restricted to the ball and without zero entries,
+    and only its matrix is left to check (its labels are distinct and its
+    exchangeables lie in it): a ball that _check_matrix finds not
+    skew-symmetrizable makes the oracle inconsistent."""
     rows = Memo(oracle.neighbor_row)
     exchangeable: set[VarId] = set()
     for ball, shell in grow(center, rows.__getitem__):
-        labels = sorted(ball)  # so the rows of the shell are fetched in sorted order
-        matrix = {v: {w: b for w, b in rows[v].items() if w in ball} for v in labels}
+        labels = tuple(sorted(ball))  # so the rows of the shell are fetched in sorted order
+        at = {v: i for i, v in enumerate(labels)}
+        ball_rows = tuple({at[w]: b for w, b in rows[v].items() if b and w in at} for v in labels)
         try:
-            seed = Seed.initial(labels, exchangeable, matrix)
+            _check_matrix(labels, ball_rows)
         except NotSkewSymmetrizable as exc:
             raise OracleInconsistent(f"ball at {center!r} is not skew-symmetrizable: {exc}")
-        yield seed
+        yield Seed._from_positions(labels, frozenset(map(at.__getitem__, exchangeable)), ball_rows)
         exchangeable |= {v for v in sorted(shell) if oracle.is_exchangeable(v)}
 
 
@@ -292,12 +297,22 @@ def materialize_ball(oracle: SeedOracle, center: VarId, radius: int) -> Seed:
 def _interleave(components: Sequence[Iterator[Seed]]) -> Iterator[Seed]:
     """The colimit tower: stage i is the coproduct of component j's
     (i-j)-th seed, so component j enters at stage j and every component
-    grows by one radius per stage. The balls are initial seeds, so a stage
-    is the initial seed of their labels, exchangeables and rows, and no
-    value is re-encoded."""
+    grows by one radius per stage. A stage is the initial seed of its
+    balls' positional forms laid end to end, each ball's positions shifted
+    by the count of labels before it. Each ball's matrix was checked, and a
+    disjoint union of skew-symmetrizable matrices is skew-symmetrizable, so
+    a stage runs no check of its own but for a label two components share."""
     for i in count():
-        balls = [next(c) for c in components[: i + 1]]
-        labels = [v for ball in balls for v in ball.labels]
+        labels: list[VarId] = []
+        ex: list[int] = []
+        rows: list[dict[int, int]] = []
+        for ball in [next(c) for c in components[: i + 1]]:
+            offset = len(labels)
+            labels += ball.labels
+            ex += [offset + j for j in ball._ex]
+            # the first ball's rows need no shift, and are shared: no code
+            # edits a seed's row in place
+            rows += [{offset + j: b for j, b in r.items()} for r in ball._rows] if offset else ball._rows
         seen: set[VarId] = set()
         for v in labels:
             if v in seen:
@@ -305,8 +320,7 @@ def _interleave(components: Sequence[Iterator[Seed]]) -> Iterator[Seed]:
                     f"component representatives are not disconnected: {LabelCollision(v)}"
                 )
             seen.add(v)
-        exchangeable = [v for ball in balls for v in ball.exchangeable]
-        yield Seed.initial(labels, exchangeable, {v: r for ball in balls for v, r in ball.matrix.items()})
+        yield Seed._from_positions(tuple(labels), frozenset(ex), tuple(rows))
 
 
 def oracle_tower(oracle: SeedOracle) -> Iterator[Seed]:

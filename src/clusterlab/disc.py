@@ -333,17 +333,24 @@ def exchangeable_arcs(t: FiniteTriangulation) -> set[Arc]:
 
 
 def seed_from_triangulation(t: FiniteTriangulation) -> Seed:
-    """One cluster variable per arc; exchangeables are the quadrilateral
-    diagonals; skew-symmetric matrix from the triangle orientation rule."""
-    label = {pair: t._pairs[pair].label for pair in sorted(t._pairs)}
-    entries: dict[VarId, dict[VarId, int]] = {}
-    # two arcs share at most one triangle, so each entry is set once
+    """One cluster variable per arc, labelled in sorted rank-pair order;
+    exchangeables are the quadrilateral diagonals; skew-symmetric matrix
+    from the triangle orientation rule, written straight into rows on
+    positions. The seed passes the constructor's checks by construction,
+    so it is built without them: two arcs share at most one triangle, so
+    each entry is written once, as a +1/-1 pair, and the matrix is
+    skew-symmetric; a triangle's three sides are distinct arcs, so the
+    diagonal is zero; distinct arcs have distinct labels."""
+    pairs = sorted(t._pairs)
+    at = {pair: i for i, pair in enumerate(pairs)}
+    rows: list[dict[int, int]] = [{} for _ in pairs]
     for i, j, k in t._rank_triangles:
-        for src, dst in _triangle_arrows((label[i, j], label[j, k], label[i, k])):
-            entries.setdefault(src, {})[dst] = 1
-            entries.setdefault(dst, {})[src] = -1
-    ex = [label[pair] for pair in _exchangeable_pairs(t)]
-    return Seed.initial(list(label.values()), ex, entries)
+        for src, dst in _triangle_arrows((at[i, j], at[j, k], at[i, k])):
+            rows[src][dst] = 1
+            rows[dst][src] = -1
+    labels = tuple(t._pairs[pair].label for pair in pairs)
+    ex = frozenset(at[pair] for pair in _exchangeable_pairs(t))
+    return Seed._from_positions(labels, ex, tuple(rows))
 
 
 def flip_arc(t: FiniteTriangulation, a: Arc) -> FiniteTriangulation:

@@ -225,7 +225,7 @@ def _walk_biadmissible(
     so a value both walks reach is one object and is divided once."""
     t, table = m.target, m.source._exchanges
     vals = tuple(table.setdefault(p, p) for p in t._vals)
-    tgt = Seed._mutated(t.labels, t._ex, t._rows, vals, table)
+    tgt = Seed._from_positions(t.labels, t._ex, t._rows, vals, table)
     return explore(
         _PairState(m.source, tgt, (), None),
         lambda st: (_advance(st, i, slots) for i in _biadmissible_steps(st, slots)),

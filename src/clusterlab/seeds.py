@@ -70,11 +70,13 @@ class Seed:
     {position: b}, one per position) and `_ex` (the exchangeable
     positions). The constructor builds the positional form in the pass
     that checks the label form, and then checks that the matrix is
-    skew-symmetrizable (see check_skew_symmetrizable), raising
-    NotSkewSymmetrizable with its witness if not: so every seed has a zero
-    diagonal and sign-skew support. A seed mutation made holds only the
-    positional form, and derives `values`, `matrix` or `exchangeable` when
-    one is read."""
+    skew-symmetrizable (_check_matrix), raising NotSkewSymmetrizable with
+    its witness if not: so every seed has a zero diagonal and sign-skew
+    support. A seed whose invariants hold by construction (a seed
+    mutation made, a triangulation's, an oracle ball or a tower stage) is
+    built by `_from_positions` instead: it holds only the positional form,
+    and derives `values`, `matrix` or `exchangeable` when one is read; an
+    initial seed built so derives even its `_vals`."""
 
     def __init__(
         self,
@@ -110,10 +112,7 @@ class Seed:
             if first != v:
                 _shared_value(first, v, values[v])
         rows = tuple(rows)
-        # a skew-symmetric matrix needs no ratio walk; any other is walked,
-        # which raises for one that is not skew-symmetrizable
-        if any(rows[j].get(i) != -b for i, r in enumerate(rows) for j, b in r.items()):
-            _symmetrizer(labels, rows)
+        _check_matrix(labels, rows)
         self.__dict__.update(
             labels=labels, exchangeable=exchangeable, matrix=matrix, values=values, _rows=rows,
             _vals=tuple(map(values.__getitem__, labels)), _ex=frozenset(map(at.__getitem__, exchangeable)),
@@ -141,6 +140,13 @@ class Seed:
         return frozenset(map(self.labels.__getitem__, self._ex))
 
     @derived
+    def _vals(self) -> tuple[LaurentPoly, ...]:
+        """An initial seed's values, each label's own variable: the objects
+        Seed.initial makes. Every other seed is built holding its values."""
+        ambient = Ambient(self.labels)
+        return tuple(map(ambient.var, self.labels))
+
+    @derived
     def _exchanges(self) -> dict:
         """mutate_seed's table, beside the seed's content; it starts holding
         this seed's values as themselves."""
@@ -155,12 +161,22 @@ class Seed:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _mutated(cls, labels, ex, rows, vals, exchanges) -> "Seed":
+    def _from_positions(cls, labels, ex, rows, vals=None, exchanges=None) -> "Seed":
         """A seed in positional form that passes every check of the
-        constructor by construction, as mutation's do, on the given exchange
-        table; its values must be the table's own objects."""
+        constructor by construction, so it runs none: `labels` a tuple of
+        distinct labels, `ex` a frozenset of positions, `rows` a tuple of
+        {position: b} with no zero entry and a skew-symmetrizable matrix.
+        Given `vals`, the seed holds them on the given exchange table, whose
+        own objects they must be, as mutation's seeds do. Without them it is
+        the initial seed of its labels, and `_vals` is derived on its first
+        read."""
         seed = object.__new__(cls)
-        seed.__dict__.update(labels=labels, _ex=ex, _rows=rows, _vals=vals, _exchanges=exchanges)
+        # one update each way: a second update on mutation's path cost
+        # mutation walks about 5% of their throughput (CPython 3.11)
+        if vals is None:
+            seed.__dict__.update(labels=labels, _ex=ex, _rows=rows)
+        else:
+            seed.__dict__.update(labels=labels, _ex=ex, _rows=rows, _vals=vals, _exchanges=exchanges)
         return seed
 
     @classmethod
@@ -235,10 +251,19 @@ class Seed:
 
 def check_skew_symmetrizable(seed: Seed) -> dict[VarId, int]:
     """Least positive integral symmetrizer per connected component: the
-    walk of _symmetrizer on the seed's rows. The constructor has made that
-    walk, or found the matrix skew-symmetric, so for a seed it never
-    raises."""
+    walk of _symmetrizer on the seed's rows. Every seed's matrix passed
+    _check_matrix or is skew-symmetrizable by construction, so for a seed
+    it never raises."""
     return _symmetrizer(seed.labels, seed._rows)
+
+
+def _check_matrix(labels: Sequence[VarId], rows: Sequence[Mapping[int, int]]) -> None:
+    """Raise NotSkewSymmetrizable, with _symmetrizer's witness, unless the
+    matrix with the given rows is skew-symmetrizable. Each entry is compared
+    with its transpose; a skew-symmetric matrix needs no ratio walk, and
+    only any other is walked."""
+    if any(rows[j].get(i) != -b for i, r in enumerate(rows) for j, b in r.items()):
+        _symmetrizer(labels, rows)
 
 
 def _symmetrizer(labels: Sequence[VarId], rows: Sequence[Mapping[int, int]]) -> dict[VarId, int]:
@@ -423,7 +448,7 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
                     del r[w]
 
     # labels stay distinct (the fresh label is new), and no zero entry is stored
-    return Seed._mutated(labels, seed._ex, tuple(new_rows), vals, table)
+    return Seed._from_positions(labels, seed._ex, tuple(new_rows), vals, table)
 
 
 def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:

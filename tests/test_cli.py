@@ -899,6 +899,17 @@ class TestHardenedInput:
         assert run_captured(argv) == (1, rendered({"error": message}, fmt), "")
 
     @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_families_sharing_moving_endpoints_exit_one(self, tmp_path, fmt):
+        # two left-fountains on one base and limit: tip k of the first, at
+        # 1/(3k) from the limit, is tip 2k of the second
+        fountain = {"kind": "left-fountain", "base": "1/2", "limit": "0", "start": 1}
+        path = tmp_path / "bad.tri"
+        path.write_text(json.dumps({"families": [{**fountain, "scale": "1/3"}, {**fountain, "scale": "1/6"}]}))
+        argv = ["--format", fmt, "validate-tri", "--tri", str(path)]
+        expected = rendered({"error": "families must not share moving endpoints"}, fmt)
+        assert run_captured(argv) == (1, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
     @pytest.mark.parametrize(
         "labels, matrix, message",
         [

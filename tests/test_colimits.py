@@ -12,12 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import clusterlab.colimits
 import clusterlab.seeds
 from clusterlab.cli import load_triangulation_file
 from clusterlab.colimits import (
     COMPONENT_WINDOW,
     ORACLES,
     Filtration,
+    _interleave,
     _mutate_tracking,
     _oracle_balls,
     FiniteSeedOracle,
@@ -58,7 +60,7 @@ from clusterlab.errors import (
     SeedMismatch,
     UnknownVertex,
 )
-from clusterlab.laurent import format_poly, parse_poly
+from clusterlab.laurent import LaurentPoly, format_poly, parse_poly
 from clusterlab.morphisms import ClusterMap, check_cm3, check_no_specialization_conditions
 from clusterlab.errors import NotSkewSymmetrizable
 from clusterlab.seeds import (
@@ -70,6 +72,7 @@ from clusterlab.seeds import (
     mutate_sequence,
     opposite_seed,
 )
+from test_disc import label_form
 from test_seed_class import finite_type_root
 from test_tri_fuzz import polygon_files, rotated_templates
 
@@ -878,6 +881,83 @@ def test_radius_five_rows_are_pinned(tmp_path):
 
 
 
+# -- stages on positions: the initial seed of their balls ---------------------------
+
+
+def assert_stages_are_initial_seeds_of_their_balls(oracle, stages):
+    """Stage i against Seed.initial of its balls' labels and exchangeables
+    and the union of their matrices, each ball materialized afresh."""
+    centers = oracle.representatives()
+    for i, stage in enumerate(stages):
+        balls = [materialize_ball(oracle, c, i - j) for j, c in enumerate(centers[: i + 1])]
+        ref = Seed.initial(
+            [v for ball in balls for v in ball.labels],
+            [v for ball in balls for v in ball.exchangeable],
+            {v: row for ball in balls for v, row in ball.matrix.items()},
+        )
+        assert label_form(stage) == label_form(ref), i
+        assert (stage._rows, stage._ex) == (ref._rows, ref._ex), i
+
+
+@pytest.mark.parametrize("name", list(TEST_ORACLES))
+def test_stages_are_initial_seeds_of_their_balls(name):
+    oracle = TEST_ORACLES[name]()
+    assert_stages_are_initial_seeds_of_their_balls(oracle, list(islice(oracle_tower(oracle), 6)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rotated_templates())
+def test_stages_are_initial_seeds_of_their_balls_on_generated_files(data):
+    tri = tri_from_data(data)
+    centers = [part[0].label for part in triangulation_components(tri, COMPONENT_WINDOW)]
+    stages = triangulation_filtration(tri, 4).stages
+    assert_stages_are_initial_seeds_of_their_balls(TriangulationOracle(tri, centers), stages)
+
+
+@pytest.mark.parametrize("name", list(TEST_ORACLES))
+def test_a_stage_runs_no_check_of_its_own(name, monkeypatch):
+    # each ball's matrix is checked once; a stage joins checked balls, and
+    # neither runs the constructor nor checks again (a finite seed's
+    # representatives come from its components, which are built as subseeds)
+    oracle = TEST_ORACLES[name]()
+    centers = oracle.representatives()
+    checked, inits = [], []
+    check, init = clusterlab.colimits._check_matrix, Seed.__init__
+    monkeypatch.setattr(clusterlab.colimits, "_check_matrix", lambda *a: checked.append(a) or check(*a))
+    monkeypatch.setattr(Seed, "__init__", lambda *a, **k: inits.append(a) or init(*a, **k))
+    stages = list(islice(_interleave([_oracle_balls(oracle, c) for c in centers]), 6))
+    assert len(checked) == sum(min(i + 1, len(centers)) for i in range(len(stages)))
+    assert inits == []
+
+
+def _fan_ball():
+    oracle = fan_oracle()
+    return materialize_ball(oracle, oracle.representatives()[0], 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: seed_from_triangulation(fan_triangulation(7)),
+        _fan_ball,
+        lambda: next(islice(oracle_tower(FiniteSeedOracle(finite_type_root("B4"))), 3, None)),
+    ],
+    ids=["triangulation", "ball", "stage"],
+)
+def test_initial_values_are_made_on_first_read(make):
+    seed = make()
+    twin = Seed.initial(seed.labels, seed.exchangeable, seed.matrix)
+    assert "_vals" not in seed.__dict__ and seed.exchangeable
+    assert seed.values == {v: LaurentPoly.var(v) for v in seed.labels}
+    assert "_vals" in seed.__dict__
+    for x in sorted(seed.exchangeable):
+        assert label_form(mutate_seed(seed, x)) == label_form(mutate_seed(twin, x))
+    # a seed whose values were never read makes them for its first mutation
+    fresh = make()
+    x = min(fresh.exchangeable)
+    assert label_form(mutate_seed(fresh, x)) == label_form(mutate_seed(twin, x))
+
+
 # -- the ball check: the constructor walks only a ball that is not skew-symmetric --------
 
 
@@ -1019,3 +1099,15 @@ def test_late_inconsistencies_fail_at_their_radius(cycle, radius, ratio_walks):
     walked = [ball for ball in balls if not skew_symmetric(positional(ball))]
     assert [labels for labels, _ in ratio_walks] == walked and walked[-1] == balls[-1]
     assert found == first_rejected_by_fresh_checks(oracle, "v0", len(labels) + 2)
+
+
+def test_a_zero_entry_gives_the_ball_without_it():
+    # v2's row names v0 with a zero entry; v0 is the center, so the balls
+    # hold the same labels, and the zero is not stored
+    labels = ["v0", "v1", "v2"]
+    entries = [("v0", "v1", 1), ("v1", "v0", -1), ("v1", "v2", 2), ("v2", "v1", -2)]
+    with_zero = RawRows(labels, entries + [("v2", "v0", 0)])
+    assert with_zero.neighbor_row("v2") == {"v1": -2, "v0": 0}
+    for a, b in zip(islice(_oracle_balls(with_zero, "v0"), 4), islice(_oracle_balls(RawRows(labels, entries), "v0"), 4)):
+        assert label_form(a) == label_form(b)
+        assert a._rows == b._rows

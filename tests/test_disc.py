@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clusterlab.seeds
 from clusterlab.colimits import fan_oracle, nest_oracle
 from clusterlab.disc import (
     Arc,
@@ -25,6 +26,8 @@ from clusterlab.disc import (
     _non_crossing,
     _pt,
     _TipSequence,
+    _exchangeable_pairs,
+    _triangle_arrows,
     all_triangulations,
     arcs_cross,
     chord_label,
@@ -52,6 +55,7 @@ from clusterlab.errors import (
     UnmarkedPoint,
 )
 from clusterlab.seeds import (
+    Seed,
     check_skew_symmetrizable,
     connected_components,
     mutate_seed,
@@ -1071,14 +1075,75 @@ class TestFlipEquivalence:
     @settings(max_examples=2, deadline=None)
     @given(st.lists(st.integers(0, 96), min_size=8, max_size=8, unique=True))
     def test_flip_equals_validation_on_drawn_points(self, ks):
-        # the octagon's triangulations carried by rank onto eight points k/97
-        points = sorted(F(k, 97) for k in ks)
+        self.assert_flips_match(carried_octagon(ks))
+
+
+def carried_octagon(ks):
+    """The octagon's triangulations carried by rank onto the eight points k/97."""
+    points = sorted(F(k, 97) for k in ks)
+    octagon = all_triangulations(8)
+    rank = {p: i for i, p in enumerate(octagon[0].points)}
+    return [
+        validate_triangulation(points, {Arc(points[rank[a.p]], points[rank[a.q]]) for a in t.arcs})
+        for t in octagon
+    ]
+
+
+# -- the triangulation seed on positions against the label-keyed construction -------
+
+
+def reference_seed_from_triangulation(t):
+    """seed_from_triangulation as it was built by labels: a label-keyed
+    entries dict, handed to Seed.initial, whose constructor re-keys and
+    checks it."""
+    label = {pair: t._pairs[pair].label for pair in sorted(t._pairs)}
+    entries = {}
+    for i, j, k in t._rank_triangles:
+        for src, dst in _triangle_arrows((label[i, j], label[j, k], label[i, k])):
+            entries.setdefault(src, {})[dst] = 1
+            entries.setdefault(dst, {})[src] = -1
+    ex = [label[pair] for pair in _exchangeable_pairs(t)]
+    return Seed.initial(list(label.values()), ex, entries)
+
+
+def label_form(seed):
+    return seed.labels, seed.exchangeable, seed.matrix, seed.values
+
+
+class TestPositionalTriangulationSeed:
+    """seed_from_triangulation writes its rows on positions and runs no
+    check; it must give the seed the label-keyed construction gives."""
+
+    @staticmethod
+    def assert_seeds_match(triangulations):
+        for t in triangulations:
+            s, ref = seed_from_triangulation(t), reference_seed_from_triangulation(t)
+            assert label_form(s) == label_form(ref)
+            for x in sorted(ref.exchangeable):
+                assert label_form(mutate_seed(s, x)) == label_form(mutate_seed(ref, x))
+
+    def test_octagon_matches_the_label_keyed_seed(self):
+        self.assert_seeds_match(all_triangulations(8))
+
+    @settings(max_examples=2, deadline=None)
+    @given(st.lists(st.integers(0, 96), min_size=8, max_size=8, unique=True))
+    def test_drawn_points_match_the_label_keyed_seed(self, ks):
+        self.assert_seeds_match(carried_octagon(ks))
+
+    def test_no_constructor_and_no_ratio_walk(self, monkeypatch):
         octagon = all_triangulations(8)
-        rank = {p: i for i, p in enumerate(octagon[0].points)}
-        self.assert_flips_match(
-            validate_triangulation(points, {Arc(points[rank[a.p]], points[rank[a.q]]) for a in t.arcs})
-            for t in octagon
-        )
+        calls = []
+        init, walk = Seed.__init__, clusterlab.seeds._symmetrizer
+        monkeypatch.setattr(Seed, "__init__", lambda *a, **k: calls.append("init") or init(*a, **k))
+        monkeypatch.setattr(clusterlab.seeds, "_symmetrizer", lambda *a: calls.append("walk") or walk(*a))
+        for t in octagon:
+            s = seed_from_triangulation(t)
+            label_form(s)
+            for x in sorted(s.exchangeable):
+                label_form(mutate_seed(s, x))
+        assert calls == []
+        Seed.initial(["a"], [], {})  # the counters count
+        assert calls == ["init"]
 
 
 # -- flips against the Plücker relations --------------------------------------------
