@@ -54,7 +54,7 @@ from .seeds import (
     Memo,
     Seed,
     _check_matrix,
-    connected_components,
+    _classes,
     fresh_label,
     grow,
     mutate_sequence,
@@ -103,7 +103,8 @@ class FiniteSeedOracle:
         return v in self.seed.labels
 
     def representatives(self) -> list[VarId]:
-        return [min(c.labels) for c in connected_components(self.seed)]
+        """The least label of each component, read from its class."""
+        return [min(c) for c in _classes(self.seed, self.seed.labels)]
 
 
 class PathQuiverOracle:

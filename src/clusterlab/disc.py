@@ -659,8 +659,9 @@ class InfiniteTriangulation:
     finitely many exceptional internal arcs, finitely many standalone
     points, and all edges of the full marked point set implied.
 
-    Maximality of the described set is the modeler's responsibility; every
-    finite window materialization is validated pairwise non-crossing.
+    Maximality of the described set is the modeler's responsibility; the
+    family and exceptional arcs of a finite window are validated pairwise
+    non-crossing, and the implied edges need no check (see __post_init__).
 
     Inside, points are integer pairs and arcs are chords, so every memo key
     is small ints; each query is one method, on Arcs only where it names arcs.
@@ -674,6 +675,12 @@ class InfiniteTriangulation:
     finite_points: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
+        """Gather the finite points, set up the memos and check what spans
+        families (each family has checked itself). The crossing sweep reads
+        the first 10 arcs of each family and the exceptional arcs, and
+        leaves the implied edges out: an edge has a side with no marked
+        point on it, and every swept chord has marked endpoints, so no edge
+        can cross one, nor change the first pair."""
         pts = {norm_angle(p) for p in self.finite_points}
         pts.update(f.base for f in self.families if f.base is not None)
         for a in self.extra_arcs:
@@ -694,8 +701,7 @@ class InfiniteTriangulation:
             _arc_in=Memo(partial(cls._member, owner)),
             _faces=Memo(partial(cls._search_faces, owner)),
         )
-        # each family has checked itself; what is left spans families
-        chords = self._window_chords(10)
+        chords = set(self._extra).union(*(f._chords(10) for f in self.families))
         if not _chords_non_crossing(chords):
             raise CrossingPair(*first_crossing(sorted(map(_arc, chords))))
         # no two families may share a tip among their first 32 arcs

@@ -46,7 +46,9 @@ class ClusterMap:
 
     Both endpoint seeds are re-rooted on construction (each label's value
     becomes its own monomial): a rooted cluster algebra depends only on
-    (cluster, exchangeables, matrix).
+    (cluster, exchangeables, matrix). Seed.reroot shares each seed's
+    positional form and checks nothing, and no value is made until one is
+    read.
     """
 
     source: Seed

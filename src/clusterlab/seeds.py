@@ -73,10 +73,10 @@ class Seed:
     skew-symmetrizable (_check_matrix), raising NotSkewSymmetrizable with
     its witness if not: so every seed has a zero diagonal and sign-skew
     support. A seed whose invariants hold by construction (a seed
-    mutation made, a triangulation's, an oracle ball or a tower stage) is
-    built by `_from_positions` instead: it holds only the positional form,
-    and derives `values`, `matrix` or `exchangeable` when one is read; an
-    initial seed built so derives even its `_vals`."""
+    mutation made, a re-rooted seed, a triangulation's, an oracle ball or
+    a tower stage) is built by `_from_positions` instead: it holds only
+    the positional form, and derives `values`, `matrix` or `exchangeable`
+    when one is read; an initial seed built so derives even its `_vals`."""
 
     def __init__(
         self,
@@ -216,8 +216,12 @@ class Seed:
         return set(self.matrix.get(v, ()))
 
     def reroot(self) -> "Seed":
-        """Forget values: each label becomes its own initial variable."""
-        return Seed.initial(self.labels, self.exchangeable, self.matrix)
+        """Forget values: the initial seed on this seed's positional form,
+        each label its own variable, made on first read. A rooted cluster
+        algebra depends only on (cluster, exchangeables, matrix), and this
+        matrix passed _check_matrix or is skew-symmetrizable by
+        construction, so nothing is checked again."""
+        return Seed._from_positions(self.labels, self._ex, self._rows)
 
     def canonical_key(self):
         """Equality key under the value-preserving label correspondence: the

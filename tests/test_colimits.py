@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import clusterlab.colimits
 import clusterlab.seeds
-from clusterlab.cli import load_triangulation_file
+from clusterlab.cli import load_seed_file, load_triangulation_file, seed_to_data
 from clusterlab.colimits import (
     COMPONENT_WINDOW,
     ORACLES,
@@ -40,15 +40,23 @@ from clusterlab.colimits import (
 from clusterlab.disc import (
     Arc,
     FiniteTriangulation,
+    InfiniteTriangulation,
+    _arc,
+    all_triangulations,
+    arcs_cross,
+    chord_of,
     fan_triangulation,
+    first_crossing,
     parse_arc_label,
     seed_from_triangulation,
     triangulation_components,
     validate_triangulation,
 )
 from clusterlab.errors import (
+    ClusterLabError,
     CrossingPair,
     IncompatibleCone,
+    InvalidFamily,
     NotAdmissibleAtStage,
     NotAnArc,
     NotFullSubseed,
@@ -65,6 +73,7 @@ from clusterlab.morphisms import ClusterMap, check_cm3, check_no_specialization_
 from clusterlab.errors import NotSkewSymmetrizable
 from clusterlab.seeds import (
     Seed,
+    connected_components,
     coproduct,
     full_subseed,
     grow,
@@ -74,7 +83,7 @@ from clusterlab.seeds import (
 )
 from test_disc import label_form
 from test_seed_class import finite_type_root
-from test_tri_fuzz import polygon_files, rotated_templates
+from test_tri_fuzz import ANGLES, TEMPLATES, polygon_files, rotated_templates
 
 
 def path_seed(lo, hi):
@@ -917,8 +926,7 @@ def test_stages_are_initial_seeds_of_their_balls_on_generated_files(data):
 @pytest.mark.parametrize("name", list(TEST_ORACLES))
 def test_a_stage_runs_no_check_of_its_own(name, monkeypatch):
     # each ball's matrix is checked once; a stage joins checked balls, and
-    # neither runs the constructor nor checks again (a finite seed's
-    # representatives come from its components, which are built as subseeds)
+    # neither runs the constructor nor checks again
     oracle = TEST_ORACLES[name]()
     centers = oracle.representatives()
     checked, inits = [], []
@@ -1111,3 +1119,173 @@ def test_a_zero_entry_gives_the_ball_without_it():
     for a, b in zip(islice(_oracle_balls(with_zero, "v0"), 4), islice(_oracle_balls(RawRows(labels, entries), "v0"), 4)):
         assert label_form(a) == label_form(b)
         assert a._rows == b._rows
+
+
+# -- re-rooting on positions: the initial seed of the same content -------------------
+
+
+def assert_reroot_is_initial(seed):
+    """seed.reroot() against Seed.initial of its labels, exchangeables and
+    matrix: the same label form and canonical key, its values made only
+    when read."""
+    rerooted = seed.reroot()
+    ref = Seed.initial(seed.labels, seed.exchangeable, seed.matrix)
+    assert "_vals" not in rerooted.__dict__
+    assert label_form(rerooted) == label_form(ref)
+    assert rerooted.canonical_key() == ref.canonical_key()
+    assert (rerooted._rows, rerooted._ex) == (ref._rows, ref._ex)
+
+
+def seed_from_data(data):
+    """The seed a `.seed` file holding this JSON reads as."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "generated.seed")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        return load_seed_file(path)
+
+
+@st.composite
+def shuffled_seed_files(draw):
+    """A skew-symmetrizable seed's file with its variables and matrix
+    entries listed in a drawn order, so its rows come out of label order."""
+    data = seed_to_data(draw(skew_symmetrizable_seeds()))
+    del data["values"]
+    data["variables"] = draw(st.permutations(data["variables"]))
+    data["matrix"] = draw(st.permutations(data["matrix"]))
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_seed_files(), st.data())
+def test_reroot_is_the_initial_seed_of_loaded_and_mutated_seeds(data, draw):
+    seed = seed_from_data(data)
+    assert_reroot_is_initial(seed)
+    for _ in range(draw.draw(st.integers(1, 3))):
+        if not seed.exchangeable:
+            break
+        seed = mutate_seed(seed, draw.draw(st.sampled_from(sorted(seed.exchangeable))))
+        assert_reroot_is_initial(seed)
+
+
+def test_reroot_is_the_initial_seed_of_triangulation_seeds():
+    for t in all_triangulations(8):
+        assert_reroot_is_initial(seed_from_triangulation(t))
+
+
+@pytest.mark.parametrize("name", list(TEST_ORACLES))
+def test_reroot_is_the_initial_seed_of_tower_stages(name):
+    for stage in islice(oracle_tower(TEST_ORACLES[name]()), 6):
+        assert_reroot_is_initial(stage)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rotated_templates())
+def test_reroot_is_the_initial_seed_of_tower_stages_of_generated_files(data):
+    for stage in triangulation_filtration(tri_from_data(data), 4).stages:
+        assert_reroot_is_initial(stage)
+
+
+def test_inclusions_and_wraps_run_no_constructor_and_no_check(monkeypatch):
+    # every seed re-rooted here passed its check when it was built
+    towers = [list(islice(oracle_tower(make()), 5)) for make in TEST_ORACLES.values()]
+    roots = [finite_type_root(kind) for kind in ["A5", "D5", "B4", "G2"]]
+    calls = []
+    init, check = Seed.__init__, clusterlab.seeds._check_matrix
+    monkeypatch.setattr(Seed, "__init__", lambda *a, **k: calls.append("init") or init(*a, **k))
+    for module in (clusterlab.seeds, clusterlab.colimits):
+        monkeypatch.setattr(module, "_check_matrix", lambda *a: calls.append("check") or check(*a))
+    for stages in towers:
+        for inner, outer in zip(stages, stages[1:]):
+            inclusion_morphism(inner, outer)
+            ClusterMap(inner, outer, {v: v for v in inner.labels})
+    for seed in roots:
+        FiniteSeedOracle(seed).representatives()
+    assert calls == []
+    Seed.initial(["a"], [], {})  # the counters count
+    assert calls == ["init", "check"]
+
+
+def test_a_long_filtration_makes_no_values():
+    fil = build_filtration(PathQuiverOracle(), 40)
+    rerooted = [s for m in fil.inclusions for s in (m.source, m.target)]
+    assert all("_vals" not in s.__dict__ for s in [*fil.stages, *rerooted])
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_symmetrizable_seeds())
+def test_wrap_representatives_are_the_least_labels_of_the_components(seed):
+    # the list connected_components gave, read from the classes alone
+    expected = [min(c.labels) for c in connected_components(seed)]
+    assert FiniteSeedOracle(seed).representatives() == expected
+
+
+# -- the window sweep: edges cross no family or exceptional arc ------------------------
+
+
+EDGE_WINDOWS = (1, 2, 3, 5, 10, 20, 40)
+
+
+def assert_no_edge_crosses_the_sweep(tri, windows=EDGE_WINDOWS):
+    """Each edge of a window's chords, against each family and exceptional
+    chord of that window, crossed on Arcs (the Fraction route)."""
+    for w in windows:
+        swept = [_arc(c) for c in set(tri._extra).union(*(f._chords(w) for f in tri.families))]
+        edges = [_arc(c) for c in tri._window_chords(w) if tri._is_edge(c)]
+        assert edges, w
+        for e in edges:
+            for a in swept:
+                assert not arcs_cross(e, a), (w, e, a)
+
+
+@pytest.mark.parametrize("make", [fan_oracle, split_fountain_oracle, nest_oracle])
+def test_no_edge_crosses_the_sweep_of_the_oracles(make):
+    assert_no_edge_crosses_the_sweep(make().tri)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rotated_templates())
+def test_no_edge_crosses_the_sweep_of_generated_files(data):
+    assert_no_edge_crosses_the_sweep(tri_from_data(data), (3, 40))
+
+
+@settings(max_examples=20, deadline=None)
+@given(polygon_files())
+def test_no_edge_crosses_the_sweep_of_polygons(data):
+    try:
+        t = tri_from_data(data)
+    except (CrossingPair, NotMaximal, ParseError):
+        assume(False)  # a polygon file with an arc dropped or one added
+    # the polygon as an infinite triangulation with no family: its arcs exceptional
+    assert_no_edge_crosses_the_sweep(InfiniteTriangulation((), t.arcs, t.points), (40,))
+
+
+def test_building_a_triangulation_decides_no_edge(monkeypatch):
+    calls = []
+    is_edge = InfiniteTriangulation._is_edge
+    monkeypatch.setattr(InfiniteTriangulation, "_is_edge", lambda *a: calls.append(a) or is_edge(*a))
+    tris = [make().tri for make in (fan_oracle, split_fountain_oracle, nest_oracle)]
+    tris += [tri_from_data(data) for data in TEMPLATES]
+    assert calls == []
+    tris[0].window_arcs(10)  # the counter counts
+    assert calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotated_templates(), st.lists(st.sampled_from(ANGLES), min_size=2, max_size=2, unique=True))
+def test_a_crossing_pair_is_the_first_of_the_sweep_with_the_edges(data, ends):
+    # the edges of the same point set, without the drawn arc, are put back
+    try:
+        same_points = tri_from_data({**data, "points": data.get("points", []) + ends})
+    except ClusterLabError:
+        assume(False)
+    chords = same_points._window_chords(10) | {chord_of(Arc.of(*map(F, ends)))}
+    expected = first_crossing(sorted(map(_arc, chords)))
+    try:
+        tri_from_data({**data, "arcs": data.get("arcs", []) + [ends]})
+    except CrossingPair as exc:
+        assert expected is not None and str(exc) == str(CrossingPair(*expected))
+    except InvalidFamily:
+        assert expected is None  # the arc crosses a limit arc, which the sweep comes before
+    else:
+        assert expected is None
