@@ -13,8 +13,9 @@ inclusion into the colimit is a cluster morphism that keeps the value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, pairwise
 from typing import Iterator, Protocol, Sequence
 
 from .disc import (
@@ -331,15 +332,21 @@ def oracle_tower(oracle: SeedOracle) -> Iterator[Seed]:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Tower of finite full subseeds, each met by the next only through its
-    coefficients, with their inclusion morphisms."""
+    """Tower of finite full subseeds whose consecutive inclusions are rooted
+    cluster morphisms by construction, built as identity maps when
+    `inclusions` is first read. Each exchangeable of a ball is a label of
+    the ball before it, so its whole oracle row lies in the ball; rows come
+    from one Memo, so they agree between radii; every stage is built before
+    any pair is read, and a label shared by two components raises in
+    _interleave. So stage i is a full subseed of stage i + 1, met only
+    through its coefficients."""
 
     stages: tuple[Seed, ...]
-    inclusions: tuple[ClusterMap, ...]  # consecutive stages
-    provenance: str = "oracle-balls"
+    provenance: str
 
-    def __post_init__(self):
-        assert len(self.inclusions) == max(0, len(self.stages) - 1)
+    @cached_property
+    def inclusions(self) -> tuple[ClusterMap, ...]:
+        return tuple(ClusterMap(a, b, {l: l for l in a.labels}) for a, b in pairwise(self.stages))
 
 
 def check_only_coefficients(
@@ -380,19 +387,11 @@ def inclusion_morphism(inner: Seed, outer: Seed) -> ClusterMap:
     return ClusterMap(inner, outer, {l: l for l in inner.labels})
 
 
-def _filtration(tower: Iterator[Seed], steps: int, provenance: str) -> Filtration:
-    """The first `steps` stages of a tower and their inclusions, each
-    checked by inclusion_morphism."""
-    stages = tuple(islice(tower, steps))
-    inclusions = tuple(inclusion_morphism(a, b) for a, b in zip(stages, stages[1:]))
-    return Filtration(stages, inclusions, provenance)
-
-
 def build_filtration(oracle: SeedOracle, steps: int) -> Filtration:
     """The first `steps` stages of the oracle's tower (component j enters
-    at stage j, radius growing by one per stage), each inclusion a full
-    subseed connected only by coefficients."""
-    return _filtration(oracle_tower(oracle), steps, "oracle-balls")
+    at stage j, radius growing by one per stage), each a full subseed of
+    the next met only through its coefficients (see Filtration)."""
+    return Filtration(tuple(islice(oracle_tower(oracle), steps)), "oracle-balls")
 
 
 # -- stable mutation ---------------------------------------------------------------
@@ -438,9 +437,8 @@ def stable_mutation(
 ) -> tuple[LaurentPoly, int]:
     """Value of the mutated target in the least stage where the sequence is
     admissible and the target is present, and that stage's index; no later
-    stage is built. Each stage is a full subseed of the next, met by the
-    rest only through its coefficients, so its inclusion is a rooted
-    cluster morphism. The sequence is biadmissible for it, and CM3 gives
+    stage is built. Each stage's inclusion is a rooted cluster morphism
+    (see Filtration). The sequence is biadmissible for it, and CM3 gives
     the same value in every later stage and in the colimit. The target and
     the step names are checked against the oracle before any stage is
     built; a step blocked at a vertex of the stage before (inner here, so
@@ -505,7 +503,8 @@ def triangulation_filtration(
     """The colimit tower of a triangulation's seed, grown from one base arc
     per component (by default the first arc of each triangulation_components
     part): stage i holds component j's radius-(i-j) ball, as in
-    oracle_tower. A finite triangulation is read through its seed."""
+    oracle_tower, each a full subseed of the next (see Filtration). A
+    finite triangulation is read through its seed."""
     if base_arcs is None:
         base_arcs = [p[0] for p in triangulation_components(tri, COMPONENT_WINDOW)]
     centers = [a.label for a in base_arcs]
@@ -517,4 +516,4 @@ def triangulation_filtration(
         if not oracle.is_vertex(v):
             raise NotAnArc(f"{a} is not an arc of the triangulation")
     tower = _interleave([_oracle_balls(oracle, v) for v in centers])
-    return _filtration(tower, steps, "triangulation-glueing")
+    return Filtration(tuple(islice(tower, steps)), "triangulation-glueing")

@@ -317,14 +317,6 @@ def min_exponents(p: LaurentPoly) -> Monomial:
     return p._amb.monomials([_floor_on(p, p._amb, p._keys)])[0] if p._keys else ()
 
 
-def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
 def lp_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division in the Laurent ring over the integers: num is reduced by
     the leading term of the remainder, taken from a heap in descending order;
@@ -377,10 +369,6 @@ def lp_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             else:
                 rem[k] = c - q * c_d
     return _poly(amb, quot, num._bound + den._bound, shift + unit)
-
-
-def lp_has_nonnegative_coefficients(p: LaurentPoly) -> bool:
-    return p.has_nonnegative_coefficients()
 
 
 # -- canonical text form ----------------------------------------------------

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import clusterlab.cli
 import clusterlab.colimits
 import clusterlab.seeds
-from clusterlab.cli import load_seed_file, load_triangulation_file, seed_to_data
+from clusterlab.cli import load_seed_file, load_triangulation_file, save_seed_file, seed_to_data
 from clusterlab.colimits import (
     COMPONENT_WINDOW,
     ORACLES,
@@ -81,6 +82,7 @@ from clusterlab.seeds import (
     mutate_sequence,
     opposite_seed,
 )
+from test_cli import PENTAGON, SPLIT_TRI
 from test_disc import label_form
 from test_seed_class import finite_type_root
 from test_tri_fuzz import ANGLES, TEMPLATES, polygon_files, rotated_templates
@@ -238,16 +240,18 @@ class TestFiltration:
         # stage 2 holds the radius-2 ball of component 0 and radius-1 of 1
         assert set(fil.stages[2].labels) == {"a", "b", "c", "p", "q"}
 
-    def test_split_fountain_only_coefficients(self):
-        fil = build_filtration(split_fountain_oracle(), 5)
+    @pytest.mark.parametrize("name", list(TEST_ORACLES))
+    def test_split_fountain_only_coefficients(self, name):
+        # the reference for the lemma the filtrations rest on: no stage
+        # meets the next but through its coefficients
+        fil = build_filtration(TEST_ORACLES[name](), 6)
         for inner, outer in zip(fil.stages, fil.stages[1:]):
-            ok, witness = check_only_coefficients(inner, outer)
-            assert ok, witness
+            assert check_only_coefficients(inner, outer) == (True, None)
 
     @pytest.mark.parametrize("name", list(TEST_ORACLES))
     def test_consecutive_inclusions_verified(self, name):
-        # inclusion_morphism checks only coefficients; the characterization
-        # is the reference that this is enough for a morphism
+        # the inclusions hold by construction; the characterization is the
+        # reference that each is a morphism
         assert_inclusions_pass(build_filtration(TEST_ORACLES[name](), 5))
 
     @settings(max_examples=50, deadline=None)
@@ -1204,6 +1208,37 @@ def test_inclusions_and_wraps_run_no_constructor_and_no_check(monkeypatch):
     assert calls == []
     Seed.initial(["a"], [], {})  # the counters count
     assert calls == ["init", "check"]
+
+
+def test_filtration_verb_checks_no_inclusion_and_builds_no_map(monkeypatch, tmp_path, capsys):
+    # the tower's inclusions hold by construction: the verb neither checks
+    # a pair nor builds a map, and the maps are built when they are read
+    save_seed_file(finite_type_root("G2"), str(tmp_path / "g2.seed"))
+    runs = [["--oracle", name] for name in ORACLES] + [["--oracle", f"wrap:{tmp_path / 'g2.seed'}"]]
+    for name, data in [("split.tri", SPLIT_TRI), ("pent.tri", PENTAGON)]:
+        (tmp_path / name).write_text(json.dumps(data))
+        runs.append(["--tri", str(tmp_path / name)])
+    calls, fils = [], []
+    for name in ("check_only_coefficients", "inclusion_morphism"):
+        f = getattr(clusterlab.colimits, name)
+        monkeypatch.setattr(clusterlab.colimits, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    for name in ("build_filtration", "triangulation_filtration"):
+        f = getattr(clusterlab.cli, name)
+        monkeypatch.setattr(clusterlab.cli, name, lambda *a, f=f: fils.append(f(*a)) or fils[-1])
+    post = ClusterMap.__post_init__
+    monkeypatch.setattr(ClusterMap, "__post_init__", lambda self: calls.append("map") or post(self))
+    for run in runs:
+        assert clusterlab.cli.main(["filtration", *run, "--steps", "6"]) == 0
+    capsys.readouterr()
+    assert len(fils) == len(runs)
+    assert calls == []
+    for fil in fils:
+        assert len(fil.inclusions) == 5
+        for inc, inner, outer in zip(fil.inclusions, fil.stages, fil.stages[1:]):
+            assert inc.source.same_seed(inner) and inc.target.same_seed(outer)
+            assert inc.assignment == {v: v for v in inner.labels}
+        assert fil.inclusions is fil.inclusions
+    assert calls == ["map"] * 5 * len(runs)  # the counters count
 
 
 def test_a_long_filtration_makes_no_values():
