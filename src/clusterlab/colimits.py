@@ -56,6 +56,7 @@ from .seeds import (
     Seed,
     _check_matrix,
     _classes,
+    _disjoint_union,
     fresh_label,
     grow,
     mutate_sequence,
@@ -300,29 +301,14 @@ def _interleave(components: Sequence[Iterator[Seed]]) -> Iterator[Seed]:
     """The colimit tower: stage i is the coproduct of component j's
     (i-j)-th seed, so component j enters at stage j and every component
     grows by one radius per stage. A stage is the initial seed of its
-    balls' positional forms laid end to end, each ball's positions shifted
-    by the count of labels before it. Each ball's matrix was checked, and a
-    disjoint union of skew-symmetrizable matrices is skew-symmetrizable, so
-    a stage runs no check of its own but for a label two components share."""
+    balls' positional forms laid end to end by _disjoint_union, which
+    checks nothing but that no label is shared by two components."""
     for i in count():
-        labels: list[VarId] = []
-        ex: list[int] = []
-        rows: list[dict[int, int]] = []
-        for ball in [next(c) for c in components[: i + 1]]:
-            offset = len(labels)
-            labels += ball.labels
-            ex += [offset + j for j in ball._ex]
-            # the first ball's rows need no shift, and are shared: no code
-            # edits a seed's row in place
-            rows += [{offset + j: b for j, b in r.items()} for r in ball._rows] if offset else ball._rows
-        seen: set[VarId] = set()
-        for v in labels:
-            if v in seen:
-                raise OracleInconsistent(
-                    f"component representatives are not disconnected: {LabelCollision(v)}"
-                )
-            seen.add(v)
-        yield Seed._from_positions(tuple(labels), frozenset(ex), tuple(rows))
+        try:
+            labels, ex, rows = _disjoint_union([next(c) for c in components[: i + 1]])
+        except LabelCollision as exc:
+            raise OracleInconsistent(f"component representatives are not disconnected: {exc}")
+        yield Seed._from_positions(labels, ex, rows)
 
 
 def oracle_tower(oracle: SeedOracle) -> Iterator[Seed]:

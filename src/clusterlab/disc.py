@@ -610,10 +610,6 @@ class ArcFamily:
         """The moving endpoints of the first `window` arcs."""
         return {x for ends in self._ends(window) for x in ends} - {self._base}
 
-    def is_member(self, c: Chord) -> bool:
-        """Exact membership test for a candidate chord."""
-        return self._joins(c, self._tips_at(c[0]), self._tips_at(c[1]))
-
     def _tips_at(self, p: Pt) -> dict[int, int]:
         """Sequence index -> k, for each of the family's sequences with
         tip(k) == p."""
@@ -720,10 +716,6 @@ class InfiniteTriangulation:
         """Where the point p lies: whether it is a finite point, and for
         each family, sequence index -> k for its sequences with tip(k) == p."""
         return p in self._point_set, tuple(f._tips_at(p) for f in self.families)
-
-    def in_point_set(self, p: Pt) -> bool:
-        finite, tips = self._where[p]
-        return finite or any(tips)
 
     def nearest(self, p: Pt, ccw: bool) -> Pt | None:
         """The neighbouring marked point of p in the given direction, or

@@ -27,10 +27,10 @@ from .seeds import (
     DEFAULT_NODE_BUDGET,
     Memo,
     Seed,
+    _subseed,
     enumerate_cluster_variables,
     exchangeably_connected_components,
     explore,
-    full_subseed,
     mutate_seed,
     verify_similarity_bijection,
 )
@@ -469,9 +469,9 @@ def image_seed(m: ClusterMap) -> Seed:
     """(f(X) n X', f(ex) n ex', restricted matrix): the full subseed of the
     target on the image labels, whose exchangeables are images of source
     exchangeables that land in target exchangeables."""
-    sub = full_subseed(m.target, (img for img in m.assignment.values() if isinstance(img, str)))
-    ex = sub.exchangeable & {m.assignment[x] for x in m.source.exchangeable}
-    return Seed(sub.labels, ex, sub.matrix, dict(sub.values))
+    t, ex_images = m.target, {m.assignment[x] for x in m.source.exchangeable}
+    ex = [i for i in t._ex if t.labels[i] in ex_images]
+    return _subseed(t, set(m.assignment.values()), ex)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,19 @@ def _shared_value(first: VarId, second: VarId, value: LaurentPoly):
     raise InvalidSeed(f"labels {first!r} and {second!r} share the value {format_poly(value)}")
 
 
+def _distinct_values(labels: Sequence[VarId], values: Mapping[VarId, LaurentPoly]) -> tuple[LaurentPoly, ...]:
+    """The values by position in `labels`, on one ambient so mutation never
+    re-encodes; raises InvalidSeed at the first value two labels share,
+    naming them in label order."""
+    values = on_one_ambient(values)
+    seen: dict[LaurentPoly, VarId] = {}
+    for v in labels:
+        first = seen.setdefault(values[v], v)
+        if first != v:
+            _shared_value(first, v, values[v])
+    return tuple(map(values.__getitem__, labels))
+
+
 def _freeze_matrix(entries: Mapping[VarId, Mapping[VarId, int]]) -> Matrix:
     # zeros go first, so a row of zeros is no row
     return {v: r for v, row in entries.items() if (r := {w: b for w, b in row.items() if b})}
@@ -63,20 +76,17 @@ def _freeze_matrix(entries: Mapping[VarId, Mapping[VarId, int]]) -> Matrix:
 class Seed:
     """Triple (cluster, exchangeable subset, exchange matrix) with values.
 
-    A seed holds its content in two forms. The label form is `values`,
-    `matrix` and `exchangeable`, keyed by label; the constructor takes it
-    and checks it. The positional form is what mutation reads and writes:
-    `_vals` (the values by position in `labels`), `_rows` (each row as
-    {position: b}, one per position) and `_ex` (the exchangeable
-    positions). The constructor builds the positional form in the pass
-    that checks the label form, and then checks that the matrix is
-    skew-symmetrizable (_check_matrix), raising NotSkewSymmetrizable with
-    its witness if not: so every seed has a zero diagonal and sign-skew
-    support. A seed whose invariants hold by construction (a seed
-    mutation made, a re-rooted seed, a triangulation's, an oracle ball or
-    a tower stage) is built by `_from_positions` instead: it holds only
-    the positional form, and derives `values`, `matrix` or `exchangeable`
-    when one is read; an initial seed built so derives even its `_vals`."""
+    A seed stores one form, the positional one mutation reads and writes:
+    `labels`, `_vals` (the values by position), `_rows` (each row as
+    {position: b}) and `_ex` (the exchangeable positions); `values`,
+    `matrix` and `exchangeable` are derived from it on first read. The
+    constructor is the one route that checks: it checks the label form,
+    last that the matrix is skew-symmetrizable (_check_matrix, raising
+    NotSkewSymmetrizable with its witness), so every seed has a zero
+    diagonal and sign-skew support; it keeps no dict of the caller's. A
+    seed built from seeds (by mutation, reroot, full_subseed, opposite_seed
+    or coproduct), a triangulation or an oracle passes these checks by
+    construction, and `_from_positions` builds it with none."""
 
     def __init__(
         self,
@@ -104,19 +114,10 @@ class Seed:
                 r[at[w]] = b
         if values.keys() != at.keys():
             raise InvalidSeed("values must be given for exactly the cluster labels")
-        # every value on one ambient, so mutation never re-encodes
-        values = on_one_ambient(values)
-        seen: dict[LaurentPoly, VarId] = {}
-        for v in labels:
-            first = seen.setdefault(values[v], v)
-            if first != v:
-                _shared_value(first, v, values[v])
+        vals = _distinct_values(labels, values)
         rows = tuple(rows)
         _check_matrix(labels, rows)
-        self.__dict__.update(
-            labels=labels, exchangeable=exchangeable, matrix=matrix, values=values, _rows=rows,
-            _vals=tuple(map(values.__getitem__, labels)), _ex=frozenset(map(at.__getitem__, exchangeable)),
-        )
+        self.__dict__.update(labels=labels, _ex=frozenset(map(at.__getitem__, exchangeable)), _rows=rows, _vals=vals)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -124,7 +125,7 @@ class Seed:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    # -- the label form, derived for a seed mutation made --------------------
+    # -- the label form, derived from the positional form ---------------------
 
     @derived
     def values(self) -> dict[VarId, LaurentPoly]:
@@ -142,7 +143,7 @@ class Seed:
     @derived
     def _vals(self) -> tuple[LaurentPoly, ...]:
         """An initial seed's values, each label's own variable: the objects
-        Seed.initial makes. Every other seed is built holding its values."""
+        Seed.initial makes. A seed built any other way holds its values."""
         ambient = Ambient(self.labels)
         return tuple(map(ambient.var, self.labels))
 
@@ -165,18 +166,21 @@ class Seed:
         """A seed in positional form that passes every check of the
         constructor by construction, so it runs none: `labels` a tuple of
         distinct labels, `ex` a frozenset of positions, `rows` a tuple of
-        {position: b} with no zero entry and a skew-symmetrizable matrix.
-        Given `vals`, the seed holds them on the given exchange table, whose
-        own objects they must be, as mutation's seeds do. Without them it is
-        the initial seed of its labels, and `_vals` is derived on its first
-        read."""
+        {position: b} with no zero entry and a skew-symmetrizable matrix,
+        `vals` distinct values on one ambient. With `exchanges` the seed
+        holds `vals` on that table, whose own objects they must be, as
+        mutation's seeds do; with `vals` alone it starts without a table;
+        without either it is the initial seed of its labels, whose `_vals`
+        are derived on first read."""
         seed = object.__new__(cls)
-        # one update each way: a second update on mutation's path cost
+        # mutation's path comes first, one update: a second update on it cost
         # mutation walks about 5% of their throughput (CPython 3.11)
-        if vals is None:
-            seed.__dict__.update(labels=labels, _ex=ex, _rows=rows)
-        else:
+        if exchanges is not None:
             seed.__dict__.update(labels=labels, _ex=ex, _rows=rows, _vals=vals, _exchanges=exchanges)
+        elif vals is not None:
+            seed.__dict__.update(labels=labels, _ex=ex, _rows=rows, _vals=vals)
+        else:
+            seed.__dict__.update(labels=labels, _ex=ex, _rows=rows)
         return seed
 
     @classmethod
@@ -589,22 +593,27 @@ def enumerate_seeds(
 
 
 def full_subseed(seed: Seed, labels: Iterable[VarId]) -> Seed:
-    """Full subseed on the given labels: restricted matrix, exchangeables
-    inherited, values kept."""
+    """Full subseed on the given labels, laid out by _subseed: restricted
+    matrix, exchangeables inherited, the seed's value objects kept."""
     keep = set(labels)
     if not keep <= set(seed.labels):
         raise InvalidSeed("subseed labels must belong to the seed")
-    matrix = {
-        v: {w: b for w, b in row.items() if w in keep}
-        for v, row in seed.matrix.items()
-        if v in keep
-    }
-    matrix = {v: r for v, r in matrix.items() if r}
-    return Seed(
-        tuple(v for v in seed.labels if v in keep),
-        frozenset(seed.exchangeable & keep),
-        matrix,
-        {v: seed.values[v] for v in seed.labels if v in keep},
+    return _subseed(seed, keep, seed._ex)
+
+
+def _subseed(seed: Seed, keep: Container[VarId], ex: Iterable[int]) -> Seed:
+    """The full subseed on the labels in `keep`, exchangeable at the
+    positions of `ex` among them, with the seed's value objects. A principal
+    submatrix is skew-symmetrizable with the symmetrizer restricted, and
+    distinct values stay distinct, so nothing is checked."""
+    at = [i for i, v in enumerate(seed.labels) if v in keep]
+    new = {i: k for k, i in enumerate(at)}
+    rows, vals = seed._rows, seed._vals
+    return Seed._from_positions(
+        tuple(seed.labels[i] for i in at),
+        frozenset(new[i] for i in ex if i in new),
+        tuple({new[j]: b for j, b in rows[i].items() if j in new} for i in at),
+        tuple(vals[i] for i in at),
     )
 
 
@@ -646,29 +655,39 @@ def exchangeably_connected_components(seed: Seed) -> list[Seed]:
     return components
 
 
-def coproduct(seeds: Sequence[Seed]) -> Seed:
-    """Disjoint union of clusters, exchangeable sets, and matrices."""
-    seen: set[VarId] = set()
+def _disjoint_union(seeds: Iterable[Seed]) -> tuple[tuple, frozenset[int], tuple[dict[int, int], ...]]:
+    """(labels, exchangeable positions, rows) of the seeds' disjoint union,
+    each seed's positions shifted by the count of labels before it. Blocks
+    that are skew-symmetrizable make a skew-symmetrizable block-diagonal
+    matrix, so only labels are checked: LabelCollision at the first repeat."""
     labels: list[VarId] = []
-    values: dict[VarId, LaurentPoly] = {}
-    matrix: Matrix = {}
-    exchangeable: set[VarId] = set()
+    ex: list[int] = []
+    rows: list[dict[int, int]] = []
     for s in seeds:
-        for v in s.labels:
-            if v in seen:
-                raise LabelCollision(v)
-            seen.add(v)
-        labels.extend(s.labels)
-        values.update(s.values)
-        exchangeable |= s.exchangeable
-        for v, row in s.matrix.items():
-            matrix[v] = dict(row)
-    return Seed(tuple(labels), frozenset(exchangeable), matrix, values)
+        offset = len(labels)
+        labels += s.labels
+        ex += [offset + j for j in s._ex]
+        # the first seed's rows are shared: no code edits a row in place
+        rows += [{offset + j: b for j, b in r.items()} for r in s._rows] if offset else s._rows
+    if len(set(labels)) < len(labels):
+        raise LabelCollision(next(v for i, v in enumerate(labels) if v in labels[:i]))
+    return tuple(labels), frozenset(ex), tuple(rows)
+
+
+def coproduct(seeds: Sequence[Seed]) -> Seed:
+    """Disjoint union of clusters, exchangeable sets, and matrices, laid out
+    by _disjoint_union. Values of different summands may coincide, so they
+    are checked as the constructor checks them; the matrix is not."""
+    labels, ex, rows = _disjoint_union(seeds)
+    values = dict(zip(labels, (p for s in seeds for p in s._vals)))
+    return Seed._from_positions(labels, ex, rows, _distinct_values(labels, values))
 
 
 def opposite_seed(seed: Seed) -> Seed:
-    matrix = {v: {w: -b for w, b in row.items()} for v, row in seed.matrix.items()}
-    return Seed(seed.labels, seed.exchangeable, matrix, dict(seed.values))
+    """The seed with matrix -B: it is skew-symmetrizable with B's
+    symmetrizer, so nothing is checked."""
+    rows = tuple({j: -b for j, b in r.items()} for r in seed._rows)
+    return Seed._from_positions(seed.labels, seed._ex, rows, seed._vals)
 
 
 # -- similarity ---------------------------------------------------------------

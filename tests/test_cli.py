@@ -404,6 +404,21 @@ class TestCommands:
         report = {"error": "label 'y1' occurs in more than one summand"}
         assert run_captured(argv) == (3, rendered(report, fmt), "")
 
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize("order, text", [
+        (["y.seed", "x.seed"], "labels 'y' and 'x' share the value x"),
+        (["x.seed", "y.seed"], "labels 'x' and 'y' share the value x"),
+    ])
+    def test_coproduct_of_summands_sharing_a_value_exits_three(self, tmp_path, fmt, order, text):
+        # distinct labels, but y's value is the variable x, which is x's
+        # value in the initial seed on {x}; the pair is named in label order
+        y = {"variables": [{"id": "y", "exchangeable": True}], "matrix": [], "values": [["y", "x"]]}
+        x = {"variables": [{"id": "x", "exchangeable": True}], "matrix": []}
+        for name, data in [("y.seed", y), ("x.seed", x)]:
+            (tmp_path / name).write_text(json.dumps(data))
+        argv = ["--format", fmt, "coproduct", "--seeds", *(str(tmp_path / n) for n in order)]
+        assert run_captured(argv) == (3, rendered({"error": text}, fmt), "")
+
     def test_flip_roundtrip(self, files, tmp_path, capsys):
         out1 = tmp_path / "flip1.tri"
         code, report = run_cli(

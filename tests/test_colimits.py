@@ -390,7 +390,9 @@ def glued_stages(tri, steps, base_arcs=None):
     """The first stages of a triangulation's tower built without its seed
     oracle: each component grows by glueing the triangles on its outer
     shell, and every component stage is validated as a finite triangulation
-    and converted to its seed."""
+    and converted to its seed. The stage joins them with coproduct, which
+    shares _interleave's layout; the stage reference that does not is
+    assert_stages_are_initial_seeds_of_their_balls."""
 
     def neighbours(a):
         return {side for corners in tri.triangles_of(a) for side in triangle_sides(corners)} - {a}

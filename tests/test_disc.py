@@ -327,9 +327,10 @@ class TestArcFamilies:
 
     def test_family_membership(self):
         fam = ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=F(0))
-        assert fam.is_member(chord_of(Arc.of(F(0), F(1, 4))))
-        assert fam.is_member(chord_of(Arc.of(F(0), F(1, 2) - F(1, 2) / 97)))
-        assert not fam.is_member(chord_of(Arc.of(F(0), F(1, 3) + F(1, 97))))
+        tri = InfiniteTriangulation(families=(fam,))
+        assert tri.chord_in(chord_of(Arc.of(F(0), F(1, 4))))
+        assert tri.chord_in(chord_of(Arc.of(F(0), F(1, 2) - F(1, 2) / 97)))
+        assert not tri.chord_in(chord_of(Arc.of(F(0), F(1, 3) + F(1, 97))))
 
     def test_nest_zigzag_non_crossing(self):
         fam = ArcFamily("nest", limit=F(1, 2), scale=F(1, 4), start=1)
@@ -386,7 +387,7 @@ class TestArcFamilies:
         for i, p in enumerate(pts):
             for q in pts[i + 1 :]:
                 a = _chord(p, q)
-                assert fam.is_member(a) == fam_twin.is_member(a)
+                assert tri.chord_in(a) == tri_twin.chord_in(a)
 
     @pytest.mark.parametrize("kind", ["nest", "half-nest"])
     def test_zigzag_takes_no_base(self, kind):
@@ -1260,7 +1261,8 @@ class TestNeighbourRule:
         for f in tri.families:
             for seq in f.sequences():
                 assert seq._index(_pt(p)) == index_of_shifts(seq, p)
-        assert tri.in_point_set(_pt(p)) == marked(tri, p)
+        finite, tips = tri._where[_pt(p)]
+        assert (finite or any(tips)) == marked(tri, p)
         for ccw in (True, False):
             n = tri.nearest(_pt(p), ccw)
             assert (n is None) == accumulates_before_any_point(tri, p, ccw)

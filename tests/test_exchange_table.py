@@ -9,8 +9,17 @@ import pytest
 import clusterlab.laurent
 from clusterlab.errors import NotDivisible
 from clusterlab.laurent import format_poly
-from clusterlab.morphisms import ClusterMap, check_cm3
-from clusterlab.seeds import Seed, enumerate_seeds, mutate_seed
+from clusterlab.morphisms import ClusterMap, check_cm3, image_seed
+from clusterlab.seeds import (
+    Seed,
+    connected_components,
+    coproduct,
+    enumerate_seeds,
+    exchangeably_connected_components,
+    full_subseed,
+    mutate_seed,
+    opposite_seed,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -110,6 +119,22 @@ def test_a_seed_built_by_hand_starts_without_a_table():
     assert child.__dict__["_exchanges"] is seed.__dict__["_exchanges"]
     copy = Seed(child.labels, child.exchangeable, child.matrix, dict(child.values))
     assert "_exchanges" not in copy.__dict__
+    # seeds made from a walk's seed hold its table's objects, not its table
+    m = ClusterMap(Seed.initial(["x1", "x2"], ["x2"], []), child, {"x1": "x2", "x2": "x3"})
+    made = [
+        full_subseed(child, child.labels[1:]),
+        *connected_components(child),
+        *exchangeably_connected_components(child),
+        opposite_seed(child),
+        image_seed(m),
+        coproduct([child, Seed.initial(["z"], ["z"], [])]),
+    ]
+    for seed in made:
+        assert "_exchanges" not in seed.__dict__
+    # the image seed is of the re-rooted target, the coproduct's values are
+    # re-encoded on the summands' joint ambient
+    own = set(map(id, child._vals))
+    assert all(id(p) in own for seed in made[:-2] for p in seed._vals)
 
 
 # (p, q) bonds b_ij = p, b_ji = -q along a path of the given rank

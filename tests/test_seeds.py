@@ -381,6 +381,16 @@ class TestCoproduct:
         with pytest.raises(LabelCollision):
             coproduct([a2_seed(), a2_seed()])
 
+    @pytest.mark.parametrize("y_first", [True, False])
+    def test_summands_sharing_a_value(self, y_first):
+        # distinct labels, one value: the union would not be a seed, and the
+        # pair is named in label order
+        x = Seed.initial(["x"], ["x"], [])
+        y = Seed(("y",), frozenset({"y"}), {}, {"y": parse_poly("x")})
+        pair, text = ([y, x], "'y' and 'x'") if y_first else ([x, y], "'x' and 'y'")
+        with pytest.raises(InvalidSeed, match=f"^labels {text} share the value x$"):
+            coproduct(pair)
+
 
 class TestOpposite:
     def test_involution(self):
