@@ -8,7 +8,8 @@ flags produce byte-identical output.
 
 Exit codes: 0 success / check passed; 1 definitive verification failure
 (replayable witness printed); 2 inconclusive or resource-limited; 3 input
-errors. Unknown flags are rejected with exit 3.
+errors. Unknown flags are rejected with exit 3. An error's exit code is its
+kind, declared in errors.py; `main` reads it and names no other class.
 """
 
 from __future__ import annotations
@@ -45,18 +46,11 @@ from .errors import (
     ClusterLabError,
     CrossingPair,
     Inconclusive,
+    InputError,
     InvalidSeed,
-    LabelCollision,
     LaurentParseError,
-    NotAdmissible,
-    NotAdmissibleAtStage,
-    NotExchangeable,
-    NotFlippable,
     NotMaximal,
     ParseError,
-    ResourceLimit,
-    SearchBudgetExceeded,
-    UnknownVertex,
 )
 from .laurent import LaurentPoly, format_poly, parse_poly
 from .morphisms import (
@@ -282,16 +276,13 @@ def load_triangulation_file(path: str) -> FiniteTriangulation | InfiniteTriangul
             )
             kwargs["start"] = start
         specs.append(kwargs)
-    try:
-        if specs:
-            return InfiniteTriangulation(
-                families=tuple(ArcFamily(**kwargs) for kwargs in specs),
-                extra_arcs=frozenset(arcs),
-                finite_points=tuple(points),
-            )
-        return validate_triangulation(points, arcs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    if specs:
+        return InfiniteTriangulation(
+            families=tuple(ArcFamily(**kwargs) for kwargs in specs),
+            extra_arcs=frozenset(arcs),
+            finite_points=tuple(points),
+        )
+    return validate_triangulation(points, arcs)
 
 
 def triangulation_to_data(t: FiniteTriangulation) -> dict:
@@ -334,10 +325,7 @@ def load_map_file(path: str, source: Seed, target: Seed) -> ClusterMap:
         if gen in extra:
             raise ParseError(f"extra generator {format_poly(gen)} is given twice")
         extra[gen] = img
-    try:
-        return ClusterMap(source, target, assignment, extra)
-    except ClusterLabError as exc:
-        raise InvalidSeed(str(exc)) from exc
+    return ClusterMap(source, target, assignment, extra)
 
 
 # -- reporting ------------------------------------------------------------------
@@ -712,22 +700,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # the handler is looked up at each call, so a rebinding applies
         code, report = globals()["_cmd_" + args.verb.replace("-", "_")](args)
-    except (
-        ParseError, InvalidSeed, LaurentParseError, NotExchangeable,
-        NotAdmissible, NotFlippable, NotAdmissibleAtStage, UnknownVertex,
-        LabelCollision,
-    ) as exc:
-        emit({"error": str(exc)}, args.format)
-        return EXIT_INPUT
     except (CrossingPair, NotMaximal) as exc:
         emit({"error": str(exc), "valid": False}, args.format)
         return EXIT_FAIL
-    except (Inconclusive, ResourceLimit, SearchBudgetExceeded) as exc:
+    except Inconclusive as exc:
         emit({"inconclusive": str(exc)}, args.format)
         return EXIT_INCONCLUSIVE
     except ClusterLabError as exc:
         emit({"error": str(exc)}, args.format)
-        return EXIT_FAIL
+        return EXIT_INPUT if isinstance(exc, InputError) else EXIT_FAIL
     emit(report, args.format)
     return code
 

@@ -2,6 +2,13 @@
 
 Every failure that a caller can act on gets its own class; witnesses are
 carried as attributes so reports can be replayed.
+
+Each class also declares its kind, which is the CLI's exit code:
+subclasses of InputError are the caller's own input (exit 3); Inconclusive
+and its budget subclasses ResourceLimit and SearchBudgetExceeded settle
+nothing (exit 2); CrossingPair and NotMaximal refute a triangulation
+(exit 1, reported with `valid: false`); every other ClusterLabError is a
+definitive failure (exit 1).
 """
 
 from __future__ import annotations
@@ -9,6 +16,20 @@ from __future__ import annotations
 
 class ClusterLabError(Exception):
     """Base class for all library errors."""
+
+
+class InputError(ClusterLabError):
+    """The caller's input is at fault: a malformed file, an unknown label,
+    an argument no computation can take."""
+
+
+class Inconclusive(ClusterLabError):
+    """A check neither verified nor refuted its condition: it reached its
+    depth bound, or a budget ran out (the subclasses below)."""
+
+    def __init__(self, message: str, condition: str | None = None):
+        super().__init__(message)
+        self.condition = condition
 
 
 # --- Laurent arithmetic ---------------------------------------------------
@@ -23,7 +44,7 @@ class NotDivisible(ClusterLabError):
     denominator over the integers."""
 
 
-class LaurentParseError(ClusterLabError):
+class LaurentParseError(InputError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message)
         self.position = position
@@ -32,7 +53,7 @@ class LaurentParseError(ClusterLabError):
 # --- Seeds ----------------------------------------------------------------
 
 
-class InvalidSeed(ClusterLabError):
+class InvalidSeed(InputError):
     pass
 
 
@@ -44,13 +65,13 @@ class NotSkewSymmetrizable(ClusterLabError):
         self.witness = witness
 
 
-class NotExchangeable(ClusterLabError):
+class NotExchangeable(InputError):
     def __init__(self, label):
         super().__init__(f"variable {label!r} is not exchangeable")
         self.label = label
 
 
-class NotAdmissible(ClusterLabError):
+class NotAdmissible(InputError):
     def __init__(self, sequence, index):
         super().__init__(
             f"sequence {sequence!r} fails admissibility at index {index}"
@@ -59,17 +80,17 @@ class NotAdmissible(ClusterLabError):
         self.index = index
 
 
-class ResourceLimit(ClusterLabError):
+class ResourceLimit(Inconclusive):
     pass
 
 
-class LabelCollision(ClusterLabError):
+class LabelCollision(InputError):
     def __init__(self, label):
         super().__init__(f"label {label!r} occurs in more than one summand")
         self.label = label
 
 
-class SearchBudgetExceeded(ClusterLabError):
+class SearchBudgetExceeded(Inconclusive):
     """The similarity search ran out of budget before exhausting the space;
     distinct from a definitive 'not similar'."""
 
@@ -89,7 +110,7 @@ class NotMaximal(ClusterLabError):
         self.witness = witness
 
 
-class NotFlippable(ClusterLabError):
+class NotFlippable(InputError):
     def __init__(self, arc):
         super().__init__(f"arc {arc} is not the diagonal of a quadrilateral")
         self.arc = arc
@@ -102,11 +123,11 @@ class InvalidFamily(ClusterLabError):
 # These three also subclass ValueError, so callers that catch ValueError still do.
 
 
-class UnmarkedPoint(ClusterLabError, ValueError):
+class UnmarkedPoint(InputError, ValueError):
     """An arc endpoint that is not one of the marked points."""
 
 
-class TooFewPoints(ClusterLabError, ValueError):
+class TooFewPoints(InputError, ValueError):
     """A finite triangulation needs at least two marked points."""
 
 
@@ -128,14 +149,6 @@ class SeedMismatch(ClusterLabError):
 
 class NotSimilar(ClusterLabError):
     pass
-
-
-class Inconclusive(ClusterLabError):
-    """A depth-bounded check neither verified nor refuted its condition."""
-
-    def __init__(self, message: str, condition: str | None = None):
-        super().__init__(message)
-        self.condition = condition
 
 
 # --- Colimits ---------------------------------------------------------------
@@ -166,7 +179,7 @@ class IncompatibleCone(ClusterLabError):
         self.stages = stages
 
 
-class NotAdmissibleAtStage(ClusterLabError):
+class NotAdmissibleAtStage(InputError):
     def __init__(self, step):
         super().__init__(
             f"step {step!r} can never become admissible in any stage"
@@ -174,7 +187,7 @@ class NotAdmissibleAtStage(ClusterLabError):
         self.step = step
 
 
-class UnknownVertex(ClusterLabError):
+class UnknownVertex(InputError):
     def __init__(self, label):
         super().__init__(f"{label!r} is not a vertex of the oracle's seed")
         self.label = label
@@ -183,7 +196,7 @@ class UnknownVertex(ClusterLabError):
 # --- CLI / files ------------------------------------------------------------
 
 
-class ParseError(ClusterLabError):
+class ParseError(InputError):
     def __init__(self, message, line=None, column=None, expected=None):
         loc = "" if line is None else f" at line {line}, column {column}"
         want = "" if expected is None else f" (expected {expected})"

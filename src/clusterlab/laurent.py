@@ -110,8 +110,6 @@ class Ambient:
 
     def encode(self, p: "LaurentPoly") -> "LaurentPoly":
         """p on this ambient, whose names must cover p's variables."""
-        if p._amb is self:
-            return p
         if p._bound > self.cap and _bound(p.terms) > self.cap:
             raise OverflowError(f"{format_poly(p)} does not fit fields of width {self.width}")
         return _poly(self, p._on(self), p._bound, None, p._hash)
@@ -203,11 +201,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._keys
-
-    def as_int(self) -> int | None:
-        """The constant value if this is a constant, else None."""
-        keys = self._keys
-        return keys.get(self._amb.unit) if len(keys) == 1 else None if keys else 0
 
     def variables(self) -> set[VarId]:
         return {v for m in self.terms for v, _ in m}

@@ -506,8 +506,6 @@ def check_ideal_witness(
     if not img_seed.exchangeable:
         coeffs = set(img_seed.labels)
         for img in images:
-            if img.as_int() is not None:
-                continue
             if img not in target_vars or img in generators:
                 continue
             inside = all(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 from itertools import count
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -79,7 +80,9 @@ class Seed:
     A seed stores one form, the positional one mutation reads and writes:
     `labels`, `_vals` (the values by position), `_rows` (each row as
     {position: b}) and `_ex` (the exchangeable positions); `values`,
-    `matrix` and `exchangeable` are derived from it on first read. The
+    `matrix` and `exchangeable` are derived from it on first read, and are
+    read-only (`values`, `matrix` and its rows are mapping proxies), as a
+    write to them would reach neither the positional form nor mutation. The
     constructor is the one route that checks: it checks the label form,
     last that the matrix is skew-symmetrizable (_check_matrix, raising
     NotSkewSymmetrizable with its witness), so every seed has a zero
@@ -128,13 +131,16 @@ class Seed:
     # -- the label form, derived from the positional form ---------------------
 
     @derived
-    def values(self) -> dict[VarId, LaurentPoly]:
-        return dict(zip(self.labels, self._vals))
+    def values(self) -> Mapping[VarId, LaurentPoly]:
+        return MappingProxyType(dict(zip(self.labels, self._vals)))
 
     @derived
-    def matrix(self) -> Matrix:
+    def matrix(self) -> Mapping[VarId, Mapping[VarId, int]]:
         labels = self.labels
-        return {labels[i]: {labels[j]: b for j, b in row.items()} for i, row in enumerate(self._rows) if row}
+        return MappingProxyType({
+            labels[i]: MappingProxyType({labels[j]: b for j, b in row.items()})
+            for i, row in enumerate(self._rows) if row
+        })
 
     @derived
     def exchangeable(self) -> frozenset[VarId]:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import clusterlab.cli
+import clusterlab.errors
 from clusterlab.cli import (
     load_map_file,
     load_seed_file,
@@ -925,6 +926,21 @@ class TestHardenedInput:
         assert run_captured(argv) == (1, expected, "")
 
     @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_filtration_of_an_arc_crossing_a_limit_arc_exits_one(self, tmp_path, fmt):
+        # the second fountain's arc {1/800, 3/4} crosses the first's limit
+        # arc {0, 1/2}; triangulation_components refuses it, so filtration
+        # does (validate-tri, which checks a window of arcs, still accepts it)
+        fountain = {"kind": "left-fountain", "limit": "0", "start": 1}
+        path = tmp_path / "crossing.tri"
+        path.write_text(json.dumps({"families": [
+            {**fountain, "base": "1/2", "scale": "1/3"},
+            {**fountain, "base": "3/4", "scale": "1/100"},
+        ]}))
+        argv = ["--format", fmt, "filtration", "--tri", str(path)]
+        message = "arc {1/800, 3/4} crosses the limit arc {0/1, 1/2}; inconsistent triangulation"
+        assert run_captured(argv) == (1, rendered({"error": message}, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
     @pytest.mark.parametrize(
         "labels, matrix, message",
         [
@@ -1188,6 +1204,75 @@ class TestHardenedInput:
             main(["--jobs", "2", "enumerate", "--seed", files["a2.seed"]])
         assert exc.value.code == 3
         assert "clusterlab: error:" in capsys.readouterr().err
+
+
+# the exit code and report of `main` for each error class, by its kind:
+# "input" exits 3, "inconclusive" 2, "invalid" (a refuted triangulation) and
+# "failure" 1
+ERROR_KINDS = {
+    "ClusterLabError": "failure",
+    "InputError": "input",
+    "Inconclusive": "inconclusive",
+    "DivisionByZero": "failure",
+    "NotDivisible": "failure",
+    "LaurentParseError": "input",
+    "InvalidSeed": "input",
+    "NotSkewSymmetrizable": "failure",
+    "NotExchangeable": "input",
+    "NotAdmissible": "input",
+    "ResourceLimit": "inconclusive",
+    "LabelCollision": "input",
+    "SearchBudgetExceeded": "inconclusive",
+    "CrossingPair": "invalid",
+    "NotMaximal": "invalid",
+    "NotFlippable": "input",
+    "InvalidFamily": "failure",
+    "UnmarkedPoint": "input",
+    "TooFewPoints": "input",
+    "NotAnArc": "failure",
+    "NonLaurentImage": "failure",
+    "SeedMismatch": "failure",
+    "NotSimilar": "failure",
+    "OracleInconsistent": "failure",
+    "NotOnlyCoefficients": "failure",
+    "NotFullSubseed": "failure",
+    "IncompatibleCone": "failure",
+    "NotAdmissibleAtStage": "input",
+    "UnknownVertex": "input",
+    "ParseError": "input",
+}
+
+KIND_OUTCOMES = {
+    "input": (3, {"error": "boom"}),
+    "inconclusive": (2, {"inconclusive": "boom"}),
+    "invalid": (1, {"error": "boom", "valid": False}),
+    "failure": (1, {"error": "boom"}),
+}
+
+
+class TestErrorKinds:
+    """`main` reads an error's exit code from its class's kind."""
+
+    def test_the_table_names_every_error_class(self):
+        classes = {
+            name for name, cls in vars(clusterlab.errors).items()
+            if isinstance(cls, type) and issubclass(cls, clusterlab.errors.ClusterLabError)
+        }
+        assert classes == ERROR_KINDS.keys()
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize("name", sorted(ERROR_KINDS))
+    def test_exit_code_and_report_follow_the_kind(self, files, monkeypatch, fmt, name):
+        cls = getattr(clusterlab.errors, name)
+
+        def handler(args):
+            # __new__ alone: the message without each class's own arguments
+            raise cls.__new__(cls, "boom")
+
+        monkeypatch.setattr(clusterlab.cli, "_cmd_components", handler)
+        code, report = KIND_OUTCOMES[ERROR_KINDS[name]]
+        argv = ["--format", fmt, "components", "--seed", files["a2.seed"]]
+        assert run_captured(argv) == (code, rendered(report, fmt), "")
 
 
 class TestMutatedSeedFiles:

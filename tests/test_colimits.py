@@ -57,6 +57,7 @@ from clusterlab.errors import (
     ClusterLabError,
     CrossingPair,
     IncompatibleCone,
+    InputError,
     InvalidFamily,
     NotAdmissibleAtStage,
     NotAnArc,
@@ -440,7 +441,7 @@ def test_triangulation_route_agrees_on_generated_files(data):
 def test_triangulation_route_agrees_on_polygons(data, draw):
     try:
         tri = tri_from_data(data)
-    except (CrossingPair, NotMaximal, ParseError):
+    except (CrossingPair, NotMaximal, InputError):
         assume(False)  # a polygon file with an arc dropped or one added
     assert isinstance(tri, FiniteTriangulation)
     assert_glued_stages(tri, 6)
@@ -1291,7 +1292,7 @@ def test_no_edge_crosses_the_sweep_of_generated_files(data):
 def test_no_edge_crosses_the_sweep_of_polygons(data):
     try:
         t = tri_from_data(data)
-    except (CrossingPair, NotMaximal, ParseError):
+    except (CrossingPair, NotMaximal, InputError):
         assume(False)  # a polygon file with an arc dropped or one added
     # the polygon as an infinite triangulation with no family: its arcs exceptional
     assert_no_edge_crosses_the_sweep(InfiniteTriangulation((), t.arcs, t.points), (40,))

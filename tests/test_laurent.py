@@ -175,10 +175,15 @@ class TestSerialization:
             ("&", "unexpected character '&'", 0),
             ("x1*2", "integer factor only allowed first", 3),
             ("x1 x2", "expected '+' or '-', found 'x2'", 3),
+            ("x + *", "expected atom, found '*'", 4),
         ]:
             with pytest.raises(LaurentParseError) as err:
                 parse_poly(bad)
             assert (str(err.value), err.value.position) == (message, position), bad
+
+    def test_a_polynomial_never_equals_a_non_polynomial(self):
+        assert (parse_poly("x") == 1) is False
+        assert (parse_poly("1") == 1) is False
 
 
 CAP = (1 << (WIDTH - 2)) - 1  # the largest absolute value a default field holds

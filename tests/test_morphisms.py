@@ -312,16 +312,19 @@ class TestNoSpecializationConditions:
         assert any("condition2" in w for w in report.witnesses)
 
     def test_inconclusive_condition2(self):
-        with pytest.raises(Inconclusive):
+        with pytest.raises(Inconclusive) as exc:
             check_no_specialization_conditions(sign_stable_collision_map(), depth=3)
+        assert exc.value.condition == "condition2"
 
     def test_condition2_search_stops_at_depth(self):
         # one exchangeable: the root and one sequence per length 1..3 are
-        # four nodes; no budget is spent on sequences of length 4
-        with pytest.raises(Inconclusive):
+        # four nodes; no budget is spent on sequences of length 4 (a
+        # ResourceLimit, also an Inconclusive, would carry no condition)
+        with pytest.raises(Inconclusive) as exc:
             check_no_specialization_conditions(
                 sign_stable_collision_map(), depth=3, max_nodes=4
             )
+        assert exc.value.condition == "condition2"
 
     def test_soundness_on_verified_maps(self):
         # every map passing the characterization passes CM3 to depth

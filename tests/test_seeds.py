@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+from dataclasses import FrozenInstanceError
 from itertools import islice
 
 import pytest
@@ -569,6 +570,14 @@ class TestSeedIdentity:
 
 
 class TestSeedInvariants:
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        s = example_seed()
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'labels'"):
+            s.labels = ("z",)
+        with pytest.raises(FrozenInstanceError, match="cannot delete field 'labels'"):
+            del s.labels
+        assert s.same_seed(example_seed())
+
     def test_value_distinctness_enforced(self):
         with pytest.raises(InvalidSeed):
             Seed(

@@ -175,7 +175,28 @@ def test_a_copy_through_the_constructor_shares_no_dict():
     c = Seed(s.labels, s.exchangeable, s.matrix, s.values)
     assert c.matrix is not s.matrix and c.matrix["a"] is not s.matrix["a"]
     assert c.values is not s.values
-    c.values["a"] = parse_poly("z")
-    c.matrix["a"]["b"] = 7
+    with pytest.raises(TypeError):
+        c.values["a"] = parse_poly("z")
+    with pytest.raises(TypeError):
+        c.matrix["a"]["b"] = 7
     assert s.values["a"] == parse_poly("x") and s._vals[0] == parse_poly("x")
     assert s.b("a", "b") == 2
+
+
+def test_the_label_form_is_read_only():
+    # a write to the derived label form would change `b` but not the
+    # positional form that mutation and canonical_key read
+    s = Seed.initial(["a", "b"], ["a"], [("a", "b", 1), ("b", "a", -1)])
+    ref = Seed.initial(["a", "b"], ["a"], [("a", "b", 1), ("b", "a", -1)])
+    with pytest.raises(TypeError):
+        s.matrix["a"]["b"] = 5
+    with pytest.raises(TypeError):
+        s.matrix["a"] = {"b": 5}
+    with pytest.raises(TypeError):
+        s.values["a"] = parse_poly("z")
+    assert s.b("a", "b") == 1 and s._rows[0] == {1: 1}
+    assert s.values["a"] == parse_poly("a") and s._vals[0] == parse_poly("a")
+    assert mutate_seed(s, "a").same_seed(mutate_seed(ref, "a"))
+    # the views still compare equal to plain dicts and feed the constructor
+    assert s.matrix == {"a": {"b": 1}, "b": {"a": -1}}
+    assert Seed(s.labels, s.exchangeable, s.matrix, s.values).same_seed(s)
