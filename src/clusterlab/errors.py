@@ -72,9 +72,13 @@ class NotExchangeable(InputError):
 
 
 class NotAdmissible(InputError):
-    def __init__(self, sequence, index):
+    """The step at `index` is no label of the seed it reaches, or not an
+    exchangeable one; the message names which."""
+
+    def __init__(self, sequence, index, cause):
         super().__init__(
-            f"sequence {sequence!r} fails admissibility at index {index}"
+            f"sequence {sequence!r} fails admissibility at index {index}: "
+            f"{sequence[index]!r} {cause}"
         )
         self.sequence = tuple(sequence)
         self.index = index

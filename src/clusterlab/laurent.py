@@ -268,10 +268,6 @@ class LaurentPoly:
             n >>= 1
         return LaurentPoly.one() if result is None else result
 
-    def shift(self, m: Monomial) -> "LaurentPoly":
-        """Multiply by the (unit) monomial m."""
-        return self * LaurentPoly({m: 1}) if m else self
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return False
@@ -308,6 +304,63 @@ _NO_NAMES = Ambient(())
 def min_exponents(p: LaurentPoly) -> Monomial:
     """Per-variable minimum exponent over the terms of p (absent = 0)."""
     return p._amb.monomials([_floor_on(p, p._amb, p._keys)])[0] if p._keys else ()
+
+
+def substitute(p: LaurentPoly, images: Mapping[VarId, VarId | int], amb: Ambient) -> tuple[LaurentPoly, int]:
+    """p under the ring map f sending each variable v to images[v], a name
+    of amb or an integer, as (s, k) with f(p) = s / k where k is not 0.
+
+    With D the monomial of p's negative floor, p = N / D for a polynomial N,
+    and f(D) is the single term k * y^D: k is the product of n_v^D_v over
+    the integer images n_v, and y^D the product of the label images' powers.
+    Then s = f(N) / y^D, made in one pass over p's terms: c * x^m goes to
+    c * prod n_v^(m_v + D_v) * prod y_v^m_v. A field of s sums at most as
+    many fields of p as there are label images; when that might not fit, s
+    is made on wider fields over amb's names, so no field wraps."""
+    src, keys = p._amb, p._keys
+    mask, bias = src.mask, src.bias
+    labels, ints = [], []
+    for v, s in src.place.items():
+        img = images.get(v)
+        if img is None:  # a name that no term uses needs no image
+            if any(key >> s & mask != bias for key in keys):
+                raise KeyError(v)
+        elif isinstance(img, str):
+            labels.append((s, img))
+        elif img != 1:
+            ints.append((s, img, v))
+    if ints:
+        floor = dict(min_exponents(p))
+        ints = [(s, n, max(-floor.get(v, 0), 0)) for s, n, v in ints]  # (place, n_v, D_v)
+    k = 1
+    for _, n, d in ints:
+        k *= n ** d
+    need = len(labels) * p._bound
+    if need > amb.cap:  # wider fields, unless p's exact bound fits
+        p._bound = _bound(p.terms)
+        need = len(labels) * p._bound
+        if need > amb.cap:
+            amb = Ambient(amb.names, need.bit_length() + 2)
+    place, top, out = amb.place, amb.top, {}
+    labels = [(s, place[y]) for s, y in labels]
+    for key, c in keys.items():
+        for s, n, d in ints:
+            c *= n ** ((key >> s & mask) - bias + d)
+        if not c:
+            continue
+        t, deg = amb.unit, 0
+        for s, y in labels:
+            e = (key >> s & mask) - bias
+            if e:
+                t += e << y
+                deg += e
+        t += deg << top
+        c += out.get(t, 0)
+        if c:
+            out[t] = c
+        else:
+            del out[t]
+    return _poly(amb, out, need, None), k
 
 
 def lp_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

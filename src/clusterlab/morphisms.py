@@ -22,7 +22,7 @@ from .errors import (
     NotSimilar,
     SeedMismatch,
 )
-from .laurent import Ambient, LaurentPoly, VarId, format_poly, lp_exact_div, min_exponents
+from .laurent import Ambient, LaurentPoly, VarId, format_poly, lp_exact_div, substitute
 from .seeds import (
     DEFAULT_NODE_BUDGET,
     Memo,
@@ -80,8 +80,8 @@ class ClusterMap:
                     "extra generators must be Laurent polynomials in the "
                     "source cluster"
                 )
-            f_num, f_den = self._substitute(gen)
-            if f_num != self._resolve(img) * f_den:
+            scaled, k = self._substitute(gen)
+            if scaled != self._resolve(img) * self._ambient.const(k):
                 raise InvalidSeed(
                     f"extra generator image is inconsistent: f({format_poly(gen)}) "
                     f"cannot be {img!r}"
@@ -94,23 +94,12 @@ class ClusterMap:
             return self.target.values[img]  # re-rooted: the variable itself
         return self._ambient.const(img)
 
-    def _subst_poly(self, p: LaurentPoly) -> LaurentPoly:
-        """f(p) for a polynomial p. _substitute passes only p shifted by
-        -min_exponents(p) and a nonnegative monomial, so every exponent here
-        is at least 0."""
-        out = self._ambient.const(0)
-        for mono, coeff in p.terms.items():
-            term = self._ambient.const(coeff)
-            for v, e in mono:
-                term = term * self._resolve(self.assignment[v]) ** e
-            out = out + term
-        return out
-
-    def _substitute(self, p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-        """(f(N), f(D)) for p = N * D^-1, with N a polynomial and D a
-        nonnegative monomial."""
-        denom = tuple((v, -e) for v, e in min_exponents(p) if e < 0)
-        return self._subst_poly(p.shift(denom)), self._subst_poly(LaurentPoly({denom: 1}))
+    def _substitute(self, p: LaurentPoly) -> tuple[LaurentPoly, int]:
+        """(f(N) / y^D, k) for p = N * D^-1, with N a polynomial, D a
+        nonnegative monomial and f(D) = k * y^D, on the target's ambient:
+        each image is a label or an integer, so f sends a monomial to one
+        term, and p's terms are mapped in one pass (laurent.substitute)."""
+        return substitute(p, self.assignment, self._ambient)
 
     def apply(self, p: LaurentPoly) -> LaurentPoly:
         """Image of a Laurent polynomial over the source initial cluster.
@@ -120,9 +109,9 @@ class ClusterMap:
         the image leaves the target Laurent ring (inverted zero, or an
         inexact integer division).
         """
-        f_num, f_den = self._substitute(p)
-        if f_den.is_zero():
-            if f_num.is_zero():
+        scaled, k = self._substitute(p)
+        if not k:
+            if scaled.is_zero():
                 hit = self.extra.get(p)
                 if hit is not None:
                     return self._resolve(hit)
@@ -133,8 +122,10 @@ class ClusterMap:
             raise NonLaurentImage(
                 f"image of {format_poly(p)} inverts a variable specialized to 0"
             )
+        if k == 1:
+            return scaled
         try:
-            return lp_exact_div(f_num, f_den)
+            return lp_exact_div(scaled, self._ambient.const(k))
         except NotDivisible as exc:
             raise NonLaurentImage(
                 f"image of {format_poly(p)} leaves the integer Laurent ring"

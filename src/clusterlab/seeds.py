@@ -416,7 +416,10 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     source's.
 
     Only x's row and the rows holding x are rebuilt; every other row is
-    shared, and labels and values come by slicing."""
+    shared, and labels and values come by slicing. The support is
+    sign-skew, so x's column holds the positions of x's row: the rows
+    holding x are found from x's row, with no scan over every row, and the
+    rows come out the same."""
     at = _exchangeable_at(seed, x)
     if at is None:
         raise NotExchangeable(x)
@@ -447,11 +450,9 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     new_rows = list(rows)
     if row:
         new_rows[at] = {j: -e for j, e in row.items()}
-    for i, r in enumerate(rows):
-        c = r.get(at)
-        if c is None:
-            continue
-        new_rows[i] = r = dict(r)
+    for i in row:
+        new_rows[i] = r = dict(rows[i])
+        c = r[at]
         r[at] = -c
         for w, e in row.items():
             if (c > 0) == (e > 0):
@@ -469,7 +470,8 @@ def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:
     current = seed
     for i, step in enumerate(sequence):
         if _exchangeable_at(current, step) is None:
-            raise NotAdmissible(sequence, i)
+            cause = "is not exchangeable" if step in current.labels else "is not a label of the seed"
+            raise NotAdmissible(sequence, i, cause)
         current = mutate_seed(current, step)
     return current
 

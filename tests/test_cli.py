@@ -392,6 +392,23 @@ class TestCommands:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            (["--at", "nope"],
+             "sequence ['nope'] fails admissibility at index 0: 'nope' is not a label of the seed"),
+            # after x2 the label x2 is gone: its successor is x2'1
+            (["--sequence", "x2,x2"],
+             "sequence ['x2', 'x2'] fails admissibility at index 1: 'x2' is not a label of the seed"),
+            (["--sequence", "x3,x1"],
+             "sequence ['x3', 'x1'] fails admissibility at index 1: 'x1' is not exchangeable"),
+        ],
+    )
+    def test_an_inadmissible_step_names_its_cause(self, files, fmt, steps, message):
+        argv = ["--format", fmt, "mutate", "--seed", files["sig.seed"], *steps]
+        assert run_captured(argv) == (3, rendered({"error": message}, fmt), "")
+
     def test_components(self, files, capsys):
         code, out = run_cli(["components", "--seed", files["sig.seed"]], capsys)
         assert code == 0

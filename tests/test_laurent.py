@@ -99,10 +99,12 @@ class TestExactDiv:
             lp_exact_div(x1 + one, LaurentPoly.const(2))
 
     def test_laurent_shift(self):
+        # a shift is a product with a monomial, and a quotient by its inverse
         num = parse_poly("x1^-2 + x1^-1*x2")
-        assert lp_exact_div(num, LaurentPoly.var("x1", -1)) == parse_poly(
-            "x1^-1 + x2"
-        )
+        shifted = parse_poly("x1^-1 + x2")
+        assert num * LaurentPoly.var("x1") == shifted
+        assert num * parse_poly("x1^2*x2^-1") == parse_poly("x2^-1 + x1")
+        assert lp_exact_div(num, LaurentPoly.var("x1", -1)) == shifted
 
     def test_mul_then_div_roundtrip_randomized(self):
         rng = random.Random(7)

@@ -4,17 +4,18 @@ counterexamples, plus the randomized soundness properties."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterlab.errors import (
     Inconclusive,
     InvalidSeed,
     NonLaurentImage,
+    NotDivisible,
     NotSimilar,
     SeedMismatch,
 )
-from clusterlab.laurent import LaurentPoly, format_poly, parse_poly
+from clusterlab.laurent import Ambient, LaurentPoly, format_poly, lp_exact_div, monomial, parse_poly
 from clusterlab.morphisms import (
     ClusterMap,
     biadmissible_descendant,
@@ -41,6 +42,11 @@ from clusterlab.seeds import (
     verify_similarity_bijection,
 )
 from test_colimits import skew_symmetrizable_seeds
+
+try:  # an independent route where the image is defined
+    import sympy
+except ImportError:
+    sympy = None
 
 
 def a2_seed():
@@ -432,6 +438,14 @@ class TestApply:
             m.apply(parse_poly(text))
         assert str(err.value) == message
 
+    def test_names_no_term_uses_need_no_image(self):
+        # p keeps z in its ambient, though no term of p uses it
+        m = ClusterMap(a2_seed(), a2_seed(), {"y1": "y2", "y2": 3})
+        p = parse_poly("y1^-1*y2 + z") - parse_poly("z")
+        assert m.apply(p) == parse_poly("3*y2^-1")
+        with pytest.raises(KeyError):
+            m.apply(parse_poly("y1 + z"))
+
     def test_extra_consistency_enforced(self):
         src = ideal_counterexample_map().source
         with pytest.raises(InvalidSeed):
@@ -442,6 +456,159 @@ class TestApply:
                 extra={parse_poly("a1*x^-1 + a2*x^-1"): "y1"},
             )
 
+
+
+# -- the polynomial route, the reference for ClusterMap.apply -------------------
+
+
+def reference_substitute(assignment, target, p):
+    """(f(N), f(D)) for p = N / D, D the monomial of p's negative floor, each
+    built as sum(const(c) * prod resolve(img) ** e) on the target's ambient."""
+    amb = Ambient(target.labels)
+
+    def resolve(img):
+        return target.values[img] if isinstance(img, str) else amb.const(img)
+
+    def subst(q):
+        out = amb.const(0)
+        for mono, coeff in q.terms.items():
+            term = amb.const(coeff)
+            for v, e in mono:
+                term = term * resolve(assignment[v]) ** e
+            out = out + term
+        return out
+
+    floor = {}
+    for mono in p.terms:
+        for v, e in mono:
+            floor[v] = min(floor.get(v, 0), e)
+    denom = LaurentPoly({monomial({v: -e for v, e in floor.items()}): 1})
+    return subst(p * denom), subst(denom), resolve
+
+
+def reference_apply(assignment, extra, target, p):
+    f_num, f_den, resolve = reference_substitute(assignment, target, p)
+    if f_den.is_zero():
+        if f_num.is_zero():
+            if p in extra:
+                return resolve(extra[p])
+            raise NonLaurentImage(
+                f"image of {format_poly(p)} is 0/0-indeterminate and no "
+                "extra generator image is declared"
+            )
+        raise NonLaurentImage(f"image of {format_poly(p)} inverts a variable specialized to 0")
+    try:
+        return lp_exact_div(f_num, f_den)
+    except NotDivisible:
+        raise NonLaurentImage(f"image of {format_poly(p)} leaves the integer Laurent ring")
+
+
+def reference_consistent(assignment, target, gen, img):
+    """__post_init__'s check of one extra generator: f(gen) may be img."""
+    f_num, f_den, resolve = reference_substitute(assignment, target, gen)
+    return f_num == resolve(img) * f_den
+
+
+def outcome(f, *args):
+    """('value', the canonical text) or (error class, error text)."""
+    try:
+        return "value", format_poly(f(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+REF_SOURCE = ("x1", "x2", "x3", "x4")
+REF_TARGET = Seed.initial(["y1", "y2", "y3"], ["y1"], [])
+# labels (three of them, so four source labels share some image) and integers
+REF_IMAGES = ("y1", "y2", "y3", 0, 1, -1, 2, -2, 3)
+
+ref_monomials = st.dictionaries(
+    st.sampled_from(REF_SOURCE), st.integers(-3, 3).filter(bool), max_size=3
+).map(monomial)
+ref_polys = st.dictionaries(ref_monomials, st.integers(-4, 4), max_size=4).map(LaurentPoly)
+
+
+def ref_map(assignment, extra):
+    return ClusterMap(Seed.initial(list(REF_SOURCE), [], []), REF_TARGET, assignment, extra)
+
+
+def sympy_image(assignment, p):
+    """f(p) by sympy substitution, or None where an inverted variable goes to 0."""
+    xs = {v: sympy.Symbol(v) for v in REF_SOURCE}
+    images = {xs[v]: sympy.Symbol(i) if isinstance(i, str) else sympy.Integer(i) for v, i in assignment.items()}
+    expr = sympy.Add(*(c * sympy.Mul(*(xs[v] ** e for v, e in m)) for m, c in p.terms.items()))
+    value = expr.subs(images, simultaneous=True)
+    return None if value.has(sympy.zoo, sympy.nan) else sympy.expand(value)
+
+
+def laurent_to_sympy(q):
+    return sympy.Add(*(c * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in m)) for m, c in q.terms.items()))
+
+
+class TestApplyAgainstReference:
+    """ClusterMap.apply maps p term by term; the polynomial route it
+    replaced, and sympy where the image is defined, are its references."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.fixed_dictionaries({x: st.sampled_from(REF_IMAGES) for x in REF_SOURCE}),
+        st.dictionaries(ref_polys, st.sampled_from(REF_IMAGES), max_size=2),
+        ref_polys,
+        st.sampled_from((None, *REF_IMAGES)),
+    )
+    # terms that cancel and 0/0 are rare in the draws; 0/0 with and without
+    # an extra image for p
+    @example({"x1": "y1", "x2": "y1", "x3": 2, "x4": 1}, {}, parse_poly("x1 - x2 + x3^-1*x4 + x1^-1"), None)
+    @example({"x1": "y1", "x2": "y2", "x3": 2, "x4": -2}, {}, parse_poly("x3^2 + x4^2*x1 - 2*x3*x1"), None)
+    @example({"x1": 0, "x2": 0, "x3": 1, "x4": "y1"}, {}, parse_poly("x1^-1*x2 + x4"), None)
+    @example({"x1": 0, "x2": 0, "x3": 1, "x4": "y1"}, {}, parse_poly("x1^-1*x2"), "y2")
+    def test_apply_matches_the_polynomial_route(self, assignment, extra, p, p_image):
+        if p_image is not None:  # p itself may be an extra generator
+            extra = {**extra, p: p_image}
+        # construction refuses exactly the entries the reference refuses
+        kept = {}
+        for gen, img in extra.items():
+            consistent = reference_consistent(assignment, REF_TARGET, gen, img)
+            if consistent:
+                kept[gen] = img
+            else:
+                with pytest.raises(InvalidSeed, match="extra generator image is inconsistent"):
+                    ref_map(assignment, {gen: img})
+        m = ref_map(assignment, kept)
+        got = outcome(m.apply, p)
+        assert got == outcome(reference_apply, assignment, kept, REF_TARGET, p)
+        if sympy is None or p in kept:
+            return
+        value = sympy_image(assignment, p)
+        if got[0] == "value":
+            assert sympy.expand(laurent_to_sympy(m.apply(p)) - value) == 0
+        elif "leaves the integer Laurent ring" in got[1]:
+            coeffs = [t.as_coeff_Mul()[0] for t in sympy.Add.make_args(value)]
+            assert not all(c.is_integer for c in coeffs)
+        else:
+            assert value is None or value == 0 and "0/0" in got[1]
+
+    @pytest.mark.parametrize(
+        "assignment, text, image",
+        [
+            # p fits 20-bit fields, its image does not: two fields add up
+            ({"x1": "y1", "x2": "y1", "x3": 1, "x4": 1}, "x1^200000*x2^200000*x3^-200000 + 1",
+             {(("y1", 400000),): 1, (): 1}),
+            # p itself is past the 20-bit field
+            ({"x1": "y2", "x2": 2, "x3": 1, "x4": "y2"}, "2*x1^300000*x2^-1 + 4*x4*x2^-1",
+             {(("y2", 300000),): 1, (("y2", 1),): 2}),
+            ({"x1": "y3", "x2": -1, "x3": 1, "x4": "y3"}, "x1^300000*x4^-300000 - x2^3",
+             {(): 2}),
+            # a negative field past what 20 bits hold would borrow from y2's
+            ({"x1": "y3", "x2": "y3", "x3": 1, "x4": "y2"}, "x1^-200000*x2^-200000*x3^200000 + x4",
+             {(("y3", -400000),): 1, (("y2", 1),): 1}),
+        ],
+    )
+    def test_wide_exponents_do_not_wrap(self, assignment, text, image):
+        p = parse_poly(text)
+        got = ref_map(assignment, {}).apply(p)
+        assert got.terms == image
+        assert got == reference_apply(assignment, {}, REF_TARGET, p)
 
 class TestCompose:
     def test_identity_unit(self):
