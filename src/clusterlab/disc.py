@@ -438,10 +438,10 @@ class _TipSequence:
     def _index(self, p: Pt) -> int | None:
         """The k with tip(k) == p, if any. A tip lies within half a turn of
         the limit on the side of the step, so p - limit taken on that side
-        is step/k itself."""
+        is step/k itself. p is a point, reduced and in [0, 1), as every
+        caller passes it: `_where` keys come from chord_of, _tip and _chord,
+        and an ArcFamily normalizes its base."""
         pn, pd = p
-        if not 0 <= pn < pd:
-            return None
         a, b, c, d = self._ints
         # p - limit = dn/dd, in [0, 1), then in [-1, 0) for a negative step
         dd = pd * b

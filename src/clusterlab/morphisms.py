@@ -12,6 +12,7 @@ globally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -192,11 +193,14 @@ def _image_slots(m: ClusterMap) -> tuple[int | None, ...]:
     return tuple(where[img] if isinstance(img, str) else None for img in images)
 
 
+def _in_label_order(s: Seed) -> list[int]:
+    return sorted(s._ex, key=s.labels.__getitem__)
+
+
 def _biadmissible_steps(state: _PairState, slots: Sequence[int | None]) -> list[int]:
     """The source positions a biadmissible step may mutate at, in label
     order: exchangeable, with an exchangeable target image."""
-    src, tgt_ex = state.src, state.tgt._ex
-    return [i for i in sorted(src._ex, key=src.labels.__getitem__) if slots[i] in tgt_ex]
+    return [i for i in _in_label_order(state.src) if slots[i] in state.tgt._ex]
 
 
 def _advance(state: _PairState, i: int, slots: Sequence[int | None]) -> _PairState:
@@ -323,133 +327,92 @@ class NoSpecReport:
 def check_no_specialization_conditions(
     m: ClusterMap, depth: int = DEFAULT_CM3_DEPTH, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> NoSpecReport:
-    """The three-way combinatorial characterization of maps whose algebraic
-    extension is a rooted cluster morphism (no specializations allowed).
-
-    (1) is checked exactly; (2) first by the sufficient row-equality
-    criterion, falling back to a depth-bounded search for a replayable
-    sign-conflict witness (raising Inconclusive when neither settles it);
-    (3) exactly, one global sign per exchangeably connected component of
-    the image seed.
-    """
+    """The characterization of the maps without specializations whose
+    algebraic extension is a rooted cluster morphism, in three passes over
+    positions; a condition holds when it records no witness. (2) falls back
+    from the sufficient row-equality criterion to a depth-bounded search for
+    a replayable sign conflict, and raises Inconclusive if neither settles it."""
     if not m.is_without_specializations():
         raise InvalidSeed("the characterization applies to maps without specializations")
+    src, tgt, f = m.source, m.target, m.assignment
+    labels, rows = src.labels, src._rows
+    ex = _in_label_order(src)
     witnesses: list[str] = []
 
     # (1) injective on exchangeables, into the target exchangeables
-    cond1 = True
-    seen: dict[VarId, VarId] = {}
-    for x in sorted(m.source.exchangeable):
-        img = m.assignment[x]
-        if img not in m.target.exchangeable:
-            cond1 = False
-            witnesses.append(f"condition1: {x} -> {img} is not exchangeable")
-        if img in seen:
-            cond1 = False
-            witnesses.append(
-                f"condition1: {seen[img]} and {x} share the image {img}"
-            )
-        seen[img] = x
+    seen: dict[VarId, VarId] = {}  # a third sharer is named against the one before it
+    for x in map(labels.__getitem__, ex):
+        if f[x] not in tgt.exchangeable:
+            witnesses.append(f"condition1: {x} -> {f[x]} is not exchangeable")
+        if f[x] in seen:
+            witnesses.append(f"condition1: {seen[f[x]]} and {x} share the image {f[x]}")
+        seen[f[x]] = x
+    n1 = len(witnesses)  # the witnesses of (1)
 
     # (2) collisions only between coefficients, with stable neighbour signs
-    cond2 = True
-    collisions: list[tuple[VarId, VarId]] = []
-    by_image: dict[VarId, list[VarId]] = {}
-    for x in m.source.labels:
-        by_image.setdefault(m.assignment[x], []).append(x)
-    for img, xs in sorted(by_image.items()):
-        if len(xs) < 2:
-            continue
-        for x in xs:
-            if x in m.source.exchangeable:
-                cond2 = False
-                witnesses.append(
-                    f"condition2: exchangeable {x} shares image {img}"
-                )
-        for i in range(len(xs)):
-            for j in range(i + 1, len(xs)):
-                collisions.append((xs[i], xs[j]))
-    needs_search = []
-    if cond2:
-        for x, y in collisions:
-            if all(
-                m.source.b(x, v) == m.source.b(y, v)
-                for v in m.source.exchangeable
-            ):
-                continue
-            needs_search.append((x, y))
-    if cond2 and needs_search:
-        conflict = _condition2_search(m.source, needs_search, depth, max_nodes)
-        if conflict is not None:
-            cond2 = False
-            witnesses.append(
-                "condition2: sequence {} gives opposite signs b[{}][{}]={} "
-                "vs b[{}][{}]={}".format(*conflict)
-            )
-        else:
+    by_image: dict[VarId, list[int]] = {}
+    for i, x in enumerate(labels):
+        by_image.setdefault(f[x], []).append(i)
+    pairs = []  # colliding pairs whose rows differ on an exchangeable
+    for img, at in sorted(by_image.items()):
+        for i in at:
+            if len(at) > 1 and i in src._ex:
+                witnesses.append(f"condition2: exchangeable {labels[i]} shares image {img}")
+        for i, j in combinations(at, 2):
+            if any(rows[i].get(v, 0) != rows[j].get(v, 0) for v in src._ex):
+                pairs.append((i, j))
+    if pairs and len(witnesses) == n1:
+        conflict = _condition2_search(src, pairs, depth, max_nodes)
+        if conflict is None:
             raise Inconclusive(
                 "condition (2): the sufficient criterion fails for "
-                f"{needs_search} and no sign conflict was found to depth {depth}",
+                f"{[(labels[i], labels[j]) for i, j in pairs]} and no sign conflict "
+                f"was found to depth {depth}",
                 condition="condition2",
             )
+        text = "condition2: sequence {} gives opposite signs b[{}][{}]={} vs b[{}][{}]={}"
+        witnesses.append(text.format(*conflict))
+    cond2 = len(witnesses) == n1
 
-    # (3) signed-sum matrix condition per exchangeably connected component
-    img_seed = image_seed(m)
-    cond3 = True
-    signs: list[int] = []
-    for comp in exchangeably_connected_components(img_seed):
-        members = [
-            x
-            for x in sorted(m.source.exchangeable)
-            if m.assignment[x] in comp.exchangeable
-        ]
+    # (3) per exchangeably connected component of the image seed, one sign s
+    # with each member's target row == s * its row's sum on target positions
+    slots, signs = _image_slots(m), []
+    for comp in exchangeably_connected_components(image_seed(m)):
         allowed = {1, -1}
-        for y in members:
-            fy = m.assignment[y]
-            sums: dict[VarId, int] = {}
-            for v, b in m.source.matrix.get(y, {}).items():
-                sums[m.assignment[v]] = sums.get(m.assignment[v], 0) + b
-            sums = {v: s for v, s in sums.items() if s}
-            row = {w: b for w, b in m.target.row(fy).items() if b}
-            ok = set()
-            if row == sums:
-                ok.add(1)
-            if row == {v: -s for v, s in sums.items()}:
-                ok.add(-1)
-            allowed &= ok
+        for i in [i for i in ex if f[labels[i]] in comp.exchangeable]:
+            sums: dict[int, int] = {}
+            for j, b in rows[i].items():
+                sums[slots[j]] = sums.get(slots[j], 0) + b
+            row = tgt._rows[slots[i]]  # stored rows hold no zero; only the sums drop theirs
+            allowed &= {s for s in (1, -1) if row == {k: s * b for k, b in sums.items() if b}}
             if not allowed:
-                cond3 = False
                 witnesses.append(
-                    f"condition3: row of {fy} is not the signed image sum of "
-                    f"the row of {y} (component of {comp.labels[0]})"
+                    f"condition3: row of {f[labels[i]]} is not the signed image sum of "
+                    f"the row of {labels[i]} (component of {comp.labels[0]})"
                 )
                 break
-        signs.append(max(allowed) if allowed else 0)
-    return NoSpecReport(cond1, cond2, cond3, tuple(witnesses), tuple(signs))
+        signs.append(max(allowed, default=0))
+    return NoSpecReport(n1 == 0, cond2, 0 not in signs, tuple(witnesses), tuple(signs))
 
 
-def _condition2_search(
-    seed: Seed, pairs: list[tuple[VarId, VarId]], depth: int, max_nodes: int
-):
-    """Look for an admissible sequence after which some exchangeable z
-    neighbours both members of a colliding coefficient pair with opposite
-    signs. Coefficients keep their labels under mutation."""
-    walk = explore(
-        ((), seed),
-        lambda node: (
-            (node[0] + (step,), mutate_seed(node[1], step))
-            for step in sorted(node[1].exchangeable)
-        ),
-        depth,
-        max_nodes,
-        f"condition-2 search exceeded {max_nodes} nodes",
-    )
-    for seq, s in walk:
+def _condition2_search(seed: Seed, pairs: list[tuple[int, int]], depth: int, max_nodes: int):
+    """The first admissible sequence, with its entries, after which some
+    exchangeable z neighbours both positions of a colliding coefficient pair
+    with opposite signs, or None; `max_nodes` counts sequences. Mutation
+    keeps positions, and coefficients keep their labels, so the walk reads
+    positions; steps and each z come in label order, as in _seed_class."""
+    def children(node):
+        seq, s = node
+        for k in _in_label_order(s):
+            yield seq + (s.labels[k],), mutate_seed(s, s.labels[k])
+
+    exceeded = f"condition-2 search exceeded {max_nodes} nodes"
+    for seq, s in explore(((), seed), children, depth, max_nodes, exceeded):
         for x, y in pairs:
-            for z in sorted(s.exchangeable):
-                bx, by = s.b(z, x), s.b(z, y)
+            for z in _in_label_order(s):
+                bx, by = s._rows[z].get(x, 0), s._rows[z].get(y, 0)
                 if bx * by < 0:
-                    return (seq, z, x, bx, z, y, by)
+                    return (seq, s.labels[z], s.labels[x], bx, s.labels[z], s.labels[y], by)
     return None
 
 
@@ -480,24 +443,21 @@ def check_ideal_witness(
     m: ClusterMap, depth: int = DEFAULT_CM3_DEPTH, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> IdealReport:
     """Search for an image value provably outside the cluster algebra of
-    the image seed.
-
-    Membership is decidable only when the image seed has no exchangeable
-    variables (a polynomial ring on its coefficients); otherwise the
-    report is 'ideal-to-depth', meaning no provable witness at this depth.
-    The caller is responsible for having verified m as a rooted cluster
-    morphism to the same depth.
-    """
-    images: list[LaurentPoly] = []
-    for p in enumerate_cluster_variables(m.source, depth, max_nodes):
-        images.append(m.apply(p))
-    img_seed = image_seed(m)
-    generators = set(enumerate_cluster_variables(img_seed, depth, max_nodes)) if img_seed.labels else set()
+    the image seed. Membership is decidable only when the image seed has no
+    exchangeable variables: its class is then its root, a polynomial ring on
+    its labels; otherwise the report is 'ideal-to-depth', meaning no provable
+    witness at this depth. The image seed is not walked: setting the labels
+    outside the image to 1 sends the target's seeds reached along image
+    exchangeables onto the image seed's, so its walk exceeds the budget only
+    when the target's does. The caller is responsible for having verified m
+    as a rooted cluster morphism to the same depth."""
+    images = [m.apply(p) for p in enumerate_cluster_variables(m.source, depth, max_nodes)]
     target_vars = set(enumerate_cluster_variables(m.target, depth, max_nodes))
+    img_seed = image_seed(m)
     if not img_seed.exchangeable:
         coeffs = set(img_seed.labels)
         for img in images:
-            if img not in target_vars or img in generators:
+            if img not in target_vars:
                 continue
             inside = all(
                 e > 0 and v in coeffs for mono in img.terms for v, e in mono

@@ -2,6 +2,7 @@
 counterexamples, plus the randomized soundness properties."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,11 +14,14 @@ from clusterlab.errors import (
     NonLaurentImage,
     NotDivisible,
     NotSimilar,
+    ResourceLimit,
     SeedMismatch,
 )
 from clusterlab.laurent import Ambient, LaurentPoly, format_poly, lp_exact_div, monomial, parse_poly
 from clusterlab.morphisms import (
     ClusterMap,
+    IdealReport,
+    NoSpecReport,
     biadmissible_descendant,
     check_cm1_cm2,
     check_cm3,
@@ -30,11 +34,15 @@ from clusterlab.morphisms import (
     morphism_from_similarity,
 )
 from clusterlab.seeds import (
+    DEFAULT_NODE_BUDGET,
     Seed,
+    derived,
     check_similar,
     connected_components,
     coproduct,
     enumerate_cluster_variables,
+    exchangeably_connected_components,
+    explore,
     full_subseed,
     is_admissible,
     mutate_seed,
@@ -315,12 +323,33 @@ class TestNoSpecializationConditions:
         m = ClusterMap(src, dst, {"c1": "c", "c2": "c", "e": "w"})
         report = check_no_specialization_conditions(m, depth=2)
         assert not report.condition2
-        assert any("condition2" in w for w in report.witnesses)
+        assert report.witnesses == ("condition2: sequence () gives opposite signs b[e][c1]=-1 vs b[e][c2]=1",)
 
     def test_inconclusive_condition2(self):
         with pytest.raises(Inconclusive) as exc:
             check_no_specialization_conditions(sign_stable_collision_map(), depth=3)
         assert exc.value.condition == "condition2"
+        assert str(exc.value) == (
+            "condition (2): the sufficient criterion fails for [('c1', 'c2')] "
+            "and no sign conflict was found to depth 3"
+        )
+
+    def test_the_search_derives_no_label_form(self, monkeypatch):
+        # passes (1) and (2) and the search read rows by position, so no
+        # Seed.matrix is derived before the search gives up
+        m = sign_stable_collision_map()
+        derive = Seed.__dict__["matrix"].derive
+        derived_for = []
+
+        def counted(seed):
+            derived_for.append(seed)
+            return derive(seed)
+
+        counted.__name__ = "matrix"
+        monkeypatch.setattr(Seed, "matrix", derived(counted))
+        with pytest.raises(Inconclusive):
+            check_no_specialization_conditions(m, depth=3)
+        assert derived_for == []
 
     def test_condition2_search_stops_at_depth(self):
         # one exchangeable: the root and one sequence per length 1..3 are
@@ -405,6 +434,24 @@ class TestIdealWitness:
 
     def test_example_map_ideal_to_depth(self):
         assert check_ideal_witness(example_map(), 4).status == "ideal-to-depth"
+
+    def test_only_the_source_and_the_target_are_walked(self, monkeypatch):
+        # the image seed's walk is implied by the target's: its class is its
+        # root when it decides, and its budget is met when the target's is
+        import clusterlab.morphisms as morphisms
+
+        walked = []
+        enumerate_values = morphisms.enumerate_cluster_variables
+
+        def counted(seed, depth, max_nodes):
+            walked.append(seed.labels)
+            return enumerate_values(seed, depth, max_nodes)
+
+        monkeypatch.setattr(morphisms, "enumerate_cluster_variables", counted)
+        for m in (example_map(), ideal_counterexample_map(), identity_map(example_seed())):
+            walked.clear()
+            check_ideal_witness(m, 3)
+            assert walked == [m.source.labels, m.target.labels]
 
 
 class TestApply:
@@ -609,6 +656,283 @@ class TestApplyAgainstReference:
         got = ref_map(assignment, {}).apply(p)
         assert got.terms == image
         assert got == reference_apply(assignment, {}, REF_TARGET, p)
+
+# -- the label-keyed characterization and check-ideal, the references ------------
+#
+# check_no_specialization_conditions and its condition-2 search read positions,
+# and check_ideal_witness walks the source and the target only; these are the
+# bodies they replaced, which read the label form, and whose check-ideal also
+# walks the image seed.
+
+
+def reference_no_specialization_conditions(m, depth=4, max_nodes=DEFAULT_NODE_BUDGET):
+    if not m.is_without_specializations():
+        raise InvalidSeed("the characterization applies to maps without specializations")
+    witnesses = []
+
+    # (1) injective on exchangeables, into the target exchangeables
+    cond1 = True
+    seen = {}
+    for x in sorted(m.source.exchangeable):
+        img = m.assignment[x]
+        if img not in m.target.exchangeable:
+            cond1 = False
+            witnesses.append(f"condition1: {x} -> {img} is not exchangeable")
+        if img in seen:
+            cond1 = False
+            witnesses.append(
+                f"condition1: {seen[img]} and {x} share the image {img}"
+            )
+        seen[img] = x
+
+    # (2) collisions only between coefficients, with stable neighbour signs
+    cond2 = True
+    collisions = []
+    by_image = {}
+    for x in m.source.labels:
+        by_image.setdefault(m.assignment[x], []).append(x)
+    for img, xs in sorted(by_image.items()):
+        if len(xs) < 2:
+            continue
+        for x in xs:
+            if x in m.source.exchangeable:
+                cond2 = False
+                witnesses.append(
+                    f"condition2: exchangeable {x} shares image {img}"
+                )
+        for i in range(len(xs)):
+            for j in range(i + 1, len(xs)):
+                collisions.append((xs[i], xs[j]))
+    needs_search = []
+    if cond2:
+        for x, y in collisions:
+            if all(
+                m.source.b(x, v) == m.source.b(y, v)
+                for v in m.source.exchangeable
+            ):
+                continue
+            needs_search.append((x, y))
+    if cond2 and needs_search:
+        conflict = reference_condition2_search(m.source, needs_search, depth, max_nodes)
+        if conflict is not None:
+            cond2 = False
+            witnesses.append(
+                "condition2: sequence {} gives opposite signs b[{}][{}]={} "
+                "vs b[{}][{}]={}".format(*conflict)
+            )
+        else:
+            raise Inconclusive(
+                "condition (2): the sufficient criterion fails for "
+                f"{needs_search} and no sign conflict was found to depth {depth}",
+                condition="condition2",
+            )
+
+    # (3) signed-sum matrix condition per exchangeably connected component
+    img_seed = image_seed(m)
+    cond3 = True
+    signs = []
+    for comp in exchangeably_connected_components(img_seed):
+        members = [
+            x
+            for x in sorted(m.source.exchangeable)
+            if m.assignment[x] in comp.exchangeable
+        ]
+        allowed = {1, -1}
+        for y in members:
+            fy = m.assignment[y]
+            sums = {}
+            for v, b in m.source.matrix.get(y, {}).items():
+                sums[m.assignment[v]] = sums.get(m.assignment[v], 0) + b
+            sums = {v: s for v, s in sums.items() if s}
+            row = {w: b for w, b in m.target.row(fy).items() if b}
+            ok = set()
+            if row == sums:
+                ok.add(1)
+            if row == {v: -s for v, s in sums.items()}:
+                ok.add(-1)
+            allowed &= ok
+            if not allowed:
+                cond3 = False
+                witnesses.append(
+                    f"condition3: row of {fy} is not the signed image sum of "
+                    f"the row of {y} (component of {comp.labels[0]})"
+                )
+                break
+        signs.append(max(allowed) if allowed else 0)
+    return NoSpecReport(cond1, cond2, cond3, tuple(witnesses), tuple(signs))
+
+
+def reference_condition2_search(seed, pairs, depth, max_nodes):
+    walk = explore(
+        ((), seed),
+        lambda node: (
+            (node[0] + (step,), mutate_seed(node[1], step))
+            for step in sorted(node[1].exchangeable)
+        ),
+        depth,
+        max_nodes,
+        f"condition-2 search exceeded {max_nodes} nodes",
+    )
+    for seq, s in walk:
+        for x, y in pairs:
+            for z in sorted(s.exchangeable):
+                bx, by = s.b(z, x), s.b(z, y)
+                if bx * by < 0:
+                    return (seq, z, x, bx, z, y, by)
+    return None
+
+
+def reference_check_ideal_witness(m, depth=4, max_nodes=DEFAULT_NODE_BUDGET):
+    images = []
+    for p in enumerate_cluster_variables(m.source, depth, max_nodes):
+        images.append(m.apply(p))
+    img_seed = image_seed(m)
+    generators = set(enumerate_cluster_variables(img_seed, depth, max_nodes)) if img_seed.labels else set()
+    target_vars = set(enumerate_cluster_variables(m.target, depth, max_nodes))
+    if not img_seed.exchangeable:
+        coeffs = set(img_seed.labels)
+        for img in images:
+            if img not in target_vars or img in generators:
+                continue
+            inside = all(
+                e > 0 and v in coeffs for mono in img.terms for v, e in mono
+            )
+            if not inside:
+                return IdealReport("witness", img, depth)
+    return IdealReport("ideal-to-depth", None, depth)
+
+
+def verdict(check, *args):
+    """The whole report, or the error's class, text and condition."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "condition", None)
+
+
+# source names whose sorted order is not the order they are listed in
+SHUFFLED_NAMES = ("e2", "c", "e10", "a", "e1", "b2", "z", "b10")
+
+
+def random_entries(rng, labels):
+    """Matrix entries on the labels that a drawn d symmetrizes."""
+    d = [rng.choice((1, 1, 2)) for _ in labels]
+    entries = []
+    for i, j in combinations(range(len(labels)), 2):
+        c = rng.choice((0, 0, 1, -1, 2, -1))
+        if c:
+            entries += [(labels[i], labels[j], c * d[j]), (labels[j], labels[i], -c * d[i])]
+    return entries
+
+
+def random_seed(rng, labels, ex_share):
+    """An initial seed on the labels, in the order given, each label
+    exchangeable with probability ex_share."""
+    entries = random_entries(rng, labels)
+    return Seed.initial(labels, [v for v in labels if rng.random() < ex_share], entries)
+
+
+def sign_flipped_twin(rng, s):
+    """s relabelled u0, u1, ..., listed in a drawn order, with a drawn sign
+    on each connected component; and the relabelling."""
+    relabel = {v: f"u{i}" for i, v in enumerate(s.labels)}
+    sign = {}
+    for comp in connected_components(s):
+        sign.update(dict.fromkeys(comp.labels, rng.choice((1, -1))))
+    order = list(s.labels)
+    rng.shuffle(order)
+    t = Seed.initial(
+        [relabel[v] for v in order],
+        [relabel[v] for v in s.exchangeable],
+        [(relabel[v], relabel[w], sign[v] * b) for v, row in s.matrix.items() for w, b in row.items()],
+    )
+    return t, relabel
+
+
+def random_nospec_map(rng):
+    """A map without specializations from a seed listed out of label order:
+    into a random seed, or into its sign-flipped twin with up to two labels
+    sent elsewhere."""
+    labels = rng.sample(SHUFFLED_NAMES, rng.randint(2, 5))
+    s = random_seed(rng, labels, 0.6)
+    if rng.random() < 0.5:
+        t = random_seed(rng, [f"y{i}" for i in rng.sample(range(4), rng.randint(1, 4))], 0.6)
+        return ClusterMap(s, t, {v: rng.choice(t.labels) for v in labels})
+    t, assignment = sign_flipped_twin(rng, s)
+    for v in rng.sample(labels, rng.randint(0, 2)):
+        assignment[v] = rng.choice(t.labels)
+    return ClusterMap(s, t, assignment)
+
+
+def collision_map(rng):
+    """Two or three coefficients sent to one label beside two or three
+    exchangeables, listed in a drawn order, so that position order and
+    label order differ; the coefficients' drawn rows mostly differ, and
+    condition (2) then reaches its search."""
+    k = rng.randint(2, 3)
+    ex = rng.sample(("e3", "e1", "d", "e2", "b"), rng.randint(2, 3))
+    labels = ex + [f"c{i}" for i in range(k)]
+    rng.shuffle(labels)
+    s = Seed.initial(labels, ex, random_entries(rng, labels))
+    images = {e: f"w{i}" for i, e in enumerate(ex)}
+    t_labels = ["c", *images.values()]
+    t = Seed.initial(t_labels, t_labels[1:], random_entries(rng, t_labels))
+    return ClusterMap(s, t, {v: images.get(v, "c") for v in labels})
+
+
+def random_ideal_map(rng):
+    """A map that may specialize: each label goes to a target label or to
+    one of 0, 1, -1, 2. One in five is the ideal counterexample's source
+    into a random target, its extra generator sent to a drawn label, so
+    that it has a witness."""
+    t = random_seed(rng, [f"y{i}" for i in rng.sample(range(4), rng.randint(1, 4))], 0.5)
+    if rng.random() < 0.2:
+        m = ideal_counterexample_map()
+        return ClusterMap(m.source, t, m.assignment, {gen: rng.choice(t.labels) for gen in m.extra})
+    s = random_seed(rng, rng.sample(SHUFFLED_NAMES, rng.randint(1, 4)), 0.5)
+    images = list(t.labels) + [0, 1, -1, 2]
+    return ClusterMap(s, t, {v: rng.choice(images) for v in s.labels})
+
+
+BUDGETS = [(1, 3), (2, 10), (2, 100), (3, 40), (3, DEFAULT_NODE_BUDGET)]
+
+
+class TestCharacterizationAgainstReference:
+    """The positional characterization and search, and check-ideal without
+    the image seed's walk, give the reports and errors of the label-keyed
+    references, witness texts and their order included."""
+
+    def test_random_maps(self):
+        rng = random.Random(35)
+        for _ in range(800):
+            m = random_nospec_map(rng)
+            depth, max_nodes = rng.choice(BUDGETS)
+            assert verdict(check_no_specialization_conditions, m, depth, max_nodes) == verdict(
+                reference_no_specialization_conditions, m, depth, max_nodes
+            )
+
+    def test_colliding_coefficients_reach_the_search(self):
+        rng = random.Random(36)
+        searched = 0
+        for _ in range(600):
+            m = collision_map(rng)
+            depth, max_nodes = rng.choice(BUDGETS)
+            got = verdict(check_no_specialization_conditions, m, depth, max_nodes)
+            assert got == verdict(reference_no_specialization_conditions, m, depth, max_nodes)
+            searched += isinstance(got, tuple) or any("sequence" in w for w in got.witnesses)
+        assert searched > 300
+
+    def test_check_ideal(self):
+        rng = random.Random(37)
+        outcomes = set()
+        for _ in range(300):
+            m = random_ideal_map(rng)
+            depth, max_nodes = rng.choice([(1, 1), (1, 4), (2, 6), (2, 20), (3, 12), (3, DEFAULT_NODE_BUDGET)])
+            got = verdict(check_ideal_witness, m, depth, max_nodes)
+            assert got == verdict(reference_check_ideal_witness, m, depth, max_nodes)
+            outcomes.add(got.status if isinstance(got, IdealReport) else got[0])
+        assert outcomes == {"witness", "ideal-to-depth", ResourceLimit, NonLaurentImage}
+
 
 class TestCompose:
     def test_identity_unit(self):
