@@ -28,6 +28,7 @@ from .seeds import (
     DEFAULT_NODE_BUDGET,
     Memo,
     Seed,
+    _mutated_form,
     _subseed,
     enumerate_cluster_variables,
     exchangeably_connected_components,
@@ -81,7 +82,7 @@ class ClusterMap:
                     "extra generators must be Laurent polynomials in the "
                     "source cluster"
                 )
-            scaled, k = self._substitute(gen)
+            scaled, k = substitute(gen, self.assignment, self._ambient)
             if scaled != self._resolve(img) * self._ambient.const(k):
                 raise InvalidSeed(
                     f"extra generator image is inconsistent: f({format_poly(gen)}) "
@@ -95,13 +96,6 @@ class ClusterMap:
             return self.target.values[img]  # re-rooted: the variable itself
         return self._ambient.const(img)
 
-    def _substitute(self, p: LaurentPoly) -> tuple[LaurentPoly, int]:
-        """(f(N) / y^D, k) for p = N * D^-1, with N a polynomial, D a
-        nonnegative monomial and f(D) = k * y^D, on the target's ambient:
-        each image is a label or an integer, so f sends a monomial to one
-        term, and p's terms are mapped in one pass (laurent.substitute)."""
-        return substitute(p, self.assignment, self._ambient)
-
     def apply(self, p: LaurentPoly) -> LaurentPoly:
         """Image of a Laurent polynomial over the source initial cluster.
 
@@ -110,7 +104,7 @@ class ClusterMap:
         the image leaves the target Laurent ring (inverted zero, or an
         inexact integer division).
         """
-        scaled, k = self._substitute(p)
+        scaled, k = substitute(p, self.assignment, self._ambient)
         if not k:
             if scaled.is_zero():
                 hit = self.extra.get(p)
@@ -400,11 +394,17 @@ def _condition2_search(seed: Seed, pairs: list[tuple[int, int]], depth: int, max
     exchangeable z neighbours both positions of a colliding coefficient pair
     with opposite signs, or None; `max_nodes` counts sequences. Mutation
     keeps positions, and coefficients keep their labels, so the walk reads
-    positions; steps and each z come in label order, as in _seed_class."""
+    positions; steps and each z come in label order, as in _seed_class.
+    The walk reads rows only, so it mutates them with _mutated_form and
+    builds no value, and no error path of mutate_seed is lost: the seed is
+    re-rooted and skew-symmetrizable, so by the Laurent phenomenon no
+    exchange division could raise NotDivisible, and a cluster's variables
+    are distinct, so no two positions could share a value (InvalidSeed)."""
     def children(node):
         seq, s = node
         for k in _in_label_order(s):
-            yield seq + (s.labels[k],), mutate_seed(s, s.labels[k])
+            labels, rows = _mutated_form(s.labels, s._rows, k)
+            yield seq + (s.labels[k],), Seed._from_positions(labels, s._ex, rows)
 
     exceeded = f"condition-2 search exceeded {max_nodes} nodes"
     for seq, s in explore(((), seed), children, depth, max_nodes, exceeded):
@@ -446,15 +446,15 @@ def check_ideal_witness(
     the image seed. Membership is decidable only when the image seed has no
     exchangeable variables: its class is then its root, a polynomial ring on
     its labels; otherwise the report is 'ideal-to-depth', meaning no provable
-    witness at this depth. The image seed is not walked: setting the labels
-    outside the image to 1 sends the target's seeds reached along image
-    exchangeables onto the image seed's, so its walk exceeds the budget only
-    when the target's does. The caller is responsible for having verified m
-    as a rooted cluster morphism to the same depth."""
+    witness at this depth. The source is walked and its values mapped
+    first, whatever the verdict; the target is walked only when membership
+    is decided, the one verdict that reads its values, and the image seed,
+    whose class is then its root, never. The caller is responsible for
+    having verified m as a rooted cluster morphism to the same depth."""
     images = [m.apply(p) for p in enumerate_cluster_variables(m.source, depth, max_nodes)]
-    target_vars = set(enumerate_cluster_variables(m.target, depth, max_nodes))
     img_seed = image_seed(m)
     if not img_seed.exchangeable:
+        target_vars = set(enumerate_cluster_variables(m.target, depth, max_nodes))
         coeffs = set(img_seed.labels)
         for img in images:
             if img not in target_vars:

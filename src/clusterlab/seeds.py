@@ -415,16 +415,12 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     except the target root of a CM3 walk, whose values are interned in the
     source's.
 
-    Only x's row and the rows holding x are rebuilt; every other row is
-    shared, and labels and values come by slicing. The support is
-    sign-skew, so x's column holds the positions of x's row: the rows
-    holding x are found from x's row, with no scan over every row, and the
-    rows come out the same."""
+    Labels and rows come from _mutated_form, and values by slicing."""
     at = _exchangeable_at(seed, x)
     if at is None:
         raise NotExchangeable(x)
-    rows, vals = seed._rows, seed._vals
-    row = rows[at]
+    vals = seed._vals
+    row = seed._rows[at]
     table, old = seed._exchanges, vals[at]
     key = (id(old), frozenset([(id(vals[j]), e) for j, e in row.items()]))
     new_value = table.get(key)
@@ -437,16 +433,26 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
         table[key] = new_value
         table[id(new_value), frozenset([(i, -e) for i, e in key[1]])] = old
 
-    labels = seed.labels
-    labels = labels[:at] + (fresh_label(x, labels),) + labels[at + 1:]
+    labels, rows = _mutated_form(seed.labels, seed._rows, at)
     if new_value is not old and id(new_value) in map(id, vals):  # another position holds it
         j = [*map(id, vals)].index(id(new_value))
         _shared_value(labels[min(j, at)], labels[max(j, at)], new_value)
     vals = vals[:at] + (new_value,) + vals[at + 1:]
+    return Seed._from_positions(labels, seed._ex, rows, vals, table)
 
-    # x's row and column change sign, and b_vw gains |b_vx| b_xw where b_vx
-    # and b_xw agree in sign; rows without x are shared, since no code edits
-    # a seed's row in place
+
+def _mutated_form(labels: tuple[VarId, ...], rows: tuple[dict[int, int], ...], at: int):
+    """The labels and rows after mutation at x, the variable at position
+    `at`; the whole of matrix mutation (Fomin-Zelevinsky): the fresh label
+    takes `at`, x's row and column change sign, and b_vw gains |b_vx| b_xw
+    where b_vx and b_xw agree in sign. Only x's row and the rows holding x
+    are rebuilt; every other row is shared, since no code edits a seed's
+    row in place. The support is sign-skew, so x's column holds the
+    positions of x's row: the rows holding x are found from x's row, with
+    no scan over every row. Labels stay distinct (the fresh label is new),
+    and no zero is stored."""
+    labels = labels[:at] + (fresh_label(labels[at], labels),) + labels[at + 1:]
+    row = rows[at]
     new_rows = list(rows)
     if row:
         new_rows[at] = {j: -e for j, e in row.items()}
@@ -461,9 +467,7 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
                     r[w] = n
                 else:
                     del r[w]
-
-    # labels stay distinct (the fresh label is new), and no zero entry is stored
-    return Seed._from_positions(labels, seed._ex, tuple(new_rows), vals, table)
+    return labels, tuple(new_rows)
 
 
 def mutate_sequence(seed: Seed, sequence: Sequence[VarId]) -> Seed:

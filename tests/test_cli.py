@@ -414,6 +414,61 @@ class TestCommands:
         assert code == 0
         assert "count: 1" in out
 
+    COPRODUCT = {
+        "variables": [
+            {"id": "x1", "exchangeable": False},
+            *({"id": v, "exchangeable": True} for v in ("x2", "x3", "y1", "y2")),
+        ],
+        "matrix": [
+            ["x1", "x2", 1], ["x2", "x1", -1], ["x2", "x3", -1],
+            ["x3", "x2", 1], ["y1", "y2", 1], ["y2", "y1", -1],
+        ],
+        "values": [[v, v] for v in ("x1", "x2", "x3", "y1", "y2")],
+    }
+
+    COPRODUCT_PLAIN = """\
+command: coproduct
+seed:
+  variables:
+    -
+      id: x1
+      exchangeable: False
+    -
+      id: x2
+      exchangeable: True
+    -
+      id: x3
+      exchangeable: True
+    -
+      id: y1
+      exchangeable: True
+    -
+      id: y2
+      exchangeable: True
+  matrix:
+    - x1, x2, 1
+    - x2, x1, -1
+    - x2, x3, -1
+    - x3, x2, 1
+    - y1, y2, 1
+    - y2, y1, -1
+  values:
+    - x1, x1
+    - x2, x2
+    - x3, x3
+    - y1, y1
+    - y2, y2
+"""
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_coproduct_reports_and_writes_the_union(self, files, tmp_path, fmt):
+        out = tmp_path / "union.seed"
+        argv = ["--format", fmt, "coproduct", "--seeds", files["a2.seed"], files["sig.seed"], "--out", str(out)]
+        report = {"command": "coproduct", "seed": self.COPRODUCT}
+        text = rendered(report, fmt) if fmt == "structured" else self.COPRODUCT_PLAIN
+        assert run_captured(argv) == (0, text, "")
+        assert out.read_text(encoding="utf-8") == json.dumps(self.COPRODUCT, indent=2) + "\n"
+
     @pytest.mark.parametrize("fmt", ["plain", "structured"])
     def test_coproduct_collision_exits_three(self, files, fmt):
         # summands that share a label are an input error, not a failed
@@ -729,6 +784,24 @@ class TestReportBranches:
         assert (code, out, err) == (0, rendered(report, fmt), "")
 
     @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize("nodes", ["5", "13"])
+    def test_check_ideal_does_not_walk_the_target_an_image_exchangeable_leaves_unread(self, more, fmt, nodes):
+        # x1's image is exchangeable in the image seed, so the report is
+        # ideal-to-depth whatever the target's walk would find: a budget
+        # that CM3 and the source's walk meet exits 0, although linear A3
+        # has 14 seeds to depth 4
+        edge = {
+            "variables": [{"id": "x1", "exchangeable": True}, {"id": "x2", "exchangeable": False}],
+            "matrix": [["x1", "x2", 1], ["x2", "x1", -1]],
+        }
+        for name, data in [("edge.seed", edge), ("edge.map", {"assignment": [["x1", "x1"], ["x2", "x2"]]})]:
+            (more["dir"] / name).write_text(json.dumps(data))
+        argv = ["--format", fmt, "check-ideal", "--src", str(more["dir"] / "edge.seed"), "--dst", more["a3.seed"]]
+        code, out, err = run_captured([*argv, "--map", str(more["dir"] / "edge.map"), "--depth", "4", "--nodes", nodes])
+        report = {"command": "check-ideal", "status": "ideal-to-depth", "depth": 4}
+        assert (code, out, err) == (0, rendered(report, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -832,6 +905,16 @@ class TestHardenedInput:
         path.write_text(json.dumps({**A2, "values": values}))
         argv = ["--format", fmt, "components", "--seed", str(path)]
         assert run_captured(argv) == (3, rendered({"error": message}, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_a_repeated_variable_id_is_named_before_the_values_are_read(self, tmp_path, fmt):
+        # the loader refuses the repeated id before it parses the values,
+        # whose text is malformed here
+        data = {"variables": [{"id": "y1", "exchangeable": True}, {"id": "y1"}], "matrix": [], "values": [["y1", "y1^"]]}
+        path = tmp_path / "bad.seed"
+        path.write_text(json.dumps(data))
+        argv = ["--format", fmt, "components", "--seed", str(path)]
+        assert run_captured(argv) == (3, rendered({"error": "duplicate labels in cluster"}, fmt), "")
 
     IDENTITY = [["y1", "y1"], ["y2", "y2"]]
 

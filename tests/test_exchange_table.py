@@ -7,11 +7,12 @@ from math import comb
 import pytest
 
 import clusterlab.laurent
-from clusterlab.errors import NotDivisible
+from clusterlab.errors import Inconclusive, NotDivisible
 from clusterlab.laurent import format_poly
-from clusterlab.morphisms import ClusterMap, check_cm3, image_seed
+from clusterlab.morphisms import ClusterMap, check_cm3, check_no_specialization_conditions, image_seed
 from clusterlab.seeds import (
     Seed,
+    _mutated_form,
     connected_components,
     coproduct,
     enumerate_seeds,
@@ -68,6 +69,27 @@ def test_cm3_source_and_target_walks_share_one_table(divisions):
     assert (len(divisions), report.nodes, report.cm3_verified_to) == (43, 781, 4)
     assert report.counterexample is None and report.cm1 and report.cm2
     assert "_exchanges" not in target.__dict__
+
+
+def test_the_condition2_search_divides_nothing(divisions):
+    # linear A3 with two same-sign coefficients of different size on x2,
+    # both sent to c: the rows differ on x2, so condition (2) searches, and
+    # no sign conflict shows in the 40 sequences to depth 3. The search
+    # reads rows only, so it builds no value and leaves no table entry.
+    a3 = [("x1", "x2", 1), ("x2", "x1", -1), ("x2", "x3", 1), ("x3", "x2", -1)]
+    ex = ["x1", "x2", "x3"]
+    coefficients = [("c1", "x2", 1), ("x2", "c1", -1), ("c2", "x2", 2), ("x2", "c2", -2)]
+    source = Seed.initial(ex + ["c1", "c2"], ex, a3 + coefficients)
+    target = Seed.initial(ex + ["c"], ex, a3 + [("c", "x2", 1), ("x2", "c", -1)])
+    m = ClusterMap(source, target, {"x1": "x1", "x2": "x2", "x3": "x3", "c1": "c", "c2": "c"})
+    with pytest.raises(Inconclusive) as exc:
+        check_no_specialization_conditions(m, 3)
+    assert str(exc.value) == (
+        "condition (2): the sufficient criterion fails for [('c1', 'c2')] "
+        "and no sign conflict was found to depth 3"
+    )
+    assert divisions == []
+    assert "_exchanges" not in m.source.__dict__
 
 
 def test_a_failed_division_stores_nothing(monkeypatch):
@@ -212,6 +234,40 @@ def test_table_values_equal_a_fresh_division(root, steps):
             format_poly(fresh.values[v]) for v in fresh.labels
         ]
         last = position
+
+
+def textbook_mutation(b, k):
+    """b'_ij = -b_ij where i or j is k, else b_ij + sgn(b_ik) [b_ik b_kj]_+,
+    on a dense matrix."""
+    n = len(b)
+    return [
+        [
+            -b[i][j] if k in (i, j) else b[i][j] + (1 if b[i][k] > 0 else -1) * max(b[i][k] * b[k][j], 0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def dense(rows):
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dynkin_seeds(), skew_symmetric_seeds()), st.lists(st.integers(0, 3), max_size=8))
+def test_the_kernel_walks_as_mutate_seed_does(root, steps):
+    # walked on its own output, _mutated_form gives mutate_seed's labels and
+    # rows, and the rows follow the textbook rule
+    ex = sorted(root._ex)
+    seed, labels, rows = root, root.labels, root._rows
+    for step in steps:
+        k = ex[step % len(ex)]
+        expected = textbook_mutation(dense(rows), k)
+        seed = mutate_seed(seed, seed.labels[k])
+        labels, rows = _mutated_form(labels, rows, k)
+        assert (labels, rows) == (seed.labels, seed._rows)
+        assert dense(rows) == expected
+        assert 0 not in (b for row in rows for b in row.values())
 
 
 @st.composite

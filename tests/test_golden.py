@@ -12,7 +12,6 @@ import contextlib
 import io
 import json
 import shlex
-import sys
 import tempfile
 from pathlib import Path
 
@@ -70,4 +69,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         data = {fmt: transcript(fmt, Path(scratch)) for fmt in FORMATS}
     EXPECTED.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
-    sys.stdout.write(f"{EXPECTED}: {sum(map(len, data.values()))} cases\n")
+    print(f"{EXPECTED}: {sum(map(len, data.values()))} cases")

@@ -436,8 +436,9 @@ class TestIdealWitness:
         assert check_ideal_witness(example_map(), 4).status == "ideal-to-depth"
 
     def test_only_the_source_and_the_target_are_walked(self, monkeypatch):
-        # the image seed's walk is implied by the target's: its class is its
-        # root when it decides, and its budget is met when the target's is
+        # the image seed's class is its root when membership is decided, and
+        # the target is walked only then: with an image exchangeable the
+        # report is ideal-to-depth whatever the target's walk finds
         import clusterlab.morphisms as morphisms
 
         walked = []
@@ -448,10 +449,14 @@ class TestIdealWitness:
             return enumerate_values(seed, depth, max_nodes)
 
         monkeypatch.setattr(morphisms, "enumerate_cluster_variables", counted)
-        for m in (example_map(), ideal_counterexample_map(), identity_map(example_seed())):
+        for m, target_walked in [
+            (example_map(), False),
+            (ideal_counterexample_map(), True),
+            (identity_map(example_seed()), False),
+        ]:
             walked.clear()
             check_ideal_witness(m, 3)
-            assert walked == [m.source.labels, m.target.labels]
+            assert walked == [m.source.labels] + [m.target.labels] * target_walked
 
 
 class TestApply:
@@ -662,7 +667,9 @@ class TestApplyAgainstReference:
 # check_no_specialization_conditions and its condition-2 search read positions,
 # and check_ideal_witness walks the source and the target only; these are the
 # bodies they replaced, which read the label form, and whose check-ideal also
-# walks the image seed.
+# walks the image seed. Both check-ideals walk the target (and the reference
+# the image seed) only when the image seed has no exchangeable, the one
+# verdict that reads them.
 
 
 def reference_no_specialization_conditions(m, depth=4, max_nodes=DEFAULT_NODE_BUDGET):
@@ -787,9 +794,9 @@ def reference_check_ideal_witness(m, depth=4, max_nodes=DEFAULT_NODE_BUDGET):
     for p in enumerate_cluster_variables(m.source, depth, max_nodes):
         images.append(m.apply(p))
     img_seed = image_seed(m)
-    generators = set(enumerate_cluster_variables(img_seed, depth, max_nodes)) if img_seed.labels else set()
-    target_vars = set(enumerate_cluster_variables(m.target, depth, max_nodes))
     if not img_seed.exchangeable:
+        generators = set(enumerate_cluster_variables(img_seed, depth, max_nodes)) if img_seed.labels else set()
+        target_vars = set(enumerate_cluster_variables(m.target, depth, max_nodes))
         coeffs = set(img_seed.labels)
         for img in images:
             if img not in target_vars or img in generators:
