@@ -500,10 +500,3 @@ def parse_poly(text: str) -> LaurentPoly:
             raise LaurentParseError(f"expected '+' or '-', found {value!r}", position=at)
         pos += 1
         sign = -1 if kind == "-" else 1
-
-
-def poly_product(factors: Iterable[LaurentPoly]) -> LaurentPoly:
-    out = None
-    for f in factors:
-        out = f if out is None else out * f
-    return LaurentPoly.one() if out is None else out

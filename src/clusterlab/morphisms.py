@@ -325,7 +325,8 @@ def check_no_specialization_conditions(
     algebraic extension is a rooted cluster morphism, in three passes over
     positions; a condition holds when it records no witness. (2) falls back
     from the sufficient row-equality criterion to a depth-bounded search for
-    a replayable sign conflict, and raises Inconclusive if neither settles it."""
+    a replayable sign conflict. If neither settles it, Inconclusive is raised
+    only when (1) and (3) record no witness; else the map is refuted, and (2) holds."""
     if not m.is_without_specializations():
         raise InvalidSeed("the characterization applies to maps without specializations")
     src, tgt, f = m.source, m.target, m.assignment
@@ -355,17 +356,21 @@ def check_no_specialization_conditions(
         for i, j in combinations(at, 2):
             if any(rows[i].get(v, 0) != rows[j].get(v, 0) for v in src._ex):
                 pairs.append((i, j))
+    undecided = None  # raised after (3), unless (1) or (3) records a witness
     if pairs and len(witnesses) == n1:
-        conflict = _condition2_search(src, pairs, depth, max_nodes)
-        if conflict is None:
-            raise Inconclusive(
-                "condition (2): the sufficient criterion fails for "
-                f"{[(labels[i], labels[j]) for i, j in pairs]} and no sign conflict "
-                f"was found to depth {depth}",
-                condition="condition2",
-            )
-        text = "condition2: sequence {} gives opposite signs b[{}][{}]={} vs b[{}][{}]={}"
-        witnesses.append(text.format(*conflict))
+        try:
+            conflict = _condition2_search(src, pairs, depth, max_nodes)
+            if conflict is None:
+                raise Inconclusive(
+                    "condition (2): the sufficient criterion fails for "
+                    f"{[(labels[i], labels[j]) for i, j in pairs]} and no sign conflict "
+                    f"was found to depth {depth}",
+                    condition="condition2",
+                )
+            text = "condition2: sequence {} gives opposite signs b[{}][{}]={} vs b[{}][{}]={}"
+            witnesses.append(text.format(*conflict))
+        except Inconclusive as exc:  # no conflict to depth, or over budget (a ResourceLimit)
+            undecided = exc
     cond2 = len(witnesses) == n1
 
     # (3) per exchangeably connected component of the image seed, one sign s
@@ -386,6 +391,8 @@ def check_no_specialization_conditions(
                 )
                 break
         signs.append(max(allowed, default=0))
+    if undecided is not None and not witnesses:
+        raise undecided
     return NoSpecReport(n1 == 0, cond2, 0 not in signs, tuple(witnesses), tuple(signs))
 
 

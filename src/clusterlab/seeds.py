@@ -26,7 +26,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from . import laurent
-from .laurent import Ambient, LaurentPoly, VarId, format_poly, on_one_ambient, poly_product
+from .laurent import Ambient, LaurentPoly, VarId, format_poly, on_one_ambient
 
 Matrix = dict[VarId, dict[VarId, int]]
 
@@ -402,18 +402,19 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     The exchange table is the walk's value store: it holds each value as
     itself, a root's values from the start and each quotient when it is
     divided, and every seed of the walk holds the table's own objects. So
-    a walk holds one object per value, equal values are the same object,
-    and its bookkeeping hashes id() of values, integers. The new value
-    comes from the table before any division. An exchange key is the id of
-    x's value with the frozenset of (neighbour's value id, b_xv) over x's
-    row: that fixes the numerator N = P + Q, so it fixes the quotient
-    x' = N / x. A division stores that entry and the reverse one,
+    every value a walk's seeds hold is a key of its table, equal values are
+    one object, and the walk's bookkeeping hashes id() of values, integers.
+    The new value comes from the table before any division. An exchange key
+    is the id of x's value with the frozenset of (neighbour's value id,
+    b_xv) over x's row: that fixes the numerator N = P + Q, so it fixes the
+    quotient x' = N / x. A division stores that entry and the reverse one,
     (x', {(v, -b_xv)}) -> x, which is exact because N = x * x'; a failed
-    division stores no entry. The table is created in the `__dict__` of the
-    seed a walk starts from, on its first mutation, and is shared by every
-    seed mutated from it; a seed built any other way starts without one,
-    except the target root of a CM3 walk, whose values are interned in the
-    source's.
+    division stores no entry, and a quotient it stores as a new key is no
+    value of the seed, so only a value that was a key is tested against the
+    other positions. The table is created in the `__dict__` of the seed a
+    walk starts from, on its first mutation, and is shared by every seed
+    mutated from it; a seed built any other way starts without one, except
+    the target root of a CM3 walk, whose values are interned in the source's.
 
     Labels and rows come from _mutated_form, and values by slicing."""
     at = _exchangeable_at(seed, x)
@@ -423,10 +424,19 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     row = seed._rows[at]
     table, old = seed._exchanges, vals[at]
     key = (id(old), frozenset([(id(vals[j]), e) for j, e in row.items()]))
-    new_value = table.get(key)
+    new_value, quotient = table.get(key), None
     if new_value is None:
-        pos = poly_product(vals[j] ** e for j, e in row.items() if e > 0)
-        neg = poly_product(vals[j] ** -e for j, e in row.items() if e < 0)
+        pos = neg = None
+        for j, e in row.items():
+            v, a = vals[j], abs(e)
+            f = v if a == 1 else v * v if a == 2 else v ** a
+            if e > 0:
+                pos = f if pos is None else pos * f
+            else:
+                neg = f if neg is None else neg * f
+        if pos is None or neg is None:  # an empty side is 1, on the other's ambient or x's
+            one = (old if pos is neg else pos if neg is None else neg)._amb.const(1)
+            pos, neg = one if pos is None else pos, one if neg is None else neg
         # Looked up on the module per call, so a rebinding there applies here too.
         quotient = laurent.lp_exact_div(pos + neg, old)
         new_value = table.setdefault(quotient, quotient)
@@ -434,7 +444,7 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
         table[id(new_value), frozenset([(i, -e) for i, e in key[1]])] = old
 
     labels, rows = _mutated_form(seed.labels, seed._rows, at)
-    if new_value is not old and id(new_value) in map(id, vals):  # another position holds it
+    if new_value is not quotient and new_value is not old and id(new_value) in map(id, vals):
         j = [*map(id, vals)].index(id(new_value))
         _shared_value(labels[min(j, at)], labels[max(j, at)], new_value)
     vals = vals[:at] + (new_value,) + vals[at + 1:]

@@ -747,6 +747,12 @@ nodes: 2
 class TestReportBranches:
     """Report shapes of the verbs' less travelled branches, in both formats."""
 
+    def test_a_plain_list_mixing_a_pair_and_a_scalar(self):
+        # each item of a list that holds a list takes its own line: a pair
+        # joined by commas, a scalar as itself
+        report = {"items": [["x1", "y1"], 3, "z"]}
+        assert clusterlab.cli._render_plain(report) == ["items:", "  - x1, y1", "  - 3", "  - z"]
+
     @pytest.fixture
     def more(self, files):
         out = dict(files)

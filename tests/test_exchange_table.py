@@ -74,13 +74,14 @@ def test_cm3_source_and_target_walks_share_one_table(divisions):
 def test_the_condition2_search_divides_nothing(divisions):
     # linear A3 with two same-sign coefficients of different size on x2,
     # both sent to c: the rows differ on x2, so condition (2) searches, and
-    # no sign conflict shows in the 40 sequences to depth 3. The search
-    # reads rows only, so it builds no value and leaves no table entry.
+    # no sign conflict shows in the 40 sequences to depth 3. b[c][x2] = 3
+    # passes condition (3), so the search's Inconclusive is the verdict. The
+    # search reads rows only, so it builds no value and leaves no table entry.
     a3 = [("x1", "x2", 1), ("x2", "x1", -1), ("x2", "x3", 1), ("x3", "x2", -1)]
     ex = ["x1", "x2", "x3"]
     coefficients = [("c1", "x2", 1), ("x2", "c1", -1), ("c2", "x2", 2), ("x2", "c2", -2)]
     source = Seed.initial(ex + ["c1", "c2"], ex, a3 + coefficients)
-    target = Seed.initial(ex + ["c"], ex, a3 + [("c", "x2", 1), ("x2", "c", -1)])
+    target = Seed.initial(ex + ["c"], ex, a3 + [("c", "x2", 3), ("x2", "c", -3)])
     m = ClusterMap(source, target, {"x1": "x1", "x2": "x2", "x3": "x3", "c1": "c", "c2": "c"})
     with pytest.raises(Inconclusive) as exc:
         check_no_specialization_conditions(m, 3)
@@ -118,6 +119,28 @@ def test_a_failed_division_stores_nothing(monkeypatch):
         assert cur.labels == ("x1'1", "x2'1")
         assert len(root._exchanges) == stored
         assert len(failed) == walk
+
+
+def test_the_numerator_is_made_on_the_values_own_ambient(monkeypatch):
+    # Along this A3 walk every exchange divides, and every row it mutates at
+    # has one sign. The numerator's empty side is 1 on the other side's
+    # ambient, so no operand is re-encoded from another ambient; a 1 made
+    # with no names was re-encoded once per step, five times.
+    on, moved = clusterlab.laurent.LaurentPoly._on, []
+
+    def counting(p, amb):
+        if p._amb.ident != amb.ident:
+            moved.append(format_poly(p))
+        return on(p, amb)
+
+    monkeypatch.setattr(clusterlab.laurent.LaurentPoly, "_on", counting)
+    seed = linear_a(3)
+    for x in ("x1", "x2", "x1'1", "x3", "x2'1"):
+        seed = mutate_seed(seed, x)
+    monkeypatch.undo()
+    assert moved == []
+    assert clusterlab.laurent.LaurentPoly._on is on
+    assert seed.labels == ("x1'2", "x2'2", "x3'1")
 
 
 def test_around_the_pentagon_the_values_are_the_roots_objects():

@@ -87,15 +87,30 @@ def ideal_counterexample_map():
     )
 
 
-def sign_stable_collision_map():
-    # rows of the colliding coefficients differ in magnitude but never in sign
+def sign_stable_collision_map(b_wc=-3):
+    # rows of the colliding coefficients differ in magnitude but never in
+    # sign; e's row sums to -3 on c, so w's row {c: -3} passes condition (3)
+    # and any other b_wc fails it
     src = Seed.initial(
         ["c1", "c2", "e"],
         ["e"],
         [("c1", "e", 1), ("e", "c1", -1), ("c2", "e", 2), ("e", "c2", -2)],
     )
-    dst = Seed.initial(["c", "w"], ["w"], [("c", "w", 3), ("w", "c", -1)])
+    dst = Seed.initial(["c", "w"], ["w"], [("c", "w", 1), ("w", "c", b_wc)])
     return ClusterMap(src, dst, {"c1": "c", "c2": "c", "e": "w"})
+
+
+def a3_coefficient_merge_map(b_cx2):
+    """Linear A3 with coefficients c1, c2 on x2 (b = 1 and 2), both sent to
+    c, into linear A3 with b[c][x2] = b_cx2: the rows of c1 and c2 differ on
+    x2, so condition (2) searches, and no sign conflict shows to depth 3.
+    x2's row sums to -3 on c, so condition (3) holds for b_cx2 = 3 only."""
+    a3 = [("x1", "x2", 1), ("x2", "x1", -1), ("x2", "x3", 1), ("x3", "x2", -1)]
+    ex = ["x1", "x2", "x3"]
+    coefficients = [("c1", "x2", 1), ("x2", "c1", -1), ("c2", "x2", 2), ("x2", "c2", -2)]
+    source = Seed.initial(ex + ["c1", "c2"], ex, a3 + coefficients)
+    target = Seed.initial(ex + ["c"], ex, a3 + [("c", "x2", b_cx2), ("x2", "c", -b_cx2)])
+    return ClusterMap(source, target, {"x1": "x1", "x2": "x2", "x3": "x3", "c1": "c", "c2": "c"})
 
 
 def composition_counterexample():
@@ -336,20 +351,31 @@ class TestNoSpecializationConditions:
 
     def test_the_search_derives_no_label_form(self, monkeypatch):
         # passes (1) and (2) and the search read rows by position, so no
-        # Seed.matrix is derived before the search gives up
+        # Seed.matrix is derived before the search gives up; (3), which
+        # runs before its Inconclusive is raised, reads the image seed's
+        import clusterlab.morphisms as morphisms
+
         m = sign_stable_collision_map()
         derive = Seed.__dict__["matrix"].derive
-        derived_for = []
+        derived_for, at_the_search_end = [], []
 
         def counted(seed):
             derived_for.append(seed)
             return derive(seed)
 
+        search = morphisms._condition2_search
+
+        def watched(*args):
+            conflict = search(*args)
+            at_the_search_end.append(list(derived_for))
+            return conflict
+
         counted.__name__ = "matrix"
         monkeypatch.setattr(Seed, "matrix", derived(counted))
+        monkeypatch.setattr(morphisms, "_condition2_search", watched)
         with pytest.raises(Inconclusive):
             check_no_specialization_conditions(m, depth=3)
-        assert derived_for == []
+        assert at_the_search_end == [[]]
 
     def test_condition2_search_stops_at_depth(self):
         # one exchangeable: the root and one sequence per length 1..3 are
@@ -360,6 +386,45 @@ class TestNoSpecializationConditions:
                 sign_stable_collision_map(), depth=3, max_nodes=4
             )
         assert exc.value.condition == "condition2"
+
+    def test_a_map_condition3_refutes_is_decided(self):
+        # no sign conflict to depth 3, but (3) has a witness: the map is
+        # refuted, as CM3 finds at (x2,), so the report is decided and (2),
+        # with no witness, holds
+        m = a3_coefficient_merge_map(1)
+        report = check_no_specialization_conditions(m, depth=3)
+        assert (report.condition1, report.condition2, report.condition3) == (True, True, False)
+        assert report.witnesses == (
+            "condition3: row of x2 is not the signed image sum of the row of x2 (component of x1)",
+        )
+        assert check_cm3(m, 3).counterexample.sequence == ("x2",)
+        # the same holds when the search runs out of budget
+        assert check_no_specialization_conditions(m, depth=3, max_nodes=2) == report
+
+    def test_a_map_condition3_passes_stays_undecided(self):
+        m = a3_coefficient_merge_map(3)
+        with pytest.raises(Inconclusive) as exc:
+            check_no_specialization_conditions(m, depth=3)
+        assert exc.value.condition == "condition2"
+        assert str(exc.value) == (
+            "condition (2): the sufficient criterion fails for [('c1', 'c2')] "
+            "and no sign conflict was found to depth 3"
+        )
+        assert check_cm3(m, 3).passed
+        with pytest.raises(ResourceLimit, match="condition-2 search exceeded 2 nodes"):
+            check_no_specialization_conditions(m, depth=3, max_nodes=2)
+
+    def test_a_map_condition1_refutes_is_decided(self):
+        # z goes to a coefficient, and the search finds no conflict: decided
+        m = sign_stable_collision_map()
+        src = coproduct([m.source, Seed.initial(["z"], ["z"], [])])
+        dst = coproduct([m.target, Seed.initial(["u"], [], [])])
+        report = check_no_specialization_conditions(ClusterMap(src, dst, {**m.assignment, "z": "u"}), 3)
+        assert (report.condition1, report.condition2, report.condition3) == (False, True, True)
+        assert report.witnesses == ("condition1: z -> u is not exchangeable",)
+        assert check_no_specialization_conditions(sign_stable_collision_map(-1), 3).witnesses == (
+            "condition3: row of w is not the signed image sum of the row of e (component of c)",
+        )
 
     def test_soundness_on_verified_maps(self):
         # every map passing the characterization passes CM3 to depth
@@ -719,16 +784,20 @@ def reference_no_specialization_conditions(m, depth=4, max_nodes=DEFAULT_NODE_BU
             ):
                 continue
             needs_search.append((x, y))
+    undecided = None  # raised after (3) only if (1) and (3) hold
     if cond2 and needs_search:
-        conflict = reference_condition2_search(m.source, needs_search, depth, max_nodes)
+        try:
+            conflict = reference_condition2_search(m.source, needs_search, depth, max_nodes)
+        except ResourceLimit as exc:
+            conflict, undecided = None, exc
         if conflict is not None:
             cond2 = False
             witnesses.append(
                 "condition2: sequence {} gives opposite signs b[{}][{}]={} "
                 "vs b[{}][{}]={}".format(*conflict)
             )
-        else:
-            raise Inconclusive(
+        elif undecided is None:
+            undecided = Inconclusive(
                 "condition (2): the sufficient criterion fails for "
                 f"{needs_search} and no sign conflict was found to depth {depth}",
                 condition="condition2",
@@ -766,6 +835,8 @@ def reference_no_specialization_conditions(m, depth=4, max_nodes=DEFAULT_NODE_BU
                 )
                 break
         signs.append(max(allowed) if allowed else 0)
+    if undecided is not None and cond1 and cond3:
+        raise undecided
     return NoSpecReport(cond1, cond2, cond3, tuple(witnesses), tuple(signs))
 
 

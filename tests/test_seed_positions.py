@@ -10,13 +10,22 @@ the positional route must agree with it step by step.
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from clusterlab.colimits import _mutate_tracking  # noqa: E402
 from clusterlab.errors import ClusterLabError, NotExchangeable  # noqa: E402
-from clusterlab.laurent import LaurentPoly, lp_exact_div, poly_product  # noqa: E402
+from clusterlab.laurent import LaurentPoly, lp_exact_div  # noqa: E402
 from clusterlab.seeds import Seed, fresh_label, mutate_seed  # noqa: E402
+
+
+def poly_product(factors):
+    """The product of the factors, 1 (on no names) if there are none: each
+    side of the reference's numerator, a product of powers."""
+    out = None
+    for f in factors:
+        out = f if out is None else out * f
+    return LaurentPoly.one() if out is None else out
 
 
 def reference_mutate(seed: Seed, x) -> Seed:
@@ -65,15 +74,19 @@ def reference_mutate(seed: Seed, x) -> Seed:
 
 @st.composite
 def seeds(draw):
-    """A skew-symmetric seed of rank 1-5 after up to two mutations."""
+    """A seed of rank 1-5 after up to two mutations: skew-symmetric with
+    entries in {-1, 0, 1}, or skew-symmetrizable, with mirrored entries
+    b_ij = s d_j and b_ji = -s d_i for a drawn symmetrizer d with entries
+    1-3, so that rows hold entries of 2 and 3 and may have one sign."""
     rank = draw(st.integers(1, 5))
     labels = [f"v{i}" for i in range(rank)]
+    d = [draw(st.integers(1, 3)) for _ in labels] if draw(st.booleans()) else [1] * rank
     entries = []
     for i in range(rank):
         for j in range(i + 1, rank):
-            b = draw(st.integers(-1, 1))
-            if b:
-                entries += [(labels[i], labels[j], b), (labels[j], labels[i], -b)]
+            s = draw(st.integers(-1, 1))
+            if s:
+                entries += [(labels[i], labels[j], s * d[j]), (labels[j], labels[i], -s * d[i])]
     seed = Seed.initial(labels, draw(st.sets(st.sampled_from(labels), min_size=1)), entries)
     for _ in range(draw(st.integers(0, 2))):
         seed = mutate_seed(seed, draw(st.sampled_from(sorted(seed.exchangeable))))
@@ -89,6 +102,28 @@ def test_mutation_changes_only_the_mutated_position(seed, data):
     assert len(new.labels) == len(seed.labels)
     assert [k for k, (a, b) in enumerate(zip(seed.labels, new.labels)) if a != b] == [i]
     assert new.labels[i] not in seed.labels
+
+
+# a path symmetrized by d = (1, 2, 3): the rows {v1: 2}, {v0: -1, v2: 3} and
+# {v1: -2} hold every |b| up to 3, and two of them have one sign
+PATH_D123 = Seed.initial(["v0", "v1", "v2"], ["v0", "v1", "v2"],
+                        [("v0", "v1", 2), ("v1", "v0", -1), ("v1", "v2", 3), ("v2", "v1", -2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds())
+@example(PATH_D123)
+@example(Seed.initial(["v0"], ["v0"], []))
+def test_each_numerator_branch_agrees_with_the_reference(seed):
+    # mutate_seed multiplies x's row in one loop, v, v * v or v ** |b| per
+    # entry, and puts 1 on an empty side; the reference takes poly_product
+    # of powers on each side. Every step from the seed must agree.
+    for x in sorted(seed.exchangeable):
+        (mine, error), (ref, ref_error) = _outcome(mutate_seed, seed, x), _outcome(reference_mutate, seed, x)
+        assert error == ref_error
+        if not error:
+            assert (mine.labels, mine.values, mine.matrix) == (ref.labels, ref.values, ref.matrix)
+            assert mine.same_seed(ref)
 
 
 @settings(max_examples=200, deadline=None)

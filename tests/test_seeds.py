@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clusterlab.laurent
+import clusterlab.seeds
 from clusterlab.errors import (
     InvalidSeed,
     LabelCollision,
@@ -462,6 +463,14 @@ class TestSimilarity:
         bij = check_similar(s, t)
         assert bij is not None
         assert verify_similarity_bijection(s, t, bij)
+
+    def test_a_failed_final_verify_gives_none(self, monkeypatch):
+        # the search checks its bijection once more before returning it; that
+        # check fails only on a defect of the search, made here by patching it
+        s, t = a2_seed(), Seed.initial(["y1", "y2"], ["y1", "y2"], [("y2", "y1", 1), ("y1", "y2", -1)])
+        assert check_similar(s, t) is not None
+        monkeypatch.setattr(clusterlab.seeds, "verify_similarity_bijection", lambda *args: False)
+        assert check_similar(s, t) is None
 
     def test_not_similar_zero_matrix(self):
         t = Seed.initial(["z1", "z2"], ["z1", "z2"], [])
