@@ -175,6 +175,8 @@ class TriangulationOracle:
         return self.tri.chord_exchangeable(self._chords[v])
 
     def is_vertex(self, v: VarId) -> bool:
+        if "'" in v:  # a label mutation made: no arc label holds a prime
+            return False
         try:
             c = self._chords[v]
         except ParseError:

@@ -212,9 +212,10 @@ def _walk_biadmissible(
     """Breadth-first over biadmissible sequences, shortest first and
     lexicographic within a length; yields every visited state including
     the root. Sequences are counted, not states. Both walks use the
-    source's exchange table: the target root's values are interned there,
-    so a value both walks reach is one object and is divided once."""
-    t, table = m.target, m.source._exchanges
+    source's exchange table, made an interning one: the target root's
+    values are interned there, so a value both walks reach is one object
+    and is divided once."""
+    t, table = m.target, m.source._interning_exchanges()
     vals = tuple(table.setdefault(p, p) for p in t._vals)
     tgt = Seed._from_positions(t.labels, t._ex, t._rows, vals, table)
     return explore(

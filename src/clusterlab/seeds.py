@@ -52,6 +52,11 @@ class derived:
         return value
 
 
+# the key of a plain exchange table's root values: its presence marks the
+# table plain (see Seed._exchanges)
+_PLAIN = object()
+
+
 def _shared_value(first: VarId, second: VarId, value: LaurentPoly):
     raise InvalidSeed(f"labels {first!r} and {second!r} share the value {format_poly(value)}")
 
@@ -155,9 +160,27 @@ class Seed:
 
     @derived
     def _exchanges(self) -> dict:
-        """mutate_seed's table, beside the seed's content; it starts holding
-        this seed's values as themselves."""
-        return {p: p for p in self._vals}
+        """mutate_seed's table, beside the seed's content: a plain one,
+        made on the first mutation of a seed that has none. It holds this
+        seed's values under the one key _PLAIN, which marks it plain and
+        keeps alive every value whose id() its exchange keys name (the
+        others are its quotients). It stores no value as a key, so a plain
+        lineage hashes no value; equal values from two divisions stay two
+        objects. The walks that key values by identity replace it with an
+        interning table (_interning_exchanges)."""
+        return {_PLAIN: self._vals}
+
+    def _interning_exchanges(self) -> dict:
+        """The seed's exchange table as an interning one, made now unless
+        the seed already has one: it holds each value as itself, this
+        seed's from the start. A plain table is replaced; the seeds already
+        mutated from it keep it. In an interning table equal values are one
+        object, so id() tells values apart: _seed_class and the CM3 walk
+        key values by identity, and pay one hash per value for it."""
+        table = self.__dict__.get("_exchanges")
+        if table is None or _PLAIN in table:
+            table = self.__dict__["_exchanges"] = {p: p for p in self._vals}
+        return table
 
     @derived
     def _walk_key(self):
@@ -399,22 +422,30 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     writes b_vv, and mutation keeps the matrix skew-symmetrizable, with
     the same symmetrizer, and is an involution.
 
-    The exchange table is the walk's value store: it holds each value as
-    itself, a root's values from the start and each quotient when it is
-    divided, and every seed of the walk holds the table's own objects. So
-    every value a walk's seeds hold is a key of its table, equal values are
-    one object, and the walk's bookkeeping hashes id() of values, integers.
-    The new value comes from the table before any division. An exchange key
-    is the id of x's value with the frozenset of (neighbour's value id,
-    b_xv) over x's row: that fixes the numerator N = P + Q, so it fixes the
-    quotient x' = N / x. A division stores that entry and the reverse one,
+    The exchange table is shared by every seed of a lineage. The new value
+    comes from the table before any division. An exchange key is the id of
+    x's value with the frozenset of (neighbour's value id, b_xv) over x's
+    row: that fixes the numerator N = P + Q, so it fixes the quotient
+    x' = N / x. A division stores that entry and the reverse one,
     (x', {(v, -b_xv)}) -> x, which is exact because N = x * x'; a failed
-    division stores no entry, and a quotient it stores as a new key is no
-    value of the seed, so only a value that was a key is tested against the
-    other positions. The table is created in the `__dict__` of the seed a
-    walk starts from, on its first mutation, and is shared by every seed
-    mutated from it; a seed built any other way starts without one, except
-    the target root of a CM3 walk, whose values are interned in the source's.
+    division stores no entry. The table is created in the `__dict__` of the
+    seed a lineage starts from, on its first mutation, and a seed built any
+    other way starts without one, except the target root of a CM3 walk,
+    which shares the source's.
+
+    A table is plain or interning (see Seed._exchanges). A plain table,
+    the one a plain mutate_seed call creates, stores no value as a key, so
+    no quotient is hashed: a lineage divides each exchange relation once
+    per set of value objects, and the distinct-value check compares the
+    new value with the other positions' values by equality, term count
+    first. An interning table, which _seed_class and the CM3 walk create,
+    holds each value as itself, the root's from the start and each
+    quotient when it is divided, and every seed of its lineage holds the
+    table's own objects: so equal values are one object, each exchange
+    relation is divided once, and the walk's bookkeeping hashes id() of
+    values, integers. There a quotient stored as a new key is no value of
+    the seed, so only a value that was a key is tested against the other
+    positions, by identity.
 
     Labels and rows come from _mutated_form, and values by slicing."""
     at = _exchangeable_at(seed, x)
@@ -423,6 +454,7 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
     vals = seed._vals
     row = seed._rows[at]
     table, old = seed._exchanges, vals[at]
+    interning = _PLAIN not in table
     key = (id(old), frozenset([(id(vals[j]), e) for j, e in row.items()]))
     new_value, quotient = table.get(key), None
     if new_value is None:
@@ -438,15 +470,22 @@ def mutate_seed(seed: Seed, x: VarId) -> Seed:
             one = (old if pos is neg else pos if neg is None else neg)._amb.const(1)
             pos, neg = one if pos is None else pos, one if neg is None else neg
         # Looked up on the module per call, so a rebinding there applies here too.
-        quotient = laurent.lp_exact_div(pos + neg, old)
-        new_value = table.setdefault(quotient, quotient)
+        new_value = quotient = laurent.lp_exact_div(pos + neg, old)
+        if interning:
+            new_value = table.setdefault(quotient, quotient)
         table[key] = new_value
         table[id(new_value), frozenset([(i, -e) for i, e in key[1]])] = old
 
     labels, rows = _mutated_form(seed.labels, seed._rows, at)
-    if new_value is not quotient and new_value is not old and id(new_value) in map(id, vals):
-        j = [*map(id, vals)].index(id(new_value))
-        _shared_value(labels[min(j, at)], labels[max(j, at)], new_value)
+    if interning:
+        if new_value is not quotient and new_value is not old and id(new_value) in map(id, vals):
+            j = [*map(id, vals)].index(id(new_value))
+            _shared_value(labels[min(j, at)], labels[max(j, at)], new_value)
+    else:
+        n = len(new_value._keys)
+        for j, v in enumerate(vals):
+            if len(v._keys) == n and j != at and v == new_value:
+                _shared_value(labels[min(j, at)], labels[max(j, at)], new_value)
     vals = vals[:at] + (new_value,) + vals[at + 1:]
     return Seed._from_positions(labels, seed._ex, rows, vals, table)
 
@@ -563,16 +602,21 @@ def grow(center: T, neighbours: Callable[[T], Iterable[T]]) -> Iterator[tuple[se
 
 
 def _seed_class(seed: Seed, depth: int, max_nodes: int) -> Iterator[Seed]:
-    # Mutation is an involution: when mutate_seed(s, x) gives t, mutating t
-    # at its new value gives s back. So `back` records (key of t, new value),
-    # and a seed with that key skips the mutation at that value: it could
-    # only lead to s, a seed already seen. Each exchange-graph edge is then
-    # crossed once. `back` holds value ids, not positions or labels, since
-    # seeds with one key may hold their values at different positions.
-    # Seeds share the root's exchange table and hold its objects, so seeds
-    # and values are keyed by _walk_key and id() of values, on integers.
-    # mutate_seed is looked up per call, so a rebinding on the module
-    # applies here too.
+    """The seed's mutation class, breadth first to `depth`: each seed once,
+    keyed by _walk_key, the root included.
+
+    The root's exchange table is made an interning one (replacing a plain
+    one), so the walk's seeds hold its objects, one per value: seeds and
+    values are then keyed by _walk_key and id() of values, on integers,
+    and each exchange relation is divided once. Mutation is an involution:
+    when mutate_seed(s, x) gives t, mutating t at its new value gives s
+    back. So `back` records (key of t, new value), and a seed with that key
+    skips the mutation at that value: it could only lead to s, a seed
+    already seen. Each exchange-graph edge is then crossed once. `back`
+    holds value ids, not positions or labels, since seeds with one key may
+    hold their values at different positions. mutate_seed is looked up per
+    call, so a rebinding on the module applies here too."""
+    seed._interning_exchanges()
     back: set = set()
 
     def children(s: Seed) -> Iterator[Seed]:

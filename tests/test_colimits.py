@@ -718,6 +718,18 @@ class TestSequenceNames:
             stable_mutation(FiniteSeedOracle(seed), ["x", "x'1"], "y")
         assert str(err.value) == """mutating 'x' makes "x'1", also a vertex of the oracle's seed"""
 
+    def test_a_made_label_is_no_arc_and_is_not_parsed(self, monkeypatch):
+        # no arc label holds a prime, so a made label is answered before
+        # the arc parser, which would raise and catch a ParseError per call
+        oracle, parsed = fan_oracle(), []
+        parse = clusterlab.colimits.parse_arc_label
+        monkeypatch.setattr(clusterlab.colimits, "parse_arc_label", lambda v: parsed.append(v) or parse(v))
+        for made in ["0/1~1/4'1", "0/1~3/8'1'1", "x0'1", "'"]:
+            assert not oracle.is_vertex(made)
+        assert parsed == []
+        assert oracle.is_vertex("0/1~1/4") and not oracle.is_vertex("0/1~1/5")
+        assert not oracle.is_vertex("x0") and parsed == ["0/1~1/4", "0/1~1/5", "x0"]
+
 
 class TestMediating:
     def test_inclusion_cone(self):

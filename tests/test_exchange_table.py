@@ -1,16 +1,19 @@
-"""The exchange table of `mutate_seed`: each exchange relation is divided
-once per seed lineage, and a value read from the table equals the value a
-fresh division gives."""
+"""The exchange table of `mutate_seed`: a walk whose table interns values
+divides each exchange relation once, a plain lineage divides it once per set
+of value objects and hashes no value, and a value read from the table equals
+the value a fresh division gives."""
 
+import random
 from math import comb
 
 import pytest
 
 import clusterlab.laurent
-from clusterlab.errors import Inconclusive, NotDivisible
-from clusterlab.laurent import format_poly
+from clusterlab.errors import ClusterLabError, Inconclusive, NotDivisible
+from clusterlab.laurent import LaurentPoly, format_poly, parse_poly
 from clusterlab.morphisms import ClusterMap, check_cm3, check_no_specialization_conditions, image_seed
 from clusterlab.seeds import (
+    _PLAIN,
     Seed,
     _mutated_form,
     connected_components,
@@ -23,7 +26,7 @@ from clusterlab.seeds import (
 )
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -47,6 +50,20 @@ def divisions(monkeypatch):
         return exact_div(num, den)
 
     monkeypatch.setattr(clusterlab.laurent, "lp_exact_div", counting)
+    return calls
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """The LaurentPoly hashes taken while the test runs, one entry each."""
+    calls = []
+    hash_ = LaurentPoly.__hash__
+
+    def counting(p):
+        calls.append(1)
+        return hash_(p)
+
+    monkeypatch.setattr(LaurentPoly, "__hash__", counting)
     return calls
 
 
@@ -145,16 +162,69 @@ def test_the_numerator_is_made_on_the_values_own_ambient(monkeypatch):
 
 def test_around_the_pentagon_the_values_are_the_roots_objects():
     # A2's exchange graph is a pentagon: five mutations at alternating
-    # positions give the root's seed back. The last two quotients come from
-    # divisions, and the table interns them, so they are the root's own
-    # value objects, not equal copies.
+    # positions give the root's seed back. On a plain lineage the last two
+    # quotients come from divisions that no table interns, so they are
+    # equal to the root's values, not the root's objects. The class walk's
+    # table interns: there the five seeds hold five value objects, the
+    # root's two among them.
     root = linear_a(2)
     cur = root
     for position in (0, 1, 0, 1, 0):
         cur = mutate_seed(cur, cur.labels[position])
     assert cur.same_seed(root)
-    mine = list(root.values.values())
-    assert all(any(value is own for own in mine) for value in cur.values.values())
+    assert set(cur._vals) == set(root._vals)
+    root = linear_a(2)
+    seeds = enumerate_seeds(root, 40)
+    objects = {id(p) for s in seeds for p in s._vals}
+    assert (len(seeds), len(objects)) == (5, 5)
+    assert objects >= set(map(id, root._vals))
+
+
+def random_root(rng, rank):
+    """An initial seed on `rank` labels, all exchangeable, whose matrix has
+    mirrored entries b_vw = s d_w and b_wv = -s d_v for a drawn symmetrizer
+    d and signs s in {0, 1, -1}."""
+    labels = [f"v{i}" for i in range(rank)]
+    d = [rng.choice([1, 1, 2]) for _ in labels]
+    entries = []
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if s := rng.choice([0, 1, -1]):
+                entries += [(labels[i], labels[j], s * d[j]), (labels[j], labels[i], -s * d[i])]
+    return Seed.initial(labels, labels, entries)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_plain_lineage_hashes_no_value_and_a_class_walk_interns(seed, hashes):
+    # A lineage begun by plain mutate_seed calls stores no value as a key of
+    # its table, so no value is hashed along it, however often it meets a
+    # value again; the class walk's table interns, which hashes.
+    rng = random.Random(seed)
+    for _ in range(30):
+        root = random_root(rng, rng.randint(2, 5))
+        made = len(hashes)
+        cur = root
+        for _ in range(rng.randint(1, 8)):
+            cur = mutate_seed(cur, cur.labels[rng.randrange(len(cur.labels))])
+        assert len(hashes) == made
+        enumerate_seeds(root, 2)
+        assert len(hashes) > made
+
+
+def test_a_class_walk_replaces_a_plain_table_and_a_cm3_walk_interns_in_it():
+    root = linear_a(3)
+    child = mutate_seed(root, "x1")
+    plain = root._exchanges
+    assert child._exchanges is plain
+    enumerate_seeds(root, 1)
+    interning = root._exchanges
+    assert interning is not plain and all(interning[p] is p for p in root._vals)
+    # a seed mutated from the plain table keeps it; seeds mutated from the
+    # root now share the interning one, which a CM3 walk from the root uses
+    assert child._exchanges is plain
+    assert mutate_seed(root, "x2")._exchanges is interning
+    check_cm3(ClusterMap(root, linear_a(3), {v: v for v in root.labels}), 1)
+    assert root._exchanges is interning
 
 
 def test_a_seed_built_by_hand_starts_without_a_table():
@@ -256,6 +326,69 @@ def test_table_values_equal_a_fresh_division(root, steps):
         assert [format_poly(cur.values[v]) for v in cur.labels] == [
             format_poly(fresh.values[v]) for v in fresh.labels
         ]
+        last = position
+
+
+# Laurent texts for explicit values: the five values of A2's pentagon on a
+# and b, so that a walk on two labels that hold neighbouring ones makes a
+# value a third label may hold, and a constant, by which some divisions fail.
+POOL = ["a", "b", "a^-1*b + a^-1", "a^-1 + b^-1 + a^-1*b^-1", "a*b^-1 + b^-1", "2"]
+
+
+@st.composite
+def valued_seeds(draw):
+    """A skew-symmetric seed on two to four labels, with sparse entries of
+    +-1, whose values are distinct texts of POOL."""
+    rank = draw(st.integers(2, 4))
+    labels = [f"v{i}" for i in range(rank)]
+    matrix = {v: {} for v in labels}
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if b := draw(st.sampled_from([0, 0, 0, 1, -1])):
+                matrix[labels[i]][labels[j]], matrix[labels[j]][labels[i]] = b, -b
+    texts = draw(st.lists(st.sampled_from(POOL), min_size=rank, max_size=rank, unique=True))
+    exchangeable = draw(st.sets(st.sampled_from(labels), min_size=1))
+    values = {v: parse_poly(t) for v, t in zip(labels, texts)}
+    return Seed(tuple(labels), frozenset(exchangeable), {v: r for v, r in matrix.items() if r}, values)
+
+
+SHARED = Seed(
+    ("p", "q", "r"), frozenset({"p"}), {"p": {"q": 1}, "q": {"p": -1}},
+    {"p": parse_poly("x"), "q": parse_poly("y"), "r": parse_poly("x^-1*y + x^-1")},
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(dynkin_seeds(), valued_seeds()), st.lists(st.one_of(st.just(BACK), st.integers(0, 3)), max_size=8))
+@example(SHARED, [0])
+@example(linear_a(2), [0, 1, 0, 1, 0, 1])
+def test_a_plain_lineage_walks_as_an_interning_one(root, steps):
+    # The same walk from two copies of the root, one on a plain table and
+    # one on an interning table: at every step both give equal values, or
+    # the same error with the same text.
+    plain, interning = (Seed._from_positions(root.labels, root._ex, root._rows, root._vals) for _ in range(2))
+    interning._interning_exchanges()
+    exchangeable, last = sorted(root._ex), None
+    for step in steps:
+        if step == BACK:
+            if last is None:
+                continue
+            position = last
+        else:
+            position = exchangeable[step % len(exchangeable)]
+        x, outcomes = plain.labels[position], []
+        for seed in (plain, interning):
+            try:
+                outcomes.append(mutate_seed(seed, x))
+            except ClusterLabError as exc:
+                outcomes.append(exc)
+        plain, interning = outcomes
+        if isinstance(plain, Exception) or isinstance(interning, Exception):
+            assert (type(interning), str(interning)) == (type(plain), str(plain))
+            return
+        assert plain.labels == interning.labels and plain._rows == interning._rows
+        assert plain._vals == interning._vals
+        assert _PLAIN in plain._exchanges and _PLAIN not in interning._exchanges
         last = position
 
 
