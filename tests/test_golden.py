@@ -1,6 +1,6 @@
 """The golden transcript: every case of tests/golden/cases.txt, run in both
-formats in-process through `cli.main`, gives the exit code, stdout, stderr
-and `--out` bytes stored in tests/golden/expected.json.
+formats in-process through `cli.main`, gives the exit code, stdout, stderr,
+`--out` bytes and `--out-dir` files stored in tests/golden/expected.json.
 
 A changed expectation is a behaviour change. To write the expectations from
 the current code, run from the repository root:
@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import shlex
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -30,16 +31,23 @@ def cases() -> list[str]:
 
 
 def run_case(case: str, fmt: str, scratch: Path) -> dict:
-    """Exit code, stdout, stderr and the `--out` file's text of one case."""
+    """Exit code, stdout, stderr, the `--out` file's text and the text of
+    each file in the `--out-dir` directory, by name, of one case."""
     words = shlex.split(case)
-    argv, out = ["--format", fmt], None
+    argv, out, out_dir = ["--format", fmt], None, None
     for prev, word in zip([None, *words], words):
         if prev == "--out":
             out = scratch / word
             out.unlink(missing_ok=True)
             word = str(out)
+        elif prev == "--out-dir":
+            out_dir = scratch / word
+            shutil.rmtree(out_dir, ignore_errors=True)
+            word = str(out_dir)
         elif (GOLDEN / word).is_file():
             word = str(GOLDEN / word)
+        elif word.startswith("wrap:") and (GOLDEN / word[5:]).is_file():
+            word = "wrap:" + str(GOLDEN / word[5:])
         argv.append(word)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -50,6 +58,9 @@ def run_case(case: str, fmt: str, scratch: Path) -> dict:
     result = {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
     if out is not None:
         result["out"] = out.read_text(encoding="utf-8") if out.exists() else None
+    if out_dir is not None:
+        files = sorted(out_dir.iterdir()) if out_dir.is_dir() else []
+        result["out_dir"] = {f.name: f.read_text(encoding="utf-8") for f in files}
     return result
 
 
