@@ -94,6 +94,8 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"not UTF-8 text: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer past int's limit on the length of integer text
+        raise ParseError(f"integer too long to read: {path}") from exc
     except RecursionError as exc:
         raise ParseError(f"JSON nested too deeply: {path}") from exc
 

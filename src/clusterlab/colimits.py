@@ -119,13 +119,17 @@ class PathQuiverOracle:
         return f"x{i}" if i >= 0 else f"xm{-i}"
 
     def _index(self, v: VarId) -> int:
-        body = v[1:]
-        if v.startswith("xm"):
-            body = v[2:]
-            if body.isdigit() and int(body) > 0:
-                return -int(body)
-        elif v.startswith("x") and body.isdigit():
-            return int(body)
+        """The position v names; a label whose digits int cannot read (x²,
+        or past int's length limit) names none."""
+        negative = v.startswith("xm")
+        body = v[2:] if negative else v[1:]
+        if v.startswith("x") and body.isdigit():
+            try:
+                i = int(body)
+            except ValueError:
+                i = -1
+            if i > 0 or (i == 0 and not negative):
+                return -i if negative else i
         raise OracleInconsistent(f"unknown path-quiver label {v!r}")
 
     def neighbor_row(self, v: VarId) -> dict[VarId, int]:

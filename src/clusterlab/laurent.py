@@ -446,6 +446,15 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
         yield (op, op, match.start(1)) if op else ("atom", atom, match.start(2))
 
 
+def _integer(digits: str, at: int) -> int:
+    """The integer atom at `at`; one past int's limit on the length of
+    integer text is a parse error, not a ValueError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise LaurentParseError(f"integer of {len(digits)} digits is too long", position=at) from None
+
+
 def parse_poly(text: str) -> LaurentPoly:
     """Parse the canonical textual form (tolerant of extra whitespace)."""
     tokens = list(_tokenize(text))
@@ -480,7 +489,7 @@ def parse_poly(text: str) -> LaurentPoly:
             if name.isdigit():  # an atom holds no sign
                 if not first:
                     raise LaurentParseError("integer factor only allowed first", position=at)
-                coef *= int(name)
+                coef *= _integer(name, at)
             else:
                 exp = 1
                 if skip("^"):
@@ -488,7 +497,8 @@ def parse_poly(text: str) -> LaurentPoly:
                     digits, at = atom()
                     if not digits.isdigit():
                         raise LaurentParseError(f"expected integer, found {digits!r}", position=at)
-                    exp = -int(digits) if neg else int(digits)
+                    exp = _integer(digits, at)
+                    exp = -exp if neg else exp
                 exps[name] = exps.get(name, 0) + exp
             first = False
         m = monomial(exps)

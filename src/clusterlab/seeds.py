@@ -386,12 +386,17 @@ def _trace_cycle(parent: Mapping[int, int], v: int, w: int) -> tuple[int, ...]:
 
 
 def fresh_label(old: VarId, taken: Container[VarId]) -> VarId:
-    """Primed-counter label scheme: x, x'1, x'2, ..."""
+    """Primed-counter label scheme: x, x'1, x'2, ... A suffix after the
+    last prime is a counter only when int reads it: x'² (a digit int does
+    not read) or a suffix past int's length limit is part of the base."""
     base, n = old, 0
     if "'" in old:
         stem, _, suffix = old.rpartition("'")
         if suffix.isdigit():
-            base, n = stem, int(suffix)
+            try:
+                base, n = stem, int(suffix)
+            except ValueError:
+                pass
     while True:
         n += 1
         candidate = f"{base}'{n}"

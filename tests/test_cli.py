@@ -1392,3 +1392,48 @@ class TestMutatedSeedFiles:
         again = load_seed_file(str(path))
         assert again.same_seed(mutated)
         assert "y1'1" in again.labels
+
+
+LONG = "9" * 5000  # past int's default limit of 4300 digits of integer text
+
+
+class TestUnreadableIntegers:
+    """A digit string that int cannot read, in a label, a Laurent atom or a
+    JSON number, is a counter-free suffix, an unknown vertex or an input
+    error (exit 3), never a ValueError traceback."""
+
+    def write(self, tmp_path, data):
+        path = tmp_path / "seed.seed"
+        path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_a_suffix_int_cannot_read_is_no_counter(self, tmp_path, fmt):
+        for label in ["x'²", f"x'{LONG}"]:
+            path = self.write(tmp_path, {"variables": [{"id": label, "exchangeable": True}], "matrix": []})
+            code, out, err = run_captured(["--format", fmt, "mutate", "--seed", path, "--at", label])
+            assert (code, err) == (0, "")
+            assert label + "'1" in (out if fmt == "plain" else json.loads(out)["seed"]["variables"][0]["id"])
+            code, out, err = run_captured(["--format", fmt, "enumerate", "--seed", path, "--depth", "2"])
+            assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize("label", ["x²", "xm²", f"x{LONG}", f"xm{LONG}"])
+    def test_a_path_quiver_label_int_cannot_read_is_no_vertex(self, fmt, label):
+        argv = ["--format", fmt, "stable-mutate", "--oracle", "path-quiver", "--target", label]
+        report = {"error": f"{label!r} is not a vertex of the oracle's seed"}
+        assert run_captured(argv) == (3, rendered(report, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize("value", [f"{LONG}*x", f"x^{LONG}", f"x^-{LONG}"])
+    def test_a_laurent_atom_int_cannot_read_is_a_parse_error(self, tmp_path, fmt, value):
+        data = {"variables": [{"id": "x", "exchangeable": True}], "matrix": [], "values": [["x", value]]}
+        argv = ["--format", fmt, "enumerate", "--seed", self.write(tmp_path, data)]
+        report = {"error": "bad laurent text: integer of 5000 digits is too long"}
+        assert run_captured(argv) == (3, rendered(report, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_a_json_number_int_cannot_read_is_a_parse_error(self, tmp_path, fmt):
+        path = self.write(tmp_path, '{"variables": [{"id": "x"}], "matrix": [["x", "x", %s]]}' % LONG)
+        report = {"error": f"integer too long to read: {path}"}
+        assert run_captured(["--format", fmt, "components", "--seed", path]) == (3, rendered(report, fmt), "")
