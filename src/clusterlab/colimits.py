@@ -23,9 +23,8 @@ from .disc import (
     ArcFamily,
     FiniteTriangulation,
     InfiniteTriangulation,
+    chord_from_label,
     chord_label,
-    chord_of,
-    parse_arc_label,
     seed_from_triangulation,
     triangulation_components,
 )
@@ -151,8 +150,10 @@ class PathQuiverOracle:
 
 
 class TriangulationOracle:
-    """Seed oracle of a finitely described infinite triangulation; labels
-    are canonical arc labels, each parsed to its chord once per oracle."""
+    """Seed oracle of a finitely described infinite triangulation. Its
+    labels are canonical arc labels (chord_label's n/d~n/d), each read to
+    its chord on integers once per oracle; a label in any other form names
+    no vertex, and a row or exchangeability asked for one is a ParseError."""
 
     def __init__(
         self,
@@ -163,7 +164,7 @@ class TriangulationOracle:
         if representatives is None:
             representatives = [p[0].label for p in triangulation_components(tri, COMPONENT_WINDOW)]
         self._reps = list(representatives)
-        self._chords = Memo(lambda v: chord_of(parse_arc_label(v)))
+        self._chords = Memo(chord_from_label)
 
     def neighbor_row(self, v: VarId) -> dict[VarId, int]:
         """The row of v; each chord it names is recorded under its label, so
@@ -185,7 +186,7 @@ class TriangulationOracle:
             c = self._chords[v]
         except ParseError:
             return False
-        return chord_label(c) == v and self.tri.chord_in(c)
+        return self.tri.chord_in(c)
 
     def representatives(self) -> list[VarId]:
         return list(self._reps)

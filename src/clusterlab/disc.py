@@ -10,10 +10,11 @@ the marked point set implied. Inside one, a point is the pair (n, d) of
 its angle n/d in lowest terms and an arc a chord, its points in angle
 order, compared by cross-multiplying; Fractions and Arcs are met only at
 input and where arcs are named. It locates each point once (whether it is
-a finite point, and its tip index k in each sequence) and finds each
-point's neighbour once per direction; arc membership, apex candidates and
-edges are read from those, an edge being an arc with no marked point
-strictly between its endpoints on one side.
+a finite point, and its tip index k in each sequence), finds each point's
+neighbour once per direction, an edge being an arc with no marked point
+strictly between its endpoints on one side, and from those each point's
+arc partners once; arc membership and the faces on a chord are read from
+the partners of its endpoints.
 """
 
 from __future__ import annotations
@@ -111,6 +112,21 @@ def _arc(c: Chord) -> "Arc":
 def chord_label(c: Chord) -> VarId:
     """Arc.label of the chord's arc."""
     return "{}/{}~{}/{}".format(*c[0], *c[1])
+
+
+def chord_from_label(label: VarId) -> Chord:
+    """The chord whose chord_label is the label, read on integers: n/d~n/d,
+    each fraction reduced and in [0, 1), the two increasing. Any other text
+    is a ParseError, a field int cannot read among them."""
+    try:
+        (a, b), (c, d) = chord = tuple(tuple(map(int, end.split("/"))) for end in label.split("~"))
+        if not (0 <= a < b and 0 <= c < d and a * d < c * b and gcd(a, b) == gcd(c, d) == 1):
+            raise ValueError
+        if chord_label(chord) != label:  # int also reads signs, spaces, "_" and other digits
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"bad arc label {label!r}", expected="n/d~n/d, reduced, in [0, 1), increasing") from None
+    return chord
 
 
 @dataclass(frozen=True, order=True)
@@ -419,13 +435,14 @@ class _TipSequence:
     start: int
 
     def __post_init__(self):
-        if self.step == 0:
+        c, d = _pt(self.step)
+        self.__dict__["_ints"] = _pt(self.limit) + (c, d)  # what every query reads
+        if c == 0:
             raise InvalidFamily("tip sequence needs a nonzero step")
         if self.start < 1:
             raise InvalidFamily("tip index range must start at k >= 1")
-        if abs(self.step) / self.start >= Fraction(1, 2):
+        if 2 * abs(c) >= d * self.start:  # |step| / start >= 1/2
             raise InvalidFamily("tip sequence must stay within half a turn of its limit")
-        self.__dict__["_ints"] = _pt(self.limit) + _pt(self.step)  # what every query reads
 
     def _tip(self, k: int) -> Pt:
         # (limit + step/k) mod 1: a/b + c/(dk) = (adk + bc)/(bdk)
@@ -629,13 +646,11 @@ class ArcFamily:
         return False
 
     def _partners(self, i: int, k: int) -> list[Pt]:
-        """Apex candidates at tip(k) of sequence i. A fountain's are its
-        base and tips k - 1 and k + 1, the apexes over the arc to the base.
-        A zigzag's are the other endpoints of its arcs at the tip: a_k meets
-        b_k and b_{k-1}, b_k meets a_k and a_{k+1}."""
+        """The other endpoints of the family's arcs at tip(k) of sequence i:
+        a fountain's base; for a zigzag, a_k meets b_k and b_{k-1}, and b_k
+        meets a_k and a_{k+1}."""
         if self._base is not None:
-            seq = self._sequences[i]
-            return [self._base, seq._tip(k + 1)] + ([seq._tip(k - 1)] if k > self.start else [])
+            return [self._base]
         sa, sb = self._sequences
         if i == 1:
             return [sa._tip(k), sa._tip(k + 1)]
@@ -662,8 +677,13 @@ class InfiniteTriangulation:
     Inside, points are integer pairs and arcs are chords, so every memo key
     is small ints; each query is one method, on Arcs only where it names arcs.
     Each point is located once per instance (the finite points and the
-    tip indices it has), and each point's neighbours once per direction;
-    membership, edges and apex candidates are read from those.
+    tip indices it has), each point's neighbours once per direction, and
+    from those each point's arc partners once: the points it is joined to
+    by an edge, a family arc at it as a tip, or an exceptional arc. Only a
+    fountain base has more, every tip of its family, so its set is marked
+    partial. A chord is an arc when one endpoint that is not a base lists
+    the other, and the apex of a face, joined to both endpoints, is a
+    partner of each endpoint that is not a base.
     """
 
     families: tuple[ArcFamily, ...]
@@ -676,7 +696,9 @@ class InfiniteTriangulation:
         the first 10 arcs of each family and the exceptional arcs, and
         leaves the implied edges out: an edge has a side with no marked
         point on it, and every swept chord has marked endpoints, so no edge
-        can cross one, nor change the first pair."""
+        can cross one, nor change the first pair. A lone family with no
+        exceptional arcs is not swept again: its constructor swept its
+        first 12 arcs."""
         pts = {norm_angle(p) for p in self.finite_points}
         pts.update(f.base for f in self.families if f.base is not None)
         for a in self.extra_arcs:
@@ -688,18 +710,27 @@ class InfiniteTriangulation:
         # owner sits in no reference cycle and is freed with its last user.
         owner, cls = weakref.proxy(self), type(self)
         points = tuple(map(_pt, self.finite_points))  # in angle order
+        extra = frozenset(map(chord_of, self.extra_arcs))
+        extra_at: dict[Pt, list[Pt]] = {}
+        for p, q in sorted(extra):
+            extra_at.setdefault(p, []).append(q)
+            extra_at.setdefault(q, []).append(p)
         self.__dict__.update(
             _points=points,
             _point_set=frozenset(points),
-            _extra=frozenset(map(chord_of, self.extra_arcs)),
+            _bases=frozenset(f._base for f in self.families if f._base is not None),
+            _extra=extra,
+            _extra_at=extra_at,
             _where=Memo(partial(cls._place, owner)),
             _near=Memo(partial(cls._find_neighbour, owner)),
+            _partners=Memo(partial(cls._find_partners, owner)),
             _arc_in=Memo(partial(cls._member, owner)),
             _faces=Memo(partial(cls._search_faces, owner)),
         )
-        chords = set(self._extra).union(*(f._chords(10) for f in self.families))
-        if not _chords_non_crossing(chords):
-            raise CrossingPair(*first_crossing(sorted(map(_arc, chords))))
+        if extra or len(self.families) > 1:
+            chords = set(extra).union(*(f._chords(10) for f in self.families))
+            if not _chords_non_crossing(chords):
+                raise CrossingPair(*first_crossing(sorted(map(_arc, chords))))
         # no two families may share a tip among their first 32 arcs
         if len(self.families) > 1:
             pools = [f._tips(32) for f in self.families]
@@ -751,6 +782,24 @@ class InfiniteTriangulation:
             return None, accum
         return near[1], near[0]
 
+    def _find_partners(self, x: Pt) -> tuple[frozenset[Pt], bool]:
+        """The points x is joined to by an arc, and whether the set is
+        partial: its neighbours (the edges at it), its partners in each
+        family where it is a tip, and its exceptional-arc partners. A
+        fountain base is also joined to every tip of its family, which the
+        set leaves out, so a base's set is partial. An unmarked point has
+        none."""
+        finite, tips = self._where[x]
+        if not (finite or any(tips)):
+            return frozenset(), False
+        out = {self._near[x, True][0], self._near[x, False][0]}
+        out.discard(None)
+        for f, at in zip(self.families, tips):
+            for i, k in at.items():
+                out.update(f._partners(i, k))
+        out.update(self._extra_at.get(x, ()))
+        return frozenset(out), x in self._bases
+
     # -- arc membership ----------------------------------------------------
 
     def _is_edge(self, c: Chord) -> bool:
@@ -769,36 +818,20 @@ class InfiniteTriangulation:
         return self._arc_in[c]
 
     def _member(self, c: Chord) -> bool:
-        finite_p, tips_p = self._where[c[0]]
-        finite_q, tips_q = self._where[c[1]]
-        if not ((finite_p or any(tips_p)) and (finite_q or any(tips_q))):
-            return False
-        if c in self._extra:
-            return True
-        if any(f._joins(c, *at) for f, *at in zip(self.families, tips_p, tips_q)):
-            return True
-        return self._is_edge(c)
+        """Read from the partners of an endpoint that is not a base. Between
+        two bases the chord is also a family's arc when one is a tip of a
+        family the other is the base of."""
+        p, q = c
+        at_p, base_p = self._partners[p]
+        if not base_p:
+            return q in at_p
+        at_q, base_q = self._partners[q]
+        if not base_q:
+            return p in at_q
+        tips_p, tips_q = self._where[p][1], self._where[q][1]
+        return q in at_p or any(f._joins(c, *at) for f, *at in zip(self.families, tips_p, tips_q))
 
     # -- triangles -----------------------------------------------------------
-
-    def _candidates(self, x0: Pt, x1: Pt) -> set[Pt]:
-        """Possible apexes over the chord {x0, x1}, on either side, read
-        from the endpoints' neighbours and tip indices; the set is
-        symmetric in x0 and x1."""
-        out: set[Pt] = set()
-        for x in (x0, x1):
-            for ccw in (True, False):
-                q = self._near[x, ccw][0]
-                if q is not None:
-                    out.add(q)
-            for f, at in zip(self.families, self._where[x][1]):
-                for i, k in at.items():
-                    out.update(f._partners(i, k))
-            for c in self._extra:
-                if x in c:
-                    out.add(c[1] if x == c[0] else c[0])
-        out -= {x0, x1}
-        return out
 
     def triangles_of(self, arc: Arc) -> list[Corners]:
         """The at most two triangles of the triangulation having this arc
@@ -806,16 +839,28 @@ class InfiniteTriangulation:
         return [tuple(Fraction(*p) for p in tri) for tri in self._faces[chord_of(arc)]]
 
     def _search_faces(self, c: Chord) -> list[tuple[Pt, Pt, Pt]]:
+        """The apex of a face is joined to both endpoints, so it is a
+        partner of each endpoint that is not a base: the apexes are the
+        common partners when neither endpoint is a base. A base's set leaves
+        out its family's tips, so where an endpoint is a base the apexes are
+        drawn from the other endpoint's partners (from both sets, between
+        two bases) and the chords to the bases are tested."""
         if not self._arc_in[c]:
             raise NotAnArc(f"{_arc(c)} is not an arc of the triangulation")
         p, q = c
+        at_p, base_p = self._partners[p]
+        at_q, base_q = self._partners[q]
+        if base_p and base_q:
+            pool = (at_p | at_q) - {p, q}
+        elif base_p or base_q:
+            pool = (at_p if base_q else at_q) - {p, q}
+        else:
+            pool = at_p & at_q
+        bases = [x for x, base in ((p, base_p), (q, base_q)) if base]
+        apexes = [z for z in pool if all(self._arc_in[_chord(x, z)] for x in bases)]
         out = []
-        candidates = self._candidates(p, q)
         for lo, hi in (c, (q, p)):
-            found = [
-                z for z in candidates
-                if _in_open(lo, hi, z) and self._arc_in[_chord(lo, z)] and self._arc_in[_chord(z, hi)]
-            ]
+            found = [z for z in apexes if _in_open(lo, hi, z)]
             if len(found) > 1:
                 raise InvalidFamily(
                     f"arc {_arc(c)} has two apexes {sorted(Fraction(*z) for z in found)} on one side; "

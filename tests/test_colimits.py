@@ -720,15 +720,34 @@ class TestSequenceNames:
 
     def test_a_made_label_is_no_arc_and_is_not_parsed(self, monkeypatch):
         # no arc label holds a prime, so a made label is answered before
-        # the arc parser, which would raise and catch a ParseError per call
-        oracle, parsed = fan_oracle(), []
-        parse = clusterlab.colimits.parse_arc_label
-        monkeypatch.setattr(clusterlab.colimits, "parse_arc_label", lambda v: parsed.append(v) or parse(v))
+        # the label reader, which would raise and catch a ParseError per call
+        parsed = []
+        read = clusterlab.colimits.chord_from_label
+        monkeypatch.setattr(clusterlab.colimits, "chord_from_label", lambda v: parsed.append(v) or read(v))
+        oracle = fan_oracle()
         for made in ["0/1~1/4'1", "0/1~3/8'1'1", "x0'1", "'"]:
             assert not oracle.is_vertex(made)
         assert parsed == []
         assert oracle.is_vertex("0/1~1/4") and not oracle.is_vertex("0/1~1/5")
         assert not oracle.is_vertex("x0") and parsed == ["0/1~1/4", "0/1~1/5", "x0"]
+        # each label is read once per oracle, and the labels of a row are not read back
+        row = oracle.neighbor_row("0/1~1/4")
+        assert all(oracle.is_vertex(v) for v in row) and parsed == ["0/1~1/4", "0/1~1/5", "x0"]
+
+    @pytest.mark.parametrize(
+        "label",
+        ["0/2~1/4", "1/4~0/1", "0/1~2/8", " 0/1~1/4", "+0/1~1/4", "00/1~1/4", "0/1~1/٤",
+         "0/1~1_0/11", "0/1~1/4~1/2", "0/1", "1/1~1/4", "0/1~" + "1" * 5000 + "/" + "3" * 5000],
+    )
+    def test_a_label_in_another_form_is_no_vertex_and_has_no_row(self, label):
+        oracle = fan_oracle()
+        assert not oracle.is_vertex(label)
+        for ask in (oracle.neighbor_row, oracle.is_exchangeable):
+            with pytest.raises(ParseError) as err:
+                ask(label)
+            assert str(err.value) == (
+                f"bad arc label {label!r} (expected n/d~n/d, reduced, in [0, 1), increasing)"
+            )
 
 
 class TestMediating:

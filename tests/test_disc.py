@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 import clusterlab.seeds
@@ -1408,6 +1408,198 @@ class TestClosedFormFaces:
                 assert len(faces) == 2 and set(faces) == expected, arc
                 checked += 1
         assert checked >= 10
+
+
+# -- faces against the candidate search -----------------------------------------------
+
+
+def reference_partners(fam, i, k):
+    """Apex candidates at tip(k) of sequence i: a fountain's base and tips
+    k - 1 and k + 1, a zigzag's other endpoints of its arcs at the tip."""
+    if fam.base is not None:
+        seq = fam.sequences()[i]
+        return [_pt(fam.base), seq._tip(k + 1)] + ([seq._tip(k - 1)] if k > fam.start else [])
+    sa, sb = fam.sequences()
+    if i == 1:
+        return [sa._tip(k), sa._tip(k + 1)]
+    return [sb._tip(k)] + ([sb._tip(k - 1)] if k > fam.start else [])
+
+
+def reference_member(tri, c):
+    """A chord is an arc when both endpoints are marked and it is an
+    exceptional arc, a family's arc, or an edge."""
+    (finite_p, tips_p), (finite_q, tips_q) = tri._where[c[0]], tri._where[c[1]]
+    if not ((finite_p or any(tips_p)) and (finite_q or any(tips_q))):
+        return False
+    if c in tri._extra or any(f._joins(c, *at) for f, *at in zip(tri.families, tips_p, tips_q)):
+        return True
+    return tri._is_edge(c)
+
+
+def reference_faces(tri, c):
+    """The candidate search: every possible apex over the chord, read from
+    the neighbours, tip indices and exceptional arcs of both endpoints, is
+    kept on a side when both its chords to the endpoints are arcs."""
+    if not reference_member(tri, c):
+        raise NotAnArc(f"{_arc(c)} is not an arc of the triangulation")
+    p, q = c
+    candidates = set()
+    for x in c:
+        candidates.update(z for ccw in (True, False) if (z := tri.nearest(x, ccw)) is not None)
+        for f, at in zip(tri.families, tri._where[x][1]):
+            for i, k in at.items():
+                candidates.update(reference_partners(f, i, k))
+        candidates.update(e[1] if x == e[0] else e[0] for e in tri._extra if x in e)
+    candidates -= {p, q}
+    out = []
+    for lo, hi in (c, (q, p)):
+        found = [
+            z for z in candidates
+            if _in_open(lo, hi, z) and reference_member(tri, _chord(lo, z)) and reference_member(tri, _chord(z, hi))
+        ]
+        if len(found) > 1:
+            raise InvalidFamily(
+                f"arc {_arc(c)} has two apexes {sorted(F(*z) for z in found)} on one side; "
+                "the described arc set is not a triangulation"
+            )
+        if found:
+            z = found[0]
+            out.append((p, z, q) if lo == p else (z, p, q) if _lt(z, p) else (p, q, z))
+    return out
+
+
+def reference_answers(tri, c):
+    """What chord_in, chord_row, chord_exchangeable and triangles_of answer
+    for the chord by the candidate search, an error as its type and text."""
+    member = reference_member(tri, c)
+    try:
+        faces = reference_faces(tri, c)
+    except (NotAnArc, InvalidFamily) as exc:
+        error = (type(exc), str(exc))
+        return [member, error, error, error]
+    row = {}
+    for p, q, r in faces:
+        for src, dst in _triangle_arrows(((p, q), (q, r), (p, r))):
+            if src == c:
+                row[dst] = row.get(dst, 0) + 1
+            elif dst == c:
+                row[src] = row.get(src, 0) - 1
+    corners = [tuple(F(*x) for x in face) for face in faces]
+    return [member, {a: v for a, v in row.items() if v}, len(faces) == 2, corners]
+
+
+def assert_faces_match_the_search(make, window=8):
+    """Every chord among the first window points gets the candidate
+    search's answers, errors included, from the partner sets; returns the
+    number of answers compared."""
+    tri, ref = make(), make()
+    points = tri._window_points(window)
+    chords = [_chord(p, q) for i, p in enumerate(points) for q in points[i + 1 :]]
+    for c in chords:
+        got = []
+        for method, arg in (("chord_in", c), ("chord_row", c), ("chord_exchangeable", c), ("triangles_of", _arc(c))):
+            try:
+                got.append(getattr(tri, method)(arg))
+            except (NotAnArc, InvalidFamily) as exc:
+                got.append((type(exc), str(exc)))
+        assert got == reference_answers(ref, c), (make, c)
+    return 4 * len(chords)
+
+
+def two_bases():
+    """The chord {0, 1/8} joins two fountain bases; its apex 1/4 is a tip
+    of the family at 0 and the neighbour of 1/8."""
+    return InfiniteTriangulation(
+        families=(
+            ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=F(0)),
+            ArcFamily("left-fountain", limit=F(0), scale=F(1, 16), start=1, base=F(1, 8)),
+        ),
+        extra_arcs=frozenset({Arc.of(F(0), F(1, 8))}),
+    )
+
+
+def two_bases_turned():
+    """two_bases turned by 7/8: the chord {0, 7/8} joins two bases, and its
+    apex 1/8 is a tip of the family at 7/8, the later endpoint."""
+    return InfiniteTriangulation(
+        families=(
+            ArcFamily("right-fountain", limit=F(3, 8), scale=F(1, 2), start=2, base=F(7, 8)),
+            ArcFamily("left-fountain", limit=F(7, 8), scale=F(1, 16), start=1, base=F(0)),
+        ),
+        extra_arcs=frozenset({Arc.of(F(0), F(7, 8))}),
+    )
+
+
+def base_on_a_tip():
+    """The fan's tip 1/3 is the base of a second fountain, so the chord
+    {0, 1/3} joins two bases and is the fan's arc."""
+    return InfiniteTriangulation(
+        families=(
+            ArcFamily("right-fountain", limit=F(1, 2), scale=F(1, 2), start=2, base=F(0)),
+            ArcFamily("left-fountain", limit=F(7, 24), scale=F(1, 48), start=1, base=F(1, 3)),
+        ),
+    )
+
+
+FACE_CASES = {
+    **LONG_LIVED,
+    "fountain": marked_limit_fountain,
+    "left-fountain": marked_limit_left_fountain,
+    "two-bases": two_bases,
+    "two-bases-turned": two_bases_turned,
+    "base-on-a-tip": base_on_a_tip,
+}
+
+ANGLES = sorted({F(n, d) for d in (2, 3, 4, 5, 6, 8, 12, 16) for n in range(d)})
+
+
+@st.composite
+def drawn_triangulations(draw):
+    """1-2 families of any kind, 0-2 exceptional arcs among their first
+    points and the angles, and 0-3 finite points; a draw the constructors
+    refuse is rejected."""
+    angle = st.sampled_from(ANGLES)
+    specs = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(sorted(_KINDS)))
+        fountain, seqs = _KINDS[kind]
+        spec = {
+            "kind": kind,
+            "limit": draw(angle),
+            "scale": F(1, draw(st.integers(2, 16))),
+            "start": draw(st.integers(1, 4)),
+        }
+        if fountain:
+            spec["base"] = draw(angle)
+        if kind == "half-nest":
+            spec["limit2"] = draw(angle)
+        if len(seqs) == 2 and draw(st.booleans()):
+            spec["scale2"] = F(1, draw(st.integers(2, 16)))
+        specs.append(spec)
+    finite = draw(st.lists(angle, max_size=3))
+    try:
+        families = tuple(ArcFamily(**spec) for spec in specs)
+        points = sorted({F(*x) for f in families for x in f._tips(6)} | {f.base for f in families if f.base is not None})
+        ends = st.sampled_from(points + ANGLES)
+        extra = frozenset(Arc.of(draw(ends), draw(ends)) for _ in range(draw(st.integers(0, 2))))
+        InfiniteTriangulation(families, extra, tuple(finite))
+    except (ClusterLabError, ValueError):
+        reject()
+    return lambda: InfiniteTriangulation(families, extra, tuple(finite))
+
+
+class TestFacesFromPartners:
+    """chord_in, chord_row, chord_exchangeable and triangles_of, with their
+    errors, against the candidate search on every chord of a window."""
+
+    @pytest.mark.parametrize("name", sorted(FACE_CASES))
+    def test_named_triangulations(self, name):
+        assert assert_faces_match_the_search(FACE_CASES[name]) > 100
+
+    @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(drawn_triangulations())
+    def test_drawn_triangulations(self, make):
+        assert_faces_match_the_search(make, window=6)
 
 
 # -- typed errors -------------------------------------------------------------------
