@@ -851,13 +851,14 @@ class InfiniteTriangulation:
         at_p, base_p = self._partners[p]
         at_q, base_q = self._partners[q]
         if base_p and base_q:
-            pool = (at_p | at_q) - {p, q}
+            apexes = (at_p | at_q) - {p, q}
         elif base_p or base_q:
-            pool = (at_p if base_q else at_q) - {p, q}
+            apexes = (at_p if base_q else at_q) - {p, q}
         else:
-            pool = at_p & at_q
-        bases = [x for x, base in ((p, base_p), (q, base_q)) if base]
-        apexes = [z for z in pool if all(self._arc_in[_chord(x, z)] for x in bases)]
+            apexes = at_p & at_q
+        for x, base in ((p, base_p), (q, base_q)):
+            if base:
+                apexes = [z for z in apexes if self._arc_in[_chord(x, z)]]
         out = []
         for lo, hi in (c, (q, p)):
             found = [z for z in apexes if _in_open(lo, hi, z)]
