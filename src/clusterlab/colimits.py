@@ -23,7 +23,7 @@ from .disc import (
     ArcFamily,
     FiniteTriangulation,
     InfiniteTriangulation,
-    chord_from_label,
+    _chord_from_label,
     chord_label,
     seed_from_triangulation,
     triangulation_components,
@@ -164,7 +164,7 @@ class TriangulationOracle:
         if representatives is None:
             representatives = [p[0].label for p in triangulation_components(tri, COMPONENT_WINDOW)]
         self._reps = list(representatives)
-        self._chords = Memo(chord_from_label)
+        self._chords = Memo(_chord_from_label)
 
     def neighbor_row(self, v: VarId) -> dict[VarId, int]:
         """The row of v; each chord it names is recorded under its label, so

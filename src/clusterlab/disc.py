@@ -114,7 +114,7 @@ def chord_label(c: Chord) -> VarId:
     return "{}/{}~{}/{}".format(*c[0], *c[1])
 
 
-def chord_from_label(label: VarId) -> Chord:
+def _chord_from_label(label: VarId) -> Chord:
     """The chord whose chord_label is the label, read on integers: n/d~n/d,
     each fraction reduced and in [0, 1), the two increasing. Any other text
     is a ParseError, a field int cannot read among them."""

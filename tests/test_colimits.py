@@ -722,8 +722,8 @@ class TestSequenceNames:
         # no arc label holds a prime, so a made label is answered before
         # the label reader, which would raise and catch a ParseError per call
         parsed = []
-        read = clusterlab.colimits.chord_from_label
-        monkeypatch.setattr(clusterlab.colimits, "chord_from_label", lambda v: parsed.append(v) or read(v))
+        read = clusterlab.colimits._chord_from_label
+        monkeypatch.setattr(clusterlab.colimits, "_chord_from_label", lambda v: parsed.append(v) or read(v))
         oracle = fan_oracle()
         for made in ["0/1~1/4'1", "0/1~3/8'1'1", "x0'1", "'"]:
             assert not oracle.is_vertex(made)
