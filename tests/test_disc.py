@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from functools import partial
 from math import comb
 
 import pytest
@@ -1585,7 +1586,7 @@ def drawn_triangulations(draw):
         InfiniteTriangulation(families, extra, tuple(finite))
     except (ClusterLabError, ValueError):
         reject()
-    return lambda: InfiniteTriangulation(families, extra, tuple(finite))
+    return partial(InfiniteTriangulation, families, extra, tuple(finite))
 
 
 class TestFacesFromPartners:
